@@ -1,11 +1,14 @@
 """Routing landmarks on the visibility graph of a histogram polygon.
 
 Everything here is defined relative to the base (the top edge for
-simple histograms, the line y=0 for double ones): breakpoints split a
-vertex's interval at the highest edge fully visible below it, the near
-and far dominators bracket an invisible target inside the interval, and
-the extension sequences / level-k dominators describe how far routing
-can see in k hops.
+simple histograms, the line y=0 for double ones). Breakpoints split a
+vertex's interval at the highest horizontal edge fully visible below
+it; the level-k dominators are the vertices closest to the base line,
+one per side, within the level-k interval of a vertex. Dominators come
+for all vertices at once from range-minimum queries over sparse tables,
+and breakpoints from a vertex's own neighbors, so preprocessing costs
+O(n log n + sum of degrees). The per-vertex definitions these must
+agree with are kept as test oracles.
 """
 
 import numpy as np
@@ -13,16 +16,57 @@ import numpy as np
 from .visibility import VisibilityGraph
 
 
-def _dist_to_base(g: VisibilityGraph, v: int) -> int:
-    h = g.h
-    if h.kind == "simple":
-        return int(h.base_y - h.ys[v])
-    return abs(int(h.ys[v]))
+class RangeMin:
+    """Sparse table over an integer array (Bender and Farach-Colton).
+
+    O(n log n) set-up; afterwards the minimum over any index range
+    [a, b) takes two lookups, vectorised over arrays of ranges.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        n = len(values)
+        depth = max(n, 1).bit_length()   # levels j with 2**j <= n
+        self._table = np.zeros((depth, max(n, 1)), dtype=np.int64)
+        self._table[0, :n] = values
+        for j in range(1, depth):
+            half, m = 1 << (j - 1), n - (1 << j) + 1
+            self._table[j, :m] = np.minimum(self._table[j - 1, :m],
+                                            self._table[j - 1, half:half + m])
+
+    def query(self, a, b, empty):
+        """Minimum of values[a[i]:b[i]] for each i, or `empty` where
+        the range holds nothing."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.full(a.shape, empty, dtype=np.int64)
+        hit = b > a
+        a, b = a[hit], b[hit]
+        j = np.frexp((b - a).astype(np.float64))[1] - 1   # floor(log2(b - a))
+        out[hit] = np.minimum(self._table[j, a], self._table[j, b - (1 << j)])
+        return out
 
 
-def _near_key(g: VisibilityGraph, v: int):
-    # tie order: closer to the base first, below-base before above
-    return (_dist_to_base(g, v), int(g.h.ys[v]))
+def first_vertex(mask):
+    """The smallest vertex id where a per-vertex mask holds, or None."""
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if len(hit) else None
+
+
+def closed_extremes(g: VisibilityGraph, lo_values, hi_values):
+    """Per vertex v, the minimum of lo_values and the maximum of
+    hi_values over the closed neighborhood of v."""
+    n = g.n
+    size = np.array([len(nb) + 1 for nb in g.neighbors], dtype=np.int64)
+    start = np.cumsum(size) - size
+    members = np.empty(int(size.sum()), dtype=np.int64)
+    own = np.zeros(len(members), dtype=bool)
+    own[start] = True
+    members[own] = np.arange(n)
+    members[~own] = np.concatenate(g.neighbors)
+    lo = np.minimum.reduceat(np.asarray(lo_values)[members], start)
+    hi = np.maximum.reduceat(np.asarray(hi_values)[members], start)
+    return lo, hi
 
 
 def breakpoint_of(g: VisibilityGraph, v: int):
@@ -33,209 +77,76 @@ def breakpoint_of(g: VisibilityGraph, v: int):
     below v, and is entirely visible from v. For an l-reflex vertex (and
     the right base vertex) the mirror image. Returns None for convex
     non-base vertices.
+
+    A horizontal edge is entirely visible from v exactly when both of
+    its endpoints are neighbors of v, so only the edges through v's
+    neighbors are candidates.
     """
     h = g.h
-    assert h.kind == "simple"
-    n = h.n
-    is_base = v == 0 or v == n - 1
+    if h.kind != "simple":
+        raise ValueError("breakpoints exist on simple histograms only")
+    is_base = v == 0 or v == h.n - 1
     if h.convex[v] and not is_base:
         return None
-    rightward = (not h.is_left[v]) if not is_base else (v == 0)
-    xv, yv = int(h.xs[v]), int(h.ys[v])
-    best = None
-    best_y = None
-    for e in range(len(h.he_y)):
-        ye = int(h.he_y[e])
-        if ye >= yv:
-            continue
-        vl, vr = int(h.he_vleft[e]), int(h.he_vright[e])
-        if rightward:
-            if int(h.he_xlo[e]) < xv:
-                continue
-            pick = vl
-        else:
-            if int(h.he_xhi[e]) > xv:
-                continue
-            pick = vr
-        # both endpoints visible means the whole edge is
-        if not (g.adj[v, vl] and g.adj[v, vr]):
-            continue
-        if best is None or ye > best_y:
-            best, best_y = pick, ye
-    if best is None:
-        raise AssertionError(f"no breakpoint for vertex {v}")
-    return best
-
-
-def dominators(g: VisibilityGraph, s: int, t: int):
-    """Near and far dominator of an invisible in-interval target.
-
-    Preconditions: t is in I(s) but not visible from s and t != s.
-    Simple histograms compare vertex ids; double histograms compare
-    coordinates, with ties broken toward the base. The far dominator is
-    None when no candidate lies at or beyond t (the right landmark of s
-    is then a boundary point).
-    """
-    h = g.h
-    cand = [int(u) for u in g.neighbors[s]] + [s]
-    if h.kind == "simple":
-        if t > s:
-            nd = max(u for u in cand if u < t)
-            fdset = [u for u in cand if u > t]
-            fd = min(fdset) if fdset else None
-        else:
-            nd = min(u for u in cand if u > t)
-            fdset = [u for u in cand if u < t]
-            fd = max(fdset) if fdset else None
-        return nd, fd
-    tx = int(h.xs[t])
-    sx = int(h.xs[s])
-    assert tx != sx, "vertical partners are always co-visible"
-    if tx > sx:
-        ndset = [u for u in cand if h.xs[u] < tx]
-        fdset = [u for u in cand if h.xs[u] >= tx]
-        nd = min(ndset, key=lambda u: (-int(h.xs[u]),) + _near_key(g, u))
-        fd = min(fdset, key=lambda u: (int(h.xs[u]),) + _near_key(g, u)) \
-            if fdset else None
+    rightward = (v == 0) if is_base else not h.is_left[v]
+    nb = g.neighbors[v]     # sorted ascending
+    partner = h.cv[nb]
+    pos = np.minimum(np.searchsorted(nb, partner), len(nb) - 1)
+    visible = nb[pos] == partner
+    xv = h.xs[v]
+    xu, xp = h.xs[nb], h.xs[partner]
+    if rightward:
+        beside = np.minimum(xu, xp) >= xv
+        pick = np.where(xu < xp, nb, partner)
     else:
-        ndset = [u for u in cand if h.xs[u] > tx]
-        fdset = [u for u in cand if h.xs[u] <= tx]
-        nd = min(ndset, key=lambda u: (int(h.xs[u]),) + _near_key(g, u))
-        fd = min(fdset, key=lambda u: (-int(h.xs[u]),) + _near_key(g, u)) \
-            if fdset else None
-    return nd, fd
+        beside = np.maximum(xu, xp) <= xv
+        pick = np.where(xu > xp, nb, partner)
+    ye = h.ys[nb]
+    cand = np.flatnonzero(visible & beside & (ye < h.ys[v]))
+    if len(cand) == 0:
+        raise AssertionError(f"no breakpoint for vertex {v}")
+    return int(pick[cand[np.argmax(ye[cand])]])
 
 
-def fd2(g: VisibilityGraph, s: int, t: int):
-    """The far dominator seen from the far dominator, toward t."""
-    _, fd = dominators(g, s, t)
-    assert fd is not None, "fd2 needs a far dominator vertex"
-    _, fd_next = dominators(g, fd, t)
-    assert fd_next is not None
-    return fd_next
+def dominator_levels(g: VisibilityGraph, k: int):
+    """Level-i bottom and top dominators of every vertex, i = 0..k.
 
-
-def extension_sequences(g: VisibilityGraph, s: int):
-    """Greedy chains of neighbors whose intervals reach ever farther.
-
-    The left chain starts at s; each step picks, among neighbors whose
-    left landmark lies strictly left of the current one, the leftmost
-    (ties toward the base). The right chain mirrors this. The chains
-    stop at their fixpoints, so the last elements have the extreme
-    interval ends over the closed neighborhood.
+    Returns int64 arrays bd and td of shape (k + 1, n). Level 0 is the
+    vertex itself. The level-(i+1) bottom dominator of v is the
+    below-base vertex closest to the base line (ties by smaller x) whose
+    x lies in I(bd[i][v]) or I(td[i][v]); the top dominator is the
+    above-base mirror. An empty side copies the other side's pick. Each
+    side keeps one sparse table over its vertices in x order, so every
+    level costs four range-minimum queries per vertex.
     """
-    h = g.h
-    lm = g.lm
-    nbr = [int(u) for u in g.neighbors[s]]
+    h, lm = g.h, g.lm
+    if h.kind != "double":
+        raise ValueError("dominator levels exist on double histograms only")
+    n = h.n
+    sides = []
+    for ids in (np.flatnonzero(h.side < 0), np.flatnonzero(h.side > 0)):
+        ids = ids[np.argsort(h.xs[ids], kind="stable")]
+        by_rank = ids[np.lexsort((ids, h.xs[ids], np.abs(h.ys[ids])))]
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(len(ids))
+        # by_rank[len(ids)] = -1 stands for "no vertex on this side"
+        sides.append((h.xs[ids], RangeMin(rank[ids]), np.append(by_rank, -1)))
 
-    chain_a = [s]
-    while True:
-        cur = chain_a[-1]
-        cands = [u for u in nbr if lm.l_x[u] < lm.l_x[cur]]
-        if not cands:
-            break
-        chain_a.append(min(cands, key=lambda u: (int(h.xs[u]),) + _near_key(g, u)))
-    chain_b = [s]
-    while True:
-        cur = chain_b[-1]
-        cands = [u for u in nbr if lm.r_x[u] > lm.r_x[cur]]
-        if not cands:
-            break
-        chain_b.append(min(cands, key=lambda u: (-int(h.xs[u]),) + _near_key(g, u)))
-    return chain_a, chain_b
-
-
-def interval_vertices(g: VisibilityGraph, v: int):
-    """All vertices whose x lies in I(v), as a sorted array."""
-    lo, hi = g.lm.interval(v)
-    return np.nonzero((g.h.xs >= lo) & (g.h.xs <= hi))[0]
-
-
-def ik_bounds(g: VisibilityGraph, s: int, k: int):
-    """x-range of the level-k interval around s (k >= 1)."""
-    bds, tds = k_dominators(g, s, k - 1) if k > 1 else ([s], [s])
-    b, t = bds[-1], tds[-1]
-    lo = min(int(g.lm.l_x[b]), int(g.lm.l_x[t]))
-    hi = max(int(g.lm.r_x[b]), int(g.lm.r_x[t]))
-    return lo, hi
-
-
-def ik_vertices(g: VisibilityGraph, s: int, k: int):
-    """Vertex set of the level-k interval: I^0 = {s}, and I^k is the
-    union of the intervals of the level-(k-1) dominators."""
-    if k == 0:
-        return np.array([s], dtype=np.int64)
-    bds, tds = k_dominators(g, s, k - 1)
-    below = interval_vertices(g, bds[-1])
-    above = interval_vertices(g, tds[-1])
-    return np.union1d(below, above)
-
-
-def k_dominators(g: VisibilityGraph, s: int, k: int):
-    """Level-i dominators for i = 0..k on a double histogram.
-
-    The level-i bottom dominator is the below-base vertex of I^i(s)
-    closest to the base line (ties by smaller x); the top dominator is
-    the above-base mirror. An empty side copies the other side's pick.
-    """
-    h = g.h
-    assert h.kind == "double"
-    bds, tds = [s], [s]
-    for _ in range(k):
-        members = np.union1d(interval_vertices(g, bds[-1]),
-                             interval_vertices(g, tds[-1]))
-        below = [int(u) for u in members if h.side[u] < 0]
-        above = [int(u) for u in members if h.side[u] > 0]
-        bd = min(below, key=lambda u: (abs(int(h.ys[u])), int(h.xs[u]))) \
-            if below else None
-        td = min(above, key=lambda u: (abs(int(h.ys[u])), int(h.xs[u]))) \
-            if above else None
-        if bd is None:
-            bd = td
-        if td is None:
-            td = bd
-        assert bd is not None and td is not None
-        bds.append(bd)
-        tds.append(td)
-    return bds, tds
-
-
-def canonical_paths(g: VisibilityGraph, s: int, k: int):
-    """Hop-by-hop paths from s to the level-k bottom and top dominators.
-
-    Entry i is the level-i bottom or top dominator; consecutive entries
-    are co-visible. Built backward from the endpoint, preferring the
-    bottom dominator at every interior level. Consecutive duplicates
-    collapse, so the paths may be shorter than k+1 entries.
-    """
-    bds, tds = k_dominators(g, s, k)
-
-    def sees(a, b):
-        return a == b or bool(g.adj[a, b])
-
-    def build(last):
-        path = [None] * (k + 1)
-        path[k] = last
-        for i in range(k - 1, 0, -1):
-            # already standing on a level-i dominator: stay
-            if path[i + 1] == bds[i] or path[i + 1] == tds[i]:
-                path[i] = path[i + 1]
-            elif sees(bds[i], path[i + 1]):
-                path[i] = bds[i]
-            elif sees(tds[i], path[i + 1]):
-                path[i] = tds[i]
-            else:
-                raise AssertionError(
-                    f"level-{i} dominators of {s} both miss {path[i + 1]}")
-        path[0] = s
-        if k >= 1 and not sees(s, path[1]):
-            raise AssertionError(f"{s} does not see {path[1]}")
-        out = [path[0]]
-        for p in path[1:]:
-            if p != out[-1]:
-                out.append(p)
-        return out
-
-    if k == 0:
-        return [s], [s]
-    return build(bds[k]), build(tds[k])
+    bd = np.empty((k + 1, n), dtype=np.int64)
+    td = np.empty((k + 1, n), dtype=np.int64)
+    bd[0] = td[0] = np.arange(n)
+    for i in range(k):
+        picks = []
+        for xs, table, by_rank in sides:
+            none = len(by_rank) - 1
+            best = np.full(n, none, dtype=np.int64)
+            for dom in (bd[i], td[i]):
+                a = np.searchsorted(xs, lm.l_x[dom], "left")
+                b = np.searchsorted(xs, lm.r_x[dom], "right")
+                best = np.minimum(best, table.query(a, b, none))
+            picks.append(by_rank[best])
+        # I(dom) holds dom itself, so at most one side comes up empty
+        low, high = picks
+        bd[i + 1] = np.where(low >= 0, low, high)
+        td[i + 1] = np.where(high >= 0, high, low)
+    return bd, td

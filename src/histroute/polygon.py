@@ -213,24 +213,31 @@ def _check_x_monotone(points):
             seg.append((min(x0, x1), max(x0, x1), y0))
         seg.sort()
         levels.append(seg)
-    # The two chains must be vertically separated everywhere strictly
-    # between xmin and xmax; sample each gap between breakpoints.
-    cuts = sorted({x for p in points for x in (p[0],)})
+    return _check_separated(levels[0], levels[1],
+                            sorted({p[0] for p in points}))
+
+
+def _check_separated(seg_a, seg_b, cuts):
+    """The two chains must be vertically separated everywhere strictly
+    between xmin and xmax, the same one on top throughout.
+
+    seg_a and seg_b hold each chain's horizontal segments as sorted
+    (xlo, xhi, y) triples with disjoint interiors; cuts are the sorted
+    distinct x values. One pointer per chain walks the segments along
+    the gaps between consecutive cuts, so the check is linear.
+    """
     above = None
     ia = ib = 0
     for x0, x1 in zip(cuts, cuts[1:]):
-        mid2 = x0 + x1  # doubled midpoint, keeps integers
-        ya = yb = None
-        for xl, xr, y in levels[0]:
-            if 2 * xl <= mid2 <= 2 * xr:
-                ya = y
-                break
-        for xl, xr, y in levels[1]:
-            if 2 * xl <= mid2 <= 2 * xr:
-                yb = y
-                break
-        if ya is None or yb is None:
+        # skip segments that end before this gap
+        while ia < len(seg_a) and seg_a[ia][1] <= x0:
+            ia += 1
+        while ib < len(seg_b) and seg_b[ib][1] <= x0:
+            ib += 1
+        if ia == len(seg_a) or ib == len(seg_b) \
+                or seg_a[ia][0] > x0 or seg_b[ib][0] > x0:
             return "chains do not cover the full x-range"
+        ya, yb = seg_a[ia][2], seg_b[ib][2]
         if ya == yb:
             return f"chains touch between x={x0} and x={x1}"
         now_above = ya > yb
@@ -238,7 +245,6 @@ def _check_x_monotone(points):
             above = now_above
         elif above != now_above:
             return "chains cross"
-    _ = ia, ib
     return None
 
 

@@ -12,6 +12,9 @@ twice a shortest one.
 import bisect
 import dataclasses
 
+import numpy as np
+
+from . import dump
 from . import landmarks as lmk
 from .engine import HeaderProtocolError, RoutingError, SchemeBuildError
 
@@ -247,53 +250,82 @@ def preprocess_double(h, g) -> DoubleScheme:
     bottom/top dominators found among neighbors, the level-2 interval
     reached by the extension chains, and the level-3 interval covered
     by the two tabled level-2 intervals. Any mismatch aborts the build.
+    All global quantities come from the level-k dominator arrays.
     """
     if h.kind != "double":
         raise SchemeBuildError(f"need a double histogram, got {h.kind}")
     _check_normalized(h)
     n = h.n
     lm = g.lm
-    labels = [DoubleLabel(int(h.xs[v]), int(h.ys[v]),
-                          int(lm.l_x[v]), int(lm.r_x[v])) for v in range(n)]
+    labels = [DoubleLabel(*f) for f in zip(
+        h.xs.tolist(), h.ys.tolist(), lm.l_x.tolist(), lm.r_x.tolist())]
     links = []
-    for v in range(n):
-        entries = [(int(u), labels[int(u)]) for u in g.neighbors[v]]
+    for v, nbrs in enumerate(g.neighbors):
+        entries = [(u, labels[u]) for u in nbrs.tolist()]
         entries.append((v, labels[v]))
         links.append(DoubleLink(entries, v))
 
-    tables = []
-    for v in range(n):
-        bds, tds = lmk.k_dominators(g, v, 2)
-        bd1, td1 = bds[1], tds[1]
+    bd, td = lmk.dominator_levels(g, 2)
+    bd1, td1, bd2 = bd[1], td[1], bd[2]
+    for v, (b, t) in enumerate(zip(bd1.tolist(), td1.tolist())):
         lbd, ltd = _local_vertical_dominators(links[v])
-        if lbd[0] != bd1 or ltd[0] != td1:
+        if lbd[0] != b or ltd[0] != t:
             raise SchemeBuildError(
                 f"local bottom/top dominators at {v} diverge from the "
-                f"global ones ({lbd[0]},{ltd[0]}) vs ({bd1},{td1})")
-        lo2, hi2 = lmk.ik_bounds(g, v, 2)
-        closed = [labels[int(u)] for u in g.neighbors[v]] + [labels[v]]
-        if min(l.ilo for l in closed) != lo2 or \
-                max(l.ihi for l in closed) != hi2:
+                f"global ones ({lbd[0]},{ltd[0]}) vs ({b},{t})")
+
+    # I^k(v) spans the intervals of the level-(k-1) dominators
+    lo2 = np.minimum(lm.l_x[bd1], lm.l_x[td1])
+    hi2 = np.maximum(lm.r_x[bd1], lm.r_x[td1])
+    lo3 = np.minimum(lm.l_x[bd2], lm.l_x[td[2]])
+    hi3 = np.maximum(lm.r_x[bd2], lm.r_x[td[2]])
+    near_lo, near_hi = lmk.closed_extremes(g, lm.l_x, lm.r_x)
+    v = lmk.first_vertex((near_lo != lo2) | (near_hi != hi2))
+    if v is not None:
+        raise SchemeBuildError(
+            f"level-2 interval of {v} is not the neighborhood extreme")
+    i2bd_lo, i2bd_hi, i2td_lo, i2td_hi = lo2[bd1], hi2[bd1], lo2[td1], hi2[td1]
+    v = lmk.first_vertex((np.minimum(i2bd_lo, i2td_lo) != lo3)
+                         | (np.maximum(i2bd_hi, i2td_hi) != hi3))
+    if v is not None:
+        raise SchemeBuildError(
+            f"level-3 interval of {v} is not the union of the "
+            f"dominators' level-2 intervals")
+
+    def sees(a, b):
+        return (a == b) | g.adj[a, b]
+
+    vid = np.arange(n)
+
+    def level1_hop(last):
+        # entry 1 of the canonical level-2 path v -> p1 -> last: stay on
+        # last if it is a level-1 dominator, else prefer the bottom one
+        stay = (last == bd1) | (last == td1)
+        p1 = np.where(stay, last, np.where(
+            sees(bd1, last), bd1, np.where(sees(td1, last), td1, -1)))
+        v = lmk.first_vertex(p1 < 0)
+        if v is not None:
             raise SchemeBuildError(
-                f"level-2 interval of {v} is not the neighborhood extreme")
-        i2bd = lmk.ik_bounds(g, bd1, 2)
-        i2td = lmk.ik_bounds(g, td1, 2)
-        lo3, hi3 = lmk.ik_bounds(g, v, 3)
-        if min(i2bd[0], i2td[0]) != lo3 or max(i2bd[1], i2td[1]) != hi3:
-            raise SchemeBuildError(
-                f"level-3 interval of {v} is not the union of the "
-                f"dominators' level-2 intervals")
-        pi_b, _ = lmk.canonical_paths(g, v, 2)
-        if len(pi_b) == 1 or pi_b[1] == bd1:
-            bit = True
-        elif pi_b[1] == td1:
-            bit = False
-        else:
-            raise SchemeBuildError(
-                f"canonical bottom path at {v} starts off the dominators")
-        bd2 = bds[2]
-        tables.append(DoubleTable(i2bd[0], i2bd[1], i2td[0], i2td[1],
-                                  int(h.xs[bd2]), int(h.ys[bd2]), bit))
+                f"level-1 dominators of {v} both miss {int(last[v])}")
+        v = lmk.first_vertex(~sees(vid, p1))
+        if v is not None:
+            raise SchemeBuildError(f"{v} does not see {int(p1[v])}")
+        return p1
+
+    p1 = level1_hop(bd2)
+    level1_hop(td[2])     # the top path must exist as well
+    # first hop of the bottom path, collapsing repeats (v itself when
+    # the path never leaves v)
+    first = np.where(p1 != vid, p1, bd2)
+    bit = (first == vid) | (first == bd1)
+    v = lmk.first_vertex(~bit & (first != td1))
+    if v is not None:
+        raise SchemeBuildError(
+            f"canonical bottom path at {v} starts off the dominators")
+    tables = [DoubleTable(*f) for f in zip(
+        i2bd_lo.tolist(), i2bd_hi.tolist(), i2td_lo.tolist(),
+        i2td_hi.tolist(), h.xs[bd2].tolist(), h.ys[bd2].tolist(),
+        bit.tolist())]
     return DoubleScheme(n, labels, tables, links)
 
 
@@ -313,31 +345,23 @@ def dump_scheme(scheme: DoubleScheme) -> str:
 
 
 def parse_dump(text: str) -> DoubleScheme:
-    rows = [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-    head = rows[0].split()
-    if head[:2] != ["scheme", "double"] or len(head) != 3:
-        raise ValueError("not a double scheme dump")
-    n = int(head[2])
-    if len(rows) - 1 != n:
-        raise ValueError(f"expected {n} rows, got {len(rows) - 1}")
+    """Inverse of dump_scheme. Raises ValueError on malformed text."""
+    n, rows = dump.read_rows(text, "double", 5)
     labels = [None] * n
     tables = [None] * n
     nbrs = [None] * n
-    for row in rows[1:]:
-        parts = [p.strip() for p in row.split("|")]
-        if len(parts) != 6:
-            raise ValueError(f"malformed row: {row!r}")
-        v = int(parts[0])
-        x, y = (int(a) for a in parts[1].split())
-        ilo, ihi = (int(a) for a in parts[2].split())
+    for v, (_, coords, bounds, fields, bit, ids) in enumerate(rows):
+        x, y = (int(a) for a in coords.split())
+        ilo, ihi = (int(a) for a in bounds.split())
         labels[v] = DoubleLabel(x, y, ilo, ihi)
-        f = [int(a) for a in parts[3].split()]
+        f = [int(a) for a in fields.split()]
         if len(f) != 6:
-            raise ValueError(f"expected 6 table fields: {row!r}")
+            raise ValueError(f"row {v}: expected 6 table fields, "
+                             f"got {fields.strip()!r}")
         tables[v] = DoubleTable(f[0], f[1], f[2], f[3], f[4], f[5],
-                                parts[4] == "1")
-        nbrs[v] = [int(a) for a in parts[5].split()]
+                                dump.parse_bit(bit))
+        nbrs[v] = [int(a) for a in ids.split()]
+    dump.check_ids(nbrs, n)
     links = []
     for v in range(n):
         entries = [(u, labels[u]) for u in nbrs[v]] + [(v, labels[v])]

@@ -9,7 +9,11 @@ and the target's label, and always advances along a shortest path.
 
 import bisect
 import dataclasses
+import operator
 
+import numpy as np
+
+from . import dump
 from . import landmarks as lmk
 from .engine import RoutingError, SchemeBuildError
 
@@ -24,11 +28,11 @@ class SimpleLink:
     """Sorted labels of the closed neighborhood, with the own entry marked."""
 
     def __init__(self, entries, own_vid: int):
-        self.entries = sorted(entries, key=lambda e: e.vid)
+        self.entries = sorted(entries, key=operator.attrgetter("vid"))
         self.ids = [e.vid for e in self.entries]
         self.id_set = set(self.ids)
         self._br = {e.vid: e.br for e in self.entries}
-        self.own = next(e for e in self.entries if e.vid == own_vid)
+        self.own = self.entries[self.ids.index(own_vid)]
 
     def br_of(self, vid: int):
         return self._br.get(vid)
@@ -105,27 +109,32 @@ def preprocess_simple(h, g) -> SimpleScheme:
         raise SchemeBuildError(f"need a simple histogram, got {h.kind}")
     n = h.n
     lm = g.lm
-    for v in range(n):
-        lvid, rvid = int(lm.l_vid[v]), int(lm.r_vid[v])
-        if lvid < 0 or rvid < 0:
-            raise SchemeBuildError(f"non-vertex landmark at {v}")
-        members = sorted(int(u) for u in lmk.interval_vertices(g, v))
-        if members != list(range(lvid, rvid + 1)):
-            raise SchemeBuildError(
-                f"I({v}) is not the id range [{lvid},{rvid}]")
-        closed = [int(u) for u in g.neighbors[v]] + [v]
-        if min(closed) != lvid or max(closed) != rvid:
-            raise SchemeBuildError(
-                f"closed neighborhood of {v} does not end at the landmarks")
+    lvid, rvid = lm.l_vid, lm.r_vid
+    v = lmk.first_vertex((lvid < 0) | (rvid < 0))
+    if v is not None:
+        raise SchemeBuildError(f"non-vertex landmark at {v}")
+    # validation numbers a simple histogram's vertices in x order, so
+    # the vertices inside I(v) are the ids a..b-1 below, and I(v) holds
+    # exactly lvid..rvid when that range starts and ends there
+    xs = h.xs
+    a = np.searchsorted(xs, lm.l_x, "left")
+    b = np.searchsorted(xs, lm.r_x, "right")
+    v = lmk.first_vertex((a != lvid) | (b != rvid + 1))
+    if v is not None:
+        raise SchemeBuildError(
+            f"I({v}) is not the id range [{int(lvid[v])},{int(rvid[v])}]")
+    ids = np.arange(n)
+    near_lo, near_hi = lmk.closed_extremes(g, ids, ids)
+    v = lmk.first_vertex((near_lo != lvid) | (near_hi != rvid))
+    if v is not None:
+        raise SchemeBuildError(
+            f"closed neighborhood of {v} does not end at the landmarks")
 
-    labels = []
-    for v in range(n):
-        br = lmk.breakpoint_of(g, v)
-        labels.append(SimpleLabel(v, br))
-    bits = [bool(lm.l_y[v] > lm.r_y[v]) for v in range(n)]
+    labels = [SimpleLabel(v, lmk.breakpoint_of(g, v)) for v in range(n)]
+    bits = (lm.l_y > lm.r_y).tolist()
     links = []
-    for v in range(n):
-        entries = [labels[int(u)] for u in g.neighbors[v]] + [labels[v]]
+    for v, nbrs in enumerate(g.neighbors):
+        entries = [labels[u] for u in nbrs.tolist()] + [labels[v]]
         links.append(SimpleLink(entries, v))
     return SimpleScheme(n, labels, bits, links)
 
@@ -144,27 +153,20 @@ def dump_scheme(scheme: SimpleScheme) -> str:
 
 
 def parse_dump(text: str) -> SimpleScheme:
-    rows = [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-    head = rows[0].split()
-    if head[:2] != ["scheme", "simple"] or len(head) != 3:
-        raise ValueError("not a simple scheme dump")
-    n = int(head[2])
-    if len(rows) - 1 != n:
-        raise ValueError(f"expected {n} rows, got {len(rows) - 1}")
+    """Inverse of dump_scheme. Raises ValueError on malformed text."""
+    n, rows = dump.read_rows(text, "simple", 3)
     labels = [None] * n
     bits = [False] * n
     nbrs = [None] * n
-    for row in rows[1:]:
-        parts = [p.strip() for p in row.split("|")]
-        if len(parts) != 4:
-            raise ValueError(f"malformed row: {row!r}")
-        v = int(parts[0])
-        fields = [int(x) for x in parts[1].split()]
-        labels[v] = SimpleLabel(fields[0],
-                                fields[1] if len(fields) > 1 else None)
-        bits[v] = parts[2] == "1"
-        nbrs[v] = [int(x) for x in parts[3].split()]
+    for v, (_, label, bit, ids) in enumerate(rows):
+        fields = [int(x) for x in label.split()]
+        if not 1 <= len(fields) <= 2 or fields[0] != v:
+            raise ValueError(f"row {v}: label must be '{v}' or "
+                             f"'{v} <breakpoint>', got {label.strip()!r}")
+        labels[v] = SimpleLabel(v, fields[1] if len(fields) > 1 else None)
+        bits[v] = dump.parse_bit(bit)
+        nbrs[v] = [int(a) for a in ids.split()]
+    dump.check_ids(nbrs, n)
     links = []
     for v in range(n):
         entries = [labels[u] for u in nbrs[v]] + [labels[v]]

@@ -124,3 +124,20 @@ def small_simples():
 @pytest.fixture(scope="session")
 def small_doubles():
     return [make_double(8 + 2 * (i % 12), seed=200 + i) for i in range(16)]
+
+
+RANDOM_SIZES = (8, 12, 20, 36, 60, 100, 140)
+
+
+@pytest.fixture(scope="session")
+def random_simples():
+    """Random simple histograms from n=8 to 140, three per size."""
+    return [make_simple(n, seed=500 + i)
+            for i, n in enumerate(RANDOM_SIZES * 3)]
+
+
+@pytest.fixture(scope="session")
+def random_doubles():
+    """Random double histograms from n=8 to 140, three per size."""
+    return [make_double(n, seed=600 + i)
+            for i, n in enumerate(RANDOM_SIZES * 3)]

@@ -8,7 +8,9 @@ everywhere.
 
 import numpy as np
 
-from histroute import engine, landmarks
+from histroute import engine
+
+import oracles
 
 
 def distance_matrix(g):
@@ -30,7 +32,7 @@ def invisible_interval_pairs(g):
 def check_nd_sees_fd(g, d):
     checked, bad = 0, []
     for s, t in invisible_interval_pairs(g):
-        nd, fd = landmarks.dominators(g, s, t)
+        nd, fd = oracles.dominators(g, s, t)
         if fd is None:
             continue
         checked += 1
@@ -42,7 +44,7 @@ def check_nd_sees_fd(g, d):
 def check_shortest_path_via_dominator(g, d):
     checked, bad = 0, []
     for s, t in invisible_interval_pairs(g):
-        nd, fd = landmarks.dominators(g, s, t)
+        nd, fd = oracles.dominators(g, s, t)
         want = 1 + int(d[nd, t]) if fd is None \
             else 1 + min(int(d[nd, t]), int(d[fd, t]))
         checked += 1
@@ -55,12 +57,12 @@ def check_shortest_path_via_dominator(g, d):
 def check_fd_fd_is_closer(g, d):
     checked, bad = 0, []
     for s, t in invisible_interval_pairs(g):
-        _, fd = landmarks.dominators(g, s, t)
+        _, fd = oracles.dominators(g, s, t)
         if fd is None or 1 + int(d[fd, t]) <= int(d[s, t]):
             continue
         checked += 1
         try:
-            f2 = landmarks.fd2(g, s, t)
+            f2 = oracles.fd2(g, s, t)
         except AssertionError as exc:
             bad.append(f"far-far s={s} t={t}: {exc}")
             continue
@@ -75,7 +77,7 @@ def check_chain_landmark_visibility(g, d):
     checked, bad = 0, []
     lm = g.lm
     for s in range(g.n):
-        chain_a, chain_b = landmarks.extension_sequences(g, s)
+        chain_a, chain_b = oracles.extension_sequences(g, s)
         for prev, cur in zip(chain_a, chain_a[1:]):
             lv = int(lm.l_vid[prev])
             checked += 1
@@ -101,7 +103,7 @@ def check_chain_bucket_shortest(g, d):
     checked, bad = 0, []
     lm, xs = g.lm, g.h.xs
     for s in range(g.n):
-        chain_a, chain_b = landmarks.extension_sequences(g, s)
+        chain_a, chain_b = oracles.extension_sequences(g, s)
         lxs = [int(lm.l_x[v]) for v in chain_a]
         rxs = [int(lm.r_x[v]) for v in chain_b]
         for t in range(g.n):
@@ -131,9 +133,9 @@ def _covers_all(g, v):
 def check_level_interval_inside(g, d, kmax=4):
     checked, bad = 0, []
     for s in range(g.n):
-        bds, tds = landmarks.k_dominators(g, s, kmax)
+        bds, tds = oracles.k_dominators(g, s, kmax)
         for k in range(kmax + 1):
-            members = landmarks.ik_vertices(g, s, k)
+            members = oracles.ik_vertices(g, s, k)
             for dom in (bds[k], tds[k]):
                 lo, hi = g.interval(dom)
                 checked += 1
@@ -148,7 +150,7 @@ def check_level_interval_inside(g, d, kmax=4):
 def check_level_dominators_covisible(g, d, kmax=4):
     checked, bad = 0, []
     for s in range(g.n):
-        bds, tds = landmarks.k_dominators(g, s, kmax)
+        bds, tds = oracles.k_dominators(g, s, kmax)
         for k in range(kmax + 1):
             checked += 1
             if bds[k] != tds[k] and not g.adj[bds[k], tds[k]]:
@@ -159,10 +161,10 @@ def check_level_dominators_covisible(g, d, kmax=4):
 def check_level3_union(g, d):
     checked, bad = 0, []
     for s in range(g.n):
-        bds, tds = landmarks.k_dominators(g, s, 1)
-        blo, bhi = landmarks.ik_bounds(g, bds[1], 2)
-        tlo, thi = landmarks.ik_bounds(g, tds[1], 2)
-        lo3, hi3 = landmarks.ik_bounds(g, s, 3)
+        bds, tds = oracles.k_dominators(g, s, 1)
+        blo, bhi = oracles.ik_bounds(g, bds[1], 2)
+        tlo, thi = oracles.ik_bounds(g, tds[1], 2)
+        lo3, hi3 = oracles.ik_bounds(g, s, 3)
         checked += 1
         if (min(blo, tlo), max(bhi, thi)) != (lo3, hi3):
             bad.append(f"level3-union s={s}")
@@ -174,7 +176,7 @@ def check_distance_k_inside_level(g, d):
     xs = g.h.xs
     for s in range(g.n):
         diam = int(d[s].max())
-        bounds = [landmarks.ik_bounds(g, s, k) for k in range(1, diam + 1)]
+        bounds = [oracles.ik_bounds(g, s, k) for k in range(1, diam + 1)]
         for k in range(1, diam):
             if not (bounds[k][0] <= bounds[k - 1][0]
                     and bounds[k][1] >= bounds[k - 1][1]):
@@ -194,7 +196,7 @@ def check_dominators_have_distance_k(g, d):
     checked, bad = 0, []
     for s in range(g.n):
         diam = int(d[s].max())
-        bds, tds = landmarks.k_dominators(g, s, diam + 1)
+        bds, tds = oracles.k_dominators(g, s, diam + 1)
         for k in range(1, diam + 2):
             if not _covers_all(g, bds[k - 1]):
                 checked += 1
@@ -213,9 +215,9 @@ def check_target_outside_level(g, d, kmax=3):
     checked, bad = 0, []
     xs = g.h.xs
     for s in range(g.n):
-        bds, tds = landmarks.k_dominators(g, s, kmax)
+        bds, tds = oracles.k_dominators(g, s, kmax)
         for k in range(1, kmax + 1):
-            lo, hi = landmarks.ik_bounds(g, s, k + 1)
+            lo, hi = oracles.ik_bounds(g, s, k + 1)
             for t in range(g.n):
                 if lo <= xs[t] <= hi:
                     continue

@@ -186,3 +186,27 @@ def test_gen_validate_build_route_pipeline(capsys, tmp_path):
     assert code == 0
     routed, bfs = (int(part.split("=")[1]) for part in out.split())
     assert routed <= 2 * bfs
+
+
+DOUBLE_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
+
+
+@pytest.mark.parametrize("kind,text,reason", [
+    ("simple", "scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n",
+     "duplicate row id 0"),
+    ("simple", "scheme simple 2\n0 | 0 | 0 | 7\n1 | 1 | 0 | 0\n",
+     "neighbor id outside [0, 2)"),
+    ("double", "scheme double 2\n" + DOUBLE_ROW + DOUBLE_ROW,
+     "duplicate row id 0"),
+    ("simple", "scheme simple 0\n", "at least one vertex"),
+], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
+        "double-duplicate-row", "simple-no-vertices"])
+def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
+    # each of these used to end in a traceback or an unrelated message
+    dump = tmp_path / "bad.scheme"
+    dump.write_text(text)
+    code, out, err = run(capsys, "route", str(dump), "--scheme", kind,
+                         "--from", "0", "--to", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1

@@ -4,6 +4,8 @@ import pytest
 from histroute import landmarks
 
 import invariants
+import oracles
+from conftest import make_simple
 
 
 def test_breakpoints_rect(rect):
@@ -20,14 +22,14 @@ def test_breakpoints_steps(steps):
 
 def test_dominators_steps(steps):
     h, g = steps
-    assert landmarks.dominators(g, 0, 6) == (4, 7)
-    assert landmarks.dominators(g, 0, 5) == (4, 7)
-    assert landmarks.dominators(g, 7, 1) == (3, 0)
+    assert oracles.dominators(g, 0, 6) == (4, 7)
+    assert oracles.dominators(g, 0, 5) == (4, 7)
+    assert oracles.dominators(g, 7, 1) == (3, 0)
 
 
 def test_dominators_double(dbl):
     h, g = dbl
-    assert landmarks.dominators(g, 4, 7) == (9, 6)
+    assert oracles.dominators(g, 4, 7) == (9, 6)
 
 
 def test_dominators_missing_far_side(dbl):
@@ -35,7 +37,7 @@ def test_dominators_missing_far_side(dbl):
     h, g = dbl
     found = False
     for s, t in invariants.invisible_interval_pairs(g):
-        nd, fd = landmarks.dominators(g, s, t)
+        nd, fd = oracles.dominators(g, s, t)
         assert nd is not None
         found = found or fd is None
     assert isinstance(found, bool)
@@ -43,13 +45,13 @@ def test_dominators_missing_far_side(dbl):
 
 def test_extension_sequences_steps(steps):
     h, g = steps
-    assert landmarks.extension_sequences(g, 2) == ([2], [2, 3])
+    assert oracles.extension_sequences(g, 2) == ([2], [2, 3])
 
 
 def test_extension_sequences_double(dbl):
     h, g = dbl
-    assert landmarks.extension_sequences(g, 11) == ([11], [11, 10])
-    assert landmarks.extension_sequences(g, 1) == ([1], [1, 3])
+    assert oracles.extension_sequences(g, 11) == ([11], [11, 10])
+    assert oracles.extension_sequences(g, 1) == ([1], [1, 3])
 
 
 def test_extension_reaches_neighborhood_extremes(small_doubles):
@@ -57,7 +59,7 @@ def test_extension_reaches_neighborhood_extremes(small_doubles):
     # neighborhood
     for h, g in small_doubles:
         for s in range(g.n):
-            chain_a, chain_b = landmarks.extension_sequences(g, s)
+            chain_a, chain_b = oracles.extension_sequences(g, s)
             closed = [s] + [int(u) for u in g.neighbors[s]]
             assert int(g.lm.l_x[chain_a[-1]]) == \
                 min(int(g.lm.l_x[u]) for u in closed)
@@ -67,7 +69,7 @@ def test_extension_reaches_neighborhood_extremes(small_doubles):
 
 def test_k_dominators_double(dbl):
     h, g = dbl
-    bds, tds = landmarks.k_dominators(g, 1, 2)
+    bds, tds = oracles.k_dominators(g, 1, 2)
     assert bds == [1, 3, 3]
     assert tds == [1, 0, 10]
 
@@ -75,32 +77,32 @@ def test_k_dominators_double(dbl):
 def test_k_dominators_requires_double(steps):
     h, g = steps
     with pytest.raises(AssertionError):
-        landmarks.k_dominators(g, 0, 1)
+        oracles.k_dominators(g, 0, 1)
 
 
 def test_ik_bounds_double(dbl):
     h, g = dbl
-    assert landmarks.ik_bounds(g, 1, 1) == g.interval(1)
-    assert landmarks.ik_bounds(g, 1, 2) == (0, 5)
-    assert sorted(int(u) for u in landmarks.ik_vertices(g, 1, 2)) == \
+    assert oracles.ik_bounds(g, 1, 1) == g.interval(1)
+    assert oracles.ik_bounds(g, 1, 2) == (0, 5)
+    assert sorted(int(u) for u in oracles.ik_vertices(g, 1, 2)) == \
         list(range(12))
 
 
 def test_ik_zero(dbl):
     h, g = dbl
-    assert list(landmarks.ik_vertices(g, 1, 0)) == [1]
+    assert list(oracles.ik_vertices(g, 1, 0)) == [1]
 
 
 def test_canonical_paths_double(dbl):
     h, g = dbl
-    assert landmarks.canonical_paths(g, 1, 2) == ([1, 3], [1, 3, 10])
+    assert oracles.canonical_paths(g, 1, 2) == ([1, 3], [1, 3, 10])
 
 
 def test_canonical_paths_rectangle(drect):
     # everything sees everything, so paths collapse to at most 2 entries
     h, g = drect
     for v in range(4):
-        pb, pt = landmarks.canonical_paths(g, v, 2)
+        pb, pt = oracles.canonical_paths(g, v, 2)
         assert len(pb) <= 2 and len(pt) <= 2
         assert pb[0] == v and pt[0] == v
 
@@ -108,7 +110,7 @@ def test_canonical_paths_rectangle(drect):
 def test_canonical_paths_edges_exist(small_doubles):
     for h, g in small_doubles:
         for s in range(g.n):
-            for path in landmarks.canonical_paths(g, s, 2):
+            for path in oracles.canonical_paths(g, s, 2):
                 assert path[0] == s
                 for a, b in zip(path, path[1:]):
                     assert g.adj[a, b]
@@ -145,7 +147,83 @@ def test_simple_near_dominator_shape(small_simples):
     # vertex whose own landmark supplies the far dominator
     for h, g in small_simples:
         for s, t in invariants.invisible_interval_pairs(g):
-            nd, fd = landmarks.dominators(g, s, t)
+            nd, fd = oracles.dominators(g, s, t)
             assert not h.convex[nd]
             if fd is not None:
                 assert fd in (int(g.lm.l_vid[nd]), int(g.lm.r_vid[nd]))
+
+
+def near_staircase(m):
+    """A simple histogram with m teeth whose floors rise left to right,
+    with every third adjacent pair swapped: long intervals, many
+    candidate edges per breakpoint."""
+    heights = list(range(m))
+    for i in range(0, m - 1, 3):
+        heights[i], heights[i + 1] = heights[i + 1], heights[i]
+    pts = [(0, m), (0, heights[0])]
+    for i in range(1, m):
+        pts += [(i, heights[i - 1]), (i, heights[i])]
+    pts += [(m, heights[-1]), (m, m)]
+    text = f"simple {len(pts)}\n" + "".join(f"{x} {y}\n" for x, y in pts)
+    return make_simple(text)
+
+
+def test_breakpoints_match_edge_scan(small_simples, random_simples):
+    for h, g in small_simples + random_simples + [near_staircase(99)]:
+        for v in range(h.n):
+            assert landmarks.breakpoint_of(g, v) == \
+                oracles.breakpoint_of(g, v), f"n={h.n} v={v}"
+
+
+def test_breakpoint_requires_simple(dbl):
+    h, g = dbl
+    with pytest.raises(ValueError):
+        landmarks.breakpoint_of(g, 0)
+
+
+def test_dominator_levels_match_oracle(small_doubles, random_doubles):
+    # every level up to one past the diameter, where the levels have
+    # reached their fixpoint on both sides
+    for h, g in small_doubles + random_doubles:
+        k = int(invariants.distance_matrix(g).max()) + 1
+        bd, td = landmarks.dominator_levels(g, k)
+        assert bd.shape == td.shape == (k + 1, h.n)
+        for s in range(h.n):
+            bds, tds = oracles.k_dominators(g, s, k)
+            assert bd[:, s].tolist() == bds, f"n={h.n} s={s}"
+            assert td[:, s].tolist() == tds, f"n={h.n} s={s}"
+
+
+def test_dominator_levels_fixture(dbl):
+    h, g = dbl
+    bd, td = landmarks.dominator_levels(g, 2)
+    assert bd[:, 1].tolist() == [1, 3, 3]
+    assert td[:, 1].tolist() == [1, 0, 10]
+    assert bd[0].tolist() == td[0].tolist() == list(range(12))
+
+
+def test_dominator_levels_requires_double(steps):
+    h, g = steps
+    with pytest.raises(ValueError):
+        landmarks.dominator_levels(g, 1)
+
+
+def test_range_min_matches_slices():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 3, 7, 8, 9, 33):
+        values = rng.integers(-50, 50, size=n)
+        table = landmarks.RangeMin(values)
+        a, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        a, b = a.ravel(), b.ravel()
+        got = table.query(a, b, 99)
+        want = [int(values[i:j].min()) if j > i else 99 for i, j in zip(a, b)]
+        assert got.tolist() == want, n
+
+
+def test_closed_extremes(small_simples, small_doubles):
+    for h, g in small_simples + small_doubles:
+        lo, hi = landmarks.closed_extremes(g, g.lm.l_x, g.lm.r_x)
+        for v in range(h.n):
+            closed = [v] + g.neighbors[v].tolist()
+            assert lo[v] == min(int(g.lm.l_x[u]) for u in closed)
+            assert hi[v] == max(int(g.lm.r_x[u]) for u in closed)

@@ -169,3 +169,38 @@ def test_generate_deterministic():
     b = polygon.generate("double", 24, seed=9)
     assert [(v.x, v.y) for v in a.vertices] == \
         [(v.x, v.y) for v in b.vertices]
+
+
+def test_x_monotone_chain_reverses():
+    p = [(0, 4), (0, 0), (3, 0), (3, 2), (1, 2), (1, 3), (5, 3), (5, 4)]
+    rep = polygon.validate(p, "simple")
+    assert (rep.code, rep.message) == \
+        ("x-monotone", "a chain reverses x-direction")
+
+
+def test_x_monotone_chains_touch():
+    # the bottom chain rises to the top edge's height between x=1 and 2
+    p = [(0, 3), (0, 0), (1, 0), (1, 3), (2, 3), (2, 0), (3, 0), (3, 3)]
+    rep = polygon.validate(p, "simple")
+    assert (rep.code, rep.message) == \
+        ("x-monotone", "chains touch between x=1 and x=2")
+
+
+def test_x_monotone_chains_cross():
+    # the bottom chain passes above the top edge between x=1 and 2
+    p = [(0, 3), (0, 0), (1, 0), (1, 4), (2, 4), (2, 0), (3, 0), (3, 3)]
+    rep = polygon.validate(p, "simple")
+    assert (rep.code, rep.message) == ("x-monotone", "chains cross")
+
+
+def test_x_monotone_chains_do_not_cover():
+    # A chain of a closed polygon runs monotonically from xmin to xmax,
+    # so only hand-built segment lists can leave a gap uncovered.
+    top = [(0, 3, 5)]
+    assert polygon._check_separated([(0, 1, 0), (2, 3, 0)], top,
+                                    [0, 1, 2, 3]) == \
+        "chains do not cover the full x-range"
+    assert polygon._check_separated([(0, 2, 0)], top, [0, 2, 3]) == \
+        "chains do not cover the full x-range"
+    assert polygon._check_separated([(0, 1, 0), (1, 3, 1)], top,
+                                    [0, 1, 2, 3]) is None

@@ -1,8 +1,11 @@
+import copy
+
 import pytest
 
-from histroute import engine, landmarks, scheme_double
+from histroute import engine, scheme_double
 
 import invariants
+import oracles
 from conftest import make_simple
 
 
@@ -18,17 +21,17 @@ def test_table_matches_level_dominators(sch_dbl, dbl):
     h, g = dbl
     tab = sch_dbl.table_of(1)
     assert tab == scheme_double.DoubleTable(0, 5, 0, 5, 1, -1, True)
-    bds, tds = landmarks.k_dominators(g, 1, 2)
-    assert (tab.i2bd_lo, tab.i2bd_hi) == landmarks.ik_bounds(g, bds[1], 2)
-    assert (tab.i2td_lo, tab.i2td_hi) == landmarks.ik_bounds(g, tds[1], 2)
+    bds, tds = oracles.k_dominators(g, 1, 2)
+    assert (tab.i2bd_lo, tab.i2bd_hi) == oracles.ik_bounds(g, bds[1], 2)
+    assert (tab.i2td_lo, tab.i2td_hi) == oracles.ik_bounds(g, tds[1], 2)
     assert (tab.bd2x, tab.bd2y) == (int(h.xs[bds[2]]), int(h.ys[bds[2]]))
 
 
 def test_bit_prefers_bottom_path(sch_dbl, dbl):
     h, g = dbl
     for v in range(h.n):
-        pb, _ = landmarks.canonical_paths(g, v, 2)
-        bds, tds = landmarks.k_dominators(g, v, 1)
+        pb, _ = oracles.canonical_paths(g, v, 2)
+        bds, tds = oracles.k_dominators(g, v, 1)
         if len(pb) > 1:
             assert sch_dbl.table_of(v).bit_bottom == (pb[1] == bds[1])
         else:
@@ -51,15 +54,15 @@ def test_local_equals_global(small_doubles):
         for s in range(h.n):
             link = sch.link_of(s)
             ca, cb = scheme_double._local_chains(link)
-            ga, gb = landmarks.extension_sequences(g, s)
+            ga, gb = oracles.extension_sequences(g, s)
             assert [v for v, _ in ca] == ga and [v for v, _ in cb] == gb
             bd, td = scheme_double._local_vertical_dominators(link)
-            bds, tds = landmarks.k_dominators(g, s, 1)
+            bds, tds = oracles.k_dominators(g, s, 1)
             assert bd[0] == bds[1] and td[0] == tds[1]
         for s, t in invariants.invisible_interval_pairs(g):
             link = sch.link_of(s)
             nd, fd = scheme_double._local_dominators(link, int(h.xs[t]))
-            gnd, gfd = landmarks.dominators(g, s, t)
+            gnd, gfd = oracles.dominators(g, s, t)
             assert nd[0] == gnd
             assert (fd[0] if fd is not None else None) == gfd
 
@@ -71,7 +74,7 @@ def test_case1_hops_to_far_dominator(small_doubles):
         sch = scheme_double.preprocess_double(h, g)
         d = invariants.distance_matrix(g)
         for s, t in invariants.invisible_interval_pairs(g):
-            nd, fd = landmarks.dominators(g, s, t)
+            nd, fd = oracles.dominators(g, s, t)
             if fd is None:
                 continue
             target = sch.label_of(t)
@@ -81,7 +84,7 @@ def test_case1_hops_to_far_dominator(small_doubles):
             if 1 + int(d[fd, t]) > int(d[s, t]):
                 nxt2, _ = sch.step(sch.link_of(fd), sch.table_of(fd),
                                    target, None)
-                assert nxt2 == landmarks.fd2(g, s, t)
+                assert nxt2 == oracles.fd2(g, s, t)
                 assert int(d[nxt2, t]) == int(d[s, t]) - 1
 
 
@@ -173,3 +176,49 @@ def test_parse_dump_rejects_simple_dump(sch_steps):
     text = scheme_simple.dump_scheme(sch_steps)
     with pytest.raises(Exception):
         scheme_double.parse_dump(text)
+
+
+def test_tables_match_oracle(small_doubles, random_doubles):
+    # every table field of every vertex, against the per-vertex
+    # definitions of level-k dominators and canonical paths
+    for h, g in small_doubles + random_doubles:
+        sch = scheme_double.preprocess_double(h, g)
+        for v in range(h.n):
+            assert sch.table_of(v) == oracles.double_table(g, v), \
+                f"n={h.n} v={v}"
+
+
+ROW0 = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1"
+ROW1 = "1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | 0"
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("scheme double 0\n", "at least one vertex"),
+    (f"scheme double 2\n{ROW0}\n{ROW0}\n", "duplicate row id 0"),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 |', '5 |', 1)}\n",
+     "row id 5 is outside"),
+    (f"scheme double 2\n{ROW0}\n{ROW1[:-1]}9\n", "neighbor id"),
+    (f"scheme double 2\n{ROW0.replace('| 1 |', '| 3 |')}\n{ROW1}\n",
+     "bit field"),
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', '0 1 0')}\n{ROW1}\n",
+     "6 table fields"),
+])
+def test_parse_dump_strict(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        scheme_double.parse_dump(text)
+
+
+def test_parse_dump_minimal_rows_accepted():
+    sch = scheme_double.parse_dump(f"scheme double 2\n{ROW0}\n{ROW1}\n")
+    assert sch.neighbor_ids(0) == [1] and sch.table_of(1).bit_bottom is False
+
+
+def test_preprocess_rejects_inconsistent_landmarks(dbl):
+    # widening I(7) alone makes its global level-1 dominators differ
+    # from the ones its unchanged neighbors offer
+    h, g = dbl
+    g = copy.deepcopy(g)
+    g.lm.l_x[7] = 3
+    with pytest.raises(engine.SchemeBuildError,
+                       match="local bottom/top dominators at 7"):
+        scheme_double.preprocess_double(h, g)

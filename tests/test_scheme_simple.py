@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from histroute import engine, scheme_simple
 
+import oracles
 from conftest import make_double
 
 
@@ -104,3 +107,61 @@ def test_parse_dump_rejects_garbage():
 def test_route_unknown_target_raises(sch_steps):
     with pytest.raises(Exception):
         engine.run_route(sch_steps, 0, 99)
+
+
+def test_labels_match_oracle(small_simples, random_simples):
+    for h, g in small_simples + random_simples:
+        sch = scheme_simple.preprocess_simple(h, g)
+        for v in range(h.n):
+            assert sch.label_of(v) == oracles.simple_label(g, v), \
+                f"n={h.n} v={v}"
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("", "not a simple scheme dump"),
+    ("scheme simple -1\n", "at least one vertex"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n", "expected 2 rows"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n2 | 1 | 0 | 0\n", "row id 2 is outside"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n-1 | 1 | 0 | 0\n", "row id -1"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | -1\n", "neighbor id"),
+    ("scheme simple 2\n0 | 0 | 0 | 2\n1 | 1 | 0 | 0\n", "row 0: neighbor id"),
+    ("scheme simple 2\n0 | 0 | 2 | 1\n1 | 1 | 0 | 0\n", "bit field"),
+    ("scheme simple 2\n0 | 0 | true | 1\n1 | 1 | 0 | 0\n", "bit field"),
+    ("scheme simple 2\n0 | 1 | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
+    ("scheme simple 2\n0 |  | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0\n", "malformed row"),
+])
+def test_parse_dump_strict(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        scheme_simple.parse_dump(text)
+
+
+def _tampered(graph, **changes):
+    """A copy of the graph with some landmark entries overwritten."""
+    g = copy.deepcopy(graph)
+    for name, (v, value) in changes.items():
+        getattr(g.lm, name)[v] = value
+    return g
+
+
+@pytest.mark.parametrize("changes,reason", [
+    ({"l_vid": (2, -1)}, "non-vertex landmark at 2"),
+    # I(2) reaches x=3 but still claims to end at id 3
+    ({"r_x": (2, 3)}, r"I\(2\) is not the id range \[0,3\]"),
+    # I(5) reaches x=2 but still claims to start at id 4
+    ({"l_x": (5, 2)}, r"I\(5\) is not the id range \[4,7\]"),
+    # the right count of ids, 2..5, but ids 2 and 3 lie left of I(4)
+    ({"l_vid": (4, 2), "r_vid": (4, 5), "l_x": (4, 3)},
+     r"I\(4\) is not the id range \[2,5\]"),
+    # the right count of ids, 2..5, but ids 4 and 5 lie right of I(4)
+    ({"l_vid": (4, 2), "r_vid": (4, 5), "r_x": (4, 2)},
+     r"I\(4\) is not the id range \[2,5\]"),
+    # consistent id ranges that the neighbors of 1 and 5 do not reach
+    ({"r_vid": (1, 5), "r_x": (1, 3)}, "closed neighborhood of 1"),
+    ({"l_vid": (5, 2), "l_x": (5, 2)}, "closed neighborhood of 5"),
+], ids=["non-vertex", "extra-vertex", "extra-vertex-left", "range-left",
+        "range-right", "neighborhood-right", "neighborhood-left"])
+def test_preprocess_rejects_inconsistent_landmarks(steps, changes, reason):
+    h, g = steps
+    with pytest.raises(engine.SchemeBuildError, match=reason):
+        scheme_simple.preprocess_simple(h, _tampered(g, **changes))
