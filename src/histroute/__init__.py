@@ -1,8 +1,8 @@
 """Compact routing on r-visibility graphs of histogram polygons."""
 
 from .engine import (FirewallError, HeaderProtocolError, HopLimitExceeded,
-                     RoutingError, SchemeBuildError, VerifyReport, bfs_all,
-                     run_route, verify_all_pairs)
+                     RoutingError, Scheme, SchemeBuildError, VerifyReport,
+                     distances, run_route, verify_all_pairs)
 from .polygon import (Histogram, PolygonError, ValidationReport,
                       build_histogram, generate, normalize, parse_polygon,
                       to_text, validate)
@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FirewallError", "HeaderProtocolError", "HopLimitExceeded",
-    "RoutingError", "SchemeBuildError", "VerifyReport", "bfs_all",
-    "run_route", "verify_all_pairs",
+    "RoutingError", "Scheme", "SchemeBuildError", "VerifyReport",
+    "distances", "run_route", "verify_all_pairs",
     "Histogram", "PolygonError", "ValidationReport", "build_histogram",
     "generate", "normalize", "parse_polygon", "to_text", "validate",
     "DoubleScheme", "preprocess_double", "route_step_double",

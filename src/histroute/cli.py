@@ -10,19 +10,18 @@ usage errors.
 import argparse
 import sys
 
+from . import dump
 from . import engine
 from . import polygon
 from . import scheme_double
 from . import scheme_simple
 from . import visibility
 
-
-class _DumpGraph:
-    """Adjacency recovered from a scheme dump, for BFS ground truth."""
-
-    def __init__(self, scheme):
-        self.n = scheme.n
-        self.neighbors = [scheme.neighbor_ids(v) for v in range(scheme.n)]
+# kind -> (preprocess, scheme class)
+_KINDS = {
+    "simple": (scheme_simple.preprocess_simple, scheme_simple.SimpleScheme),
+    "double": (scheme_double.preprocess_double, scheme_double.DoubleScheme),
+}
 
 
 def _fail(msg: str) -> int:
@@ -36,7 +35,7 @@ def _read(path: str) -> str:
 
 
 def _prepare(text: str, kind: str):
-    """Polygon text -> (histogram, graph, scheme) for the given kind."""
+    """Polygon text -> (graph, scheme) for the given kind."""
     h = polygon.parse_polygon(text)
     if h.kind != kind:
         raise polygon.PolygonError(
@@ -44,11 +43,7 @@ def _prepare(text: str, kind: str):
     if h.kind == "double":
         h = polygon.normalize(h)
     g = visibility.build_graph(h)
-    if kind == "simple":
-        scheme = scheme_simple.preprocess_simple(h, g)
-    else:
-        scheme = scheme_double.preprocess_double(h, g)
-    return h, g, scheme
+    return g, _KINDS[kind][0](h, g)
 
 
 def _cmd_gen(args) -> int:
@@ -78,20 +73,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build(args) -> int:
     try:
-        _, _, scheme = _prepare(_read(args.file), args.scheme)
+        _, scheme = _prepare(_read(args.file), args.scheme)
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
-    mod = scheme_simple if args.scheme == "simple" else scheme_double
-    dump = mod.dump_scheme(scheme)
+    text = dump.write(scheme)
     summary = [f"labBits={scheme.max_label_bits}",
                f"tabBits={scheme.max_table_bits}",
                f"hdrBits={scheme.max_header_bits}"]
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(dump)
+            fh.write(text)
         print("\n".join(summary))
     else:
-        sys.stdout.write(dump)
+        sys.stdout.write(text)
         print("\n".join(summary), file=sys.stderr)
     return 0
 
@@ -100,19 +94,13 @@ def _load_for_route(text: str, kind: str):
     """Accept either a polygon file or a scheme dump (self-contained)."""
     head = text.split()
     if head and head[0] == "scheme":
-        if len(head) < 2 or head[1] != kind:
-            raise polygon.PolygonError(
-                "syntax", f"dump kind does not match --scheme {kind}")
-        mod = scheme_simple if kind == "simple" else scheme_double
-        scheme = mod.parse_dump(text)
-        return scheme, _DumpGraph(scheme)
-    _, g, scheme = _prepare(text, kind)
-    return scheme, g
+        return dump.read(text, _KINDS[kind][1])
+    return _prepare(text, kind)[1]
 
 
 def _cmd_route(args) -> int:
     try:
-        scheme, g = _load_for_route(_read(args.file), args.scheme)
+        scheme = _load_for_route(_read(args.file), args.scheme)
     except (polygon.PolygonError, engine.SchemeBuildError,
             ValueError) as exc:
         return _fail(str(exc))
@@ -124,7 +112,8 @@ def _cmd_route(args) -> int:
         trace = engine.run_route(scheme, args.src, args.dst)
     except engine.RoutingError as exc:
         return _fail(str(exc))
-    bfs = int(engine.bfs_all(g, args.src)[args.dst])
+    nbrs = [scheme.neighbor_ids(v) for v in range(n)]
+    bfs = int(engine.distances(nbrs, [args.src])[0, args.dst])
     if args.trace:
         print(" ".join(str(v) for v in trace))
     print(f"routed={max(len(trace) - 1, 0)} bfs={bfs}")
@@ -144,7 +133,7 @@ def _cmd_verify(args) -> int:
     else:
         pairs = "all"
     try:
-        _, g, scheme = _prepare(_read(args.file), args.scheme)
+        g, scheme = _prepare(_read(args.file), args.scheme)
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
     report = engine.verify_all_pairs(scheme, g, pairs=pairs,

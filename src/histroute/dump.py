@@ -1,48 +1,83 @@
-"""Reading the text dumps of built schemes.
+"""The text dumps of built schemes: the one writer and the one reader.
 
 A dump is a header line ``scheme <kind> <n>`` followed by one row per
-vertex whose fields are separated by ``|``, the vertex id first. Blank
-lines and lines starting with ``#`` are skipped. Every malformed input
-raises ValueError, and each check costs O(rows + neighbor ids).
+vertex whose fields are separated by ``|``: the vertex id, the scheme
+class's own columns, and the ids of the vertex's neighbors. Blank lines
+and lines starting with ``#`` are skipped. Every malformed input raises
+ValueError. Each check costs O(rows + neighbor ids), except the
+symmetry check, which sorts the neighbor ids once.
 """
 
+import itertools
 
-def read_rows(text: str, kind: str, width: int):
-    """(n, rows): rows[v] holds the fields of vertex v's row, the id
-    first and `width` more, unstripped. Every id in [0, n) has exactly
-    one row."""
+import numpy as np
+
+
+def write(scheme) -> str:
+    """Self-contained text dump of a built scheme."""
+    lines = [f"scheme {scheme.kind} {scheme.n}"]
+    for v in range(scheme.n):
+        nbrs = " ".join(map(str, scheme.neighbor_ids(v)))
+        lines.append(" | ".join([str(v), *scheme.row_fields(v), nbrs]))
+    return "\n".join(lines) + "\n"
+
+
+def read(text: str, cls):
+    """Inverse of write: the scheme of class cls that text describes.
+
+    Every id in [0, n) has exactly one row, and the neighbor lists
+    are symmetric.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     head = lines[0].split() if lines else []
-    if head[:2] != ["scheme", kind] or len(head) != 3:
-        raise ValueError(f"not a {kind} scheme dump")
+    if head[:2] != ["scheme", cls.kind] or len(head) != 3:
+        raise ValueError(f"not a {cls.kind} scheme dump")
     n = int(head[2])
     if n < 1:
         raise ValueError(f"a scheme needs at least one vertex, got n={n}")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
-    rows = [None] * n
+    labels = [None] * n
+    tables = [None] * n
+    nbrs = [None] * n
     for line in lines[1:]:
         parts = line.split("|")
-        if len(parts) != width + 1:
+        if len(parts) != cls.columns + 2:
             raise ValueError(f"malformed row: {line!r}")
         v = int(parts[0])
         if not 0 <= v < n:
             raise ValueError(f"row id {v} is outside [0, {n})")
-        if rows[v] is not None:
+        if nbrs[v] is not None:
             raise ValueError(f"duplicate row id {v}")
-        rows[v] = parts
+        labels[v], tables[v] = cls.parse_row(v, parts[1:-1])
+        ids = sorted(map(int, parts[-1].split()))
+        if ids and (ids[0] < 0 or ids[-1] >= n):
+            raise ValueError(f"row {v}: neighbor id outside [0, {n})")
+        nbrs[v] = ids
     # n rows, none repeated and all in range: no id is missing
-    return n, rows
+    _check_symmetric(nbrs)
+    return cls(n, labels, tables, nbrs)
 
 
-def check_ids(id_lists, n: int):
-    """Every id in every list lies in [0, n)."""
-    lists = [ids for ids in id_lists if ids]
-    if lists and (min(map(min, lists)) < 0 or max(map(max, lists)) >= n):
-        v = next(v for v, ids in enumerate(id_lists)
-                 if ids and (min(ids) < 0 or max(ids) >= n))
-        raise ValueError(f"row {v}: neighbor id outside [0, {n})")
+def _check_symmetric(nbrs):
+    """u lists v exactly as often as v lists u. Each list must be
+    sorted."""
+    n = len(nbrs)
+    src = np.repeat(np.arange(n), [len(ids) for ids in nbrs])
+    dst = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
+                      len(src))
+    fwd = src * n + dst     # ascending: rows in id order, lists sorted
+    back = np.sort(dst * n + src)
+    bad = np.flatnonzero(fwd != back)
+    if bad.size:
+        # the smaller key of the first mismatch is a listing u -> v
+        # without its match v -> u
+        i = bad[0]
+        u, v = (divmod(fwd[i], n) if fwd[i] < back[i]
+                else divmod(back[i], n)[::-1])
+        raise ValueError(
+            f"row {u} lists {v} more often than row {v} lists {u}")
 
 
 def parse_bit(field: str) -> bool:

@@ -9,7 +9,6 @@ visibility graph, and verify_all_pairs compares every routed path
 against them.
 """
 
-import collections
 import csv
 import dataclasses
 
@@ -38,16 +37,47 @@ class SchemeBuildError(Exception):
     """A preprocessing invariant failed; the scheme cannot be built."""
 
 
-def run_route(scheme, s: int, t: int, hop_limit=None):
+class Scheme:
+    """A built routing scheme: per-vertex labels, routing tables and
+    link tables, the contract both histogram kinds share.
+
+    Subclasses set ``kind`` and ``Link`` (built once per vertex as
+    ``Link(labels, neighbor_ids, v)``), the ``max_*_bits`` bounds, the
+    routing ``step``, and the dump columns: ``columns`` fields written
+    by ``row_fields(v)`` and read back by ``parse_row(v, fields)``.
+    """
+
+    def __init__(self, n, labels, tables, neighbor_ids):
+        self.n = n
+        self._labels = labels
+        self._tables = tables
+        self._neighbor_ids = neighbor_ids
+        self._links = [self.Link(labels, ids, v)
+                       for v, ids in enumerate(neighbor_ids)]
+
+    def label_of(self, v: int):
+        return self._labels[v]
+
+    def table_of(self, v: int):
+        return self._tables[v]
+
+    def link_of(self, v: int):
+        return self._links[v]
+
+    def neighbor_ids(self, v: int):
+        """The ids v sees, ascending."""
+        return self._neighbor_ids[v]
+
+
+def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
     The trace includes both endpoints; s == t gives an empty trace.
+    A packet still travelling after 4n hops raises HopLimitExceeded.
     """
     if s == t:
         return []
-    n = scheme.n
-    if hop_limit is None:
-        hop_limit = 4 * n
+    hop_limit = 4 * scheme.n
     trace = [s]
     header = None
     cur = s
@@ -66,30 +96,20 @@ def run_route(scheme, s: int, t: int, hop_limit=None):
     return trace
 
 
-def bfs_all(g, s: int):
-    """Hop distances from s to every vertex, by plain BFS."""
-    n = g.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[s] = 0
-    dq = collections.deque([s])
-    while dq:
-        u = dq.popleft()
-        du = dist[u]
-        for w in g.neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                dq.append(w)
-    return dist
-
-
-def _distance_rows(g, sources):
-    """BFS distance rows for the given source vertices, as int array."""
-    n = g.n
-    csr = scipy.sparse.csr_matrix(g.adj)
+def distances(neighbors, sources):
+    """Hop distances by BFS: row i holds the distance from sources[i]
+    to every vertex, -1 where unreachable. neighbors[v] lists the ids
+    adjacent to v."""
+    n = len(neighbors)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
+    indices = np.concatenate([np.asarray(ids, dtype=np.int64)
+                              for ids in neighbors])
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     d = scipy.sparse.csgraph.shortest_path(
-        csr, method="D", unweighted=True, indices=sources)
-    if np.isinf(d).any():
-        raise SchemeBuildError("visibility graph is not connected")
+        graph, method="D", unweighted=True, indices=sources)
+    d[np.isinf(d)] = -1
     return d.astype(np.int64)
 
 
@@ -176,7 +196,9 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     targets = sorted({t for _, t in pair_list})
     trow = {t: i for i, t in enumerate(targets)}
-    dist = _distance_rows(g, targets)   # dist[i] = distances from targets[i]
+    dist = distances(g.neighbors, targets)   # dist[i]: from targets[i]
+    if (dist < 0).any():
+        raise SchemeBuildError("visibility graph is not connected")
 
     simple = scheme.kind == "simple"
     failures = []

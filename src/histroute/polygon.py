@@ -37,16 +37,6 @@ class PolygonError(Exception):
 
 
 @dataclasses.dataclass(frozen=True)
-class Vertex:
-    vid: int
-    x: int
-    y: int
-    side: int          # +1 above base line, -1 below, 0 on the simple base
-    is_left: bool      # left endpoint of its horizontal edge
-    is_convex: bool
-
-
-@dataclasses.dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     code: str | None
@@ -127,14 +117,6 @@ class Histogram:
         self.he_xhi = np.maximum(xs[h_from], xs[h_to])
         self.he_vleft = np.where(xs[h_from] < xs[h_to], h_from, h_to)
         self.he_vright = np.where(xs[h_from] < xs[h_to], h_to, h_from)
-
-    @property
-    def vertices(self):
-        return [
-            Vertex(i, int(self.xs[i]), int(self.ys[i]), int(self.side[i]),
-                   bool(self.is_left[i]), bool(self.convex[i]))
-            for i in range(self.n)
-        ]
 
     def points(self):
         return [(int(x), int(y)) for x, y in zip(self.xs, self.ys)]

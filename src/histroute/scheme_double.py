@@ -16,7 +16,8 @@ import numpy as np
 
 from . import dump
 from . import landmarks as lmk
-from .engine import HeaderProtocolError, RoutingError, SchemeBuildError
+from .engine import (HeaderProtocolError, RoutingError, Scheme,
+                     SchemeBuildError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,12 +42,14 @@ class DoubleTable:
 class DoubleLink:
     """Labels of the closed neighborhood, addressable by coordinates."""
 
-    def __init__(self, entries, own_vid: int):
+    def __init__(self, labels, neighbor_ids, own_vid: int):
         # entries: (vid, DoubleLabel) pairs
+        entries = [(u, labels[u]) for u in neighbor_ids]
+        entries.append((own_vid, labels[own_vid]))
         self.entries = sorted(entries, key=lambda e: (e[1].x, e[1].y))
         self.id_set = {vid for vid, _ in self.entries}
         self.own_vid = own_vid
-        self.own = next(lab for vid, lab in self.entries if vid == own_vid)
+        self.own = labels[own_vid]
         self._by_coord = {(lab.x, lab.y): vid for vid, lab in self.entries}
         self._xs = [lab.x for _, lab in self.entries]
         self._chains = None
@@ -88,6 +91,9 @@ def _local_dominators(link: DoubleLink, tx: int):
             if i < len(entries) else None
     else:
         i = bisect.bisect_right(xs, tx)
+        if i == len(entries):
+            raise RoutingError(
+                f"no neighbor of {link.own_vid} lies toward x={tx}")
         nd = _group_min(entries, i, bisect.bisect_right(xs, xs[i]))
         fd = _group_min(entries, bisect.bisect_left(xs, xs[i - 1]), i) \
             if i > 0 else None
@@ -202,34 +208,40 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
     return pick[0], (table.bd2x, table.bd2y)
 
 
-class DoubleScheme:
+class DoubleScheme(Scheme):
     kind = "double"
+    Link = DoubleLink
+    columns = 4     # coordinates, interval bounds, table fields, bit
 
-    def __init__(self, n, labels, tables, links):
-        self.n = n
-        self._labels = labels
-        self._tables = tables
-        self._links = links
+    def __init__(self, n, labels, tables, neighbor_ids):
+        super().__init__(n, labels, tables, neighbor_ids)
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
         self.max_table_bits = 6 * (w + 1) + 1
         self.max_header_bits = 2 * (w + 1)
 
-    def label_of(self, v: int) -> DoubleLabel:
-        return self._labels[v]
-
-    def table_of(self, v: int) -> DoubleTable:
-        return self._tables[v]
-
-    def link_of(self, v: int) -> DoubleLink:
-        return self._links[v]
-
-    def neighbor_ids(self, v: int):
-        return sorted(i for i in self._links[v].id_set if i != v)
-
     def step(self, link, table, target, header):
         return route_step_double(link, table, target, header)
+
+    def row_fields(self, v: int):
+        lab = self.label_of(v)
+        tab = self.table_of(v)
+        return [f"{lab.x} {lab.y}", f"{lab.ilo} {lab.ihi}",
+                f"{tab.i2bd_lo} {tab.i2bd_hi} {tab.i2td_lo} {tab.i2td_hi} "
+                f"{tab.bd2x} {tab.bd2y}", "1" if tab.bit_bottom else "0"]
+
+    @staticmethod
+    def parse_row(v: int, fields):
+        coords, bounds, table, bit = fields
+        x, y = (int(a) for a in coords.split())
+        ilo, ihi = (int(a) for a in bounds.split())
+        f = [int(a) for a in table.split()]
+        if len(f) != 6:
+            raise ValueError(f"row {v}: expected 6 table fields, "
+                             f"got {table.strip()!r}")
+        return DoubleLabel(x, y, ilo, ihi), \
+            DoubleTable(*f, dump.parse_bit(bit))
 
 
 def _check_normalized(h):
@@ -259,16 +271,14 @@ def preprocess_double(h, g) -> DoubleScheme:
     lm = g.lm
     labels = [DoubleLabel(*f) for f in zip(
         h.xs.tolist(), h.ys.tolist(), lm.l_x.tolist(), lm.r_x.tolist())]
-    links = []
-    for v, nbrs in enumerate(g.neighbors):
-        entries = [(u, labels[u]) for u in nbrs.tolist()]
-        entries.append((v, labels[v]))
-        links.append(DoubleLink(entries, v))
+    tables = []     # filled in once every check has passed
+    scheme = DoubleScheme(n, labels, tables,
+                          [a.tolist() for a in g.neighbors])
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
     for v, (b, t) in enumerate(zip(bd1.tolist(), td1.tolist())):
-        lbd, ltd = _local_vertical_dominators(links[v])
+        lbd, ltd = _local_vertical_dominators(scheme.link_of(v))
         if lbd[0] != b or ltd[0] != t:
             raise SchemeBuildError(
                 f"local bottom/top dominators at {v} diverge from the "
@@ -322,48 +332,19 @@ def preprocess_double(h, g) -> DoubleScheme:
     if v is not None:
         raise SchemeBuildError(
             f"canonical bottom path at {v} starts off the dominators")
-    tables = [DoubleTable(*f) for f in zip(
+    tables.extend(DoubleTable(*f) for f in zip(
         i2bd_lo.tolist(), i2bd_hi.tolist(), i2td_lo.tolist(),
         i2td_hi.tolist(), h.xs[bd2].tolist(), h.ys[bd2].tolist(),
-        bit.tolist())]
-    return DoubleScheme(n, labels, tables, links)
+        bit.tolist()))
+    return scheme
 
 
 def dump_scheme(scheme: DoubleScheme) -> str:
     """Self-contained text dump: one row per vertex with coordinates,
     interval bounds, table fields, the bit, and the neighbor ids."""
-    lines = [f"scheme double {scheme.n}"]
-    for v in range(scheme.n):
-        lab = scheme.label_of(v)
-        tab = scheme.table_of(v)
-        nbrs = " ".join(str(i) for i in scheme.neighbor_ids(v))
-        lines.append(
-            f"{v} | {lab.x} {lab.y} | {lab.ilo} {lab.ihi} | "
-            f"{tab.i2bd_lo} {tab.i2bd_hi} {tab.i2td_lo} {tab.i2td_hi} "
-            f"{tab.bd2x} {tab.bd2y} | {1 if tab.bit_bottom else 0} | {nbrs}")
-    return "\n".join(lines) + "\n"
+    return dump.write(scheme)
 
 
 def parse_dump(text: str) -> DoubleScheme:
     """Inverse of dump_scheme. Raises ValueError on malformed text."""
-    n, rows = dump.read_rows(text, "double", 5)
-    labels = [None] * n
-    tables = [None] * n
-    nbrs = [None] * n
-    for v, (_, coords, bounds, fields, bit, ids) in enumerate(rows):
-        x, y = (int(a) for a in coords.split())
-        ilo, ihi = (int(a) for a in bounds.split())
-        labels[v] = DoubleLabel(x, y, ilo, ihi)
-        f = [int(a) for a in fields.split()]
-        if len(f) != 6:
-            raise ValueError(f"row {v}: expected 6 table fields, "
-                             f"got {fields.strip()!r}")
-        tables[v] = DoubleTable(f[0], f[1], f[2], f[3], f[4], f[5],
-                                dump.parse_bit(bit))
-        nbrs[v] = [int(a) for a in ids.split()]
-    dump.check_ids(nbrs, n)
-    links = []
-    for v in range(n):
-        entries = [(u, labels[u]) for u in nbrs[v]] + [(v, labels[v])]
-        links.append(DoubleLink(entries, v))
-    return DoubleScheme(n, labels, tables, links)
+    return dump.read(text, DoubleScheme)

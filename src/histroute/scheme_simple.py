@@ -9,13 +9,12 @@ and the target's label, and always advances along a shortest path.
 
 import bisect
 import dataclasses
-import operator
 
 import numpy as np
 
 from . import dump
 from . import landmarks as lmk
-from .engine import RoutingError, SchemeBuildError
+from .engine import RoutingError, Scheme, SchemeBuildError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,14 +24,15 @@ class SimpleLabel:
 
 
 class SimpleLink:
-    """Sorted labels of the closed neighborhood, with the own entry marked."""
+    """Sorted ids of the closed neighborhood with their breakpoints."""
 
-    def __init__(self, entries, own_vid: int):
-        self.entries = sorted(entries, key=operator.attrgetter("vid"))
-        self.ids = [e.vid for e in self.entries]
+    def __init__(self, labels, neighbor_ids, own_vid: int):
+        # a simple label's vid is its vertex id, so sorting the ids
+        # sorts the labels
+        self.ids = sorted([*neighbor_ids, own_vid])
         self.id_set = set(self.ids)
-        self._br = {e.vid: e.br for e in self.entries}
-        self.own = self.entries[self.ids.index(own_vid)]
+        self._br = {u: labels[u].br for u in self.ids}
+        self.own_vid = own_vid
 
     def br_of(self, vid: int):
         return self._br.get(vid)
@@ -49,7 +49,7 @@ def route_step_simple(link: SimpleLink, higher_left: bool,
     if not lo <= tid <= hi:
         # target outside the interval: move to the higher interval end
         return lo if higher_left else hi
-    own_id = link.own.vid
+    own_id = link.own_vid
     i = bisect.bisect_left(ids, tid)
     if tid > own_id:
         nd, fd = ids[i - 1], ids[i]
@@ -65,35 +65,36 @@ def route_step_simple(link: SimpleLink, higher_left: bool,
     return fd
 
 
-class SimpleScheme:
+class SimpleScheme(Scheme):
     kind = "simple"
+    Link = SimpleLink
+    columns = 2     # label, table bit
+    max_table_bits = 1
+    max_header_bits = 0
 
-    def __init__(self, n, labels, bits, links):
-        self.n = n
-        self._labels = labels
-        self._bits = bits
-        self._links = links
+    def __init__(self, n, labels, tables, neighbor_ids):
+        super().__init__(n, labels, tables, neighbor_ids)
         w = (n - 1).bit_length()
         self.max_label_bits = max(
             w * (2 if lab.br is not None else 1) for lab in labels)
-        self.max_table_bits = 1
-        self.max_header_bits = 0
-
-    def label_of(self, v: int) -> SimpleLabel:
-        return self._labels[v]
-
-    def table_of(self, v: int) -> bool:
-        return self._bits[v]
-
-    def link_of(self, v: int) -> SimpleLink:
-        return self._links[v]
-
-    def neighbor_ids(self, v: int):
-        own = self._links[v].own.vid
-        return [i for i in self._links[v].ids if i != own]
 
     def step(self, link, table, target, header):
         return route_step_simple(link, table, target), None
+
+    def row_fields(self, v: int):
+        lab = self.label_of(v)
+        return [str(lab.vid) if lab.br is None else f"{lab.vid} {lab.br}",
+                "1" if self.table_of(v) else "0"]
+
+    @staticmethod
+    def parse_row(v: int, fields):
+        label, bit = fields
+        ids = [int(x) for x in label.split()]
+        if not 1 <= len(ids) <= 2 or ids[0] != v:
+            raise ValueError(f"row {v}: label must be '{v}' or "
+                             f"'{v} <breakpoint>', got {label.strip()!r}")
+        return SimpleLabel(v, ids[1] if len(ids) > 1 else None), \
+            dump.parse_bit(bit)
 
 
 def preprocess_simple(h, g) -> SimpleScheme:
@@ -132,43 +133,15 @@ def preprocess_simple(h, g) -> SimpleScheme:
 
     labels = [SimpleLabel(v, lmk.breakpoint_of(g, v)) for v in range(n)]
     bits = (lm.l_y > lm.r_y).tolist()
-    links = []
-    for v, nbrs in enumerate(g.neighbors):
-        entries = [labels[u] for u in nbrs.tolist()] + [labels[v]]
-        links.append(SimpleLink(entries, v))
-    return SimpleScheme(n, labels, bits, links)
+    return SimpleScheme(n, labels, bits, [a.tolist() for a in g.neighbors])
 
 
 def dump_scheme(scheme: SimpleScheme) -> str:
     """Self-contained text dump: one row per vertex with label fields,
     the table bit, and the neighbor ids."""
-    lines = [f"scheme simple {scheme.n}"]
-    for v in range(scheme.n):
-        lab = scheme.label_of(v)
-        fields = str(lab.vid) if lab.br is None else f"{lab.vid} {lab.br}"
-        nbrs = " ".join(str(i) for i in scheme.neighbor_ids(v))
-        bit = 1 if scheme.table_of(v) else 0
-        lines.append(f"{v} | {fields} | {bit} | {nbrs}")
-    return "\n".join(lines) + "\n"
+    return dump.write(scheme)
 
 
 def parse_dump(text: str) -> SimpleScheme:
     """Inverse of dump_scheme. Raises ValueError on malformed text."""
-    n, rows = dump.read_rows(text, "simple", 3)
-    labels = [None] * n
-    bits = [False] * n
-    nbrs = [None] * n
-    for v, (_, label, bit, ids) in enumerate(rows):
-        fields = [int(x) for x in label.split()]
-        if not 1 <= len(fields) <= 2 or fields[0] != v:
-            raise ValueError(f"row {v}: label must be '{v}' or "
-                             f"'{v} <breakpoint>', got {label.strip()!r}")
-        labels[v] = SimpleLabel(v, fields[1] if len(fields) > 1 else None)
-        bits[v] = dump.parse_bit(bit)
-        nbrs[v] = [int(a) for a in ids.split()]
-    dump.check_ids(nbrs, n)
-    links = []
-    for v in range(n):
-        entries = [labels[u] for u in nbrs[v]] + [labels[v]]
-        links.append(SimpleLink(entries, v))
-    return SimpleScheme(n, labels, bits, links)
+    return dump.read(text, SimpleScheme)

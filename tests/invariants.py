@@ -14,7 +14,7 @@ import oracles
 
 
 def distance_matrix(g):
-    return np.vstack([engine.bfs_all(g, s) for s in range(g.n)])
+    return engine.distances(g.neighbors, list(range(g.n)))
 
 
 def invisible_interval_pairs(g):

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from histroute import cli, polygon
+from histroute import cli, polygon, scheme_double, visibility
 
 from conftest import H_DBL_TEXT, H_STEPS_TEXT
 
@@ -191,6 +191,17 @@ def test_gen_validate_build_route_pipeline(capsys, tmp_path):
 DOUBLE_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
 
 
+def double12_dump(nbrs):
+    """The dump of generate("double", 12, seed=5), with the neighbor
+    lists of the rows in nbrs replaced."""
+    h = polygon.normalize(polygon.generate("double", 12, seed=5))
+    scheme = scheme_double.preprocess_double(h, visibility.build_graph(h))
+    rows = scheme_double.dump_scheme(scheme).splitlines()
+    for v, ids in nbrs.items():
+        rows[v + 1] = rows[v + 1].rsplit("| ", 1)[0] + "| " + ids
+    return "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("kind,text,reason", [
     ("simple", "scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n",
      "duplicate row id 0"),
@@ -199,8 +210,10 @@ DOUBLE_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
     ("double", "scheme double 2\n" + DOUBLE_ROW + DOUBLE_ROW,
      "duplicate row id 0"),
     ("simple", "scheme simple 0\n", "at least one vertex"),
+    ("double", double12_dump({8: "0 2 7 11"}),
+     "row 8 lists 2 more often than row 2 lists 8"),
 ], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
-        "double-duplicate-row", "simple-no-vertices"])
+        "double-duplicate-row", "simple-no-vertices", "double-asymmetric"])
 def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
     # each of these used to end in a traceback or an unrelated message
     dump = tmp_path / "bad.scheme"
@@ -210,3 +223,14 @@ def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and reason in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_route_on_dump_missing_an_edge(capsys, tmp_path):
+    # both rows drop the edge 8-9, so the dump reads; 9 shares 8's x and
+    # 8's link holds nothing beyond it
+    dump = tmp_path / "cut.scheme"
+    dump.write_text(double12_dump({8: "0 7 10 11", 9: "7 10 11"}))
+    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
+                         "--from", "8", "--to", "9")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

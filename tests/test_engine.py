@@ -34,9 +34,7 @@ class HijackedScheme:
         return self.inner.neighbor_ids(v)
 
     def step(self, link, table, target, header):
-        own = getattr(link, "own_vid", None)
-        if own is None:
-            own = link.own.vid
+        own = link.own_vid
         if own == self.at:
             if self.loop:
                 return own, None
@@ -74,24 +72,37 @@ def test_header_violation_rejected(sch_dbl):
 def test_hop_limit(sch_steps):
     class PingPong(HijackedScheme):
         def step(self, link, table, target, header):
-            own = link.own.vid
+            own = link.own_vid
             return (0 if own != 0 else 1), None
 
-    with pytest.raises(engine.HopLimitExceeded):
-        engine.run_route(PingPong(sch_steps, at=0), 2, 6, hop_limit=7)
+    with pytest.raises(engine.HopLimitExceeded, match="after 32 hops"):
+        engine.run_route(PingPong(sch_steps, at=0), 2, 6)
 
 
-def test_bfs_all_rect(rect):
+def test_distances_rect(rect):
     h, g = rect
-    assert engine.bfs_all(g, 0).tolist() == [0, 1, 1, 1]
+    assert engine.distances(g.neighbors, [0]).tolist() == [[0, 1, 1, 1]]
 
 
-def test_bfs_all_steps(steps):
+def test_distances_steps(steps):
     h, g = steps
-    d = engine.bfs_all(g, 2)
-    assert int(d[6]) == 3
-    assert int(d[2]) == 0
-    assert int(d[0]) == 1
+    d = engine.distances(g.neighbors, [2, 6])
+    assert d[0, 6] == 3 and d[0, 2] == 0 and d[0, 0] == 1
+    assert d[1, 2] == 3
+
+
+def test_distances_unreachable():
+    # 0 - 1   2 (isolated), read from plain lists
+    d = engine.distances([[1], [0], []], [0, 2])
+    assert d.tolist() == [[0, 1, -1], [-1, -1, 0]]
+
+
+def test_verify_rejects_disconnected_graph(sch_rect):
+    class Cut:      # the rectangle's graph split into 0-1 and 2-3
+        neighbors = [[1], [0], [3], [2]]
+
+    with pytest.raises(engine.SchemeBuildError, match="not connected"):
+        engine.verify_all_pairs(sch_rect, Cut())
 
 
 def progress_check(profile):
@@ -153,7 +164,7 @@ def test_verify_records_misroute(sch_steps, steps):
 
     class Stubborn(HijackedScheme):
         def step(self, link, table, target, header):
-            own = link.own.vid
+            own = link.own_vid
             nxt = min(i for i in link.ids if i != own)
             return nxt, None
 

@@ -9,7 +9,7 @@ from conftest import H_DBL_TEXT, H_RECT_TEXT, H_STEPS_TEXT
 
 def pts(text):
     h = polygon.parse_polygon(text)
-    return [(v.x, v.y) for v in h.vertices]
+    return h.points()
 
 
 def test_parse_fixtures():
@@ -110,8 +110,7 @@ def test_to_text_round_trip():
     h = polygon.parse_polygon(H_DBL_TEXT)
     again = polygon.parse_polygon(polygon.to_text(h))
     assert again.kind == h.kind
-    assert [(v.x, v.y) for v in again.vertices] == \
-        [(v.x, v.y) for v in h.vertices]
+    assert again.points() == h.points()
     assert polygon.to_text(h).endswith("\n")
 
 
@@ -119,7 +118,7 @@ def test_normalize_simple_ranks():
     h = polygon.normalize(polygon.parse_polygon(H_STEPS_TEXT))
     # x in {0,2,3,7} collapses to ranks 0..3
     assert sorted(set(int(x) for x in h.xs)) == [0, 1, 2, 3]
-    assert polygon.validate([(v.x, v.y) for v in h.vertices], "simple").ok
+    assert polygon.validate(h.points(), "simple").ok
 
 
 def test_normalize_double_signs_and_idempotence():
@@ -129,8 +128,7 @@ def test_normalize_double_signs_and_idempotence():
     assert sorted({int(y) for y in nh.ys if y < 0}) == [-3, -2, -1]
     assert sorted({int(y) for y in nh.ys if y > 0}) == [1, 2, 3]
     again = polygon.normalize(nh)
-    assert [(v.x, v.y) for v in again.vertices] == \
-        [(v.x, v.y) for v in nh.vertices]
+    assert again.points() == nh.points()
 
 
 @pytest.mark.parametrize("kind,n", [("simple", 3), ("simple", 7),
@@ -147,10 +145,9 @@ def test_generate_rejects_bad_n(kind, n):
 def test_generate_simple_valid(n, seed):
     h = polygon.generate("simple", n, seed=seed)
     assert h.kind == "simple" and h.n == n
-    assert polygon.validate([(v.x, v.y) for v in h.vertices], "simple").ok
+    assert polygon.validate(h.points(), "simple").ok
     again = polygon.parse_polygon(polygon.to_text(h))
-    assert [(v.x, v.y) for v in again.vertices] == \
-        [(v.x, v.y) for v in h.vertices]
+    assert again.points() == h.points()
 
 
 @hypothesis.given(n=st.integers(4, 40).map(lambda k: 2 * k),
@@ -159,16 +156,15 @@ def test_generate_simple_valid(n, seed):
 def test_generate_double_valid(n, seed):
     h = polygon.generate("double", n, seed=seed)
     assert h.kind == "double" and h.n == n
-    assert polygon.validate([(v.x, v.y) for v in h.vertices], "double").ok
+    assert polygon.validate(h.points(), "double").ok
     nh = polygon.normalize(h)
-    assert polygon.validate([(v.x, v.y) for v in nh.vertices], "double").ok
+    assert polygon.validate(nh.points(), "double").ok
 
 
 def test_generate_deterministic():
     a = polygon.generate("double", 24, seed=9)
     b = polygon.generate("double", 24, seed=9)
-    assert [(v.x, v.y) for v in a.vertices] == \
-        [(v.x, v.y) for v in b.vertices]
+    assert a.points() == b.points()
 
 
 def test_x_monotone_chain_reverses():

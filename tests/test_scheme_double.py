@@ -6,7 +6,7 @@ from histroute import engine, scheme_double
 
 import invariants
 import oracles
-from conftest import make_simple
+from conftest import make_double, make_simple
 
 
 def test_label_fields(sch_dbl, dbl):
@@ -211,6 +211,52 @@ def test_parse_dump_strict(text, reason):
 def test_parse_dump_minimal_rows_accepted():
     sch = scheme_double.parse_dump(f"scheme double 2\n{ROW0}\n{ROW1}\n")
     assert sch.neighbor_ids(0) == [1] and sch.table_of(1).bit_bottom is False
+
+
+def _damaged(text):
+    """The dump with one edge deleted from both of its rows, or with one
+    label or table field shifted by 1 or 2, in every way."""
+    head, *lines = text.splitlines()
+    rows = [ln.split(" | ") for ln in lines]
+
+    def text_with(changes):
+        new = [list(r) for r in rows]
+        for (v, col), value in changes.items():
+            new[v][col] = value
+        return "\n".join([head] + [" | ".join(r) for r in new]) + "\n"
+
+    def without(v, u):
+        return " ".join(i for i in rows[v][-1].split() if int(i) != u)
+
+    for v, row in enumerate(rows):
+        for u in map(int, row[-1].split()):
+            if v < u:
+                yield text_with({(v, 5): without(v, u), (u, 5): without(u, v)})
+        for col in (1, 2, 3):
+            fields = row[col].split()
+            for i, f in enumerate(fields):
+                for d in (-2, -1, 1, 2):
+                    shifted = fields[:i] + [str(int(f) + d)] + fields[i + 1:]
+                    yield text_with({(v, col): " ".join(shifted)})
+
+
+@pytest.mark.parametrize("n,seed", [(8, 1), (8, 2), (12, 5)])
+def test_damaged_dump_routes_or_raises_routing_error(n, seed):
+    # a dump the reader accepts may still lie about the geometry; every
+    # route on it must end in a trace or a RoutingError
+    h, g = make_double(n, seed=seed)
+    text = scheme_double.dump_scheme(scheme_double.preprocess_double(h, g))
+    for damaged in _damaged(text):
+        try:
+            sch = scheme_double.parse_dump(damaged)
+        except ValueError:
+            continue
+        for s in range(n):
+            for t in range(n):
+                try:
+                    engine.run_route(sch, s, t)
+                except engine.RoutingError:
+                    pass
 
 
 def test_preprocess_rejects_inconsistent_landmarks(dbl):

@@ -130,6 +130,10 @@ def test_labels_match_oracle(small_simples, random_simples):
     ("scheme simple 2\n0 | 1 | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
     ("scheme simple 2\n0 |  | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
     ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0\n", "malformed row"),
+    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0\n",
+     "row 0 lists 1 more often than row 1 lists 0"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 |\n",
+     "row 0 lists 1 more often than row 1 lists 0"),
 ])
 def test_parse_dump_strict(text, reason):
     with pytest.raises(ValueError, match=reason):
