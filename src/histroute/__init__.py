@@ -9,7 +9,7 @@ from .polygon import (Histogram, PolygonError, ValidationReport,
 from .scheme_double import DoubleScheme, preprocess_double, route_step_double
 from .scheme_simple import SimpleScheme, preprocess_simple, route_step_simple
 from .visibility import (VisibilityGraph, build_graph, co_visible_fast,
-                         co_visible_naive, compute_landmarks)
+                         compute_landmarks)
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "DoubleScheme", "preprocess_double", "route_step_double",
     "SimpleScheme", "preprocess_simple", "route_step_simple",
     "VisibilityGraph", "build_graph", "co_visible_fast",
-    "co_visible_naive", "compute_landmarks",
+    "compute_landmarks",
     "__version__",
 ]

@@ -26,7 +26,7 @@ def read(text: str, cls):
     """Inverse of write: the scheme of class cls that text describes.
 
     Every id in [0, n) has exactly one row, and the neighbor lists
-    are symmetric.
+    are symmetric, without self entries or repeated ids.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -56,13 +56,13 @@ def read(text: str, cls):
             raise ValueError(f"row {v}: neighbor id outside [0, {n})")
         nbrs[v] = ids
     # n rows, none repeated and all in range: no id is missing
-    _check_symmetric(nbrs)
+    _check_edges(nbrs)
     return cls(n, labels, tables, nbrs)
 
 
-def _check_symmetric(nbrs):
-    """u lists v exactly as often as v lists u. Each list must be
-    sorted."""
+def _check_edges(nbrs):
+    """u lists v exactly as often as v lists u, no row lists itself,
+    and no row lists an id twice. Each list must be sorted."""
     n = len(nbrs)
     src = np.repeat(np.arange(n), [len(ids) for ids in nbrs])
     dst = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
@@ -78,6 +78,13 @@ def _check_symmetric(nbrs):
                 else divmod(back[i], n)[::-1])
         raise ValueError(
             f"row {u} lists {v} more often than row {v} lists {u}")
+    own = np.flatnonzero(src == dst)
+    if own.size:
+        raise ValueError(f"row {src[own[0]]} lists itself")
+    twice = np.flatnonzero(fwd[1:] == fwd[:-1])
+    if twice.size:
+        u, v = divmod(fwd[twice[0]], n)
+        raise ValueError(f"row {u} lists {v} twice")
 
 
 def parse_bit(field: str) -> bool:

@@ -68,20 +68,11 @@ class Histogram:
         else:
             self.base_y = 0
 
-        # Horizontal partner cv(v) and vertical partner of each vertex.
-        # Edges alternate, so exactly one cycle neighbor shares y and the
-        # other shares x.
-        cv = np.empty(n, dtype=np.int64)
-        vpart = np.empty(n, dtype=np.int64)
+        # Horizontal partner cv(v) of each vertex. Edges alternate, so
+        # exactly one cycle neighbor shares y.
         horiz_next = ys[nxt] == ys  # edge v -> next is horizontal
-        cv[horiz_next] = nxt[horiz_next]
-        cv[~horiz_next] = prv[~horiz_next]
-        vpart[horiz_next] = prv[horiz_next]
-        vpart[~horiz_next] = nxt[~horiz_next]
-        self.cv = cv
-        self.vertical_partner = vpart
-
-        self.is_left = xs < xs[cv]
+        self.cv = np.where(horiz_next, nxt, prv)
+        self.is_left = xs < xs[self.cv]
 
         # Convexity from the cross product of incoming and outgoing edges;
         # positive cross means a left turn on a ccw boundary.
@@ -96,20 +87,8 @@ class Histogram:
             side[:] = np.where(ys > 0, 1, -1)
         self.side = side
 
-        # Edge tables. Vertical edges are the visibility blockers; the
-        # left and right boundary edges are the ones at xmin / xmax.
-        v_from = np.nonzero(~horiz_next)[0]
-        v_to = nxt[v_from]
-        self.ve_x = xs[v_from]
-        self.ve_ylo = np.minimum(ys[v_from], ys[v_to])
-        self.ve_yhi = np.maximum(ys[v_from], ys[v_to])
-        self.ve_vlo = np.where(ys[v_from] < ys[v_to], v_from, v_to)
-        self.ve_vhi = np.where(ys[v_from] < ys[v_to], v_to, v_from)
-        edge_index = np.empty(n, dtype=np.int64)
-        edge_index[v_from] = np.arange(len(v_from))
-        edge_index[v_to] = np.arange(len(v_from))
-        self.ve_of = edge_index  # index of a vertex's own vertical edge
-
+        # Horizontal edge table: the teeth whose heights decide where
+        # the horizontal rays stop.
         h_from = np.nonzero(horiz_next)[0]
         h_to = nxt[h_from]
         self.he_y = ys[h_from]

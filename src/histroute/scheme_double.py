@@ -18,6 +18,7 @@ from . import dump
 from . import landmarks as lmk
 from .engine import (HeaderProtocolError, RoutingError, Scheme,
                      SchemeBuildError)
+from .visibility import co_visible_fast
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,9 +303,6 @@ def preprocess_double(h, g) -> DoubleScheme:
             f"level-3 interval of {v} is not the union of the "
             f"dominators' level-2 intervals")
 
-    def sees(a, b):
-        return (a == b) | g.adj[a, b]
-
     vid = np.arange(n)
 
     def level1_hop(last):
@@ -312,12 +310,13 @@ def preprocess_double(h, g) -> DoubleScheme:
         # last if it is a level-1 dominator, else prefer the bottom one
         stay = (last == bd1) | (last == td1)
         p1 = np.where(stay, last, np.where(
-            sees(bd1, last), bd1, np.where(sees(td1, last), td1, -1)))
+            co_visible_fast(g, bd1, last), bd1,
+            np.where(co_visible_fast(g, td1, last), td1, -1)))
         v = lmk.first_vertex(p1 < 0)
         if v is not None:
             raise SchemeBuildError(
                 f"level-1 dominators of {v} both miss {int(last[v])}")
-        v = lmk.first_vertex(~sees(vid, p1))
+        v = lmk.first_vertex(~co_visible_fast(g, vid, p1))
         if v is not None:
             raise SchemeBuildError(f"{v} does not see {int(p1[v])}")
         return p1

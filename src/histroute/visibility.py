@@ -8,33 +8,26 @@ For every vertex v this module computes the two horizontal ray hits
 l(v) and r(v) (leftward and rightward from v) and the visibility
 interval I(v) = [l(v).x, r(v).x]. Two vertices are co-visible exactly
 when each lies in the other's interval, which gives an O(1) pair test
-once the intervals are known. A grid-based oracle provides the same
-answer from first principles for cross-checking.
-"""
+once the intervals are known.
 
-import dataclasses
+Every vertex lies on one horizontal edge of its chain, its tooth, and
+both of its rays run at the tooth's height. Only the ray's own chain
+can stop it, at the first tooth on that side that lies nearer to the
+base: ray shooting is the all-nearest-smaller-values problem (Berkman,
+Schieber and Vishkin 1993), one monotone-stack pass per chain.
+"""
 
 import numpy as np
 
 from .polygon import Histogram
 
 
-@dataclasses.dataclass(frozen=True)
-class Landmark:
-    """A horizontal ray hit: either a polygon vertex or a point on the
-    left/right boundary edge."""
-    kind: str          # "vertex" or "boundary-point"
-    vid: int           # vertex id, -1 for a boundary point
-    x: int
-    y: int
-
-    @property
-    def is_vertex(self):
-        return self.kind == "vertex"
-
-
 class Landmarks:
-    """Per-vertex ray hits and visibility intervals, stored as arrays."""
+    """Per-vertex ray hits and visibility intervals, stored as arrays.
+
+    l_vid and r_vid are -1 where a ray of a double histogram ends on a
+    boundary edge between its endpoints.
+    """
 
     def __init__(self, n):
         self.l_vid = np.full(n, -1, dtype=np.int64)
@@ -44,202 +37,104 @@ class Landmarks:
         self.r_x = np.zeros(n, dtype=np.int64)
         self.r_y = np.zeros(n, dtype=np.int64)
 
-    def left(self, v: int) -> Landmark:
-        vid = int(self.l_vid[v])
-        kind = "vertex" if vid >= 0 else "boundary-point"
-        return Landmark(kind, vid, int(self.l_x[v]), int(self.l_y[v]))
 
-    def right(self, v: int) -> Landmark:
-        vid = int(self.r_vid[v])
-        kind = "vertex" if vid >= 0 else "boundary-point"
-        return Landmark(kind, vid, int(self.r_x[v]), int(self.r_y[v]))
-
-    def interval(self, v: int):
-        return int(self.l_x[v]), int(self.r_x[v])
+def _nearer_neighbours(dist):
+    """For each position i, the positions of the previous and of the
+    next entry with a smaller value, -1 where there is none. Values are
+    distinct; one monotone stack gives both in a single pass."""
+    prev = [-1] * len(dist)
+    nxt = [-1] * len(dist)
+    stack = []
+    for i, d in enumerate(dist):
+        while stack and dist[stack[-1]] > d:
+            nxt[stack.pop()] = i
+        if stack:
+            prev[i] = stack[-1]
+        stack.append(i)
+    return np.array(prev, dtype=np.int64), np.array(nxt, dtype=np.int64)
 
 
 def compute_landmarks(h: Histogram) -> Landmarks:
     """Shoot the horizontal rays from every vertex.
 
-    A vertical edge strictly spanning the ray height blocks the ray.
-    Grazing contacts only happen at the vertex's own vertical edge and
-    at its horizontal partner's vertical edge (general position); those
-    block exactly when the touched corner is convex and lies on the ray
-    side. The hit resolves to a vertex: the hit edge endpoint closer to
-    the base, or for boundary edge hits in the simple case the base
-    vertex on that side. In the double case a boundary edge hit resolves
-    to the boundary point at the ray height, which is a vertex only if
-    it coincides with an endpoint of that boundary edge.
+    A ray stops at the vertical edge that joins the nearest tooth nearer
+    to the base on its side, and resolves to that tooth's end facing it.
+    A ray that no such tooth stops ends on a boundary edge: in the
+    simple case at the base vertex on that side; in the double case at
+    the boundary point at the ray height, which is a vertex only where
+    the ray's own tooth ends on that boundary edge.
     """
-    n = h.n
+    n, xs, ys = h.n, h.xs, h.ys
     lm = Landmarks(n)
-    ex, ylo, yhi = h.ve_x, h.ve_ylo, h.ve_yhi
-    vlo, vhi = h.ve_vlo, h.ve_vhi
-    left_be = int(h.ve_of[0])     # the edge v0-v1 at xmin
-    right_idx = np.nonzero(ex == h.xmax)[0]
-    right_be = int(right_idx[0])
     if h.kind == "simple":
-        near = vhi.copy()                       # base on top, larger y is nearer
+        dist = h.base_y - h.he_y
+        chains = [np.flatnonzero(dist > 0)]        # all but the base edge
     else:
-        near = np.where(yhi < 0, vhi, vlo)      # nearer to the y=0 line
-
-    for v in range(n):
-        xv, yv = int(h.xs[v]), int(h.ys[v])
-        cvv = int(h.cv[v])
-        own = int(h.ve_of[v])
-        cve = int(h.ve_of[cvv])
-        for rightward in (False, True):
-            if rightward:
-                strict = (ex > xv) & (ylo < yv) & (yv < yhi)
-                own_blocks = (not h.is_left[v]) and h.convex[v]
-                cv_blocks = h.convex[cvv] and h.xs[cvv] > xv
-            else:
-                strict = (ex < xv) & (ylo < yv) & (yv < yhi)
-                own_blocks = h.is_left[v] and h.convex[v]
-                cv_blocks = h.convex[cvv] and h.xs[cvv] < xv
-            cand = np.nonzero(strict)[0].tolist()
-            if own_blocks:
-                cand.append(own)
-            if cv_blocks:
-                cand.append(cve)
-            if not cand:
-                raise AssertionError(
-                    f"unblocked ray from vertex {v} (polygon not closed?)")
-            if rightward:
-                hit = min(cand, key=lambda e: ex[e])
-            else:
-                hit = max(cand, key=lambda e: ex[e])
-            boundary = hit == left_be or hit == right_be
-            if boundary and h.kind == "simple":
-                lvid = 0 if hit == left_be else n - 1
-                lx, ly = int(h.xs[lvid]), int(h.ys[lvid])
-            elif boundary:
-                lx, ly = int(ex[hit]), yv
-                lvid = -1
-                for end in (int(vlo[hit]), int(vhi[hit])):
-                    if int(h.xs[end]) == lx and int(h.ys[end]) == ly:
-                        lvid = end
-            else:
-                lvid = int(near[hit])
-                lx, ly = int(h.xs[lvid]), int(h.ys[lvid])
-            if rightward:
-                lm.r_vid[v], lm.r_x[v], lm.r_y[v] = lvid, lx, ly
-            else:
-                lm.l_vid[v], lm.l_x[v], lm.l_y[v] = lvid, lx, ly
+        dist = np.abs(h.he_y)
+        chains = [np.flatnonzero(h.he_y < 0), np.flatnonzero(h.he_y > 0)]
+    for teeth in chains:
+        teeth = teeth[np.argsort(h.he_xlo[teeth])]
+        vleft, vright = h.he_vleft[teeth], h.he_vright[teeth]
+        prev, nxt = _nearer_neighbours(dist[teeth].tolist())
+        if h.kind == "simple":
+            l_open, r_open = 0, n - 1
+        else:
+            # the boundary edges' own vertices, else a point between them
+            l_open = np.where(h.he_xlo[teeth] == h.xmin, vleft, -1)
+            r_open = np.where(h.he_xhi[teeth] == h.xmax, vright, -1)
+        l_vid = np.where(prev >= 0, vright[prev], l_open)
+        r_vid = np.where(nxt >= 0, vleft[nxt], r_open)
+        for ends in (vleft, vright):
+            lm.l_vid[ends], lm.r_vid[ends] = l_vid, r_vid
+    if h.kind == "simple":
+        lm.l_vid[[0, n - 1]], lm.r_vid[[0, n - 1]] = 0, n - 1
+    for vid, x, y, edge in ((lm.l_vid, lm.l_x, lm.l_y, h.xmin),
+                            (lm.r_vid, lm.r_x, lm.r_y, h.xmax)):
+        hit = vid >= 0
+        x[:] = np.where(hit, xs[vid], edge)
+        y[:] = np.where(hit, ys[vid], ys)
     return lm
 
 
 class VisibilityGraph:
-    """Histogram plus landmarks plus the vertex visibility relation."""
+    """Histogram plus landmarks plus sorted neighbor id arrays."""
 
     def __init__(self, h: Histogram, lm: Landmarks):
         self.h = h
         self.lm = lm
         self.n = h.n
-        xs = h.xs
-        within = (xs[None, :] >= lm.l_x[:, None]) & (xs[None, :] <= lm.r_x[:, None])
-        adj = within & within.T
-        np.fill_diagonal(adj, False)
-        self.adj = adj
-        self.neighbors = [np.nonzero(adj[v])[0] for v in range(h.n)]
+        # the vertices with x in I(v) are one run in x order; of those,
+        # v's neighbors are the others whose own interval holds x(v)
+        order = np.argsort(h.xs, kind="stable")
+        x_sorted = h.xs[order]
+        lo_sorted, hi_sorted = lm.l_x[order], lm.r_x[order]
+        start = np.searchsorted(x_sorted, lm.l_x, "left").tolist()
+        stop = np.searchsorted(x_sorted, lm.r_x, "right").tolist()
+        self.neighbors = []
+        for v, (a, b, xv) in enumerate(zip(start, stop, h.xs.tolist())):
+            run = order[a:b][(lo_sorted[a:b] <= xv) & (xv <= hi_sorted[a:b])]
+            self.neighbors.append(np.sort(run[run != v]))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return sum(len(nb) for nb in self.neighbors) // 2
 
     def interval(self, v: int):
-        return self.lm.interval(v)
+        return int(self.lm.l_x[v]), int(self.lm.r_x[v])
 
 
 def build_graph(h: Histogram) -> VisibilityGraph:
     return VisibilityGraph(h, compute_landmarks(h))
 
 
-def co_visible_fast(g: VisibilityGraph, v: int, w: int) -> bool:
+def co_visible_fast(g: VisibilityGraph, v, w):
     """Interval-based visibility test: each endpoint must lie in the
-    other's interval."""
-    if v == w:
-        return True
-    h, lm = g.h, g.lm
-    return bool(
-        lm.l_x[v] <= h.xs[w] <= lm.r_x[v]
-        and lm.l_x[w] <= h.xs[v] <= lm.r_x[w])
-
-
-class NaiveOracle:
-    """First-principles visibility via an exterior-point grid.
-
-    All polygon coordinates are doubled so half-integer sample points
-    become integers. A sample point is strictly exterior when it is not
-    on the boundary and a rightward ray crosses an odd number of
-    vertical edges (the ray is cast a quarter unit above the point so
-    it never meets a vertex). The rectangle spanned by two vertices
-    leaves the closed polygon exactly when it contains a strictly
-    exterior sample point, which a 2-d prefix sum answers in O(1).
-    """
-
-    def __init__(self, h: Histogram):
-        self.h = h
-        x0, x1 = 2 * h.xmin, 2 * h.xmax
-        y0, y1 = 2 * int(h.ys.min()), 2 * int(h.ys.max())
-        self.x0, self.y0 = x0, y0
-        gx = np.arange(x0, x1 + 1)
-        gy = np.arange(y0, y1 + 1)
-        X = gx[:, None]
-        Y = gy[None, :]
-        ex2 = 2 * h.ve_x
-        ylo2, yhi2 = 2 * h.ve_ylo, 2 * h.ve_yhi
-        hy2 = 2 * h.he_y
-        hxlo2, hxhi2 = 2 * h.he_xlo, 2 * h.he_xhi
-        on_b = np.zeros((len(gx), len(gy)), dtype=bool)
-        for e in range(len(ex2)):
-            on_b |= (X == ex2[e]) & (Y >= ylo2[e]) & (Y <= yhi2[e])
-        for e in range(len(hy2)):
-            on_b |= (Y == hy2[e]) & (X >= hxlo2[e]) & (X <= hxhi2[e])
-        crossings = np.zeros((len(gx), len(gy)), dtype=np.int64)
-        for e in range(len(ex2)):
-            crossings += ((ex2[e] > X) & (ylo2[e] <= Y) & (Y < yhi2[e]))
-        inside = on_b | (crossings % 2 == 1)
-        ext = (~inside).astype(np.int64)
-        self._prefix = np.zeros((len(gx) + 1, len(gy) + 1), dtype=np.int64)
-        self._prefix[1:, 1:] = ext.cumsum(axis=0).cumsum(axis=1)
-        self._inside = inside
-
-    def contains(self, x, y) -> bool:
-        """Closed-region membership for half-integer coordinates."""
-        x2, y2 = round(2 * x), round(2 * y)
-        if not (self.x0 <= x2 <= self.x0 + self._inside.shape[0] - 1):
-            return False
-        if not (self.y0 <= y2 <= self.y0 + self._inside.shape[1] - 1):
-            return False
-        return bool(self._inside[x2 - self.x0, y2 - self.y0])
-
-    def rect_inside(self, xa, ya, xb, yb) -> bool:
-        """Whether the closed rectangle spanned by two integer points
-        stays inside the polygon."""
-        i1 = 2 * min(xa, xb) - self.x0
-        i2 = 2 * max(xa, xb) - self.x0
-        j1 = 2 * min(ya, yb) - self.y0
-        j2 = 2 * max(ya, yb) - self.y0
-        p = self._prefix
-        count = (p[i2 + 1, j2 + 1] - p[i1, j2 + 1]
-                 - p[i2 + 1, j1] + p[i1, j1])
-        return count == 0
-
-    def sees(self, v: int, w: int) -> bool:
-        h = self.h
-        return self.rect_inside(int(h.xs[v]), int(h.ys[v]),
-                                int(h.xs[w]), int(h.ys[w]))
-
-
-def co_visible_naive(h: Histogram, v: int, w: int) -> bool:
-    """Oracle visibility test; builds (and caches) the grid on first use."""
-    oracle = getattr(h, "_naive_oracle", None)
-    if oracle is None:
-        oracle = NaiveOracle(h)
-        h._naive_oracle = oracle
-    return oracle.sees(v, w)
-
-
+    other's interval. v and w may be ids or id arrays; a vertex sees
+    itself."""
+    xs, lm = g.h.xs, g.lm
+    xv, xw = xs[v], xs[w]
+    sees = ((lm.l_x[v] <= xw) & (xw <= lm.r_x[v])
+            & (lm.l_x[w] <= xv) & (xv <= lm.r_x[w]))
+    return sees if np.ndim(sees) else bool(sees)

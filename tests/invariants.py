@@ -9,6 +9,7 @@ everywhere.
 import numpy as np
 
 from histroute import engine
+from histroute.visibility import co_visible_fast
 
 import oracles
 
@@ -20,13 +21,11 @@ def distance_matrix(g):
 def invisible_interval_pairs(g):
     """Ordered pairs (s, t) with t inside I(s) but not visible from s."""
     xs = g.h.xs
+    everyone = np.arange(g.n)
     for s in range(g.n):
         lo, hi = g.interval(s)
-        for t in range(g.n):
-            if t == s or g.adj[s, t]:
-                continue
-            if lo <= xs[t] <= hi:
-                yield s, t
+        hidden = ~co_visible_fast(g, s, everyone) & (lo <= xs) & (xs <= hi)
+        yield from ((s, t) for t in np.flatnonzero(hidden).tolist())
 
 
 def check_nd_sees_fd(g, d):
@@ -36,7 +35,7 @@ def check_nd_sees_fd(g, d):
         if fd is None:
             continue
         checked += 1
-        if nd != fd and not g.adj[nd, fd]:
+        if not co_visible_fast(g, nd, fd):
             bad.append(f"near-sees-far s={s} t={t} nd={nd} fd={fd}")
     return checked, bad
 
@@ -84,7 +83,7 @@ def check_chain_landmark_visibility(g, d):
             if lv < 0:
                 bad.append(f"chain-vis s={s}: left chain grew past a "
                            f"boundary point at {prev}")
-            elif lv != cur and not g.adj[lv, cur]:
+            elif not co_visible_fast(g, lv, cur):
                 bad.append(f"chain-vis s={s} l({prev})={lv} next={cur}")
         for prev, cur in zip(chain_b, chain_b[1:]):
             rv = int(lm.r_vid[prev])
@@ -92,7 +91,7 @@ def check_chain_landmark_visibility(g, d):
             if rv < 0:
                 bad.append(f"chain-vis s={s}: right chain grew past a "
                            f"boundary point at {prev}")
-            elif rv != cur and not g.adj[rv, cur]:
+            elif not co_visible_fast(g, rv, cur):
                 bad.append(f"chain-vis s={s} r({prev})={rv} next={cur}")
     return checked, bad
 
@@ -102,12 +101,14 @@ def check_chain_bucket_shortest(g, d):
     # past the first chain member whose interval covers it
     checked, bad = 0, []
     lm, xs = g.lm, g.h.xs
+    everyone = np.arange(g.n)
     for s in range(g.n):
         chain_a, chain_b = oracles.extension_sequences(g, s)
         lxs = [int(lm.l_x[v]) for v in chain_a]
         rxs = [int(lm.r_x[v]) for v in chain_b]
+        seen = co_visible_fast(g, s, everyone)
         for t in range(g.n):
-            if t == s or g.adj[s, t]:
+            if seen[t]:
                 continue
             xt = int(xs[t])
             if xt < lxs[0] and xt >= lxs[-1]:
@@ -153,7 +154,7 @@ def check_level_dominators_covisible(g, d, kmax=4):
         bds, tds = oracles.k_dominators(g, s, kmax)
         for k in range(kmax + 1):
             checked += 1
-            if bds[k] != tds[k] and not g.adj[bds[k], tds[k]]:
+            if not co_visible_fast(g, bds[k], tds[k]):
                 bad.append(f"dom-covis s={s} k={k} bd={bds[k]} td={tds[k]}")
     return checked, bad
 

@@ -1,19 +1,23 @@
-"""Definition-level oracles for the routing landmarks.
+"""Definition-level oracles for visibility and the routing landmarks.
 
-Each function here computes one landmark of one vertex straight from
-its definition, scanning the whole polygon: breakpoints over every
-horizontal edge, dominators and extension chains over the closed
-neighborhood, level-k dominators over explicit interval vertex sets.
-They are slow (O(n) or worse per vertex) and exist so the tests can
-check the library's array-based preprocessing and the local routing
-decisions against a second, independent derivation.
+Each function here computes one fact straight from its definition,
+scanning the whole polygon: rectangle visibility and horizontal ray
+hits on a grid of the closed region built from the boundary alone,
+breakpoints over every horizontal edge, dominators and extension chains
+over the closed neighborhood, level-k dominators over explicit interval
+vertex sets. They are slow (O(n) or worse per vertex) and exist so the
+tests can check the library's sweeps, array-based preprocessing and
+local routing decisions against a second, independent derivation.
 """
+
+import weakref
 
 import numpy as np
 
+from histroute.polygon import Histogram
 from histroute.scheme_double import DoubleTable
 from histroute.scheme_simple import SimpleLabel
-from histroute.visibility import VisibilityGraph
+from histroute.visibility import VisibilityGraph, co_visible_fast
 
 
 def _dist_to_base(g: VisibilityGraph, v: int) -> int:
@@ -61,7 +65,7 @@ def breakpoint_of(g: VisibilityGraph, v: int):
                 continue
             pick = vr
         # both endpoints visible means the whole edge is
-        if not (g.adj[v, vl] and g.adj[v, vr]):
+        if not (co_visible_fast(g, v, vl) and co_visible_fast(g, v, vr)):
             continue
         if best is None or ye > best_y:
             best, best_y = pick, ye
@@ -150,7 +154,7 @@ def extension_sequences(g: VisibilityGraph, s: int):
 
 def interval_vertices(g: VisibilityGraph, v: int):
     """All vertices whose x lies in I(v), as a sorted array."""
-    lo, hi = g.lm.interval(v)
+    lo, hi = g.interval(v)
     return np.nonzero((g.h.xs >= lo) & (g.h.xs <= hi))[0]
 
 
@@ -214,7 +218,7 @@ def canonical_paths(g: VisibilityGraph, s: int, k: int):
     bds, tds = k_dominators(g, s, k)
 
     def sees(a, b):
-        return a == b or bool(g.adj[a, b])
+        return co_visible_fast(g, a, b)
 
     def build(last):
         path = [None] * (k + 1)
@@ -266,3 +270,113 @@ def double_table(g: VisibilityGraph, v: int) -> DoubleTable:
     assert bit or pi_b[1] == tds[1]
     return DoubleTable(i2bd[0], i2bd[1], i2td[0], i2td[1],
                        int(h.xs[bds[2]]), int(h.ys[bds[2]]), bit)
+
+
+class NaiveOracle:
+    """First-principles visibility via an exterior-point grid.
+
+    The boundary edges come straight from the point list. All
+    coordinates are doubled so half-integer sample points become
+    integers. A sample point is strictly exterior when it is not on the
+    boundary and a rightward ray crosses an odd number of vertical edges
+    (the ray is cast a quarter unit above the point so it never meets a
+    vertex). The rectangle spanned by two vertices leaves the closed
+    polygon exactly when it contains a strictly exterior sample point,
+    which a 2-d prefix sum answers in O(1).
+    """
+
+    def __init__(self, h: Histogram):
+        self.h = h
+        pts = h.points()
+        edges = [(2 * min(a[0], b[0]), 2 * min(a[1], b[1]),
+                  2 * max(a[0], b[0]), 2 * max(a[1], b[1]))
+                 for a, b in zip(pts, pts[1:] + pts[:1])]
+        x0, x1 = 2 * min(p[0] for p in pts), 2 * max(p[0] for p in pts)
+        y0, y1 = 2 * min(p[1] for p in pts), 2 * max(p[1] for p in pts)
+        self.x0, self.y0 = x0, y0
+        X = np.arange(x0, x1 + 1)[:, None]
+        Y = np.arange(y0, y1 + 1)[None, :]
+        on_b = np.zeros((x1 - x0 + 1, y1 - y0 + 1), dtype=bool)
+        crossings = np.zeros(on_b.shape, dtype=np.int64)
+        for xa, ya, xb, yb in edges:
+            on_b |= (X >= xa) & (X <= xb) & (Y >= ya) & (Y <= yb)
+            if xa == xb:
+                crossings += (xa > X) & (ya <= Y) & (Y < yb)
+        inside = on_b | (crossings % 2 == 1)
+        ext = (~inside).astype(np.int64)
+        self._prefix = np.zeros((len(X) + 1, Y.shape[1] + 1), dtype=np.int64)
+        self._prefix[1:, 1:] = ext.cumsum(axis=0).cumsum(axis=1)
+        self._inside = inside
+
+    def contains(self, x, y) -> bool:
+        """Closed-region membership for half-integer coordinates."""
+        x2, y2 = round(2 * x), round(2 * y)
+        if not (self.x0 <= x2 <= self.x0 + self._inside.shape[0] - 1):
+            return False
+        if not (self.y0 <= y2 <= self.y0 + self._inside.shape[1] - 1):
+            return False
+        return bool(self._inside[x2 - self.x0, y2 - self.y0])
+
+    def rect_inside(self, xa, ya, xb, yb) -> bool:
+        """Whether the closed rectangle spanned by two integer points
+        stays inside the polygon."""
+        i1 = 2 * min(xa, xb) - self.x0
+        i2 = 2 * max(xa, xb) - self.x0
+        j1 = 2 * min(ya, yb) - self.y0
+        j2 = 2 * max(ya, yb) - self.y0
+        p = self._prefix
+        count = (p[i2 + 1, j2 + 1] - p[i1, j2 + 1]
+                 - p[i2 + 1, j1] + p[i1, j1])
+        return count == 0
+
+    def sees(self, v: int, w: int) -> bool:
+        h = self.h
+        return self.rect_inside(int(h.xs[v]), int(h.ys[v]),
+                                int(h.xs[w]), int(h.ys[w]))
+
+
+_ORACLES = weakref.WeakKeyDictionary()
+
+
+def naive_oracle(h: Histogram) -> NaiveOracle:
+    """The grid oracle of h, built on first use and kept while h lives."""
+    oracle = _ORACLES.get(h)
+    if oracle is None:
+        oracle = _ORACLES[h] = NaiveOracle(h)
+    return oracle
+
+
+def co_visible_naive(h: Histogram, v: int, w: int) -> bool:
+    """Oracle visibility test on the grid of h."""
+    return naive_oracle(h).sees(v, w)
+
+
+def ray_hits(h: Histogram):
+    """The horizontal ray hits of every vertex, walked on the grid.
+
+    Each ray leaves (x(v), y(v)) in half-unit steps while the next point
+    lies in the closed region and stops at the last point inside. The
+    hit is the vertex at that x nearer to the base; on a double
+    histogram's boundary x it is the vertex at the ray height, or the
+    bare point (-1, x, y(v)) if there is none. Returns the six arrays
+    of visibility.Landmarks, keyed by their names.
+    """
+    oracle = naive_oracle(h)
+    pts = h.points()
+    base_dist = (lambda y: h.base_y - y) if h.kind == "simple" else abs
+    out = {name: [] for name in ("l_vid", "l_x", "l_y", "r_vid", "r_x", "r_y")}
+    for xv, yv in pts:
+        for side, step in (("l", -0.5), ("r", 0.5)):
+            x = xv
+            while oracle.contains(x + step, yv):
+                x += step
+            at_x = [u for u, p in enumerate(pts) if p[0] == x]
+            if h.kind == "double" and x in (h.xmin, h.xmax):
+                level = [u for u in at_x if pts[u][1] == yv]
+                vid = level[0] if level else -1
+            else:
+                vid = min(at_x, key=lambda u: base_dist(pts[u][1]))
+            hit = pts[vid] if vid >= 0 else (x, yv)
+            for key, value in zip(("vid", "x", "y"), (vid, *hit)):
+                out[f"{side}_{key}"].append(value)
+    return {name: np.array(vals, dtype=np.int64) for name, vals in out.items()}

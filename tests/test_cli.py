@@ -212,8 +212,13 @@ def double12_dump(nbrs):
     ("simple", "scheme simple 0\n", "at least one vertex"),
     ("double", double12_dump({8: "0 2 7 11"}),
      "row 8 lists 2 more often than row 2 lists 8"),
+    ("simple", "scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
+     "row 0 lists itself"),
+    ("simple", "scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
+     "row 0 lists 1 twice"),
 ], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
-        "double-duplicate-row", "simple-no-vertices", "double-asymmetric"])
+        "double-duplicate-row", "simple-no-vertices", "double-asymmetric",
+        "simple-self-entry", "simple-repeated-neighbor"])
 def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
     # each of these used to end in a traceback or an unrelated message
     dump = tmp_path / "bad.scheme"

@@ -134,6 +134,10 @@ def test_labels_match_oracle(small_simples, random_simples):
      "row 0 lists 1 more often than row 1 lists 0"),
     ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 |\n",
      "row 0 lists 1 more often than row 1 lists 0"),
+    ("scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
+     "row 0 lists itself"),
+    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
+     "row 0 lists 1 twice"),
 ])
 def test_parse_dump_strict(text, reason):
     with pytest.raises(ValueError, match=reason):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
 from histroute import polygon, visibility
 
+import oracles
 from conftest import make_double, make_simple
 
 
@@ -10,7 +14,7 @@ def all_pairs_match(h, g):
     for v in range(h.n):
         for w in range(h.n):
             fast = visibility.co_visible_fast(g, v, w)
-            slow = visibility.co_visible_naive(h, v, w)
+            slow = oracles.co_visible_naive(h, v, w)
             if fast != slow:
                 return f"v={v} w={w} fast={fast} naive={slow}"
     return None
@@ -39,14 +43,24 @@ def test_steps_degrees(steps):
 def test_self_visible(steps):
     h, g = steps
     assert visibility.co_visible_fast(g, 3, 3)
-    assert visibility.co_visible_naive(h, 3, 3)
-    assert not g.adj[3, 3]
+    assert oracles.co_visible_naive(h, 3, 3)
+    assert 3 not in g.neighbors[3]
+
+
+def left_hit(g, v):
+    lm = g.lm
+    return int(lm.l_vid[v]), int(lm.l_x[v]), int(lm.l_y[v])
+
+
+def right_hit(g, v):
+    lm = g.lm
+    return int(lm.r_vid[v]), int(lm.r_x[v]), int(lm.r_y[v])
 
 
 def test_steps_landmarks(steps):
     h, g = steps
-    assert g.lm.left(2) == visibility.Landmark("vertex", 0, 0, 4)
-    assert g.lm.right(2) == visibility.Landmark("vertex", 3, 2, 3)
+    assert left_hit(g, 2) == (0, 0, 4)
+    assert right_hit(g, 2) == (3, 2, 3)
     assert g.interval(2) == (0, 2)
 
 
@@ -54,11 +68,10 @@ def test_double_boundary_landmarks(dbl_raw, dbl):
     # rays ending on the left/right boundary edges keep their exact hit
     # point but carry no vertex id
     h, g = dbl_raw
-    assert g.lm.left(4) == visibility.Landmark("boundary-point", -1, 0, -1)
-    assert g.lm.right(4) == visibility.Landmark("boundary-point", -1, 9, -1)
-    assert not g.lm.left(4).is_vertex
+    assert left_hit(g, 4) == (-1, 0, -1)
+    assert right_hit(g, 4) == (-1, 9, -1)
     hn, gn = dbl
-    assert gn.lm.right(4) == visibility.Landmark("boundary-point", -1, 5, -1)
+    assert right_hit(gn, 4) == (-1, 5, -1)
 
 
 def test_vertical_partners_always_visible(small_doubles):
@@ -68,20 +81,27 @@ def test_vertical_partners_always_visible(small_doubles):
             by_x.setdefault(int(h.xs[v]), []).append(v)
         for pair in by_x.values():
             assert len(pair) == 2
-            assert g.adj[pair[0], pair[1]]
+            assert visibility.co_visible_fast(g, pair[0], pair[1])
 
 
 def test_symmetry(small_simples, small_doubles):
+    # sorted, free of self entries, and w lists v exactly when v lists w
     for h, g in small_simples + small_doubles:
-        assert (g.adj == g.adj.T).all()
-        assert not g.adj.diagonal().any()
+        pairs = set()
+        for v, nb in enumerate(g.neighbors):
+            ids = nb.tolist()
+            assert ids == sorted(set(ids)) and v not in ids
+            pairs.update((v, w) for w in ids)
+        assert pairs == {(w, v) for v, w in pairs}
+        assert g.edge_count() == len(pairs) // 2
 
 
-def test_neighbors_match_adjacency(steps):
-    h, g = steps
-    for v in range(h.n):
-        assert set(int(u) for u in g.neighbors[v]) == \
-            {w for w in range(h.n) if g.adj[v, w]}
+def test_neighbors_match_adjacency(steps, dbl, small_simples, small_doubles):
+    for h, g in [steps, dbl] + small_simples + small_doubles:
+        for v in range(h.n):
+            assert g.neighbors[v].tolist() == [
+                w for w in range(h.n)
+                if w != v and oracles.co_visible_naive(h, v, w)]
 
 
 def test_oracle_equivalence_fixtures(rect, steps, dbl, dbl_raw, drect):
@@ -91,7 +111,7 @@ def test_oracle_equivalence_fixtures(rect, steps, dbl, dbl_raw, drect):
 
 def test_oracle_point_membership(steps):
     h, g = steps
-    oracle = visibility.NaiveOracle(h)
+    oracle = oracles.NaiveOracle(h)
     assert oracle.contains(1, 2)
     assert oracle.contains(0, 0)          # boundary counts as inside
     assert not oracle.contains(4, 0)      # below the first step
@@ -123,4 +143,33 @@ def test_normalize_preserves_visibility(n, seed):
     h = polygon.generate("double", n, seed=seed)
     g = visibility.build_graph(h)
     gn = visibility.build_graph(polygon.normalize(h))
-    assert (g.adj == gn.adj).all()
+    assert [nb.tolist() for nb in g.neighbors] == \
+        [nb.tolist() for nb in gn.neighbors]
+
+
+def test_landmarks_match_ray_walk(rect, steps, dbl, dbl_raw, drect,
+                                  small_simples, small_doubles,
+                                  random_simples, random_doubles):
+    # the sweep against rays walked on the grid of the closed region
+    fixtures = [rect, steps, dbl, dbl_raw, drect]
+    raw = [polygon.generate("double", n, seed=700 + n)
+           for n in range(8, 62, 6)]
+    corpus = ([h for h, _ in fixtures + small_simples + small_doubles
+               + random_simples + random_doubles] + raw)
+    for h in corpus:
+        lm = visibility.compute_landmarks(h)
+        for name, walked in oracles.ray_hits(h).items():
+            assert getattr(lm, name).tolist() == walked.tolist(), (h, name)
+
+
+@pytest.mark.parametrize("kind", ["simple", "double"])
+def test_graph_memory_is_linear(kind):
+    # a dense n x n relation would need about 195 MiB at this size
+    h = polygon.generate(kind, 10_000, seed=1)
+    tracemalloc.start()
+    try:
+        visibility.build_graph(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"build_graph peak {peak / 2**20:.1f} MiB"
