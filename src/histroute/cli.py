@@ -29,6 +29,14 @@ def _fail(msg: str) -> int:
     return 1
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -136,9 +144,13 @@ def _cmd_verify(args) -> int:
         g, scheme = _prepare(_read(args.file), args.scheme)
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
-    report = engine.verify_all_pairs(scheme, g, pairs=pairs,
-                                     seed=args.seed,
-                                     report_path=args.report)
+    try:
+        report = engine.verify_all_pairs(scheme, g, pairs=pairs,
+                                         seed=args.seed,
+                                         report_path=args.report)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in report.summary_lines():
         print(line)
     if not report.ok:
@@ -158,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True, choices=("simple", "double"))
     g.add_argument("--n", required=True, type=int,
                    help="vertex count (even; >= 4 simple, >= 8 double)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", help="output file (default stdout)")
     g.set_defaults(fn=_cmd_gen)
 
@@ -187,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--pairs", default="all",
                    help="'all' or a sample size (default all)")
     w.add_argument("--report", help="write per-pair CSV here")
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=_seed, default=0)
     w.set_defaults(fn=_cmd_verify)
     return p
 

@@ -4,17 +4,17 @@ The engine moves a packet by repeatedly calling the scheme's step
 function, handing it nothing but the current vertex's link table and
 routing table, the target's label, and the packet header. The returned
 vertex must appear in the current link table; anything else is a
-firewall breach. Ground truth distances come from BFS on the
-visibility graph, and verify_all_pairs compares every routed path
-against them.
+firewall breach. Ground truth distances come from one bit-parallel
+BFS on the visibility graph, and verify_all_pairs compares every
+routed path against them.
 """
 
 import csv
 import dataclasses
+import itertools
+import operator
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 
 class RoutingError(Exception):
@@ -96,21 +96,94 @@ def run_route(scheme, s: int, t: int):
     return trace
 
 
+_BATCH = 512   # sources per kernel batch: 8 uint64 words
+
+
+def _csr(neighbors):
+    """(indptr, indices) of the adjacency given by neighbor id lists."""
+    indptr = np.zeros(len(neighbors) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
+    indices = np.concatenate([np.asarray(ids, dtype=np.int64)
+                              for ids in neighbors])
+    return indptr, indices
+
+
+def _bfs_levels(indptr, indices, sources):
+    """Bit-parallel BFS from up to _BATCH sources at once (Then et al.,
+    "The More the Merrier: Efficient Multi-Source Graph Traversal",
+    VLDB 2014).
+
+    The sources are packed 64 to a uint64 word. For each level d from
+    0 up, yields (d, new): bit j % 64 of new[v, j // 64] is set iff
+    vertex v lies at distance exactly d from sources[j]. A level costs
+    O(E) word operations per word; no sources x vertices table is
+    built. A caller that has what it needs may stop early.
+    """
+    n = len(indptr) - 1
+    rows = np.flatnonzero(np.diff(indptr))   # reduceat misreads empty rows
+    starts = indptr[rows]
+    j = np.arange(len(sources))
+    new = np.zeros((n, (len(sources) + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(new, (np.asarray(sources, dtype=np.int64), j // 64),
+                     np.uint64(1) << (j % 64).astype(np.uint64))
+    unseen = ~new
+    level = 0
+    while True:
+        yield level, new
+        if len(rows) == n:
+            new = np.bitwise_or.reduceat(new[indices], starts, axis=0)
+        else:
+            pulled = np.zeros_like(new)
+            if len(rows):
+                pulled[rows] = np.bitwise_or.reduceat(new[indices], starts,
+                                                      axis=0)
+            new = pulled
+        new &= unseen
+        if not new.any():
+            return
+        unseen ^= new
+        level += 1
+
+
 def distances(neighbors, sources):
     """Hop distances by BFS: row i holds the distance from sources[i]
     to every vertex, -1 where unreachable. neighbors[v] lists the ids
     adjacent to v."""
     n = len(neighbors)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
-    indices = np.concatenate([np.asarray(ids, dtype=np.int64)
-                              for ids in neighbors])
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    d = scipy.sparse.csgraph.shortest_path(
-        graph, method="D", unweighted=True, indices=sources)
-    d[np.isinf(d)] = -1
-    return d.astype(np.int64)
+    d = _query_distances(_csr(neighbors), np.tile(np.arange(n), len(sources)),
+                         np.repeat(sources, n))
+    return d.reshape(len(sources), n)
+
+
+def _query_distances(csr, qv, qt):
+    """d(qv[i], qt[i]) for every i, from one kernel pass over the
+    distinct qt; -1 where unreachable."""
+    qv = np.asarray(qv, dtype=np.int64)
+    qt = np.asarray(qt, dtype=np.int64)
+    wanted = np.zeros(len(csr[0]) - 1, dtype=bool)
+    wanted[qt] = True
+    targets = np.flatnonzero(wanted)
+    j = (np.cumsum(wanted) - 1)[qt]         # index of qt[i] in targets
+    batch = j // _BATCH
+    order = np.argsort(batch, kind="stable")
+    cuts = np.zeros(-(-len(targets) // _BATCH) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(batch, minlength=len(cuts) - 1), out=cuts[1:])
+    dist = np.full(len(qv), -1, dtype=np.int64)    # in `order`
+    for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        sources = targets[b * _BATCH:(b + 1) * _BATCH]
+        js = j[order[lo:hi]] - b * _BATCH
+        word = qv[order[lo:hi]] * -(-len(sources) // 64) + (js >> 6)
+        mask = np.uint64(1) << (js & 63).astype(np.uint64)
+        found, left = dist[lo:hi], hi - lo
+        for level, new in _bfs_levels(*csr, sources):
+            hit = (np.take(new, word) & mask) != 0
+            found[hit] = level
+            left -= np.count_nonzero(hit)
+            if not left:
+                break
+    out = np.empty_like(dist)
+    out[order] = dist
+    return out
 
 
 @dataclasses.dataclass
@@ -151,16 +224,19 @@ def check_two_step_progress(trace, drow):
     asks whether some segmentation reaches the end of the trace.
     Returns None, or a failure reason.
     """
-    m = len(trace)
+    d = [drow[v] for v in trace]
+    if all(map(operator.gt, d, d[1:])):     # every hop gets closer
+        return None
+    m = len(d)
     reach = [False] * m
     reach[0] = True
     frontier = 0
     for i in range(m - 1):
         if not reach[i]:
             continue
-        di = int(drow[trace[i]])
+        closer = d[i] - 1
         for j in (i + 1, i + 2):
-            if j < m and int(drow[trace[j]]) <= di - 1:
+            if j < m and d[j] <= closer:
                 reach[j] = True
                 frontier = max(frontier, j)
     if not reach[m - 1]:
@@ -168,41 +244,61 @@ def check_two_step_progress(trace, drow):
     return None
 
 
+def _route_or_reason(scheme, s, t):
+    """run_route's trace, or the failure reason of its RoutingError."""
+    try:
+        return run_route(scheme, s, t)
+    except RoutingError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 _FAILURE_CAP = 1000
+_CHUNK = 1 << 16    # pairs routed, then checked, at a time
 
 
 def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     """Route pairs, compare against BFS, and collect a report.
 
     pairs is "all" for every ordered pair with s != t, or an integer
-    sample size (drawn uniformly with the given seed). Simple schemes
-    must match BFS exactly; double schemes must have stretch at most 2
-    and make two-step progress along every trace. Routes longer than
-    2n hops are failures regardless of stretch.
+    sample size (drawn uniformly with the given seed) of at most
+    n(n-1); a larger sample raises ValueError. Simple schemes must
+    match BFS exactly; double schemes must have stretch at most 2 and
+    make two-step progress along every trace. Routes longer than 2n
+    hops are failures regardless of stretch.
+
+    Pairs are taken in chunks: each chunk is routed, then one BFS pass
+    from its distinct targets answers the distances its checks read,
+    d(s, t) per pair and, for a double scheme, d(v, t) for every v on
+    the trace.
     """
     n = scheme.n
     if pairs == "all":
-        pair_list = [(s, t) for s in range(n) for t in range(n) if s != t]
+        pair_iter = ((s, t) for s in range(n) for t in range(n) if s != t)
     else:
+        k = int(pairs)
+        if k > n * (n - 1):
+            raise ValueError(
+                f"cannot sample {k} pairs: there are only {n * (n - 1)} "
+                f"ordered pairs with s != t; use 'all'")
         rng = np.random.default_rng(seed)
         out = []
-        while len(out) < int(pairs):
-            take = int(pairs) - len(out)
+        while len(out) < k:
+            take = k - len(out)
             ss = rng.integers(0, n, size=take + 8)
             tt = rng.integers(0, n, size=take + 8)
             keep = ss != tt
             out.extend(zip(ss[keep].tolist(), tt[keep].tolist()))
-        pair_list = out[: int(pairs)]
+        pair_iter = iter(out[:k])
 
-    targets = sorted({t for _, t in pair_list})
-    trow = {t: i for i, t in enumerate(targets)}
-    dist = distances(g.neighbors, targets)   # dist[i]: from targets[i]
-    if (dist < 0).any():
+    csr = _csr(g.neighbors)
+    reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(*csr, [0]))
+    if reached < n:
         raise SchemeBuildError("visibility graph is not connected")
 
     simple = scheme.kind == "simple"
     failures = []
     total_failures = 0
+    total_pairs = 0
     max_stretch = 0.0
     stretch_sum = 0.0
     writer = None
@@ -212,48 +308,71 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
         writer = csv.writer(fh)
         writer.writerow(["s", "t", "bfs", "routed", "stretch"])
     try:
-        for s, t in pair_list:
-            drow = dist[trow[t]]
-            bfs = int(drow[s])
-            try:
-                trace = run_route(scheme, s, t)
-                routed = len(trace) - 1
-            except RoutingError as exc:
-                trace = None
-                routed = -1
-                reason = f"{type(exc).__name__}: {exc}"
-            if routed >= 0:
-                reason = None
-                if simple and routed != bfs:
-                    reason = "not a shortest path"
-                elif not simple and routed > 2 * bfs:
-                    reason = "stretch above 2"
-                if routed > 2 * n:
-                    reason = "route longer than 2n hops"
-                if not simple and reason is None:
-                    reason = check_two_step_progress(trace, drow)
-            stretch = (routed / bfs) if routed >= 0 and bfs > 0 else float("inf")
-            if routed >= 0 and bfs > 0:
-                if stretch > max_stretch:
-                    max_stretch = stretch
-                stretch_sum += stretch
-            if reason is not None:
-                total_failures += 1
-                if len(failures) < _FAILURE_CAP:
-                    failures.append({
-                        "s": s, "t": t, "bfs": bfs, "routed": routed,
-                        "trace": trace, "reason": reason,
-                    })
-            if writer is not None:
-                writer.writerow([s, t, bfs, routed,
-                                 f"{stretch:.3f}" if bfs > 0 else ""])
+        while chunk := list(itertools.islice(pair_iter, _CHUNK)):
+            total_pairs += len(chunk)
+            ss = [s for s, _ in chunk]
+            ts = [t for _, t in chunk]
+            if simple:   # only d(s, t) is read: route while checking
+                routes = map(_route_or_reason, itertools.repeat(scheme),
+                             ss, ts)
+                qv, qt, qcount = ss, ts, itertools.repeat(1)
+            else:        # d(v, t) is read along each trace: route first,
+                # holding the traces in one flat list of vertex ids
+                routes, qv, qcount = [], [], []
+                for s, t in zip(ss, ts):
+                    trace = _route_or_reason(scheme, s, t)
+                    if isinstance(trace, str):
+                        routes.append(trace)
+                        trace = [s]
+                    else:
+                        routes.append(None)
+                    qv.extend(trace)
+                    qcount.append(len(trace))
+                qt = np.repeat(ts, qcount)
+            dq = _query_distances(csr, qv, qt).tolist()
+            o = 0
+            for s, t, trace, m in zip(ss, ts, routes, qcount):
+                if trace is None:    # a double trace, held in qv
+                    trace = qv[o:o + m]
+                bfs = dq[o]
+                if isinstance(trace, str):
+                    routed, reason, trace = -1, trace, None
+                else:
+                    routed = len(trace) - 1
+                    reason = None
+                    if simple and routed != bfs:
+                        reason = "not a shortest path"
+                    elif not simple and routed > 2 * bfs:
+                        reason = "stretch above 2"
+                    if routed > 2 * n:
+                        reason = "route longer than 2n hops"
+                    if not simple and reason is None:
+                        reason = check_two_step_progress(
+                            trace, dict(zip(trace, dq[o:o + m])))
+                o += m
+                stretch = (routed / bfs) if routed >= 0 and bfs > 0 \
+                    else float("inf")
+                if routed >= 0 and bfs > 0:
+                    if stretch > max_stretch:
+                        max_stretch = stretch
+                    stretch_sum += stretch
+                if reason is not None:
+                    total_failures += 1
+                    if len(failures) < _FAILURE_CAP:
+                        failures.append({
+                            "s": s, "t": t, "bfs": bfs, "routed": routed,
+                            "trace": trace, "reason": reason,
+                        })
+                if writer is not None:
+                    writer.writerow([s, t, bfs, routed,
+                                     f"{stretch:.3f}" if bfs > 0 else ""])
     finally:
         if fh is not None:
             fh.close()
 
-    mean = stretch_sum / len(pair_list) if pair_list else 0.0
+    mean = stretch_sum / total_pairs if total_pairs else 0.0
     report = VerifyReport(
-        kind=scheme.kind, n=n, pairs=len(pair_list),
+        kind=scheme.kind, n=n, pairs=total_pairs,
         max_stretch=max_stretch, mean_stretch=mean,
         lab_bits=scheme.max_label_bits, tab_bits=scheme.max_table_bits,
         hdr_bits=scheme.max_header_bits, failures=failures)

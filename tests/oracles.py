@@ -5,11 +5,13 @@ scanning the whole polygon: rectangle visibility and horizontal ray
 hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
-vertex sets. They are slow (O(n) or worse per vertex) and exist so the
-tests can check the library's sweeps, array-based preprocessing and
-local routing decisions against a second, independent derivation.
+vertex sets, hop distances by a plain queue walk. They are slow (O(n)
+or worse per vertex) and exist so the tests can check the library's
+sweeps, array-based preprocessing, bit-parallel BFS and local routing
+decisions against a second, independent derivation.
 """
 
+import collections
 import weakref
 
 import numpy as np
@@ -380,3 +382,18 @@ def ray_hits(h: Histogram):
             for key, value in zip(("vid", "x", "y"), (vid, *hit)):
                 out[f"{side}_{key}"].append(value)
     return {name: np.array(vals, dtype=np.int64) for name, vals in out.items()}
+
+
+def bfs(neighbors, s: int):
+    """Hop distances from s by breadth-first search over neighbor id
+    lists, -1 where unreachable."""
+    dist = [-1] * len(neighbors)
+    dist[s] = 0
+    queue = collections.deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist

@@ -168,6 +168,30 @@ def test_verify_bad_pairs_arg(capsys, steps_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "simple", "--n", "8", "--seed", "-5"),
+    ("verify", "FILE", "--scheme", "simple", "--seed", "-1"),
+    ("verify", "FILE", "--scheme", "simple", "--seed", "one"),
+])
+def test_negative_seed(capsys, steps_file, argv):
+    argv = [steps_file if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_verify_oversized_pairs(capsys, tmp_path):
+    p = tmp_path / "s12.poly"
+    p.write_text(polygon.to_text(polygon.generate("simple", 12, seed=1)))
+    code, out, err = run(capsys, "verify", str(p), "--scheme", "simple",
+                         "--pairs", "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "'all'" in err
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/file.poly")
     assert code != 0

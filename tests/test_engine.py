@@ -1,9 +1,18 @@
 import csv
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from histroute import engine
+import histroute
+from histroute import engine, polygon, scheme_double, scheme_simple, \
+    visibility
+
+import oracles
+from conftest import make_double, make_simple
 
 
 class HijackedScheme:
@@ -97,6 +106,48 @@ def test_distances_unreachable():
     assert d.tolist() == [[0, 1, -1], [-1, -1, 0]]
 
 
+def assert_matches_queue_bfs(neighbors, sources):
+    d = engine.distances(neighbors, sources)
+    assert d.dtype == np.int64 and d.shape == (len(sources), len(neighbors))
+    rows = {s: oracles.bfs(neighbors, s) for s in set(sources)}
+    assert d.tolist() == [rows[s] for s in sources]
+
+
+def test_distances_match_queue_bfs(rect, steps, dbl, dbl_raw, drect,
+                                   small_simples, small_doubles,
+                                   random_simples, random_doubles):
+    for h, g in [rect, steps, dbl, dbl_raw, drect, *small_simples,
+                 *small_doubles, *random_simples, *random_doubles]:
+        assert_matches_queue_bfs(g.neighbors, list(range(g.n)))
+
+
+@pytest.mark.parametrize("neighbors", [
+    [[], [2], [1]],                     # empty first row
+    [[1, 2], [0], [0], [], [5], [4]],   # isolated vertex, two components
+    [[1], [0, 2], [1], []],             # empty last row
+    [[]],
+])
+def test_distances_empty_rows(neighbors):
+    assert_matches_queue_bfs(neighbors, list(range(len(neighbors))))
+
+
+def test_distances_repeated_sources(steps):
+    h, g = steps
+    assert_matches_queue_bfs(g.neighbors, [2, 2, 0, 2, 7, 0])
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 512, 513])
+def test_distances_word_and_batch_edges(count):
+    # sources fill whole 64-bit words and 512-source batches, or spill
+    # one over; the appended vertex is isolated, so rows hold -1 too
+    h, g = make_double(200, seed=7)
+    neighbors = [list(ids) for ids in g.neighbors] + [[]]
+    rng = np.random.default_rng(count)
+    sources = rng.integers(0, len(neighbors), size=count).tolist()
+    sources[-1] = len(neighbors) - 1
+    assert_matches_queue_bfs(neighbors, sources)
+
+
 def test_verify_rejects_disconnected_graph(sch_rect):
     class Cut:      # the rectangle's graph split into 0-1 and 2-3
         neighbors = [[1], [0], [3], [2]]
@@ -159,6 +210,102 @@ def test_verify_writes_csv(tmp_path, sch_steps, steps):
     assert by_pair[("2", "6")][2:] == ["3", "3", "1.000"]
 
 
+@pytest.mark.parametrize("make", [make_simple, make_double])
+def test_verify_csv_bfs_matches_queue_bfs(tmp_path, make):
+    h, g = make(120, seed=11)
+    pre = scheme_simple.preprocess_simple if h.kind == "simple" \
+        else scheme_double.preprocess_double
+    out = tmp_path / "report.csv"
+    engine.verify_all_pairs(pre(h, g), g, pairs=400, seed=3,
+                            report_path=str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 400
+    for r in rows:
+        want = oracles.bfs(g.neighbors, int(r["t"]))[int(r["s"])]
+        assert int(r["bfs"]) == want
+
+
+class Detour(HijackedScheme):
+    """Steps to the smallest neighbour at every vertex divisible by 5."""
+
+    def step(self, link, table, target, header):
+        own = link.own_vid
+        if own % 5 == 0:
+            return min(i for i in link.id_set if i != own), None
+        return self.inner.step(link, table, target, header)
+
+
+@pytest.mark.parametrize("make, preprocess", [
+    (make_simple, scheme_simple.preprocess_simple),
+    (make_double, scheme_double.preprocess_double),
+])
+def test_verify_rows_rederived(tmp_path, make, preprocess):
+    # every CSV row and failure record, rebuilt pair by pair from
+    # run_route and the queue BFS; the detours cause every failure kind
+    h, g = make(24, seed=3)
+    sch = Detour(preprocess(h, g), at=-1)
+    out = tmp_path / "report.csv"
+    rep = engine.verify_all_pairs(sch, g, report_path=str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    dist = [oracles.bfs(g.neighbors, t) for t in range(h.n)]
+    want_rows, want_failures = [], []
+    for s, t in [(s, t) for s in range(h.n) for t in range(h.n) if s != t]:
+        bfs = dist[t][s]
+        try:
+            trace = engine.run_route(sch, s, t)
+        except engine.RoutingError as exc:
+            trace, routed = None, -1
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            routed = len(trace) - 1
+            if h.kind == "simple":
+                reason = "not a shortest path" if routed != bfs else None
+            elif routed > 2 * bfs:
+                reason = "stretch above 2"
+            else:
+                reason = engine.check_two_step_progress(trace, dist[t])
+            if routed > 2 * h.n:
+                reason = "route longer than 2n hops"
+        stretch = routed / bfs if routed >= 0 else float("inf")
+        want_rows.append([str(s), str(t), str(bfs), str(routed),
+                          f"{stretch:.3f}"])
+        if reason is not None:
+            want_failures.append({"s": s, "t": t, "bfs": bfs,
+                                  "routed": routed, "trace": trace,
+                                  "reason": reason})
+    assert {f["reason"][:8] for f in want_failures} >= (
+        {"HopLimit", "not a sh"} if h.kind == "simple"
+        else {"HopLimit", "stretch ", "progress"})
+    assert rows == want_rows
+    assert rep.failures == want_failures
+
+
+def test_verify_rejects_oversized_sample(sch_rect, rect):
+    h, g = rect
+    assert engine.verify_all_pairs(sch_rect, g, pairs=12, seed=0).pairs == 12
+    with pytest.raises(ValueError, match="'all'"):
+        engine.verify_all_pairs(sch_rect, g, pairs=13, seed=0)
+    with pytest.raises(ValueError, match="'all'"):
+        engine.verify_all_pairs(sch_rect, g, pairs=10**11, seed=0)
+
+
+def test_verify_memory_is_bounded():
+    # a dense targets x n float64 table plus its int64 copy: ~126 MiB
+    h = polygon.generate("simple", 5000, seed=1)
+    g = visibility.build_graph(h)
+    sch = scheme_simple.preprocess_simple(h, g)
+    tracemalloc.start()
+    try:
+        rep = engine.verify_all_pairs(sch, g, pairs=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.pairs == 2000
+    assert peak < 16 * 2**20, f"verify peak {peak / 2**20:.1f} MiB"
+
+
 def test_verify_records_misroute(sch_steps, steps):
     h, g = steps
 
@@ -180,3 +327,13 @@ def test_summary_lines(sch_rect, rect):
     assert lines[0] == "pairs=12"
     assert lines[1] == "maxStretch=1.000"
     assert lines[-1] == "failures=0"
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(histroute.__file__))
+    probe = ("import sys, histroute; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
