@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
         report = engine.verify_all_pairs(scheme, g, pairs=pairs,
                                          seed=args.seed,
                                          report_path=args.report)
-    except ValueError as exc:
+    except engine.SampleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

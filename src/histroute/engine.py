@@ -9,6 +9,7 @@ BFS on the visibility graph, and verify_all_pairs compares every
 routed path against them.
 """
 
+import copy
 import csv
 import dataclasses
 import itertools
@@ -120,8 +121,12 @@ def _bfs_levels(indptr, indices, sources):
     built. A caller that has what it needs may stop early.
     """
     n = len(indptr) - 1
-    rows = np.flatnonzero(np.diff(indptr))   # reduceat misreads empty rows
-    starts = indptr[rows]
+    # reduceat gives a[start] for an empty segment, so the rows with no
+    # neighbours are zeroed after each pull; the repeated last entry
+    # keeps every start in range and, ORed twice, changes nothing
+    pull = np.append(indices, indices[-1] if len(indices) else 0)
+    starts = indptr[:-1]
+    empty = np.flatnonzero(np.diff(indptr) == 0)
     j = np.arange(len(sources))
     new = np.zeros((n, (len(sources) + 63) // 64), dtype=np.uint64)
     np.bitwise_or.at(new, (np.asarray(sources, dtype=np.int64), j // 64),
@@ -130,14 +135,8 @@ def _bfs_levels(indptr, indices, sources):
     level = 0
     while True:
         yield level, new
-        if len(rows) == n:
-            new = np.bitwise_or.reduceat(new[indices], starts, axis=0)
-        else:
-            pulled = np.zeros_like(new)
-            if len(rows):
-                pulled[rows] = np.bitwise_or.reduceat(new[indices], starts,
-                                                      axis=0)
-            new = pulled
+        new = np.bitwise_or.reduceat(new[pull], starts, axis=0)
+        new[empty] = 0
         new &= unseen
         if not new.any():
             return
@@ -244,16 +243,61 @@ def check_two_step_progress(trace, drow):
     return None
 
 
-def _route_or_reason(scheme, s, t):
-    """run_route's trace, or the failure reason of its RoutingError."""
-    try:
-        return run_route(scheme, s, t)
-    except RoutingError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 _FAILURE_CAP = 1000
 _CHUNK = 1 << 16    # pairs routed, then checked, at a time
+
+
+class SampleSizeError(ValueError):
+    """A pair sample larger than the number of ordered pairs."""
+
+
+def _sample_pairs(n, k, seed, chunk=_CHUNK):
+    """k pairs (s, t) with s != t, drawn uniformly with the given seed.
+
+    Each round draws take + 8 sources, then take + 8 targets, and keeps
+    the pairs with s != t until k are kept. Both rows are drawn chunk by
+    chunk, the targets from a copy of the generator advanced past the
+    sources, so memory stays O(chunk) and the pairs are the same as
+    those of one-shot draws.
+    """
+    rng = np.random.default_rng(seed)
+    left = k
+    while left:
+        size = left + 8
+        spans = [min(chunk, size - lo) for lo in range(0, size, chunk)]
+        trng = copy.deepcopy(rng)
+        for m in spans:
+            trng.integers(0, n, size=m)
+        for m in spans:
+            ss = rng.integers(0, n, size=m)
+            tt = trng.integers(0, n, size=m)
+            keep = ss != tt
+            ss, tt = ss[keep][:left], tt[keep][:left]
+            yield from zip(ss.tolist(), tt.tolist())
+            left -= len(ss)
+            if not left:
+                return
+        rng = trng
+
+
+def _route_flat(scheme, chunk):
+    """Route every pair of chunk into one flat list of vertex ids.
+
+    Returns (vs, lens, reasons): pair i's trace is the next lens[i]
+    ids of vs, and reasons[i] is None, or the failure reason of its
+    RoutingError, in which case its trace is held as [s] alone.
+    """
+    vs, lens, reasons = [], [], []
+    for s, t in chunk:
+        try:
+            trace = run_route(scheme, s, t)
+            reasons.append(None)
+        except RoutingError as exc:
+            trace = [s]
+            reasons.append(f"{type(exc).__name__}: {exc}")
+        vs.extend(trace)
+        lens.append(len(trace))
+    return vs, lens, reasons
 
 
 def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
@@ -261,15 +305,16 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     pairs is "all" for every ordered pair with s != t, or an integer
     sample size (drawn uniformly with the given seed) of at most
-    n(n-1); a larger sample raises ValueError. Simple schemes must
-    match BFS exactly; double schemes must have stretch at most 2 and
-    make two-step progress along every trace. Routes longer than 2n
-    hops are failures regardless of stretch.
+    n(n-1); a larger sample raises SampleSizeError, a ValueError.
+    Simple schemes must match BFS exactly; double schemes must have
+    stretch at most 2 and make two-step progress along every trace.
+    Routes longer than 2n hops are failures regardless of stretch.
 
-    Pairs are taken in chunks: each chunk is routed, then one BFS pass
-    from its distinct targets answers the distances its checks read,
-    d(s, t) per pair and, for a double scheme, d(v, t) for every v on
-    the trace.
+    Pairs are taken in chunks of at most 65536, so memory does not
+    grow with the number of pairs: each chunk is routed, then one BFS
+    pass from its distinct targets answers the distances its checks
+    read, d(s, t) per pair and, for a double scheme, d(v, t) for every
+    v on the trace.
     """
     n = scheme.n
     if pairs == "all":
@@ -277,18 +322,10 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     else:
         k = int(pairs)
         if k > n * (n - 1):
-            raise ValueError(
+            raise SampleSizeError(
                 f"cannot sample {k} pairs: there are only {n * (n - 1)} "
                 f"ordered pairs with s != t; use 'all'")
-        rng = np.random.default_rng(seed)
-        out = []
-        while len(out) < k:
-            take = k - len(out)
-            ss = rng.integers(0, n, size=take + 8)
-            tt = rng.integers(0, n, size=take + 8)
-            keep = ss != tt
-            out.extend(zip(ss[keep].tolist(), tt[keep].tolist()))
-        pair_iter = iter(out[:k])
+        pair_iter = _sample_pairs(n, k, seed)
 
     csr = _csr(g.neighbors)
     reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(*csr, [0]))
@@ -310,36 +347,22 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     try:
         while chunk := list(itertools.islice(pair_iter, _CHUNK)):
             total_pairs += len(chunk)
-            ss = [s for s, _ in chunk]
+            vs, lens, reasons = _route_flat(scheme, chunk)
             ts = [t for _, t in chunk]
-            if simple:   # only d(s, t) is read: route while checking
-                routes = map(_route_or_reason, itertools.repeat(scheme),
-                             ss, ts)
-                qv, qt, qcount = ss, ts, itertools.repeat(1)
-            else:        # d(v, t) is read along each trace: route first,
-                # holding the traces in one flat list of vertex ids
-                routes, qv, qcount = [], [], []
-                for s, t in zip(ss, ts):
-                    trace = _route_or_reason(scheme, s, t)
-                    if isinstance(trace, str):
-                        routes.append(trace)
-                        trace = [s]
-                    else:
-                        routes.append(None)
-                    qv.extend(trace)
-                    qcount.append(len(trace))
-                qt = np.repeat(ts, qcount)
-            dq = _query_distances(csr, qv, qt).tolist()
+            if simple:   # only d(s, t) is read: each trace's first id
+                bfs_of = _query_distances(csr, [s for s, _ in chunk], ts)
+            else:        # d(v, t) for every v on a trace
+                dq = _query_distances(csr, vs, np.repeat(ts, lens))
+                bfs_of = dq[np.cumsum(lens) - lens]
+                dq = dq.tolist()
             o = 0
-            for s, t, trace, m in zip(ss, ts, routes, qcount):
-                if trace is None:    # a double trace, held in qv
-                    trace = qv[o:o + m]
-                bfs = dq[o]
-                if isinstance(trace, str):
-                    routed, reason, trace = -1, trace, None
+            for (s, t), m, reason, bfs in zip(chunk, lens, reasons,
+                                               bfs_of.tolist()):
+                if reason is not None:
+                    routed, trace = -1, None
                 else:
-                    routed = len(trace) - 1
-                    reason = None
+                    trace = vs[o:o + m]
+                    routed = m - 1
                     if simple and routed != bfs:
                         reason = "not a shortest path"
                     elif not simple and routed > 2 * bfs:

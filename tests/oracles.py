@@ -5,10 +5,11 @@ scanning the whole polygon: rectangle visibility and horizontal ray
 hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
-vertex sets, hop distances by a plain queue walk. They are slow (O(n)
-or worse per vertex) and exist so the tests can check the library's
-sweeps, array-based preprocessing, bit-parallel BFS and local routing
-decisions against a second, independent derivation.
+vertex sets, hop distances by a plain queue walk, a pair sample by
+one-shot draws. They are slow (O(n) or worse per vertex) and exist so
+the tests can check the library's sweeps, array-based preprocessing,
+bit-parallel BFS, chunked sampling and local routing decisions against
+a second, independent derivation.
 """
 
 import collections
@@ -397,3 +398,17 @@ def bfs(neighbors, s: int):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def sample_pairs(n: int, k: int, seed):
+    """k pairs (s, t) with s != t: each round draws every source, then
+    every target, in one call each, and keeps the pairs with s != t."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < k:
+        take = k - len(out)
+        ss = rng.integers(0, n, size=take + 8)
+        tt = rng.integers(0, n, size=take + 8)
+        keep = ss != tt
+        out.extend(zip(ss[keep].tolist(), tt[keep].tolist()))
+    return out[:k]

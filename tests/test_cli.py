@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from histroute import cli, polygon, scheme_double, visibility
+from histroute import cli, engine, polygon, scheme_double, visibility
 
 from conftest import H_DBL_TEXT, H_STEPS_TEXT
 
@@ -190,6 +190,16 @@ def test_verify_oversized_pairs(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "'all'" in err
+
+
+def test_verify_internal_value_error_is_not_a_usage_error(
+        monkeypatch, steps_file):
+    def broken(scheme, s, t):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(engine, "run_route", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        cli.cli_main(["verify", steps_file, "--scheme", "simple"])
 
 
 def test_missing_file(capsys):

@@ -291,6 +291,40 @@ def test_verify_rejects_oversized_sample(sch_rect, rect):
         engine.verify_all_pairs(sch_rect, g, pairs=10**11, seed=0)
 
 
+@pytest.mark.parametrize("n, k, chunk", [
+    (2, 50, 1), (2, 50, 7), (3, 40, 5), (50, 300, 64), (50, 300, 1 << 16),
+])
+def test_sample_pairs_match_one_shot_draws(n, k, chunk):
+    # n = 2 keeps about half the draws, so the sample takes several rounds
+    for seed in (0, 1, 4, 9):
+        got = list(engine._sample_pairs(n, k, seed, chunk=chunk))
+        assert got == oracles.sample_pairs(n, k, seed)
+
+
+def test_verify_sampled_pairs_are_the_one_shot_sample(tmp_path):
+    h = polygon.normalize(polygon.generate("double", 40, seed=2))
+    g = visibility.build_graph(h)
+    out = tmp_path / "pairs.csv"
+    engine.verify_all_pairs(scheme_double.preprocess_double(h, g), g,
+                            pairs=500, seed=11, report_path=str(out))
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    want = oracles.sample_pairs(len(g.neighbors), 500, 11)
+    assert [(int(r[0]), int(r[1])) for r in rows] == want
+
+
+def test_sample_pairs_memory_is_bounded():
+    # a one-shot sample of 10^7 pairs holds ~10^7 tuples, over 1 GiB
+    tracemalloc.start()
+    try:
+        first = next(engine._sample_pairs(1000, 10**7, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[0] != first[1]
+    assert peak < 16 * 2**20, f"sampler peak {peak / 2**20:.1f} MiB"
+
+
 def test_verify_memory_is_bounded():
     # a dense targets x n float64 table plus its int64 copy: ~126 MiB
     h = polygon.generate("simple", 5000, seed=1)
