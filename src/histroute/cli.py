@@ -120,8 +120,8 @@ def _cmd_route(args) -> int:
         trace = engine.run_route(scheme, args.src, args.dst)
     except engine.RoutingError as exc:
         return _fail(str(exc))
-    nbrs = [scheme.neighbor_ids(v) for v in range(n)]
-    bfs = int(engine.distances(nbrs, [args.src])[0, args.dst])
+    bfs = int(engine.distances(scheme.indptr, scheme.indices,
+                               [args.src])[0, args.dst])
     if args.trace:
         print(" ".join(str(v) for v in trace))
     print(f"routed={max(len(trace) - 1, 0)} bfs={bfs}")

@@ -3,9 +3,10 @@
 A dump is a header line ``scheme <kind> <n>`` followed by one row per
 vertex whose fields are separated by ``|``: the vertex id, the scheme
 class's own columns, and the ids of the vertex's neighbors. Blank lines
-and lines starting with ``#`` are skipped. Every malformed input raises
-ValueError. Each check costs O(rows + neighbor ids), except the
-symmetry check, which sorts the neighbor ids once.
+and lines starting with ``#`` are skipped. The reader hands the ids to
+the scheme as the CSR pair that visibility.VisibilityGraph builds. Every
+malformed input raises ValueError. Each check costs O(rows + neighbor
+ids), except the symmetry check, which sorts the neighbor ids once.
 """
 
 import itertools
@@ -56,19 +57,20 @@ def read(text: str, cls):
             raise ValueError(f"row {v}: neighbor id outside [0, {n})")
         nbrs[v] = ids
     # n rows, none repeated and all in range: no id is missing
-    _check_edges(nbrs)
-    return cls(n, labels, tables, nbrs)
+    indptr = np.cumsum([0, *map(len, nbrs)])
+    indices = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
+                          indptr[-1])
+    _check_edges(indptr, indices)
+    return cls(n, labels, tables, indptr, indices)
 
 
-def _check_edges(nbrs):
+def _check_edges(indptr, indices):
     """u lists v exactly as often as v lists u, no row lists itself,
-    and no row lists an id twice. Each list must be sorted."""
-    n = len(nbrs)
-    src = np.repeat(np.arange(n), [len(ids) for ids in nbrs])
-    dst = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
-                      len(src))
-    fwd = src * n + dst     # ascending: rows in id order, lists sorted
-    back = np.sort(dst * n + src)
+    and no row lists an id twice, in a CSR whose rows are sorted."""
+    n = len(indptr) - 1
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    fwd = src * n + indices     # ascending: rows in id order, lists sorted
+    back = np.sort(indices * n + src)
     bad = np.flatnonzero(fwd != back)
     if bad.size:
         # the smaller key of the first mismatch is a listing u -> v
@@ -78,7 +80,7 @@ def _check_edges(nbrs):
                 else divmod(back[i], n)[::-1])
         raise ValueError(
             f"row {u} lists {v} more often than row {v} lists {u}")
-    own = np.flatnonzero(src == dst)
+    own = np.flatnonzero(src == indices)
     if own.size:
         raise ValueError(f"row {src[own[0]]} lists itself")
     twice = np.flatnonzero(fwd[1:] == fwd[:-1])

@@ -5,8 +5,8 @@ function, handing it nothing but the current vertex's link table and
 routing table, the target's label, and the packet header. The returned
 vertex must appear in the current link table; anything else is a
 firewall breach. Ground truth distances come from one bit-parallel
-BFS on the visibility graph, and verify_all_pairs compares every
-routed path against them.
+BFS over the visibility graph's CSR, and verify_all_pairs compares
+every routed path against them.
 """
 
 import copy
@@ -43,18 +43,24 @@ class Scheme:
     link tables, the contract both histogram kinds share.
 
     Subclasses set ``kind`` and ``Link`` (built once per vertex as
-    ``Link(labels, neighbor_ids, v)``), the ``max_*_bits`` bounds, the
-    routing ``step``, and the dump columns: ``columns`` fields written
-    by ``row_fields(v)`` and read back by ``parse_row(v, fields)``.
+    ``Link(labels, neighbor_ids, v)`` from v's row of the adjacency),
+    the ``max_*_bits`` bounds, the routing ``step``, and the dump
+    columns: ``columns`` fields written by ``row_fields(v)`` and read
+    back by ``parse_row(v, fields)``. The adjacency is the CSR pair
+    (indptr, indices) that visibility.VisibilityGraph builds, kept
+    without a copy.
     """
 
-    def __init__(self, n, labels, tables, neighbor_ids):
+    def __init__(self, n, labels, tables, indptr, indices):
         self.n = n
         self._labels = labels
         self._tables = tables
-        self._neighbor_ids = neighbor_ids
-        self._links = [self.Link(labels, ids, v)
-                       for v, ids in enumerate(neighbor_ids)]
+        self.indptr = indptr
+        self.indices = indices
+        # links and neighbor_ids slice one list, so each id is one object
+        self._ids, self._ptr = indices.tolist(), indptr.tolist()
+        self._links = [self.Link(labels, self.neighbor_ids(v), v)
+                       for v in range(n)]
 
     def label_of(self, v: int):
         return self._labels[v]
@@ -67,7 +73,7 @@ class Scheme:
 
     def neighbor_ids(self, v: int):
         """The ids v sees, ascending."""
-        return self._neighbor_ids[v]
+        return self._ids[self._ptr[v]:self._ptr[v + 1]]
 
 
 def run_route(scheme, s: int, t: int):
@@ -98,15 +104,6 @@ def run_route(scheme, s: int, t: int):
 
 
 _BATCH = 512   # sources per kernel batch: 8 uint64 words
-
-
-def _csr(neighbors):
-    """(indptr, indices) of the adjacency given by neighbor id lists."""
-    indptr = np.zeros(len(neighbors) + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
-    indices = np.concatenate([np.asarray(ids, dtype=np.int64)
-                              for ids in neighbors])
-    return indptr, indices
 
 
 def _bfs_levels(indptr, indices, sources):
@@ -144,22 +141,22 @@ def _bfs_levels(indptr, indices, sources):
         level += 1
 
 
-def distances(neighbors, sources):
-    """Hop distances by BFS: row i holds the distance from sources[i]
-    to every vertex, -1 where unreachable. neighbors[v] lists the ids
-    adjacent to v."""
-    n = len(neighbors)
-    d = _query_distances(_csr(neighbors), np.tile(np.arange(n), len(sources)),
+def distances(indptr, indices, sources):
+    """Hop distances by BFS on the CSR adjacency (indptr, indices):
+    row i holds the distance from sources[i] to every vertex, -1 where
+    unreachable."""
+    n = len(indptr) - 1
+    d = _query_distances(indptr, indices, np.tile(np.arange(n), len(sources)),
                          np.repeat(sources, n))
     return d.reshape(len(sources), n)
 
 
-def _query_distances(csr, qv, qt):
+def _query_distances(indptr, indices, qv, qt):
     """d(qv[i], qt[i]) for every i, from one kernel pass over the
     distinct qt; -1 where unreachable."""
     qv = np.asarray(qv, dtype=np.int64)
     qt = np.asarray(qt, dtype=np.int64)
-    wanted = np.zeros(len(csr[0]) - 1, dtype=bool)
+    wanted = np.zeros(len(indptr) - 1, dtype=bool)
     wanted[qt] = True
     targets = np.flatnonzero(wanted)
     j = (np.cumsum(wanted) - 1)[qt]         # index of qt[i] in targets
@@ -174,7 +171,7 @@ def _query_distances(csr, qv, qt):
         word = qv[order[lo:hi]] * -(-len(sources) // 64) + (js >> 6)
         mask = np.uint64(1) << (js & 63).astype(np.uint64)
         found, left = dist[lo:hi], hi - lo
-        for level, new in _bfs_levels(*csr, sources):
+        for level, new in _bfs_levels(indptr, indices, sources):
             hit = (np.take(new, word) & mask) != 0
             found[hit] = level
             left -= np.count_nonzero(hit)
@@ -327,7 +324,7 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 f"ordered pairs with s != t; use 'all'")
         pair_iter = _sample_pairs(n, k, seed)
 
-    csr = _csr(g.neighbors)
+    csr = g.indptr, g.indices
     reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(*csr, [0]))
     if reached < n:
         raise SchemeBuildError("visibility graph is not connected")
@@ -350,9 +347,9 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             vs, lens, reasons = _route_flat(scheme, chunk)
             ts = [t for _, t in chunk]
             if simple:   # only d(s, t) is read: each trace's first id
-                bfs_of = _query_distances(csr, [s for s, _ in chunk], ts)
+                bfs_of = _query_distances(*csr, [s for s, _ in chunk], ts)
             else:        # d(v, t) for every v on a trace
-                dq = _query_distances(csr, vs, np.repeat(ts, lens))
+                dq = _query_distances(*csr, vs, np.repeat(ts, lens))
                 bfs_of = dq[np.cumsum(lens) - lens]
                 dq = dq.tolist()
             o = 0

@@ -6,9 +6,9 @@ vertex's interval at the highest horizontal edge fully visible below
 it; the level-k dominators are the vertices closest to the base line,
 one per side, within the level-k interval of a vertex. Dominators come
 for all vertices at once from range-minimum queries over sparse tables,
-and breakpoints from a vertex's own neighbors, so preprocessing costs
-O(n log n + sum of degrees). The per-vertex definitions these must
-agree with are kept as test oracles.
+and breakpoints from one pass over the visibility graph's CSR, so
+preprocessing costs O(n log n + E) for E edges. The per-vertex
+definitions these must agree with are kept as test oracles.
 """
 
 import numpy as np
@@ -57,55 +57,54 @@ def closed_extremes(g: VisibilityGraph, lo_values, hi_values):
     """Per vertex v, the minimum of lo_values and the maximum of
     hi_values over the closed neighborhood of v."""
     n = g.n
-    size = np.array([len(nb) + 1 for nb in g.neighbors], dtype=np.int64)
-    start = np.cumsum(size) - size
-    members = np.empty(int(size.sum()), dtype=np.int64)
-    own = np.zeros(len(members), dtype=bool)
-    own[start] = True
-    members[own] = np.arange(n)
-    members[~own] = np.concatenate(g.neighbors)
+    # each CSR row with v inserted at its start
+    members = np.insert(g.indices, g.indptr[:-1], np.arange(n))
+    start = g.indptr[:-1] + np.arange(n)
     lo = np.minimum.reduceat(np.asarray(lo_values)[members], start)
     hi = np.maximum.reduceat(np.asarray(hi_values)[members], start)
     return lo, hi
 
 
-def breakpoint_of(g: VisibilityGraph, v: int):
-    """The breakpoint of a reflex or base vertex of a simple histogram.
+def breakpoints(g: VisibilityGraph):
+    """The breakpoint of every vertex of a simple histogram, -1 for the
+    convex non-base vertices, which have none.
 
     For an r-reflex vertex (and the left base vertex): the left endpoint
     of the highest horizontal edge that starts at or right of v, lies
     below v, and is entirely visible from v. For an l-reflex vertex (and
-    the right base vertex) the mirror image. Returns None for convex
-    non-base vertices.
+    the right base vertex) the mirror image.
 
-    A horizontal edge is entirely visible from v exactly when both of
-    its endpoints are neighbors of v, so only the edges through v's
-    neighbors are candidates.
+    P holds everything between a horizontal edge and the base, so v
+    sees the whole of an edge below it exactly when v sees the edge's
+    end nearer to v. The candidates are thus the neighbors of v that
+    are such near ends, and one pass over the CSR takes the highest
+    candidate of every vertex.
     """
     h = g.h
     if h.kind != "simple":
         raise ValueError("breakpoints exist on simple histograms only")
-    is_base = v == 0 or v == h.n - 1
-    if h.convex[v] and not is_base:
-        return None
-    rightward = (v == 0) if is_base else not h.is_left[v]
-    nb = g.neighbors[v]     # sorted ascending
-    partner = h.cv[nb]
-    pos = np.minimum(np.searchsorted(nb, partner), len(nb) - 1)
-    visible = nb[pos] == partner
-    xv = h.xs[v]
-    xu, xp = h.xs[nb], h.xs[partner]
-    if rightward:
-        beside = np.minimum(xu, xp) >= xv
-        pick = np.where(xu < xp, nb, partner)
-    else:
-        beside = np.maximum(xu, xp) <= xv
-        pick = np.where(xu > xp, nb, partner)
-    ye = h.ys[nb]
-    cand = np.flatnonzero(visible & beside & (ye < h.ys[v]))
-    if len(cand) == 0:
-        raise AssertionError(f"no breakpoint for vertex {v}")
-    return int(pick[cand[np.argmax(ye[cand])]])
+    n = h.n
+    ids = np.arange(n)
+    is_base = (ids == 0) | (ids == n - 1)
+    has_br = is_base | ~h.convex
+    rightward = np.where(is_base, ids == 0, ~h.is_left)
+    v = np.repeat(ids, np.diff(g.indptr))
+    u = g.indices
+    # u must be its edge's end nearer v, on the side v looks toward
+    xu, xp, xv, right = h.xs[u], h.xs[h.cv[u]], h.xs[v], rightward[v]
+    near = ((xu < xp) == right) & np.where(right, xu >= xv, xu <= xv)
+    keep = near & (h.ys[u] < h.ys[v]) & has_br[v]
+    v, u, ye = v[keep], u[keep], h.ys[u[keep]]
+    # per-row argmax over y: one horizontal edge has each y
+    top = np.full(n, np.iinfo(np.int64).min)
+    np.maximum.at(top, v, ye)
+    best = ye == top[v]
+    br = np.full(n, -1, dtype=np.int64)
+    br[v[best]] = u[best]
+    missing = first_vertex(has_br & (br < 0))
+    if missing is not None:
+        raise AssertionError(f"no breakpoint for vertex {missing}")
+    return br
 
 
 def dominator_levels(g: VisibilityGraph, k: int):

@@ -374,20 +374,16 @@ def normalize(h: Histogram) -> Histogram:
     0..n/2-1 (the base stays on top). For double histograms the negative
     y values become -1,-2,... outward from the base line and the positive
     ones 1,2,... likewise. Visibility only depends on coordinate order,
-    so the visibility graph is unchanged. Idempotent.
+    so the visibility graph is unchanged. Idempotent. The ranks keep the
+    order on each axis and the sign of y, so the result is valid
+    whenever h is and is not validated again.
     """
-    xs_sorted = sorted(set(int(v) for v in h.xs))
-    xmap = {v: i for i, v in enumerate(xs_sorted)}
-    if h.kind == "simple":
-        ys_sorted = sorted(set(int(v) for v in h.ys))
-        ymap = {v: i for i, v in enumerate(ys_sorted)}
-    else:
-        neg = sorted((int(v) for v in set(h.ys) if v < 0), reverse=True)
-        pos = sorted(int(v) for v in set(h.ys) if v > 0)
-        ymap = {v: -(i + 1) for i, v in enumerate(neg)}
-        ymap.update({v: i + 1 for i, v in enumerate(pos)})
-    pts = [(xmap[int(x)], ymap[int(y)]) for x, y in zip(h.xs, h.ys)]
-    return build_histogram(pts, h.kind)
+    xs = np.unique(h.xs, return_inverse=True)[1]
+    y_values, ys = np.unique(h.ys, return_inverse=True)
+    if h.kind == "double":   # ranks -k..-1 below the base line, 1.. above
+        below = np.searchsorted(y_values, 0)
+        ys = np.where(h.ys < 0, ys - below, ys - below + 1)
+    return Histogram(h.kind, list(zip(xs.tolist(), ys.tolist())))
 
 
 def generate(kind: str, n: int, seed: int) -> Histogram:

@@ -47,7 +47,8 @@ class DoubleLink:
         # entries: (vid, DoubleLabel) pairs
         entries = [(u, labels[u]) for u in neighbor_ids]
         entries.append((own_vid, labels[own_vid]))
-        self.entries = sorted(entries, key=lambda e: (e[1].x, e[1].y))
+        entries.sort(key=lambda e: (e[1].x, e[1].y))
+        self.entries = entries
         self.id_set = {vid for vid, _ in self.entries}
         self.own_vid = own_vid
         self.own = labels[own_vid]
@@ -214,8 +215,8 @@ class DoubleScheme(Scheme):
     Link = DoubleLink
     columns = 4     # coordinates, interval bounds, table fields, bit
 
-    def __init__(self, n, labels, tables, neighbor_ids):
-        super().__init__(n, labels, tables, neighbor_ids)
+    def __init__(self, n, labels, tables, indptr, indices):
+        super().__init__(n, labels, tables, indptr, indices)
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
@@ -273,8 +274,7 @@ def preprocess_double(h, g) -> DoubleScheme:
     labels = [DoubleLabel(*f) for f in zip(
         h.xs.tolist(), h.ys.tolist(), lm.l_x.tolist(), lm.r_x.tolist())]
     tables = []     # filled in once every check has passed
-    scheme = DoubleScheme(n, labels, tables,
-                          [a.tolist() for a in g.neighbors])
+    scheme = DoubleScheme(n, labels, tables, g.indptr, g.indices)
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]

@@ -29,7 +29,8 @@ class SimpleLink:
     def __init__(self, labels, neighbor_ids, own_vid: int):
         # a simple label's vid is its vertex id, so sorting the ids
         # sorts the labels
-        self.ids = sorted([*neighbor_ids, own_vid])
+        self.ids = [*neighbor_ids, own_vid]
+        self.ids.sort()
         self.id_set = set(self.ids)
         self._br = {u: labels[u].br for u in self.ids}
         self.own_vid = own_vid
@@ -72,8 +73,8 @@ class SimpleScheme(Scheme):
     max_table_bits = 1
     max_header_bits = 0
 
-    def __init__(self, n, labels, tables, neighbor_ids):
-        super().__init__(n, labels, tables, neighbor_ids)
+    def __init__(self, n, labels, tables, indptr, indices):
+        super().__init__(n, labels, tables, indptr, indices)
         w = (n - 1).bit_length()
         self.max_label_bits = max(
             w * (2 if lab.br is not None else 1) for lab in labels)
@@ -131,9 +132,10 @@ def preprocess_simple(h, g) -> SimpleScheme:
         raise SchemeBuildError(
             f"closed neighborhood of {v} does not end at the landmarks")
 
-    labels = [SimpleLabel(v, lmk.breakpoint_of(g, v)) for v in range(n)]
+    labels = [SimpleLabel(v, b if b >= 0 else None)
+              for v, b in enumerate(lmk.breakpoints(g).tolist())]
     bits = (lm.l_y > lm.r_y).tolist()
-    return SimpleScheme(n, labels, bits, [a.tolist() for a in g.neighbors])
+    return SimpleScheme(n, labels, bits, g.indptr, g.indices)
 
 
 def dump_scheme(scheme: SimpleScheme) -> str:

@@ -8,7 +8,8 @@ For every vertex v this module computes the two horizontal ray hits
 l(v) and r(v) (leftward and rightward from v) and the visibility
 interval I(v) = [l(v).x, r(v).x]. Two vertices are co-visible exactly
 when each lies in the other's interval, which gives an O(1) pair test
-once the intervals are known.
+once the intervals are known. VisibilityGraph stores the edges once, as
+the CSR adjacency that the rest of the package reads.
 
 Every vertex lies on one horizontal edge of its chain, its tooth, and
 both of its rays run at the tooth's height. Only the ray's own chain
@@ -20,6 +21,8 @@ Schieber and Vishkin 1993), one monotone-stack pass per chain.
 import numpy as np
 
 from .polygon import Histogram
+
+_RUN_CHUNK = 1 << 16    # run entries expanded at a time, plus one run
 
 
 class Landmarks:
@@ -97,29 +100,45 @@ def compute_landmarks(h: Histogram) -> Landmarks:
 
 
 class VisibilityGraph:
-    """Histogram plus landmarks plus sorted neighbor id arrays."""
+    """Histogram, landmarks, and the one adjacency every module reads: a
+    CSR (compressed sparse row) pair of int64 arrays. Row v of it,
+    indices[indptr[v]:indptr[v + 1]], lists the other vertices v sees,
+    ascending."""
 
     def __init__(self, h: Histogram, lm: Landmarks):
         self.h = h
         self.lm = lm
-        self.n = h.n
+        self.n = n = h.n
         # the vertices with x in I(v) are one run in x order; of those,
-        # v's neighbors are the others whose own interval holds x(v)
+        # v's neighbors are the others whose own interval holds x(v).
+        # The runs total up to order n^2 entries even when the edges are
+        # few, so they are expanded about _RUN_CHUNK entries at a time.
         order = np.argsort(h.xs, kind="stable")
         x_sorted = h.xs[order]
-        lo_sorted, hi_sorted = lm.l_x[order], lm.r_x[order]
-        start = np.searchsorted(x_sorted, lm.l_x, "left").tolist()
-        stop = np.searchsorted(x_sorted, lm.r_x, "right").tolist()
-        self.neighbors = []
-        for v, (a, b, xv) in enumerate(zip(start, stop, h.xs.tolist())):
-            run = order[a:b][(lo_sorted[a:b] <= xv) & (xv <= hi_sorted[a:b])]
-            self.neighbors.append(np.sort(run[run != v]))
+        start = np.searchsorted(x_sorted, lm.l_x, "left")
+        size = np.searchsorted(x_sorted, lm.r_x, "right") - start
+        ends = np.cumsum(size)      # I(v) holds v, so every size is >= 1
+        lead = start - (ends - size)    # x-order position - expansion index
+        cuts = np.flatnonzero(np.diff(ends // _RUN_CHUNK, prepend=-1))
+        keys = []
+        for a, b in zip(cuts, [*cuts[1:], n]):
+            v = np.repeat(np.arange(a, b), size[a:b])
+            u = order[lead[v] + np.arange(ends[a] - size[a], ends[b - 1])]
+            keep = (lm.l_x[u] <= h.xs[v]) & (h.xs[v] <= lm.r_x[u]) & (u != v)
+            keys.append(np.sort(v[keep] * n + u[keep]))
+        key = np.concatenate(keys)      # ascending: v*n + u, rows by v
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.indices = key % n
+
+    def neighbors_of(self, v: int):
+        """The ids v sees, ascending: a view into the CSR."""
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return len(self.indices) // 2
 
     def interval(self, v: int):
         return int(self.lm.l_x[v]), int(self.lm.r_x[v])

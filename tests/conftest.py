@@ -68,6 +68,24 @@ def make_double(text_or_n, seed=0):
     return h, g
 
 
+def staircase_text(m):
+    """A simple histogram with m teeth whose floors rise left to right,
+    with every third adjacent pair swapped: long intervals, many
+    candidate edges per breakpoint."""
+    heights = list(range(m))
+    for i in range(0, m - 1, 3):
+        heights[i], heights[i + 1] = heights[i + 1], heights[i]
+    pts = [(0, m), (0, heights[0])]
+    for i in range(1, m):
+        pts += [(i, heights[i - 1]), (i, heights[i])]
+    pts += [(m, heights[-1]), (m, m)]
+    return f"simple {len(pts)}\n" + "".join(f"{x} {y}\n" for x, y in pts)
+
+
+def near_staircase(m):
+    return make_simple(staircase_text(m))
+
+
 @pytest.fixture(scope="session")
 def rect():
     return make_simple(H_RECT_TEXT)

@@ -15,7 +15,7 @@ import oracles
 
 
 def distance_matrix(g):
-    return engine.distances(g.neighbors, list(range(g.n)))
+    return engine.distances(g.indptr, g.indices, list(range(g.n)))
 
 
 def invisible_interval_pairs(g):

@@ -87,7 +87,7 @@ def dominators(g: VisibilityGraph, s: int, t: int):
     is then a boundary point).
     """
     h = g.h
-    cand = [int(u) for u in g.neighbors[s]] + [s]
+    cand = g.neighbors_of(s).tolist() + [s]
     if h.kind == "simple":
         if t > s:
             nd = max(u for u in cand if u < t)
@@ -136,7 +136,7 @@ def extension_sequences(g: VisibilityGraph, s: int):
     """
     h = g.h
     lm = g.lm
-    nbr = [int(u) for u in g.neighbors[s]]
+    nbr = g.neighbors_of(s).tolist()
 
     chain_a = [s]
     while True:
@@ -383,6 +383,20 @@ def ray_hits(h: Histogram):
             for key, value in zip(("vid", "x", "y"), (vid, *hit)):
                 out[f"{side}_{key}"].append(value)
     return {name: np.array(vals, dtype=np.int64) for name, vals in out.items()}
+
+
+def neighbor_lists(g: VisibilityGraph):
+    """The graph's adjacency as one id list per vertex."""
+    return [g.neighbors_of(v).tolist() for v in range(g.n)]
+
+
+def csr_of(neighbors):
+    """The (indptr, indices) pair of the adjacency given by neighbor id
+    lists, for graphs written out by hand."""
+    indptr = np.zeros(len(neighbors) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
+    indices = np.array([u for ids in neighbors for u in ids], dtype=np.int64)
+    return indptr, indices
 
 
 def bfs(neighbors, s: int):

@@ -90,24 +90,25 @@ def test_hop_limit(sch_steps):
 
 def test_distances_rect(rect):
     h, g = rect
-    assert engine.distances(g.neighbors, [0]).tolist() == [[0, 1, 1, 1]]
+    assert engine.distances(g.indptr, g.indices, [0]).tolist() == \
+        [[0, 1, 1, 1]]
 
 
 def test_distances_steps(steps):
     h, g = steps
-    d = engine.distances(g.neighbors, [2, 6])
+    d = engine.distances(g.indptr, g.indices, [2, 6])
     assert d[0, 6] == 3 and d[0, 2] == 0 and d[0, 0] == 1
     assert d[1, 2] == 3
 
 
 def test_distances_unreachable():
     # 0 - 1   2 (isolated), read from plain lists
-    d = engine.distances([[1], [0], []], [0, 2])
+    d = engine.distances(*oracles.csr_of([[1], [0], []]), [0, 2])
     assert d.tolist() == [[0, 1, -1], [-1, -1, 0]]
 
 
 def assert_matches_queue_bfs(neighbors, sources):
-    d = engine.distances(neighbors, sources)
+    d = engine.distances(*oracles.csr_of(neighbors), sources)
     assert d.dtype == np.int64 and d.shape == (len(sources), len(neighbors))
     rows = {s: oracles.bfs(neighbors, s) for s in set(sources)}
     assert d.tolist() == [rows[s] for s in sources]
@@ -118,7 +119,8 @@ def test_distances_match_queue_bfs(rect, steps, dbl, dbl_raw, drect,
                                    random_simples, random_doubles):
     for h, g in [rect, steps, dbl, dbl_raw, drect, *small_simples,
                  *small_doubles, *random_simples, *random_doubles]:
-        assert_matches_queue_bfs(g.neighbors, list(range(g.n)))
+        assert_matches_queue_bfs(oracles.neighbor_lists(g),
+                                 list(range(g.n)))
 
 
 @pytest.mark.parametrize("neighbors", [
@@ -133,7 +135,7 @@ def test_distances_empty_rows(neighbors):
 
 def test_distances_repeated_sources(steps):
     h, g = steps
-    assert_matches_queue_bfs(g.neighbors, [2, 2, 0, 2, 7, 0])
+    assert_matches_queue_bfs(oracles.neighbor_lists(g), [2, 2, 0, 2, 7, 0])
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 512, 513])
@@ -141,7 +143,7 @@ def test_distances_word_and_batch_edges(count):
     # sources fill whole 64-bit words and 512-source batches, or spill
     # one over; the appended vertex is isolated, so rows hold -1 too
     h, g = make_double(200, seed=7)
-    neighbors = [list(ids) for ids in g.neighbors] + [[]]
+    neighbors = oracles.neighbor_lists(g) + [[]]
     rng = np.random.default_rng(count)
     sources = rng.integers(0, len(neighbors), size=count).tolist()
     sources[-1] = len(neighbors) - 1
@@ -150,7 +152,7 @@ def test_distances_word_and_batch_edges(count):
 
 def test_verify_rejects_disconnected_graph(sch_rect):
     class Cut:      # the rectangle's graph split into 0-1 and 2-3
-        neighbors = [[1], [0], [3], [2]]
+        indptr, indices = oracles.csr_of([[1], [0], [3], [2]])
 
     with pytest.raises(engine.SchemeBuildError, match="not connected"):
         engine.verify_all_pairs(sch_rect, Cut())
@@ -221,8 +223,9 @@ def test_verify_csv_bfs_matches_queue_bfs(tmp_path, make):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 400
+    neighbors = oracles.neighbor_lists(g)
     for r in rows:
-        want = oracles.bfs(g.neighbors, int(r["t"]))[int(r["s"])]
+        want = oracles.bfs(neighbors, int(r["t"]))[int(r["s"])]
         assert int(r["bfs"]) == want
 
 
@@ -249,7 +252,8 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
     rep = engine.verify_all_pairs(sch, g, report_path=str(out))
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    dist = [oracles.bfs(g.neighbors, t) for t in range(h.n)]
+    neighbors = oracles.neighbor_lists(g)
+    dist = [oracles.bfs(neighbors, t) for t in range(h.n)]
     want_rows, want_failures = [], []
     for s, t in [(s, t) for s in range(h.n) for t in range(h.n) if s != t]:
         bfs = dist[t][s]
@@ -309,7 +313,7 @@ def test_verify_sampled_pairs_are_the_one_shot_sample(tmp_path):
                             pairs=500, seed=11, report_path=str(out))
     with open(out) as fh:
         rows = list(csv.reader(fh))[1:]
-    want = oracles.sample_pairs(len(g.neighbors), 500, 11)
+    want = oracles.sample_pairs(g.n, 500, 11)
     assert [(int(r[0]), int(r[1])) for r in rows] == want
 
 

@@ -5,19 +5,18 @@ from histroute import landmarks, visibility
 
 import invariants
 import oracles
-from conftest import make_simple
+from conftest import near_staircase
 
 
 def test_breakpoints_rect(rect):
     h, g = rect
-    assert [landmarks.breakpoint_of(g, v) for v in range(4)] == \
-        [1, None, None, 2]
+    assert landmarks.breakpoints(g).tolist() == [1, -1, -1, 2]
 
 
 def test_breakpoints_steps(steps):
     h, g = steps
-    assert [landmarks.breakpoint_of(g, v) for v in range(8)] == \
-        [3, None, None, 2, 5, None, None, 4]
+    assert landmarks.breakpoints(g).tolist() == \
+        [3, -1, -1, 2, 5, -1, -1, 4]
 
 
 def test_dominators_steps(steps):
@@ -60,7 +59,7 @@ def test_extension_reaches_neighborhood_extremes(small_doubles):
     for h, g in small_doubles:
         for s in range(g.n):
             chain_a, chain_b = oracles.extension_sequences(g, s)
-            closed = [s] + [int(u) for u in g.neighbors[s]]
+            closed = [s] + g.neighbors_of(s).tolist()
             assert int(g.lm.l_x[chain_a[-1]]) == \
                 min(int(g.lm.l_x[u]) for u in closed)
             assert int(g.lm.r_x[chain_b[-1]]) == \
@@ -153,32 +152,18 @@ def test_simple_near_dominator_shape(small_simples):
                 assert fd in (int(g.lm.l_vid[nd]), int(g.lm.r_vid[nd]))
 
 
-def near_staircase(m):
-    """A simple histogram with m teeth whose floors rise left to right,
-    with every third adjacent pair swapped: long intervals, many
-    candidate edges per breakpoint."""
-    heights = list(range(m))
-    for i in range(0, m - 1, 3):
-        heights[i], heights[i + 1] = heights[i + 1], heights[i]
-    pts = [(0, m), (0, heights[0])]
-    for i in range(1, m):
-        pts += [(i, heights[i - 1]), (i, heights[i])]
-    pts += [(m, heights[-1]), (m, m)]
-    text = f"simple {len(pts)}\n" + "".join(f"{x} {y}\n" for x, y in pts)
-    return make_simple(text)
-
-
 def test_breakpoints_match_edge_scan(small_simples, random_simples):
     for h, g in small_simples + random_simples + [near_staircase(99)]:
+        got = landmarks.breakpoints(g).tolist()
         for v in range(h.n):
-            assert landmarks.breakpoint_of(g, v) == \
-                oracles.breakpoint_of(g, v), f"n={h.n} v={v}"
+            want = oracles.breakpoint_of(g, v)
+            assert got[v] == (-1 if want is None else want), f"n={h.n} v={v}"
 
 
 def test_breakpoint_requires_simple(dbl):
     h, g = dbl
     with pytest.raises(ValueError):
-        landmarks.breakpoint_of(g, 0)
+        landmarks.breakpoints(g)
 
 
 def test_dominator_levels_match_oracle(small_doubles, random_doubles):
@@ -221,9 +206,14 @@ def test_range_min_matches_slices():
 
 
 def test_closed_extremes(small_simples, small_doubles):
+    # random values too: on these corpora v's own interval end never
+    # decides an extreme, so l_x and r_x alone miss a dropped own entry
+    rng = np.random.default_rng(4)
     for h, g in small_simples + small_doubles:
-        lo, hi = landmarks.closed_extremes(g, g.lm.l_x, g.lm.r_x)
-        for v in range(h.n):
-            closed = [v] + g.neighbors[v].tolist()
-            assert lo[v] == min(int(g.lm.l_x[u]) for u in closed)
-            assert hi[v] == max(int(g.lm.r_x[u]) for u in closed)
+        for lo_in, hi_in in ((g.lm.l_x, g.lm.r_x),
+                             rng.integers(0, 9, size=(2, h.n))):
+            lo, hi = landmarks.closed_extremes(g, lo_in, hi_in)
+            for v in range(h.n):
+                closed = [v] + g.neighbors_of(v).tolist()
+                assert lo[v] == min(int(lo_in[u]) for u in closed)
+                assert hi[v] == max(int(hi_in[u]) for u in closed)

@@ -1,10 +1,11 @@
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
-from histroute import polygon
+from histroute import polygon, visibility
 
-from conftest import H_DBL_TEXT, H_RECT_TEXT, H_STEPS_TEXT
+from conftest import H_DBL_TEXT, H_RECT_TEXT, H_STEPS_TEXT, near_staircase
 
 
 def pts(text):
@@ -129,6 +130,33 @@ def test_normalize_double_signs_and_idempotence():
     assert sorted({int(y) for y in nh.ys if y > 0}) == [1, 2, 3]
     again = polygon.normalize(nh)
     assert again.points() == nh.points()
+
+
+def stretched(h, rng):
+    """h with every coordinate moved by an increasing map that keeps
+    the sign of y: the same polygon up to coordinate order."""
+    def spread(values):
+        ranks = np.unique(np.abs(values), return_inverse=True)[1]
+        gaps = rng.integers(1, 5, size=ranks.max() + 1)
+        return np.sign(values) * np.cumsum(gaps)[ranks]
+    ys = spread(h.ys) if h.kind == "double" else spread(h.ys + 1)
+    return polygon.build_histogram(list(zip(spread(h.xs + 1).tolist(),
+                                            ys.tolist())), h.kind)
+
+
+def test_normalize_keeps_validity_and_visibility(
+        small_simples, small_doubles, random_simples, random_doubles):
+    # normalize builds its result without validating it again
+    rng = np.random.default_rng(3)
+    for h, g in (small_simples + small_doubles + random_simples
+                 + random_doubles + [near_staircase(99)]):
+        for raw in (h, stretched(h, rng)):
+            nh = polygon.normalize(raw)
+            assert polygon.validate(nh.points(), h.kind).ok
+            assert nh.points() == polygon.normalize(h).points()
+            gn = visibility.build_graph(nh)
+            assert gn.indptr.tolist() == g.indptr.tolist()
+            assert gn.indices.tolist() == g.indices.tolist()
 
 
 @pytest.mark.parametrize("kind,n", [("simple", 3), ("simple", 7),

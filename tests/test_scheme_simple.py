@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from histroute import engine, scheme_simple
@@ -35,8 +36,7 @@ def test_size_bounds(sch_rect, sch_steps):
 def test_neighbor_ids(sch_steps, steps):
     h, g = steps
     for v in range(8):
-        assert sorted(sch_steps.neighbor_ids(v)) == \
-            sorted(int(u) for u in g.neighbors[v])
+        assert sch_steps.neighbor_ids(v) == g.neighbors_of(v).tolist()
 
 
 def test_route_trace_steps(sch_steps):
@@ -97,6 +97,19 @@ def test_dump_round_trip(sch_steps):
         assert sorted(again.neighbor_ids(v)) == \
             sorted(sch_steps.neighbor_ids(v))
     assert engine.run_route(again, 2, 6) == [2, 0, 7, 6]
+
+
+def test_dump_read_takes_rows_and_ids_in_any_order(sch_steps):
+    head, *rows = scheme_simple.dump_scheme(sch_steps).splitlines()
+    rng = np.random.default_rng(2)
+    shuffled = []
+    for i in rng.permutation(len(rows)):
+        *fields, ids = rows[i].split(" | ")
+        ids = " ".join(rng.permutation(ids.split()).tolist())
+        shuffled.append(" | ".join([*fields, ids]))
+    again = scheme_simple.parse_dump("\n".join([head, *shuffled]))
+    assert scheme_simple.dump_scheme(again) == \
+        scheme_simple.dump_scheme(sch_steps)
 
 
 def test_parse_dump_rejects_garbage():

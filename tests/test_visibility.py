@@ -2,12 +2,13 @@ import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
-from histroute import polygon, visibility
+from histroute import polygon, scheme_double, scheme_simple, visibility
 
 import oracles
-from conftest import make_double, make_simple
+from conftest import make_double, make_simple, staircase_text
 
 
 def all_pairs_match(h, g):
@@ -44,7 +45,7 @@ def test_self_visible(steps):
     h, g = steps
     assert visibility.co_visible_fast(g, 3, 3)
     assert oracles.co_visible_naive(h, 3, 3)
-    assert 3 not in g.neighbors[3]
+    assert 3 not in g.neighbors_of(3)
 
 
 def left_hit(g, v):
@@ -87,10 +88,13 @@ def test_vertical_partners_always_visible(small_doubles):
 def test_symmetry(small_simples, small_doubles):
     # sorted, free of self entries, and w lists v exactly when v lists w
     for h, g in small_simples + small_doubles:
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
         pairs = set()
-        for v, nb in enumerate(g.neighbors):
-            ids = nb.tolist()
+        for v in range(h.n):
+            ids = g.neighbors_of(v).tolist()
             assert ids == sorted(set(ids)) and v not in ids
+            assert g.degree(v) == len(ids)
             pairs.update((v, w) for w in ids)
         assert pairs == {(w, v) for v, w in pairs}
         assert g.edge_count() == len(pairs) // 2
@@ -99,7 +103,7 @@ def test_symmetry(small_simples, small_doubles):
 def test_neighbors_match_adjacency(steps, dbl, small_simples, small_doubles):
     for h, g in [steps, dbl] + small_simples + small_doubles:
         for v in range(h.n):
-            assert g.neighbors[v].tolist() == [
+            assert g.neighbors_of(v).tolist() == [
                 w for w in range(h.n)
                 if w != v and oracles.co_visible_naive(h, v, w)]
 
@@ -143,8 +147,8 @@ def test_normalize_preserves_visibility(n, seed):
     h = polygon.generate("double", n, seed=seed)
     g = visibility.build_graph(h)
     gn = visibility.build_graph(polygon.normalize(h))
-    assert [nb.tolist() for nb in g.neighbors] == \
-        [nb.tolist() for nb in gn.neighbors]
+    assert g.indptr.tolist() == gn.indptr.tolist()
+    assert g.indices.tolist() == gn.indices.tolist()
 
 
 def test_landmarks_match_ray_walk(rect, steps, dbl, dbl_raw, drect,
@@ -162,10 +166,15 @@ def test_landmarks_match_ray_walk(rect, steps, dbl, dbl_raw, drect,
             assert getattr(lm, name).tolist() == walked.tolist(), (h, name)
 
 
-@pytest.mark.parametrize("kind", ["simple", "double"])
+@pytest.mark.parametrize("kind", ["simple", "double", "staircase"])
 def test_graph_memory_is_linear(kind):
-    # a dense n x n relation would need about 195 MiB at this size
-    h = polygon.generate(kind, 10_000, seed=1)
+    # a dense n x n relation would need about 195 MiB at this size; on
+    # the staircase the x-runs of the intervals hold ~n^2 / 3 entries,
+    # so expanding them all at once would too
+    if kind == "staircase":
+        h = polygon.parse_polygon(staircase_text(4999))
+    else:
+        h = polygon.generate(kind, 10_000, seed=1)
     tracemalloc.start()
     try:
         visibility.build_graph(h)
@@ -173,3 +182,22 @@ def test_graph_memory_is_linear(kind):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"build_graph peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind, preprocess, bound_mib", [
+    ("simple", scheme_simple.preprocess_simple, 20),
+    ("double", scheme_double.preprocess_double, 48),
+], ids=["simple", "double"])
+def test_preprocess_memory(kind, preprocess, bound_mib):
+    # measured peaks at this size: 13.9 MiB simple, 38.1 MiB double,
+    # most of it the per-vertex link objects the schemes keep
+    h = polygon.normalize(polygon.generate(kind, 10_000, seed=1))
+    g = visibility.build_graph(h)
+    tracemalloc.start()
+    try:
+        preprocess(h, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, \
+        f"{preprocess.__name__} peak {peak / 2**20:.1f} MiB"
