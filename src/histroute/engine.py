@@ -210,7 +210,7 @@ class VerifyReport:
         ]
 
 
-def check_two_step_progress(trace, drow):
+def check_two_step_progress(d):
     """Check that a routed trace makes progress in at most two hops.
 
     The trace must decompose into consecutive segments of one or two
@@ -218,9 +218,9 @@ def check_two_step_progress(trace, drow):
     stretch-2 argument chains exactly these segments. Positions in the
     middle of a segment carry no guarantee of their own, so the check
     asks whether some segmentation reaches the end of the trace.
+    d lists the BFS distance to the target of each vertex on the trace.
     Returns None, or a failure reason.
     """
-    d = [drow[v] for v in trace]
     if all(map(operator.gt, d, d[1:])):     # every hop gets closer
         return None
     m = len(d)
@@ -367,8 +367,7 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                     if routed > 2 * n:
                         reason = "route longer than 2n hops"
                     if not simple and reason is None:
-                        reason = check_two_step_progress(
-                            trace, dict(zip(trace, dq[o:o + m])))
+                        reason = check_two_step_progress(dq[o:o + m])
                 o += m
                 stretch = (routed / bfs) if routed >= 0 and bfs > 0 \
                     else float("inf")

@@ -13,6 +13,7 @@ definitions these must agree with are kept as test oracles.
 
 import numpy as np
 
+from .engine import SchemeBuildError
 from .visibility import VisibilityGraph
 
 
@@ -103,7 +104,7 @@ def breakpoints(g: VisibilityGraph):
     br[v[best]] = u[best]
     missing = first_vertex(has_br & (br < 0))
     if missing is not None:
-        raise AssertionError(f"no breakpoint for vertex {missing}")
+        raise SchemeBuildError(f"no breakpoint for vertex {missing}")
     return br
 
 

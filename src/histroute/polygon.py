@@ -12,12 +12,13 @@ supported:
   is the top endpoint of the left boundary edge, vertex 1 the bottom
   endpoint.
 
-All coordinates are integers, counterclockwise orientation, and general
-position: every x value and every y value is shared by exactly two
-vertices.
+All coordinates are integers of absolute value below 2**62,
+counterclockwise orientation, and general position: every x value and
+every y value is shared by exactly two vertices.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class PolygonError(Exception):
 
     ``code`` identifies the first failed check: one of ``syntax``,
     ``closed-cycle``, ``x-monotone``, ``general-position``,
-    ``orientation``, ``numbering``, ``base-edge``, ``base-line``.
+    ``orientation``, ``numbering``, ``base-line``.
     """
 
     def __init__(self, code: str, message: str):
@@ -47,14 +48,13 @@ class Histogram:
     """A validated histogram polygon with derived per-vertex facts.
 
     Construct via :func:`build_histogram`; the constructor assumes the
-    point list already passed :func:`validate`.
+    int64 coordinate arrays already passed :func:`validate`.
     """
 
-    def __init__(self, kind: str, points):
+    def __init__(self, kind: str, xs, ys):
         self.kind = kind
-        self.n = len(points)
-        self.xs = np.array([p[0] for p in points], dtype=np.int64)
-        self.ys = np.array([p[1] for p in points], dtype=np.int64)
+        self.n = len(xs)
+        self.xs, self.ys = xs, ys
         self._derive()
 
     def _derive(self):
@@ -74,11 +74,12 @@ class Histogram:
         self.cv = np.where(horiz_next, nxt, prv)
         self.is_left = xs < xs[self.cv]
 
-        # Convexity from the cross product of incoming and outgoing edges;
-        # positive cross means a left turn on a ccw boundary.
-        din_x, din_y = xs - xs[prv], ys - ys[prv]
-        dout_x, dout_y = xs[nxt] - xs, ys[nxt] - ys
-        self.convex = (din_x * dout_y - din_y * dout_x) > 0
+        # Convex where a ccw boundary turns left. One of the two edges at
+        # v is horizontal and the other vertical, so the sign of the cross
+        # product comes from the signs of the edge directions alone.
+        sx_in, sy_in = np.sign(xs - xs[prv]), np.sign(ys - ys[prv])
+        sx_out, sy_out = np.sign(xs[nxt] - xs), np.sign(ys[nxt] - ys)
+        self.convex = sx_in * sy_out - sy_in * sx_out > 0
 
         side = np.empty(n, dtype=np.int64)
         if self.kind == "simple":
@@ -98,226 +99,173 @@ class Histogram:
         self.he_vright = np.where(xs[h_from] < xs[h_to], h_to, h_from)
 
     def points(self):
-        return [(int(x), int(y)) for x, y in zip(self.xs, self.ys)]
+        return list(zip(self.xs.tolist(), self.ys.tolist()))
 
     def __repr__(self):
         return f"Histogram(kind={self.kind!r}, n={self.n})"
 
 
-def _check_closed_cycle(points):
-    n = len(points)
+# Coordinates lie strictly between -2**62 and 2**62, so every difference
+# of two of them fits in int64.
+_LIMIT = 1 << 62
+
+
+def _coords(points):
+    """The points as int64 arrays xs, ys: the one conversion from Python
+    integers, behind the one range check."""
+    flat = list(itertools.chain.from_iterable(points))
+    try:
+        a = np.array(flat, dtype=np.int64)
+    except OverflowError:   # beyond int64: compare as Python ints
+        a = np.array(flat, dtype=object)
+    bad = np.flatnonzero((a <= -_LIMIT) | (a >= _LIMIT))
+    if len(bad):
+        i = bad[0]
+        raise PolygonError(
+            "syntax", f"vertex {i // 2}: coordinate {a[i]} is out of range, "
+            "|c| must be below 2**62")
+    return a.reshape(-1, 2).T.copy()
+
+
+def _check_closed_cycle(xs, ys):
+    n = len(xs)
     if n < 4 or n % 2 != 0:
         return f"need an even number of vertices, at least 4, got {n}"
-    if len(set(points)) != n:
+    order = np.lexsort((ys, xs))
+    if ((np.diff(xs[order]) == 0) & (np.diff(ys[order]) == 0)).any():
         return "duplicate vertices"
-    kinds = []
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        if x0 == x1 and y0 != y1:
-            kinds.append("v")
-        elif y0 == y1 and x0 != x1:
-            kinds.append("h")
-        else:
-            return f"edge {i} is not axis-parallel"
-    for i in range(n):
-        if kinds[i] == kinds[(i + 1) % n]:
-            return f"edges {i} and {(i + 1) % n} do not alternate"
+    # edge i runs from vertex i to i+1; with no duplicates it is
+    # axis-parallel when dx or dy is 0
+    dx, dy = np.roll(xs, -1) - xs, np.roll(ys, -1) - ys
+    bad = np.flatnonzero((dx != 0) & (dy != 0))
+    if len(bad):
+        return f"edge {bad[0]} is not axis-parallel"
+    vertical = dx == 0
+    bad = np.flatnonzero(vertical == np.roll(vertical, -1))
+    if len(bad):
+        return f"edges {bad[0]} and {(bad[0] + 1) % n} do not alternate"
     return None
 
 
-def _check_x_monotone(points):
-    n = len(points)
-    xs = [p[0] for p in points]
-    xmin, xmax = min(xs), max(xs)
-    lo = [i for i in range(n) if xs[i] == xmin]
-    hi = [i for i in range(n) if xs[i] == xmax]
-    for name, idxs in (("xmin", lo), ("xmax", hi)):
-        if len(idxs) != 2:
-            return f"{name} must be attained by exactly 2 vertices, got {len(idxs)}"
-        a, b = idxs
-        if not (b == a + 1 or (a == 0 and b == n - 1)):
-            return f"{name} vertices {a},{b} are not cycle-adjacent"
-
-    def pair_pos(idxs):
-        a, b = idxs
-        if a == 0 and b == n - 1:
-            return n - 1  # edge (n-1 -> 0)
-        return a
-
-    p_lo, p_hi = pair_pos(lo), pair_pos(hi)
-
-    def arc(start_edge, end_edge):
-        # vertex indices from the end of one boundary edge to the start of
-        # the other, walking forward around the cycle
-        out = [(start_edge + 1) % n]
-        while out[-1] != end_edge:
-            out.append((out[-1] + 1) % n)
-        return out
-
-    chain_a = arc(p_lo, p_hi)
-    chain_b = arc(p_hi, p_lo)
-    levels = []
-    for chain in (chain_a, chain_b):
-        seg = []
-        direction = 0
-        for i, j in zip(chain, chain[1:]):
-            x0, y0 = points[i]
-            x1, _ = points[j]
-            if x0 == x1:
-                continue
-            d = 1 if x1 > x0 else -1
-            if direction == 0:
-                direction = d
-            elif d != direction:
-                return "a chain reverses x-direction"
-            seg.append((min(x0, x1), max(x0, x1), y0))
-        seg.sort()
-        levels.append(seg)
-    return _check_separated(levels[0], levels[1],
-                            sorted({p[0] for p in points}))
+def _check_x_monotone(xs, ys):
+    """Both chains between the left and right boundary edges run
+    monotonically in x, and one lies strictly above the other over every
+    gap between consecutive distinct x values."""
+    n = len(xs)
+    ends = []
+    for name, value in (("xmin", xs.min()), ("xmax", xs.max())):
+        at = np.flatnonzero(xs == value)
+        if len(at) != 2:
+            return (f"{name} must be attained by exactly 2 vertices, "
+                    f"got {len(at)}")
+        # edges alternate, so a vertical edge joins the two: edge at[0]
+        # or, from vertex n-1 to 0, edge n-1
+        ends.append(at[0] if at[1] == at[0] + 1 else n - 1)
+    lo, hi = ends
+    # edges lo+1 .. hi-1 (mod n) lead from xmin to xmax, edges
+    # hi+1 .. lo-1 back; each is put in left-to-right order
+    edges = np.roll(np.arange(n), -lo - 1)
+    k = (hi - lo) % n
+    dx = np.roll(xs, -1) - xs
+    rightward, leftward = edges[:k - 1], edges[k:n - 1][::-1]
+    rightward = rightward[dx[rightward] != 0]
+    leftward = leftward[dx[leftward] != 0]
+    if (dx[rightward] < 0).any() or (dx[leftward] > 0).any():
+        return "a chain reverses x-direction"
+    # each chain's horizontal edges now tile [xmin, xmax]: the one over
+    # a gap is the last to start at or left of the gap's left end
+    cuts = np.unique(xs)
+    heights = [ys[e][np.searchsorted(left, cuts[:-1], "right") - 1]
+               for e, left in ((rightward, xs[rightward]),
+                               (leftward, xs[leftward] + dx[leftward]))]
+    above = np.sign(heights[0] - heights[1])
+    bad = np.flatnonzero((above == 0) | (above != above[0]))
+    if len(bad) == 0:
+        return None
+    i = bad[0]
+    if above[i] == 0:
+        return f"chains touch between x={cuts[i]} and x={cuts[i + 1]}"
+    return "chains cross"
 
 
-def _check_separated(seg_a, seg_b, cuts):
-    """The two chains must be vertically separated everywhere strictly
-    between xmin and xmax, the same one on top throughout.
-
-    seg_a and seg_b hold each chain's horizontal segments as sorted
-    (xlo, xhi, y) triples with disjoint interiors; cuts are the sorted
-    distinct x values. One pointer per chain walks the segments along
-    the gaps between consecutive cuts, so the check is linear.
-    """
-    above = None
-    ia = ib = 0
-    for x0, x1 in zip(cuts, cuts[1:]):
-        # skip segments that end before this gap
-        while ia < len(seg_a) and seg_a[ia][1] <= x0:
-            ia += 1
-        while ib < len(seg_b) and seg_b[ib][1] <= x0:
-            ib += 1
-        if ia == len(seg_a) or ib == len(seg_b) \
-                or seg_a[ia][0] > x0 or seg_b[ib][0] > x0:
-            return "chains do not cover the full x-range"
-        ya, yb = seg_a[ia][2], seg_b[ib][2]
-        if ya == yb:
-            return f"chains touch between x={x0} and x={x1}"
-        now_above = ya > yb
-        if above is None:
-            above = now_above
-        elif above != now_above:
-            return "chains cross"
+def _check_general_position(xs, ys):
+    for axis, values in (("x", xs), ("y", ys)):
+        value, count = np.unique(values, return_counts=True)
+        bad = np.flatnonzero(count != 2)
+        if len(bad):
+            i = bad[0]
+            return (f"{axis}={value[i]} is used by {count[i]} vertices, "
+                    "expected 2")
     return None
 
 
-def _check_general_position(points):
-    from collections import Counter
-    cx = Counter(p[0] for p in points)
-    cy = Counter(p[1] for p in points)
-    for val, cnt in sorted(cx.items()):
-        if cnt != 2:
-            return f"x={val} is used by {cnt} vertices, expected 2"
-    for val, cnt in sorted(cy.items()):
-        if cnt != 2:
-            return f"y={val} is used by {cnt} vertices, expected 2"
-    return None
+def _checked(points, kind: str):
+    """The points as int64 arrays xs, ys once they pass every stage of
+    :func:`validate`; raises PolygonError at the first failure."""
+    if kind not in ("simple", "double"):
+        raise PolygonError("syntax", f"unknown kind {kind!r}")
+    xs, ys = _coords(points)
+    for code, check in (("closed-cycle", _check_closed_cycle),
+                        ("x-monotone", _check_x_monotone),
+                        ("general-position", _check_general_position)):
+        msg = check(xs, ys)
+        if msg:
+            raise PolygonError(code, msg)
 
-
-def _signed_area2(points):
-    n = len(points)
-    s = 0
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return s
+    # The boundary is now a simple x-monotone polygon, and it is
+    # counterclockwise exactly when it runs its left edge downward.
+    n = len(xs)
+    left = np.flatnonzero(xs == xs.min())
+    top, bottom = left if ys[left[0]] > ys[left[1]] else left[::-1]
+    if (top + 1) % n != bottom:
+        raise PolygonError("orientation", "boundary is not counterclockwise")
+    if top != 0 or bottom != 1:
+        raise PolygonError(
+            "numbering", "vertex 0 must be the upper and vertex 1 the lower "
+            "endpoint of the left boundary edge")
+    # the right edge joins vertices r and r+1; 0 lies on the left edge
+    r = np.flatnonzero(xs == xs.max())[0]
+    if kind == "simple":
+        # Then the edge from n-1 to 0 spans the x-range above the rest of
+        # the boundary: it is the base.
+        if r != n - 2 or ys[n - 1] < ys[n - 2]:
+            raise PolygonError(
+                "numbering",
+                "vertex n-1 must be the lexicographically largest vertex")
+        return xs, ys
+    if not ys[0] > 0 > ys[1]:
+        raise PolygonError("base-line",
+                           "the left boundary edge must cross y=0")
+    if (ys == 0).any():
+        raise PolygonError("base-line", "no vertex may lie on the base line")
+    # the bottom chain runs from vertex 1 to r, the top one from r+1 to 0
+    v = np.arange(n)
+    bad = np.flatnonzero((ys > 0) == ((0 < v) & (v <= r)))
+    if len(bad):
+        v = bad[0]
+        chain, side = ("bottom", "above") if v <= r else ("top", "below")
+        raise PolygonError("base-line", f"vertex {v} of the {chain} chain "
+                           f"is {side} the base line")
+    return xs, ys
 
 
 def validate(points, kind: str) -> ValidationReport:
     """Check the staged histogram invariants, reporting the first failure.
 
-    Stage order: closed orthogonal cycle, x-monotonicity, general
-    position, ccw orientation, vertex numbering, then the kind-specific
-    base condition.
+    Stage order: coordinate range, closed orthogonal cycle,
+    x-monotonicity, general position, ccw orientation, vertex numbering,
+    then for double histograms the base line.
     """
-    if kind not in ("simple", "double"):
-        return ValidationReport(False, "syntax", f"unknown kind {kind!r}")
-    points = [(int(x), int(y)) for x, y in points]
-    msg = _check_closed_cycle(points)
-    if msg:
-        return ValidationReport(False, "closed-cycle", msg)
-    msg = _check_x_monotone(points)
-    if msg:
-        return ValidationReport(False, "x-monotone", msg)
-    msg = _check_general_position(points)
-    if msg:
-        return ValidationReport(False, "general-position", msg)
-    if _signed_area2(points) <= 0:
-        return ValidationReport(False, "orientation",
-                                "boundary is not counterclockwise")
-
-    n = len(points)
-    xs = [p[0] for p in points]
-    xmin = min(xs)
-    left = sorted((i for i in range(n) if xs[i] == xmin),
-                  key=lambda i: points[i][1], reverse=True)
-    if left[0] != 0 or left[1] != 1:
-        return ValidationReport(
-            False, "numbering",
-            "vertex 0 must be the upper and vertex 1 the lower endpoint "
-            "of the left boundary edge")
-    if kind == "simple":
-        if points[n - 1] != max(points):
-            return ValidationReport(
-                False, "numbering",
-                "vertex n-1 must be the lexicographically largest vertex")
-        base_y = points[0][1]
-        ymax = max(p[1] for p in points)
-        if base_y != ymax or points[n - 1][1] != base_y:
-            return ValidationReport(
-                False, "base-edge",
-                "the edge from vertex n-1 to vertex 0 must carry the "
-                "maximum y value")
-        if points[n - 1][0] != max(xs):
-            return ValidationReport(
-                False, "base-edge", "the base must span the full x-range")
-    else:
-        y0, y1 = points[0][1], points[1][1]
-        if not (y0 > 0 > y1):
-            return ValidationReport(
-                False, "base-line",
-                "the left boundary edge must cross y=0")
-        if any(p[1] == 0 for p in points):
-            return ValidationReport(
-                False, "base-line", "no vertex may lie on the base line")
-        # every chain vertex stays on its side
-        sides = [1 if p[1] > 0 else -1 for p in points]
-        # walk from v1 along the bottom chain until x reaches xmax
-        xmax = max(xs)
-        i = 1
-        while points[i][0] != xmax or points[(i + 1) % n][0] != xmax:
-            if sides[i] != -1:
-                return ValidationReport(
-                    False, "base-line",
-                    f"vertex {i} of the bottom chain is above the base line")
-            i += 1
-        if sides[i] != -1:
-            return ValidationReport(
-                False, "base-line",
-                f"vertex {i} of the bottom chain is above the base line")
-        for j in range(i + 1, n):
-            if sides[j] != 1:
-                return ValidationReport(
-                    False, "base-line",
-                    f"vertex {j} of the top chain is below the base line")
+    try:
+        _checked(points, kind)
+    except PolygonError as exc:
+        return ValidationReport(False, exc.code, exc.message)
     return ValidationReport(True, None, "ok")
 
 
 def build_histogram(points, kind: str) -> Histogram:
     """Validate and construct. Raises PolygonError on the first violation."""
-    rep = validate(points, kind)
-    if not rep.ok:
-        raise PolygonError(rep.code, rep.message)
-    return Histogram(kind, [(int(x), int(y)) for x, y in points])
+    return Histogram(kind, *_checked(points, kind))
 
 
 def parse_polygon(text: str) -> Histogram:
@@ -363,7 +311,7 @@ def parse_polygon(text: str) -> Histogram:
 
 def to_text(h: Histogram) -> str:
     lines = [f"{h.kind} {h.n}"]
-    lines.extend(f"{int(x)} {int(y)}" for x, y in zip(h.xs, h.ys))
+    lines.extend(f"{x} {y}" for x, y in h.points())
     return "\n".join(lines) + "\n"
 
 
@@ -383,7 +331,7 @@ def normalize(h: Histogram) -> Histogram:
     if h.kind == "double":   # ranks -k..-1 below the base line, 1.. above
         below = np.searchsorted(y_values, 0)
         ys = np.where(h.ys < 0, ys - below, ys - below + 1)
-    return Histogram(h.kind, list(zip(xs.tolist(), ys.tolist())))
+    return Histogram(h.kind, xs, ys)
 
 
 def generate(kind: str, n: int, seed: int) -> Histogram:

@@ -24,7 +24,8 @@ class SimpleLabel:
 
 
 class SimpleLink:
-    """Sorted ids of the closed neighborhood with their breakpoints."""
+    """Sorted ids of the closed neighborhood; ``br[i]`` is the breakpoint
+    of ``ids[i]``, None where it has none."""
 
     def __init__(self, labels, neighbor_ids, own_vid: int):
         # a simple label's vid is its vertex id, so sorting the ids
@@ -32,11 +33,8 @@ class SimpleLink:
         self.ids = [*neighbor_ids, own_vid]
         self.ids.sort()
         self.id_set = set(self.ids)
-        self._br = {u: labels[u].br for u in self.ids}
+        self.br = [labels[u].br for u in self.ids]
         self.own_vid = own_vid
-
-    def br_of(self, vid: int):
-        return self._br.get(vid)
 
 
 def route_step_simple(link: SimpleLink, higher_left: bool,
@@ -52,13 +50,11 @@ def route_step_simple(link: SimpleLink, higher_left: bool,
         return lo if higher_left else hi
     own_id = link.own_vid
     i = bisect.bisect_left(ids, tid)
-    if tid > own_id:
-        nd, fd = ids[i - 1], ids[i]
-    else:
-        nd, fd = ids[i], ids[i - 1]
+    near, far = (i - 1, i) if tid > own_id else (i, i - 1)
+    nd, fd = ids[near], ids[far]
     if nd == own_id:
         raise RoutingError(f"near dominator degenerated to self at {own_id}")
-    b = link.br_of(nd)
+    b = link.br[near]
     if b is None:
         raise RoutingError(f"neighbor {nd} lacks a breakpoint id")
     if min(nd, b) <= tid <= max(nd, b):

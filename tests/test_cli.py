@@ -65,6 +65,24 @@ def test_validate_rejects_broken(capsys, tmp_path):
     assert "numbering" in out
 
 
+@pytest.mark.parametrize("cmd,line", [
+    ("validate", "invalid: syntax: vertex 2: coordinate "
+                 "99999999999999999999999 is out of range, "
+                 "|c| must be below 2**62"),
+    ("build", "error: syntax: vertex 2: coordinate "
+              "99999999999999999999999 is out of range, "
+              "|c| must be below 2**62"),
+])
+def test_coordinate_out_of_range(capsys, tmp_path, cmd, line):
+    p = tmp_path / "huge.poly"
+    p.write_text("simple 4\n0 3\n0 0\n99999999999999999999999 0\n"
+                 "99999999999999999999999 3\n")
+    code, out, err = run(capsys, cmd, str(p), *(["--scheme", "simple"]
+                                                 if cmd == "build" else []))
+    assert code == 1
+    assert (out + err).splitlines() == [line]
+
+
 def test_build_summary(capsys, steps_file, tmp_path):
     dump = tmp_path / "steps.scheme"
     code, out, err = run(capsys, "build", steps_file, "--scheme", "simple",

@@ -161,7 +161,8 @@ def test_verify_rejects_disconnected_graph(sch_rect):
 def progress_check(profile):
     # trace visiting vertices 0..m-1 whose distances to t are profile
     drow = np.array(profile)
-    return engine.check_two_step_progress(list(range(len(profile))), drow)
+    return engine.check_two_step_progress(
+        [drow[v] for v in range(len(profile))])
 
 
 def test_two_step_progress_accepts_segmentation():
@@ -269,7 +270,8 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
             elif routed > 2 * bfs:
                 reason = "stretch above 2"
             else:
-                reason = engine.check_two_step_progress(trace, dist[t])
+                reason = engine.check_two_step_progress(
+                    [dist[t][v] for v in trace])
             if routed > 2 * h.n:
                 reason = "route longer than 2n hops"
         stretch = routed / bfs if routed >= 0 else float("inf")

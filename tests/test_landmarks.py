@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from histroute import landmarks, visibility
+from histroute import engine, landmarks, visibility
 
 import invariants
 import oracles
-from conftest import near_staircase
+from conftest import H_STEPS_TEXT, make_simple, near_staircase
 
 
 def test_breakpoints_rect(rect):
@@ -158,6 +158,14 @@ def test_breakpoints_match_edge_scan(small_simples, random_simples):
         for v in range(h.n):
             want = oracles.breakpoint_of(g, v)
             assert got[v] == (-1 if want is None else want), f"n={h.n} v={v}"
+
+
+def test_missing_breakpoint_raises_scheme_build_error():
+    h, g = make_simple(H_STEPS_TEXT)    # not the shared fixture: h changes
+    h.convex[1] = False     # a convex corner, which has no breakpoint
+    with pytest.raises(engine.SchemeBuildError,
+                       match="no breakpoint for vertex 1"):
+        landmarks.breakpoints(g)
 
 
 def test_breakpoint_requires_simple(dbl):

@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from histroute import polygon, visibility
+from histroute import dump, engine, polygon, scheme_simple, visibility
 
 from conftest import H_DBL_TEXT, H_RECT_TEXT, H_STEPS_TEXT, near_staircase
 
@@ -217,14 +217,152 @@ def test_x_monotone_chains_cross():
     assert (rep.code, rep.message) == ("x-monotone", "chains cross")
 
 
-def test_x_monotone_chains_do_not_cover():
-    # A chain of a closed polygon runs monotonically from xmin to xmax,
-    # so only hand-built segment lists can leave a gap uncovered.
-    top = [(0, 3, 5)]
-    assert polygon._check_separated([(0, 1, 0), (2, 3, 0)], top,
-                                    [0, 1, 2, 3]) == \
-        "chains do not cover the full x-range"
-    assert polygon._check_separated([(0, 2, 0)], top, [0, 2, 3]) == \
-        "chains do not cover the full x-range"
-    assert polygon._check_separated([(0, 1, 0), (1, 3, 1)], top,
-                                    [0, 1, 2, 3]) is None
+# One entry per message validate gives: (points, kind, code, message).
+# The odd count, duplicate and base-line cases are ones random
+# mutations of generated polygons rarely reach.
+VALIDATE_MESSAGES = [
+    ([(0, 3), (0, 0), (3, 0), (3, 3)], "simple", None, "ok"),
+    ([(0, 3), (0, 0), (3, 0), (3, 3)], "fancy",
+     "syntax", "unknown kind 'fancy'"),
+    ([(0, 3), (0, 0), (3, 0), (3, 3), (1, 1)], "simple", "closed-cycle",
+     "need an even number of vertices, at least 4, got 5"),
+    ([(0, 0), (1, 0)], "simple", "closed-cycle",
+     "need an even number of vertices, at least 4, got 2"),
+    ([(0, 3), (0, 0), (3, 0), (3, 3), (0, 0), (3, 0)], "simple",
+     "closed-cycle", "duplicate vertices"),
+    ([(0, 3), (0, 0), (3, 1), (3, 3)], "simple",
+     "closed-cycle", "edge 1 is not axis-parallel"),
+    ([(0, 3), (0, 1), (0, 0), (3, 0), (3, 3), (1, 3)], "simple",
+     "closed-cycle", "edges 0 and 1 do not alternate"),
+    ([(0, 6), (0, 4), (2, 4), (2, 2), (0, 2), (0, 0), (5, 0), (5, 6)],
+     "simple", "x-monotone",
+     "xmin must be attained by exactly 2 vertices, got 4"),
+    ([(0, 6), (0, 0), (5, 0), (5, 2), (3, 2), (3, 4), (5, 4), (5, 6)],
+     "simple", "x-monotone",
+     "xmax must be attained by exactly 2 vertices, got 4"),
+    ([(0, 4), (0, 0), (3, 0), (3, 2), (1, 2), (1, 3), (5, 3), (5, 4)],
+     "simple", "x-monotone", "a chain reverses x-direction"),
+    ([(0, 3), (0, 0), (1, 0), (1, 3), (2, 3), (2, 0), (3, 0), (3, 3)],
+     "simple", "x-monotone", "chains touch between x=1 and x=2"),
+    ([(0, 3), (0, 0), (1, 0), (1, 4), (2, 4), (2, 0), (3, 0), (3, 3)],
+     "simple", "x-monotone", "chains cross"),
+    ([(0, 2), (0, -3), (2, -3), (2, -1), (6, -1), (6, 4), (2, 4), (2, 2)],
+     "double", "general-position", "x=2 is used by 4 vertices, expected 2"),
+    ([(0, 4), (0, 0), (2, 0), (2, 3), (3, 3), (3, 0), (7, 0), (7, 4)],
+     "simple", "general-position", "y=0 is used by 4 vertices, expected 2"),
+    ([(0, 3), (3, 3), (3, 0), (0, 0)], "simple",
+     "orientation", "boundary is not counterclockwise"),
+    ([(0, 0), (3, 0), (3, 3), (0, 3)], "simple", "numbering",
+     "vertex 0 must be the upper and vertex 1 the lower endpoint of the "
+     "left boundary edge"),
+    ([(0, 3), (0, 0), (3, 0), (3, 2), (2, 2), (2, 3)], "simple", "numbering",
+     "vertex n-1 must be the lexicographically largest vertex"),
+    ([(0, 3), (0, 0), (3, 0), (3, 3)], "double",
+     "base-line", "the left boundary edge must cross y=0"),
+    ([(0, 2), (0, -2), (2, -2), (2, 0), (3, 0), (3, -1), (6, -1), (6, 2)],
+     "double", "base-line", "no vertex may lie on the base line"),
+    ([(0, 2), (0, -2), (2, -2), (2, 1), (3, 1), (3, -1), (6, -1), (6, 2)],
+     "double", "base-line",
+     "vertex 3 of the bottom chain is above the base line"),
+    ([(0, 3), (0, -3), (6, -3), (6, 2), (4, 2), (4, -1), (2, -1), (2, 3)],
+     "double", "base-line",
+     "vertex 5 of the top chain is below the base line"),
+]
+
+
+@pytest.mark.parametrize("p,kind,code,message", VALIDATE_MESSAGES,
+                         ids=[m for *_, m in VALIDATE_MESSAGES])
+def test_validate_messages(p, kind, code, message):
+    rep = polygon.validate(p, kind)
+    assert (rep.ok, rep.code, rep.message) == (code is None, code, message)
+
+
+@pytest.mark.parametrize("c", [2**62, -2**62, 2**63, 10**23, -2**70])
+def test_coordinate_out_of_range(c):
+    p = [(0, 3), (0, 0), (c, 0), (c, 3)]
+    message = (f"vertex 2: coordinate {c} is out of range, "
+               "|c| must be below 2**62")
+    rep = polygon.validate(p, "simple")
+    assert (rep.ok, rep.code, rep.message) == (False, "syntax", message)
+    with pytest.raises(polygon.PolygonError) as ei:
+        polygon.build_histogram(p, "simple")
+    assert str(ei.value) == f"syntax: {message}"
+
+
+@pytest.mark.parametrize("kind", ["simple", "double"])
+def test_coordinate_range_limits(kind):
+    # the widest square: its coordinate differences reach 2**63 - 2
+    m = 2**62 - 1
+    h = polygon.build_histogram([(-m, m), (-m, -m), (m, -m), (m, m)], kind)
+    assert h.convex.all()
+    g = visibility.build_graph(h)
+    assert g.indices.tolist() == [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2]
+
+
+def test_scaled_polygon_routes_alike():
+    # a 2**40 scale used to overflow the turn test and lose breakpoints
+    h = polygon.parse_polygon(H_STEPS_TEXT)
+    s = 2**40
+    big = polygon.build_histogram([(x * s, y * s) for x, y in h.points()],
+                                  "simple")
+    a, b = (scheme_simple.preprocess_simple(k, visibility.build_graph(k))
+            for k in (h, big))
+    assert dump.write(a) == dump.write(b)
+    for u in range(h.n):
+        for v in range(h.n):
+            assert engine.run_route(a, u, v) == engine.run_route(b, u, v)
+
+
+def parses_or_rejects(text):
+    """parse_polygon gives a Histogram or one PolygonError line."""
+    try:
+        h = polygon.parse_polygon(text)
+    except polygon.PolygonError as exc:
+        assert "\n" not in str(exc)
+        return None
+    assert isinstance(h, polygon.Histogram)
+    # rank coordinates keep every turn
+    assert h.convex.tolist() == polygon.normalize(h).convex.tolist()
+    return h
+
+
+coordinate = st.integers(-2**70, 2**70)
+pair_line = st.tuples(coordinate, coordinate).map(lambda p: f"{p[0]} {p[1]}")
+header_line = st.tuples(st.sampled_from(["simple", "double", "fancy"]),
+                        st.integers(-1, 10)).map(lambda h: f"{h[0]} {h[1]}")
+
+
+@hypothesis.given(header=st.one_of(header_line, st.text(max_size=12)),
+                  lines=st.lists(st.one_of(pair_line, st.text(max_size=12)),
+                                 max_size=10))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_parse_fuzz_text(header, lines):
+    parses_or_rejects("\n".join([header, *lines]))
+
+
+@hypothesis.given(kind=st.sampled_from(["simple", "double"]),
+                  n=st.integers(4, 12).map(lambda k: 2 * k),
+                  seed=st.integers(0, 10_000),
+                  edits=st.lists(st.tuples(st.integers(0, 3),
+                                           st.integers(0, 100),
+                                           st.integers(-3, 3)), max_size=3),
+                  shift=st.integers(0, 70))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_parse_fuzz_scaled_mutants(kind, n, seed, edits, shift):
+    pts = polygon.generate(kind, n, seed=seed).points()
+    for op, i, d in edits:
+        i %= len(pts)
+        x, y = pts[i]
+        if op == 0:
+            pts[i] = (x + d, y)
+        elif op == 1:
+            pts[i] = (x, y + d)
+        elif op == 2:
+            pts[i], pts[d % len(pts)] = pts[d % len(pts)], pts[i]
+        elif len(pts) > 1:
+            del pts[i]
+    text = f"{kind} {len(pts)}\n" + "".join(
+        f"{x << shift} {y << shift}\n" for x, y in pts)
+    h = parses_or_rejects(text)
+    if not edits and shift < 58:    # |c| < 2**62 after scaling
+        assert h is not None
