@@ -6,7 +6,8 @@ class's own columns, and the ids of the vertex's neighbors. Blank lines
 and lines starting with ``#`` are skipped. The reader hands the ids to
 the scheme as the CSR pair that visibility.VisibilityGraph builds. Every
 malformed input raises ValueError. Each check costs O(rows + neighbor
-ids), except the symmetry check, which sorts the neighbor ids once.
+ids), except two sorts of the neighbor ids: one orders each row, the
+other checks symmetry.
 """
 
 import itertools
@@ -52,14 +53,16 @@ def read(text: str, cls):
         if nbrs[v] is not None:
             raise ValueError(f"duplicate row id {v}")
         labels[v], tables[v] = cls.parse_row(v, parts[1:-1])
-        ids = sorted(map(int, parts[-1].split()))
-        if ids and (ids[0] < 0 or ids[-1] >= n):
+        ids = list(map(int, parts[-1].split()))
+        if ids and (min(ids) < 0 or max(ids) >= n):
             raise ValueError(f"row {v}: neighbor id outside [0, {n})")
         nbrs[v] = ids
-    # n rows, none repeated and all in range: no id is missing
+    # n rows, none repeated and all in range: no id is missing, and
+    # sorting the keys row * n + id sorts each row in place
     indptr = np.cumsum([0, *map(len, nbrs)])
-    indices = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
-                          indptr[-1])
+    rows = np.repeat(np.arange(n), np.diff(indptr)) * n
+    indices = np.sort(rows + np.fromiter(itertools.chain.from_iterable(nbrs),
+                                         np.int64, indptr[-1])) - rows
     _check_edges(indptr, indices)
     return cls(n, labels, tables, indptr, indices)
 

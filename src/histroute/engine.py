@@ -38,15 +38,27 @@ class SchemeBuildError(Exception):
     """A preprocessing invariant failed; the scheme cannot be built."""
 
 
+def closed_rows(indptr, indices, order):
+    """The closed neighborhoods of the CSR adjacency (indptr, indices)
+    as a CSR pair (ptr, ids): row v holds v and the ids of v's row,
+    in the order that the int64 permutation order lists the ids in."""
+    n = len(indptr) - 1
+    vid, rank = np.arange(n), np.argsort(order)     # rank[order[i]] = i
+    keys = np.sort(np.append(np.repeat(vid, np.diff(indptr)) * n
+                             + rank[indices], vid * n + rank))
+    return indptr + np.arange(n + 1), order[keys % n]
+
+
 class Scheme:
     """A built routing scheme: per-vertex labels, routing tables and
     link tables, the contract both histogram kinds share.
 
     Subclasses set ``kind`` and ``Link`` (built once per vertex as
-    ``Link(labels, neighbor_ids, v)`` from v's row of the adjacency),
-    the ``max_*_bits`` bounds, the routing ``step``, and the dump
-    columns: ``columns`` fields written by ``row_fields(v)`` and read
-    back by ``parse_row(v, fields)``. The adjacency is the CSR pair
+    ``Link(labels, row, v)``, row being v's closed neighborhood in the
+    order of ``link_order(labels)``, by default the ids ascending), the
+    ``max_*_bits`` bounds, the routing ``step``, and the dump columns:
+    ``columns`` fields written by ``row_fields(v)`` and read back by
+    ``parse_row(v, fields)``. The adjacency is the CSR pair
     (indptr, indices) that visibility.VisibilityGraph builds, kept
     without a copy.
     """
@@ -57,10 +69,14 @@ class Scheme:
         self._tables = tables
         self.indptr = indptr
         self.indices = indices
-        # links and neighbor_ids slice one list, so each id is one object
-        self._ids, self._ptr = indices.tolist(), indptr.tolist()
-        self._links = [self.Link(labels, self.neighbor_ids(v), v)
-                       for v in range(n)]
+        ptr, ids = closed_rows(indptr, indices, self.link_order(labels))
+        # the links slice one list, so each id is one object
+        ptr, ids = ptr.tolist(), ids.tolist()
+        self._links = [self.Link(labels, ids[a:b], v)
+                       for v, (a, b) in enumerate(zip(ptr, ptr[1:]))]
+
+    def link_order(self, labels):
+        return np.arange(self.n)
 
     def label_of(self, v: int):
         return self._labels[v]
@@ -73,7 +89,7 @@ class Scheme:
 
     def neighbor_ids(self, v: int):
         """The ids v sees, ascending."""
-        return self._ids[self._ptr[v]:self._ptr[v + 1]]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
 
 
 def run_route(scheme, s: int, t: int):

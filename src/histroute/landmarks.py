@@ -13,7 +13,7 @@ definitions these must agree with are kept as test oracles.
 
 import numpy as np
 
-from .engine import SchemeBuildError
+from .engine import SchemeBuildError, closed_rows
 from .visibility import VisibilityGraph
 
 
@@ -57,12 +57,9 @@ def first_vertex(mask):
 def closed_extremes(g: VisibilityGraph, lo_values, hi_values):
     """Per vertex v, the minimum of lo_values and the maximum of
     hi_values over the closed neighborhood of v."""
-    n = g.n
-    # each CSR row with v inserted at its start
-    members = np.insert(g.indices, g.indptr[:-1], np.arange(n))
-    start = g.indptr[:-1] + np.arange(n)
-    lo = np.minimum.reduceat(np.asarray(lo_values)[members], start)
-    hi = np.maximum.reduceat(np.asarray(hi_values)[members], start)
+    ptr, members = closed_rows(g.indptr, g.indices, np.arange(g.n))
+    lo = np.minimum.reduceat(np.asarray(lo_values)[members], ptr[:-1])
+    hi = np.maximum.reduceat(np.asarray(hi_values)[members], ptr[:-1])
     return lo, hi
 
 

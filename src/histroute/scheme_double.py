@@ -41,15 +41,12 @@ class DoubleTable:
 
 
 class DoubleLink:
-    """Labels of the closed neighborhood, addressable by coordinates."""
+    """(vid, DoubleLabel) entries of the closed neighborhood in link
+    order (by x, distance to base, y), addressable by coordinates."""
 
-    def __init__(self, labels, neighbor_ids, own_vid: int):
-        # entries: (vid, DoubleLabel) pairs
-        entries = [(u, labels[u]) for u in neighbor_ids]
-        entries.append((own_vid, labels[own_vid]))
-        entries.sort(key=lambda e: (e[1].x, e[1].y))
-        self.entries = entries
-        self.id_set = {vid for vid, _ in self.entries}
+    def __init__(self, labels, row, own_vid: int):
+        self.entries = [(u, labels[u]) for u in row]
+        self.id_set = set(row)
         self.own_vid = own_vid
         self.own = labels[own_vid]
         self._by_coord = {(lab.x, lab.y): vid for vid, lab in self.entries}
@@ -65,40 +62,27 @@ def _dist(lab: DoubleLabel) -> int:
     return -lab.y if lab.y < 0 else lab.y
 
 
-def _group_min(entries, i, j):
-    """The (distance to base, y)-minimal entry of entries[i:j], which
-    all share one x (at most two by general position)."""
-    best = entries[i]
-    for k in range(i + 1, j):
-        e = entries[k]
-        if (_dist(e[1]), e[1].y) < (_dist(best[1]), best[1].y):
-            best = e
-    return best
-
-
 def _local_dominators(link: DoubleLink, tx: int):
     """Near and far dominator toward x-coordinate tx, from labels alone.
 
     Mirrors the global definition: candidates are the closed
     neighborhood, the far side includes tx itself, ties break toward
     the base line. fd is None when the far side is empty. The winners
-    always sit in the x-group adjacent to tx on their side, so two
-    bisections suffice on the x-sorted entries.
+    always sit in the x-group adjacent to tx on their side, and link
+    order puts each group's winner first, so two bisections suffice.
     """
     entries, xs = link.entries, link._xs
     if tx > link.own.x:
         i = bisect.bisect_left(xs, tx)
-        nd = _group_min(entries, bisect.bisect_left(xs, xs[i - 1]), i)
-        fd = _group_min(entries, i, bisect.bisect_right(xs, xs[i])) \
-            if i < len(entries) else None
+        nd = entries[bisect.bisect_left(xs, xs[i - 1])]
+        fd = entries[i] if i < len(entries) else None
     else:
         i = bisect.bisect_right(xs, tx)
         if i == len(entries):
             raise RoutingError(
                 f"no neighbor of {link.own_vid} lies toward x={tx}")
-        nd = _group_min(entries, i, bisect.bisect_right(xs, xs[i]))
-        fd = _group_min(entries, bisect.bisect_left(xs, xs[i - 1]), i) \
-            if i > 0 else None
+        nd = entries[i]
+        fd = entries[bisect.bisect_left(xs, xs[i - 1])] if i > 0 else None
     return nd, fd
 
 
@@ -109,13 +93,9 @@ def _local_vertical_dominators(link: DoubleLink):
     if link._vdom is None:
         below = [e for e in link.entries if e[1].y < 0]
         above = [e for e in link.entries if e[1].y > 0]
-        bd = min(below, key=lambda e: (_dist(e[1]), e[1].x)) if below else None
-        td = min(above, key=lambda e: (_dist(e[1]), e[1].x)) if above else None
-        if bd is None:
-            bd = td
-        if td is None:
-            td = bd
-        link._vdom = (bd, td)
+        link._vdom = (
+            min(below or above, key=lambda e: (_dist(e[1]), e[1].x)),
+            min(above or below, key=lambda e: (_dist(e[1]), e[1].x)))
     return link._vdom
 
 
@@ -124,27 +104,26 @@ def _local_chains(link: DoubleLink):
 
     Left chain: repeatedly pick, among neighbors whose interval starts
     strictly left of the current one, the leftmost vertex (ties toward
-    the base). Right chain mirrored. Both start at the own label.
-    Cached per link.
+    the base). Right chain mirrored. Both start at the own label. No
+    entry before a pick in that order starts left of the current one, so
+    a chain is the running records of one scan in link order, with the
+    x-groups taken from the right for the right chain. Cached per link.
     """
     if link._chains is not None:
         return link._chains
-    own = (link.own_vid, link.own)
-    nbr = [e for e in link.entries if e[0] != link.own_vid]
-    chain_a = [own]
-    while True:
-        cur = chain_a[-1][1]
-        cands = [e for e in nbr if e[1].ilo < cur.ilo]
-        if not cands:
-            break
-        chain_a.append(min(cands, key=lambda e: (e[1].x, _dist(e[1]), e[1].y)))
-    chain_b = [own]
-    while True:
-        cur = chain_b[-1][1]
-        cands = [e for e in nbr if e[1].ihi > cur.ihi]
-        if not cands:
-            break
-        chain_b.append(min(cands, key=lambda e: (-e[1].x, _dist(e[1]), e[1].y)))
+    entries, xs = link.entries, link._xs
+    chain_a = [(link.own_vid, link.own)]
+    for e in entries:
+        if e[1].ilo < chain_a[-1][1].ilo:
+            chain_a.append(e)
+    chain_b = [(link.own_vid, link.own)]
+    j = len(entries)
+    while j:
+        i = bisect.bisect_left(xs, xs[j - 1])
+        for e in entries[i:j]:
+            if e[1].ihi > chain_b[-1][1].ihi:
+                chain_b.append(e)
+        j = i
     link._chains = (chain_a, chain_b)
     return link._chains
 
@@ -223,6 +202,11 @@ class DoubleScheme(Scheme):
         self.max_table_bits = 6 * (w + 1) + 1
         self.max_header_bits = 2 * (w + 1)
 
+    def link_order(self, labels):
+        x = np.array([lab.x for lab in labels], dtype=np.int64)
+        y = np.array([lab.y for lab in labels], dtype=np.int64)
+        return np.lexsort((y, np.abs(y), x))
+
     def step(self, link, table, target, header):
         return route_step_double(link, table, target, header)
 
@@ -237,6 +221,9 @@ class DoubleScheme(Scheme):
     def parse_row(v: int, fields):
         coords, bounds, table, bit = fields
         x, y = (int(a) for a in coords.split())
+        if y == 0 or max(abs(x), abs(y)) >= 1 << 62:
+            raise ValueError(f"row {v}: vertex ({x},{y}) must lie off the "
+                             f"base line, with |x|, |y| < 2**62")
         ilo, ihi = (int(a) for a in bounds.split())
         f = [int(a) for a in table.split()]
         if len(f) != 6:

@@ -24,16 +24,13 @@ class SimpleLabel:
 
 
 class SimpleLink:
-    """Sorted ids of the closed neighborhood; ``br[i]`` is the breakpoint
-    of ``ids[i]``, None where it has none."""
+    """The closed neighborhood's ids, ascending, the simple link order;
+    ``br[i]`` is the breakpoint of ``ids[i]``, None where it has none."""
 
-    def __init__(self, labels, neighbor_ids, own_vid: int):
-        # a simple label's vid is its vertex id, so sorting the ids
-        # sorts the labels
-        self.ids = [*neighbor_ids, own_vid]
-        self.ids.sort()
-        self.id_set = set(self.ids)
-        self.br = [labels[u].br for u in self.ids]
+    def __init__(self, labels, row, own_vid: int):
+        self.ids = row
+        self.id_set = set(row)
+        self.br = [labels[u].br for u in row]
         self.own_vid = own_vid
 
 

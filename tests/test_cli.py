@@ -282,6 +282,20 @@ def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_route_rejects_dump_with_vertex_on_base_line(capsys, tmp_path):
+    # this dump used to end in a TypeError: no link entry lay off the
+    # base line, so the vertical dominators came out None
+    dump = tmp_path / "bad.dump"
+    dump.write_text("scheme double 2\n"
+                    "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 |\n"
+                    "1 | 1 0 | 5 6 | 0 1 0 1 0 1 | 1 |\n")
+    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
+                         "--from", "1", "--to", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "base line" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_route_on_dump_missing_an_edge(capsys, tmp_path):
     # both rows drop the edge 8-9, so the dump reads; 9 shares 8's x and
     # 8's link holds nothing beyond it

@@ -1,9 +1,12 @@
 import csv
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -123,14 +126,39 @@ def test_distances_match_queue_bfs(rect, steps, dbl, dbl_raw, drect,
                                  list(range(g.n)))
 
 
-@pytest.mark.parametrize("neighbors", [
+EMPTY_ROW_GRAPHS = [
     [[], [2], [1]],                     # empty first row
     [[1, 2], [0], [0], [], [5], [4]],   # isolated vertex, two components
     [[1], [0, 2], [1], []],             # empty last row
     [[]],
-])
+]
+
+
+@pytest.mark.parametrize("neighbors", EMPTY_ROW_GRAPHS)
 def test_distances_empty_rows(neighbors):
     assert_matches_queue_bfs(neighbors, list(range(len(neighbors))))
+
+
+def assert_closed_rows(neighbors, rng):
+    n = len(neighbors)
+    for order in [np.arange(n), *(rng.permutation(n) for _ in range(4))]:
+        ptr, ids = engine.closed_rows(*oracles.csr_of(neighbors), order)
+        place = {u: i for i, u in enumerate(order.tolist())}
+        assert ptr.tolist() == [0, *np.cumsum([len(r) + 1 for r in neighbors])]
+        for v, row in enumerate(neighbors):
+            assert ids[ptr[v]:ptr[v + 1]].tolist() == \
+                sorted([v, *row], key=place.get)
+
+
+@pytest.mark.parametrize("neighbors", EMPTY_ROW_GRAPHS)
+def test_closed_rows_empty_rows(neighbors):
+    assert_closed_rows(neighbors, np.random.default_rng(len(neighbors)))
+
+
+def test_closed_rows_match_neighborhoods(small_simples, small_doubles):
+    rng = np.random.default_rng(3)
+    for h, g in small_simples + small_doubles:
+        assert_closed_rows(oracles.neighbor_lists(g), rng)
 
 
 def test_distances_repeated_sources(steps):
@@ -377,3 +405,50 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+@st.composite
+def small_dumps(draw):
+    """A dump of either kind with n <= 5, every number field in [-3, 3]
+    or now and then far outside int64, symmetric neighbor rows in any
+    order, and simple labels that name their own row."""
+    kind = draw(st.sampled_from(["simple", "double"]))
+    n = draw(st.integers(1, 5))
+    field = (st.integers(-3, 3) | st.sampled_from([-2**63, 2**62, 10**23])
+             ).map(str)
+    pairs = list(itertools.combinations(range(n), 2))
+    nbrs = [[] for _ in range(n)]
+    for (u, v), edge in zip(pairs, draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs)))):
+        if edge:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    lines = [f"scheme {kind} {n}"]
+    for v in range(n):
+        if kind == "simple":
+            cols = [" ".join([str(v), *draw(st.lists(field, max_size=1))])]
+        else:
+            cols = [" ".join(draw(st.lists(field, min_size=k, max_size=k)))
+                    for k in (2, 2, 6)]
+        ids = draw(st.permutations(nbrs[v]))
+        lines.append(" | ".join([str(v), *cols, draw(st.sampled_from("01")),
+                                 " ".join(map(str, ids))]))
+    return kind, "\n".join(lines) + "\n"
+
+
+@hypothesis.given(case=small_dumps())
+@hypothesis.settings(max_examples=400, deadline=None)
+def test_fuzzed_dump_reads_then_routes_or_raises(case):
+    # the reader rejects a dump with ValueError, or every route on it
+    # ends in a trace or a RoutingError
+    kind, text = case
+    module = scheme_simple if kind == "simple" else scheme_double
+    try:
+        sch = module.parse_dump(text)
+    except ValueError:
+        return
+    for s, t in itertools.product(range(sch.n), repeat=2):
+        try:
+            engine.run_route(sch, s, t)
+        except engine.RoutingError:
+            pass

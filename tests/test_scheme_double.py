@@ -46,10 +46,10 @@ def test_size_bounds(sch_dbl, sch_drect):
         assert sch.max_header_bits == 2 * (w + 1)
 
 
-def test_local_equals_global(small_doubles):
+def test_local_equals_global(small_doubles, random_doubles):
     # everything the step function derives from its link table must
     # agree with the global definitions
-    for h, g in small_doubles:
+    for h, g in small_doubles + random_doubles:
         sch = scheme_double.preprocess_double(h, g)
         for s in range(h.n):
             link = sch.link_of(s)
@@ -86,6 +86,21 @@ def test_case1_hops_to_far_dominator(small_doubles):
                                    target, None)
                 assert nxt2 == oracles.fd2(g, s, t)
                 assert int(d[nxt2, t]) == int(d[s, t]) - 1
+
+
+def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
+    # link order: by x, then distance to the base line, then y; the
+    # reloaded scheme orders its links alike
+    for h, g in small_doubles:
+        sch = scheme_double.preprocess_double(h, g)
+        again = scheme_double.parse_dump(scheme_double.dump_scheme(sch))
+        for s in (sch, again):
+            for v in range(h.n):
+                closed = [v, *g.neighbors_of(v).tolist()]
+                closed.sort(key=lambda u: (int(h.xs[u]), abs(int(h.ys[u])),
+                                           int(h.ys[u])))
+                assert s.link_of(v).entries == \
+                    [(u, s.label_of(u)) for u in closed]
 
 
 def test_route_all_pairs_fixture(sch_dbl, dbl):
@@ -202,6 +217,10 @@ ROW1 = "1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | 0"
      "bit field"),
     (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', '0 1 0')}\n{ROW1}\n",
      "6 table fields"),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', '1 0')}\n",
+     r"row 1: vertex \(1,0\) must lie off the base line"),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', f'{2**62} -1')}\n",
+     r"\|x\|, \|y\| < 2\*\*62"),
 ])
 def test_parse_dump_strict(text, reason):
     with pytest.raises(ValueError, match=reason):

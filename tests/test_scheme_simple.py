@@ -39,6 +39,17 @@ def test_neighbor_ids(sch_steps, steps):
         assert sch_steps.neighbor_ids(v) == g.neighbors_of(v).tolist()
 
 
+def test_links_hold_closed_neighborhood_ascending(small_simples):
+    for h, g in small_simples:
+        sch = scheme_simple.preprocess_simple(h, g)
+        again = scheme_simple.parse_dump(scheme_simple.dump_scheme(sch))
+        for s in (sch, again):
+            for v in range(h.n):
+                link = s.link_of(v)
+                assert link.ids == sorted([v, *g.neighbors_of(v).tolist()])
+                assert link.br == [s.label_of(u).br for u in link.ids]
+
+
 def test_route_trace_steps(sch_steps):
     assert engine.run_route(sch_steps, 2, 6) == [2, 0, 7, 6]
     assert engine.run_route(sch_steps, 6, 2) == [6, 7, 3, 2]
