@@ -38,7 +38,7 @@ def _seed(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -212,7 +212,7 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(str(exc))
 
 

@@ -14,6 +14,8 @@ import itertools
 
 import numpy as np
 
+from .engine import closed_rows
+
 
 def write(scheme) -> str:
     """Self-contained text dump of a built scheme."""
@@ -64,7 +66,8 @@ def read(text: str, cls):
     indices = np.sort(rows + np.fromiter(itertools.chain.from_iterable(nbrs),
                                          np.int64, indptr[-1])) - rows
     _check_edges(indptr, indices)
-    return cls(n, labels, tables, indptr, indices)
+    rows = closed_rows(indptr, indices, cls.link_order(n, labels))
+    return cls(n, labels, tables, indptr, indices, rows)
 
 
 def _check_edges(indptr, indices):

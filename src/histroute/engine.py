@@ -54,29 +54,28 @@ class Scheme:
     link tables, the contract both histogram kinds share.
 
     Subclasses set ``kind`` and ``Link`` (built once per vertex as
-    ``Link(labels, row, v)``, row being v's closed neighborhood in the
-    order of ``link_order(labels)``, by default the ids ascending), the
-    ``max_*_bits`` bounds, the routing ``step``, and the dump columns:
-    ``columns`` fields written by ``row_fields(v)`` and read back by
-    ``parse_row(v, fields)``. The adjacency is the CSR pair
-    (indptr, indices) that visibility.VisibilityGraph builds, kept
-    without a copy.
+    ``Link(labels, row, v)`` from row v of rows, the closed_rows of
+    the adjacency in the order of ``link_order(n, labels)``, by default
+    the ids ascending), the ``max_*_bits`` bounds, the routing ``step``,
+    and the dump columns: ``columns`` fields written by ``row_fields(v)``
+    and read back by ``parse_row(v, fields)``. The adjacency is kept as
+    the CSR pair (indptr, indices) that visibility.VisibilityGraph built.
     """
 
-    def __init__(self, n, labels, tables, indptr, indices):
+    def __init__(self, n, labels, tables, indptr, indices, rows):
         self.n = n
         self._labels = labels
         self._tables = tables
         self.indptr = indptr
         self.indices = indices
-        ptr, ids = closed_rows(indptr, indices, self.link_order(labels))
         # the links slice one list, so each id is one object
-        ptr, ids = ptr.tolist(), ids.tolist()
+        ptr, ids = (a.tolist() for a in rows)
         self._links = [self.Link(labels, ids[a:b], v)
                        for v, (a, b) in enumerate(zip(ptr, ptr[1:]))]
 
-    def link_order(self, labels):
-        return np.arange(self.n)
+    @staticmethod
+    def link_order(n, labels=None):
+        return np.arange(n)
 
     def label_of(self, v: int):
         return self._labels[v]

@@ -13,7 +13,7 @@ definitions these must agree with are kept as test oracles.
 
 import numpy as np
 
-from .engine import SchemeBuildError, closed_rows
+from .engine import SchemeBuildError
 from .visibility import VisibilityGraph
 
 
@@ -52,15 +52,6 @@ def first_vertex(mask):
     """The smallest vertex id where a per-vertex mask holds, or None."""
     hit = np.flatnonzero(mask)
     return int(hit[0]) if len(hit) else None
-
-
-def closed_extremes(g: VisibilityGraph, lo_values, hi_values):
-    """Per vertex v, the minimum of lo_values and the maximum of
-    hi_values over the closed neighborhood of v."""
-    ptr, members = closed_rows(g.indptr, g.indices, np.arange(g.n))
-    lo = np.minimum.reduceat(np.asarray(lo_values)[members], ptr[:-1])
-    hi = np.maximum.reduceat(np.asarray(hi_values)[members], ptr[:-1])
-    return lo, hi
 
 
 def breakpoints(g: VisibilityGraph):

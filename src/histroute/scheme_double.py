@@ -14,10 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from . import dump
+from . import dump, polygon
 from . import landmarks as lmk
 from .engine import (HeaderProtocolError, RoutingError, Scheme,
-                     SchemeBuildError)
+                     SchemeBuildError, closed_rows)
 from .visibility import co_visible_fast
 
 
@@ -97,6 +97,14 @@ def _local_vertical_dominators(link: DoubleLink):
             min(below or above, key=lambda e: (_dist(e[1]), e[1].x)),
             min(above or below, key=lambda e: (_dist(e[1]), e[1].x)))
     return link._vdom
+
+
+def _row_vertical_dominators(xs, ys, ptr, ids):
+    """Per closed row (ptr, ids), the bottom and top dominators that
+    _local_vertical_dominators picks: least by (off side, |y|, x)."""
+    orders = [np.lexsort((xs, np.abs(ys), off)) for off in (ys > 0, ys < 0)]
+    return [by[np.minimum.reduceat(np.argsort(by)[ids], ptr[:-1])]
+            for by in orders]
 
 
 def _local_chains(link: DoubleLink):
@@ -194,15 +202,16 @@ class DoubleScheme(Scheme):
     Link = DoubleLink
     columns = 4     # coordinates, interval bounds, table fields, bit
 
-    def __init__(self, n, labels, tables, indptr, indices):
-        super().__init__(n, labels, tables, indptr, indices)
+    def __init__(self, n, labels, tables, indptr, indices, rows):
+        super().__init__(n, labels, tables, indptr, indices, rows)
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
         self.max_table_bits = 6 * (w + 1) + 1
         self.max_header_bits = 2 * (w + 1)
 
-    def link_order(self, labels):
+    @staticmethod
+    def link_order(n, labels):
         x = np.array([lab.x for lab in labels], dtype=np.int64)
         y = np.array([lab.y for lab in labels], dtype=np.int64)
         return np.lexsort((y, np.abs(y), x))
@@ -234,24 +243,22 @@ class DoubleScheme(Scheme):
 
 
 def _check_normalized(h):
-    m = h.n // 2
-    if sorted({int(x) for x in h.xs}) != list(range(m)):
+    norm = polygon.normalize(h)     # idempotent: the identity iff normalized
+    if not np.array_equal(h.xs, norm.xs):
         raise SchemeBuildError("x coordinates are not normalized ranks")
-    neg = sorted({int(y) for y in h.ys if y < 0})
-    pos = sorted({int(y) for y in h.ys if y > 0})
-    if neg != list(range(-len(neg), 0)) or pos != list(range(1, len(pos) + 1)):
+    if not np.array_equal(h.ys, norm.ys):
         raise SchemeBuildError("y coordinates are not normalized ranks")
 
 
 def preprocess_double(h, g) -> DoubleScheme:
     """Build labels, tables, and link tables for a double histogram.
 
-    Requires normalized coordinates. Verifies, per vertex, that the
-    locally computable quantities match their global definitions: the
-    bottom/top dominators found among neighbors, the level-2 interval
-    reached by the extension chains, and the level-3 interval covered
-    by the two tabled level-2 intervals. Any mismatch aborts the build.
-    All global quantities come from the level-k dominator arrays.
+    Requires normalized coordinates. Checks, per vertex, that what a
+    step derives locally, reduced over the closed rows, equals its
+    global definition from the level-k dominator arrays: the bottom/top
+    dominators, the level-2 interval reached by the extension chains,
+    and the level-3 interval covered by the two tabled level-2
+    intervals. A mismatch aborts; the links come from the rows last.
     """
     if h.kind != "double":
         raise SchemeBuildError(f"need a double histogram, got {h.kind}")
@@ -260,25 +267,25 @@ def preprocess_double(h, g) -> DoubleScheme:
     lm = g.lm
     labels = [DoubleLabel(*f) for f in zip(
         h.xs.tolist(), h.ys.tolist(), lm.l_x.tolist(), lm.r_x.tolist())]
-    tables = []     # filled in once every check has passed
-    scheme = DoubleScheme(n, labels, tables, g.indptr, g.indices)
+    ptr, ids = closed_rows(g.indptr, g.indices,
+                           DoubleScheme.link_order(n, labels))
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
-    for v, (b, t) in enumerate(zip(bd1.tolist(), td1.tolist())):
-        lbd, ltd = _local_vertical_dominators(scheme.link_of(v))
-        if lbd[0] != b or ltd[0] != t:
-            raise SchemeBuildError(
-                f"local bottom/top dominators at {v} diverge from the "
-                f"global ones ({lbd[0]},{ltd[0]}) vs ({b},{t})")
+    lbd, ltd = _row_vertical_dominators(h.xs, h.ys, ptr, ids)
+    v = lmk.first_vertex((lbd != bd1) | (ltd != td1))
+    if v is not None:
+        raise SchemeBuildError(
+            f"local bottom/top dominators at {v} diverge from the global "
+            f"ones ({lbd[v]},{ltd[v]}) vs ({bd1[v]},{td1[v]})")
 
     # I^k(v) spans the intervals of the level-(k-1) dominators
     lo2 = np.minimum(lm.l_x[bd1], lm.l_x[td1])
     hi2 = np.maximum(lm.r_x[bd1], lm.r_x[td1])
     lo3 = np.minimum(lm.l_x[bd2], lm.l_x[td[2]])
     hi3 = np.maximum(lm.r_x[bd2], lm.r_x[td[2]])
-    near_lo, near_hi = lmk.closed_extremes(g, lm.l_x, lm.r_x)
-    v = lmk.first_vertex((near_lo != lo2) | (near_hi != hi2))
+    v = lmk.first_vertex((np.minimum.reduceat(lm.l_x[ids], ptr[:-1]) != lo2)
+                         | (np.maximum.reduceat(lm.r_x[ids], ptr[:-1]) != hi2))
     if v is not None:
         raise SchemeBuildError(
             f"level-2 interval of {v} is not the neighborhood extreme")
@@ -318,11 +325,11 @@ def preprocess_double(h, g) -> DoubleScheme:
     if v is not None:
         raise SchemeBuildError(
             f"canonical bottom path at {v} starts off the dominators")
-    tables.extend(DoubleTable(*f) for f in zip(
+    tables = [DoubleTable(*f) for f in zip(
         i2bd_lo.tolist(), i2bd_hi.tolist(), i2td_lo.tolist(),
         i2td_hi.tolist(), h.xs[bd2].tolist(), h.ys[bd2].tolist(),
-        bit.tolist()))
-    return scheme
+        bit.tolist())]
+    return DoubleScheme(n, labels, tables, g.indptr, g.indices, (ptr, ids))
 
 
 def dump_scheme(scheme: DoubleScheme) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dump
 from . import landmarks as lmk
-from .engine import RoutingError, Scheme, SchemeBuildError
+from .engine import RoutingError, Scheme, SchemeBuildError, closed_rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +66,8 @@ class SimpleScheme(Scheme):
     max_table_bits = 1
     max_header_bits = 0
 
-    def __init__(self, n, labels, tables, indptr, indices):
-        super().__init__(n, labels, tables, indptr, indices)
+    def __init__(self, n, labels, tables, indptr, indices, rows):
+        super().__init__(n, labels, tables, indptr, indices, rows)
         w = (n - 1).bit_length()
         self.max_label_bits = max(
             w * (2 if lab.br is not None else 1) for lab in labels)
@@ -118,9 +118,9 @@ def preprocess_simple(h, g) -> SimpleScheme:
     if v is not None:
         raise SchemeBuildError(
             f"I({v}) is not the id range [{int(lvid[v])},{int(rvid[v])}]")
-    ids = np.arange(n)
-    near_lo, near_hi = lmk.closed_extremes(g, ids, ids)
-    v = lmk.first_vertex((near_lo != lvid) | (near_hi != rvid))
+    # ids ascending, the simple link order: a row's ends are its extremes
+    ptr, ids = closed_rows(g.indptr, g.indices, SimpleScheme.link_order(n))
+    v = lmk.first_vertex((ids[ptr[:-1]] != lvid) | (ids[ptr[1:] - 1] != rvid))
     if v is not None:
         raise SchemeBuildError(
             f"closed neighborhood of {v} does not end at the landmarks")
@@ -128,7 +128,7 @@ def preprocess_simple(h, g) -> SimpleScheme:
     labels = [SimpleLabel(v, b if b >= 0 else None)
               for v, b in enumerate(lmk.breakpoints(g).tolist())]
     bits = (lm.l_y > lm.r_y).tolist()
-    return SimpleScheme(n, labels, bits, g.indptr, g.indices)
+    return SimpleScheme(n, labels, bits, g.indptr, g.indices, (ptr, ids))
 
 
 def dump_scheme(scheme: SimpleScheme) -> str:

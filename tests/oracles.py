@@ -13,6 +13,7 @@ a second, independent derivation.
 """
 
 import collections
+import copy
 import weakref
 
 import numpy as np
@@ -397,6 +398,16 @@ def csr_of(neighbors):
     np.cumsum([len(ids) for ids in neighbors], out=indptr[1:])
     indices = np.array([u for ids in neighbors for u in ids], dtype=np.int64)
     return indptr, indices
+
+
+def without_edge(g: VisibilityGraph, u: int, v: int) -> VisibilityGraph:
+    """A copy of the graph whose CSR lacks the edge u-v."""
+    g = copy.deepcopy(g)
+    nbrs = neighbor_lists(g)
+    nbrs[u].remove(v)
+    nbrs[v].remove(u)
+    g.indptr, g.indices = csr_of(nbrs)
+    return g
 
 
 def bfs(neighbors, s: int):

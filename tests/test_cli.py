@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from histroute import cli, engine, polygon, scheme_double, visibility
+from histroute import cli, engine, polygon, scheme_double, scheme_simple, \
+    visibility
 
 from conftest import H_DBL_TEXT, H_STEPS_TEXT
 
@@ -225,6 +232,22 @@ def test_missing_file(capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("cmd,args", [
+    ("validate", []),
+    ("build", ["--scheme", "simple"]),
+    ("route", ["--scheme", "double", "--from", "0", "--to", "1"]),
+    ("verify", ["--scheme", "simple"]),
+])
+def test_non_utf8_file(capsys, tmp_path, cmd, args):
+    # these used to end in a UnicodeDecodeError traceback, route aside
+    p = tmp_path / "bin.poly"
+    p.write_bytes(b"simple 4\n0 3\n\xd0\x00\xff 0\n3 0\n3 3\n")
+    code, out, err = run(capsys, cmd, str(p), *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "can't decode" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_gen_validate_build_route_pipeline(capsys, tmp_path):
     poly = tmp_path / "g.poly"
     dump = tmp_path / "g.scheme"
@@ -305,3 +328,76 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
                          "--from", "8", "--to", "9")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# file contents for the fuzz below: small polygons, their dumps, and
+# both as text with one line changed
+FUZZ_TEXTS = []
+for _kind, _n, _seed in (("simple", 4, 0), ("simple", 10, 3),
+                         ("double", 8, 1), ("double", 12, 5)):
+    _h = polygon.normalize(polygon.generate(_kind, _n, _seed))
+    _g = visibility.build_graph(_h)
+    _module = scheme_double if _kind == "double" else scheme_simple
+    FUZZ_TEXTS += [polygon.to_text(_h),
+                   _module.dump_scheme(cli._KINDS[_kind][0](_h, _g))]
+
+
+@st.composite
+def fuzz_files(draw):
+    """Bytes of a fuzz file: a polygon or dump as it is, with one line
+    replaced, dropped or repeated, or raw bytes."""
+    how = draw(st.sampled_from(["as is", "replace", "drop", "repeat",
+                                "bytes"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=64))
+    lines = draw(st.sampled_from(FUZZ_TEXTS)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "replace":
+        lines[i] = draw(st.text(max_size=16))
+    elif how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def fuzz_argvs(draw, path, out):
+    """The argv of one call of any subcommand on the file at path, with
+    options drawn from small choices, now and then one left out."""
+    cmd = draw(st.sampled_from(["gen", "validate", "build", "route",
+                                "verify"]))
+    kind = draw(st.sampled_from(["simple", "double", "triple"]))
+    ids = st.sampled_from(["0", "1", "3", "7", "11", "-1", "99", "x"])
+    opts = {
+        "gen": [["--kind", kind], ["--n", draw(st.sampled_from(
+            ["4", "8", "10", "3", "-2", "x"]))], ["--seed", draw(ids)],
+            ["--out", out]],
+        "validate": [],
+        "build": [["--scheme", kind], ["--out", out]],
+        "route": [["--scheme", kind], ["--from", draw(ids)],
+                  ["--to", draw(ids)], ["--trace"]],
+        "verify": [["--scheme", kind], ["--pairs", draw(st.sampled_from(
+            ["all", "5", "0", "x", "99999"]))], ["--seed", draw(ids)],
+            ["--report", out]],
+    }[cmd]
+    argv = [cmd] + ([] if cmd == "gen" else [path])
+    for opt in opts:
+        if draw(st.integers(0, 4)):
+            argv += opt
+    return argv
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly(data):
+    # whatever the file and options, every call ends in exit code 0, 1
+    # or 2 and never raises
+    with tempfile.TemporaryDirectory() as d:
+        path, out = os.path.join(d, "in"), os.path.join(d, "out")
+        with open(path, "wb") as fh:
+            fh.write(data.draw(fuzz_files()))
+        argv = data.draw(fuzz_argvs(path, out))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.cli_main(argv) in (0, 1, 2)

@@ -211,17 +211,3 @@ def test_range_min_matches_slices():
         got = table.query(a, b, 99)
         want = [int(values[i:j].min()) if j > i else 99 for i, j in zip(a, b)]
         assert got.tolist() == want, n
-
-
-def test_closed_extremes(small_simples, small_doubles):
-    # random values too: on these corpora v's own interval end never
-    # decides an extreme, so l_x and r_x alone miss a dropped own entry
-    rng = np.random.default_rng(4)
-    for h, g in small_simples + small_doubles:
-        for lo_in, hi_in in ((g.lm.l_x, g.lm.r_x),
-                             rng.integers(0, 9, size=(2, h.n))):
-            lo, hi = landmarks.closed_extremes(g, lo_in, hi_in)
-            for v in range(h.n):
-                closed = [v] + g.neighbors_of(v).tolist()
-                assert lo[v] == min(int(lo_in[u]) for u in closed)
-                assert hi[v] == max(int(hi_in[u]) for u in closed)

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from histroute import engine, scheme_double
+from histroute import engine, polygon, scheme_double
 
 import invariants
 import oracles
@@ -163,10 +163,17 @@ def test_preprocess_rejects_simple():
         scheme_double.preprocess_double(h, g)
 
 
-def test_preprocess_rejects_unnormalized(dbl_raw):
+def test_preprocess_rejects_unnormalized(dbl_raw, dbl):
     h, g = dbl_raw
     with pytest.raises(engine.SchemeBuildError):
         scheme_double.preprocess_double(h, g)
+    # one axis off its ranks at a time, each with its own message
+    h, g = dbl
+    for xs, ys, axis in ((h.xs * 2, h.ys, "x"), (h.xs, h.ys * 2, "y")):
+        with pytest.raises(engine.SchemeBuildError,
+                           match=f"{axis} coordinates are not normalized"):
+            scheme_double.preprocess_double(
+                polygon.Histogram("double", xs, ys), g)
 
 
 def test_dump_round_trip(sch_dbl, dbl):
@@ -278,12 +285,55 @@ def test_damaged_dump_routes_or_raises_routing_error(n, seed):
                     pass
 
 
-def test_preprocess_rejects_inconsistent_landmarks(dbl):
+def _tampered(graph, shifts=(), drop=None):
+    """A copy of the graph with landmark x-bounds shifted, as
+    (name, v, delta), and the edge drop = (u, v) taken out of the CSR."""
+    g = copy.deepcopy(graph) if drop is None \
+        else oracles.without_edge(graph, *drop)
+    for name, v, delta in shifts:
+        getattr(g.lm, name)[v] += delta
+    return g
+
+
+@pytest.mark.parametrize("shifts,drop,reason", [
     # widening I(7) alone makes its global level-1 dominators differ
     # from the ones its unchanged neighbors offer
+    ([("l_x", 7, -1)], None, "local bottom/top dominators at 7"),
+    ([("l_x", 1, 1)], None, r"dominators at 1 .* \(3,0\) vs \(3,3\)"),
+    ([("l_x", 0, -1)], None, "level-2 interval of 0"),
+    ([("l_x", 3, 1)], None, "0 does not see 3"),
+    ([("r_x", 3, -2)], None, "level-1 dominators of 7 both miss 3"),
+    # without the edge 0-3, 0's neighbors no longer hold its global
+    # bottom dominator 3
+    ([], (0, 3), r"dominators at 0 .* \(4,10\) vs \(3,10\)"),
+], ids=["widened-7", "dominators-1", "level-2", "unseen-hop", "hop-missed",
+        "dropped-edge"])
+def test_preprocess_rejects_inconsistent_landmarks(dbl, shifts, drop, reason):
     h, g = dbl
-    g = copy.deepcopy(g)
-    g.lm.l_x[7] = 3
-    with pytest.raises(engine.SchemeBuildError,
-                       match="local bottom/top dominators at 7"):
-        scheme_double.preprocess_double(h, g)
+    with pytest.raises(engine.SchemeBuildError, match=reason):
+        scheme_double.preprocess_double(h, _tampered(g, shifts, drop))
+
+
+def test_row_dominators_match_links(small_doubles, random_doubles):
+    # the build-time reduction over the closed rows picks what the
+    # routing-time scan picks on each link, also on graphs with an edge
+    # dropped, where the two may disagree with the global dominators
+    cases = small_doubles + random_doubles
+    for h, g in small_doubles:
+        cases += [(h, oracles.without_edge(g, u, v))
+                  for u, row in enumerate(oracles.neighbor_lists(g))
+                  for v in row if u < v]
+    for h, g in cases:
+        labels = [scheme_double.DoubleLabel(*f) for f in zip(
+            h.xs.tolist(), h.ys.tolist(), g.lm.l_x.tolist(),
+            g.lm.r_x.tolist())]
+        rows = engine.closed_rows(
+            g.indptr, g.indices,
+            scheme_double.DoubleScheme.link_order(h.n, labels))
+        sch = scheme_double.DoubleScheme(h.n, labels, [None] * h.n,
+                                         g.indptr, g.indices, rows)
+        bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys, *rows)
+        for v in range(h.n):
+            lbd, ltd = scheme_double._local_vertical_dominators(
+                sch.link_of(v))
+            assert (lbd[0], ltd[0]) == (bd[v], td[v]), f"n={h.n} v={v}"

@@ -168,9 +168,11 @@ def test_parse_dump_strict(text, reason):
         scheme_simple.parse_dump(text)
 
 
-def _tampered(graph, **changes):
-    """A copy of the graph with some landmark entries overwritten."""
-    g = copy.deepcopy(graph)
+def _tampered(graph, drop=None, **changes):
+    """A copy of the graph with some landmark entries overwritten and
+    the edge drop = (u, v) taken out of the CSR."""
+    g = copy.deepcopy(graph) if drop is None \
+        else oracles.without_edge(graph, *drop)
     for name, (v, value) in changes.items():
         getattr(g.lm, name)[v] = value
     return g
@@ -191,8 +193,11 @@ def _tampered(graph, **changes):
     # consistent id ranges that the neighbors of 1 and 5 do not reach
     ({"r_vid": (1, 5), "r_x": (1, 3)}, "closed neighborhood of 1"),
     ({"l_vid": (5, 2), "l_x": (5, 2)}, "closed neighborhood of 5"),
+    # without the edge 1-0, 1's closed neighborhood starts at id 1
+    ({"drop": (1, 0)}, "closed neighborhood of 1"),
 ], ids=["non-vertex", "extra-vertex", "extra-vertex-left", "range-left",
-        "range-right", "neighborhood-right", "neighborhood-left"])
+        "range-right", "neighborhood-right", "neighborhood-left",
+        "dropped-edge"])
 def test_preprocess_rejects_inconsistent_landmarks(steps, changes, reason):
     h, g = steps
     with pytest.raises(engine.SchemeBuildError, match=reason):
