@@ -14,38 +14,7 @@ definitions these must agree with are kept as test oracles.
 import numpy as np
 
 from .engine import SchemeBuildError
-from .visibility import VisibilityGraph
-
-
-class RangeMin:
-    """Sparse table over an integer array (Bender and Farach-Colton).
-
-    O(n log n) set-up; afterwards the minimum over any index range
-    [a, b) takes two lookups, vectorised over arrays of ranges.
-    """
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        n = len(values)
-        depth = max(n, 1).bit_length()   # levels j with 2**j <= n
-        self._table = np.zeros((depth, max(n, 1)), dtype=np.int64)
-        self._table[0, :n] = values
-        for j in range(1, depth):
-            half, m = 1 << (j - 1), n - (1 << j) + 1
-            self._table[j, :m] = np.minimum(self._table[j - 1, :m],
-                                            self._table[j - 1, half:half + m])
-
-    def query(self, a, b, empty):
-        """Minimum of values[a[i]:b[i]] for each i, or `empty` where
-        the range holds nothing."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.full(a.shape, empty, dtype=np.int64)
-        hit = b > a
-        a, b = a[hit], b[hit]
-        j = np.frexp((b - a).astype(np.float64))[1] - 1   # floor(log2(b - a))
-        out[hit] = np.minimum(self._table[j, a], self._table[j, b - (1 << j)])
-        return out
+from .visibility import RangeMin, VisibilityGraph
 
 
 def first_vertex(mask):

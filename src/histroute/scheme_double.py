@@ -42,7 +42,9 @@ class DoubleTable:
 
 class DoubleLink:
     """(vid, DoubleLabel) entries of the closed neighborhood in link
-    order (by x, distance to base, y), addressable by coordinates."""
+    order (by x, distance to base, y), addressable by coordinates.
+    DoubleScheme sets bd and td, the ids of the neighborhood's bottom
+    and top dominators (see _row_vertical_dominators)."""
 
     def __init__(self, labels, row, own_vid: int):
         self.entries = [(u, labels[u]) for u in row]
@@ -52,14 +54,11 @@ class DoubleLink:
         self._by_coord = {(lab.x, lab.y): vid for vid, lab in self.entries}
         self._xs = [lab.x for _, lab in self.entries]
         self._chains = None
-        self._vdom = None
+        # set here, not only later, so every link shares one key table
+        self.bd = self.td = None
 
     def find(self, x: int, y: int):
         return self._by_coord.get((x, y))
-
-
-def _dist(lab: DoubleLabel) -> int:
-    return -lab.y if lab.y < 0 else lab.y
 
 
 def _local_dominators(link: DoubleLink, tx: int):
@@ -86,22 +85,11 @@ def _local_dominators(link: DoubleLink, tx: int):
     return nd, fd
 
 
-def _local_vertical_dominators(link: DoubleLink):
-    """Bottom and top dominator entries over the closed neighborhood:
-    the (distance to base, x)-minimal entries below and above the base
-    line, an empty side copying the other. Cached per link."""
-    if link._vdom is None:
-        below = [e for e in link.entries if e[1].y < 0]
-        above = [e for e in link.entries if e[1].y > 0]
-        link._vdom = (
-            min(below or above, key=lambda e: (_dist(e[1]), e[1].x)),
-            min(above or below, key=lambda e: (_dist(e[1]), e[1].x)))
-    return link._vdom
-
-
 def _row_vertical_dominators(xs, ys, ptr, ids):
-    """Per closed row (ptr, ids), the bottom and top dominators that
-    _local_vertical_dominators picks: least by (off side, |y|, x)."""
+    """Per closed row (ptr, ids), the bottom and top dominators: the
+    entries below and above the base line least by (distance to base,
+    x), an empty side copying the other. Ties fall to the smaller id,
+    as in link order: least by (off side, |y|, x, id)."""
     orders = [np.lexsort((xs, np.abs(ys), off)) for off in (ys > 0, ys < 0)]
     return [by[np.minimum.reduceat(np.argsort(by)[ids], ptr[:-1])]
             for by in orders]
@@ -181,20 +169,25 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
                 if lab.ihi >= tx:
                     return vid, None
 
-    bd, td = _local_vertical_dominators(link)
     # case 3: target inside the level-3 interval
     if table.i2bd_lo <= tx <= table.i2bd_hi:
-        return bd[0], None
+        return link.bd, None
     if table.i2td_lo <= tx <= table.i2td_hi:
-        return td[0], None
+        return link.td, None
 
     # case 4: beyond the level-3 interval; aim for the level-2 bottom
     # dominator and record it in the header
-    pick = bd if table.bit_bottom else td
-    if pick[0] == link.own_vid:
+    pick = link.bd if table.bit_bottom else link.td
+    if pick == link.own_vid:
         raise RoutingError(
             "vertical dominator degenerated to the current vertex")
-    return pick[0], (table.bd2x, table.bd2y)
+    return pick, (table.bd2x, table.bd2y)
+
+
+def _coordinates(labels):
+    """The x and the y of every label, as two int64 arrays."""
+    return (np.array([lab.x for lab in labels], dtype=np.int64),
+            np.array([lab.y for lab in labels], dtype=np.int64))
 
 
 class DoubleScheme(Scheme):
@@ -202,8 +195,14 @@ class DoubleScheme(Scheme):
     Link = DoubleLink
     columns = 4     # coordinates, interval bounds, table fields, bit
 
-    def __init__(self, n, labels, tables, indptr, indices, rows):
+    def __init__(self, n, labels, tables, indptr, indices, rows, vdom=None):
+        """vdom is the (bottom, top) pair _row_vertical_dominators gives
+        for rows; it is computed here when not given."""
         super().__init__(n, labels, tables, indptr, indices, rows)
+        if vdom is None:
+            vdom = _row_vertical_dominators(*_coordinates(labels), *rows)
+        for link, b, t in zip(self._links, *(a.tolist() for a in vdom)):
+            link.bd, link.td = b, t
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
@@ -212,8 +211,7 @@ class DoubleScheme(Scheme):
 
     @staticmethod
     def link_order(n, labels):
-        x = np.array([lab.x for lab in labels], dtype=np.int64)
-        y = np.array([lab.y for lab in labels], dtype=np.int64)
+        x, y = _coordinates(labels)
         return np.lexsort((y, np.abs(y), x))
 
     def step(self, link, table, target, header):
@@ -329,7 +327,8 @@ def preprocess_double(h, g) -> DoubleScheme:
         i2bd_lo.tolist(), i2bd_hi.tolist(), i2td_lo.tolist(),
         i2td_hi.tolist(), h.xs[bd2].tolist(), h.ys[bd2].tolist(),
         bit.tolist())]
-    return DoubleScheme(n, labels, tables, g.indptr, g.indices, (ptr, ids))
+    return DoubleScheme(n, labels, tables, g.indptr, g.indices, (ptr, ids),
+                        (lbd, ltd))
 
 
 def dump_scheme(scheme: DoubleScheme) -> str:

@@ -11,6 +11,13 @@ when each lies in the other's interval, which gives an O(1) pair test
 once the intervals are known. VisibilityGraph stores the edges once, as
 the CSR adjacency that the rest of the package reads.
 
+In x order, the vertices after v up to x = r(v).x are one run, and v's
+neighbors among them are those whose l_x is at most x(v). Range minima
+over l_x (Bender and Farach-Colton 2000) drop every part of a run that
+holds none, and the rest is halved until it is short enough to scan, so
+the build's work follows the edges, not the runs, which total order n^2
+positions on a near-staircase polygon.
+
 Every vertex lies on one horizontal edge of its chain, its tooth, and
 both of its rays run at the tooth's height. Only the ray's own chain
 can stop it, at the first tooth on that side that lies nearer to the
@@ -22,7 +29,7 @@ import numpy as np
 
 from .polygon import Histogram
 
-_RUN_CHUNK = 1 << 16    # run entries expanded at a time, plus one run
+_SCAN = 32      # a range of at most this many positions is scanned whole
 
 
 class Landmarks:
@@ -39,6 +46,37 @@ class Landmarks:
         self.r_vid = np.full(n, -1, dtype=np.int64)
         self.r_x = np.zeros(n, dtype=np.int64)
         self.r_y = np.zeros(n, dtype=np.int64)
+
+
+class RangeMin:
+    """Sparse table over an integer array (Bender and Farach-Colton).
+
+    O(n log n) set-up; afterwards the minimum over any index range
+    [a, b) takes two lookups, vectorised over arrays of ranges.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        n = len(values)
+        depth = max(n, 1).bit_length()   # levels j with 2**j <= n
+        self._table = np.zeros((depth, max(n, 1)), dtype=np.int64)
+        self._table[0, :n] = values
+        for j in range(1, depth):
+            half, m = 1 << (j - 1), n - (1 << j) + 1
+            self._table[j, :m] = np.minimum(self._table[j - 1, :m],
+                                            self._table[j - 1, half:half + m])
+
+    def query(self, a, b, empty):
+        """Minimum of values[a[i]:b[i]] for each i, or `empty` where
+        the range holds nothing."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.full(a.shape, empty, dtype=np.int64)
+        hit = b > a
+        a, b = a[hit], b[hit]
+        j = np.frexp((b - a).astype(np.float64))[1] - 1   # floor(log2(b - a))
+        out[hit] = np.minimum(self._table[j, a], self._table[j, b - (1 << j)])
+        return out
 
 
 def _nearer_neighbours(dist):
@@ -109,24 +147,32 @@ class VisibilityGraph:
         self.h = h
         self.lm = lm
         self.n = n = h.n
-        # the vertices with x in I(v) are one run in x order; of those,
-        # v's neighbors are the others whose own interval holds x(v).
-        # The runs total up to order n^2 entries even when the edges are
-        # few, so they are expanded about _RUN_CHUNK entries at a time.
         order = np.argsort(h.xs, kind="stable")
-        x_sorted = h.xs[order]
-        start = np.searchsorted(x_sorted, lm.l_x, "left")
-        size = np.searchsorted(x_sorted, lm.r_x, "right") - start
-        ends = np.cumsum(size)      # I(v) holds v, so every size is >= 1
-        lead = start - (ends - size)    # x-order position - expansion index
-        cuts = np.flatnonzero(np.diff(ends // _RUN_CHUNK, prepend=-1))
+        x_sorted, l_sorted = h.xs[order], lm.l_x[order]
+        # a u after v in x order sees v exactly when x(u) <= r_x(v) and
+        # l_x[u] <= x(v) (which holds when x(u) == x(v)): each pair is
+        # found once, from its end first in x order, and mirrored. A
+        # range of positions without such a u is dropped whole; the
+        # others are scanned when short and halved when long.
+        v, lo = order, np.arange(1, n + 1)
+        hi = np.searchsorted(x_sorted, lm.r_x[order], "right")
         keys = []
-        for a, b in zip(cuts, [*cuts[1:], n]):
-            v = np.repeat(np.arange(a, b), size[a:b])
-            u = order[lead[v] + np.arange(ends[a] - size[a], ends[b - 1])]
-            keep = (lm.l_x[u] <= h.xs[v]) & (h.xs[v] <= lm.r_x[u]) & (u != v)
-            keys.append(np.sort(v[keep] * n + u[keep]))
-        key = np.concatenate(keys)      # ascending: v*n + u, rows by v
+        table = RangeMin(l_sorted)
+        while len(v):
+            keep = table.query(lo, hi, np.iinfo(np.int64).max) <= h.xs[v]
+            v, lo, hi = v[keep], lo[keep], hi[keep]
+            short = hi - lo <= _SCAN
+            size = (hi - lo)[short]
+            w = np.repeat(v[short], size)
+            q = np.repeat(lo[short] + size - np.cumsum(size), size)
+            q += np.arange(len(q))      # every position of the short ranges
+            hit = l_sorted[q] <= h.xs[w]
+            w, u = w[hit], order[q[hit]]
+            keys += [w * n + u, u * n + w]
+            v, lo, hi = v[~short], lo[~short], hi[~short]
+            mid = (lo + hi) // 2
+            v, lo, hi = np.tile(v, 2), np.append(lo, mid), np.append(mid, hi)
+        key = np.sort(np.concatenate(keys))     # v*n + u, rows by v
         self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
         self.indices = key % n
 

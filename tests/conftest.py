@@ -68,12 +68,13 @@ def make_double(text_or_n, seed=0):
     return h, g
 
 
-def staircase_text(m):
+def staircase_text(m, swaps=None):
     """A simple histogram with m teeth whose floors rise left to right,
-    with every third adjacent pair swapped: long intervals, many
-    candidate edges per breakpoint."""
+    with the adjacent floors i, i + 1 swapped for each i of swaps in
+    turn, by default every third pair: long intervals, many candidate
+    edges per breakpoint."""
     heights = list(range(m))
-    for i in range(0, m - 1, 3):
+    for i in range(0, m - 1, 3) if swaps is None else swaps:
         heights[i], heights[i + 1] = heights[i + 1], heights[i]
     pts = [(0, m), (0, heights[0])]
     for i in range(1, m):

@@ -276,6 +276,17 @@ def double_table(g: VisibilityGraph, v: int) -> DoubleTable:
                        int(h.xs[bds[2]]), int(h.ys[bds[2]]), bit)
 
 
+def local_vertical_dominators(link):
+    """Bottom and top dominator entries of a double link, by a scan of
+    its entries: the (distance to base, x)-minimal entries below and
+    above the base line, an empty side copying the other, ties to the
+    first entry in link order."""
+    below = [e for e in link.entries if e[1].y < 0]
+    above = [e for e in link.entries if e[1].y > 0]
+    return (min(below or above, key=lambda e: (abs(e[1].y), e[1].x)),
+            min(above or below, key=lambda e: (abs(e[1].y), e[1].x)))
+
+
 class NaiveOracle:
     """First-principles visibility via an exterior-point grid.
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import os
 import subprocess
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 import histroute
-from histroute import engine, polygon, scheme_double, scheme_simple, \
+from histroute import dump, engine, polygon, scheme_double, scheme_simple, \
     visibility
 
 import oracles
-from conftest import make_double, make_simple
+from conftest import make_double, make_simple, staircase_text
 
 
 class HijackedScheme:
@@ -452,3 +453,31 @@ def test_fuzzed_dump_reads_then_routes_or_raises(case):
             engine.run_route(sch, s, t)
         except engine.RoutingError:
             pass
+
+
+@pytest.mark.parametrize("make, arg, seed, digest", [
+    (make_simple, 500, 1,
+     "37d15e2a99ad75c45eeeb700bf68c6124fc070a654af263bacfd8a3ed44d6c0d"),
+    (make_simple, 500, 2,
+     "93229f40c7e2af94b7985cd255f2352b31760182879d35a3e22cfd5f755498f4"),
+    (make_simple, 500, 3,
+     "d1984a01e734fffc49081b09bbb1267d67374c38780ab71d77597d2a179cc5e2"),
+    (make_double, 500, 1,
+     "4c8c9a68d1a64361a0e0aa7105e88bbda23af2212bb5066e1cbf20e515a89e67"),
+    (make_double, 500, 2,
+     "985ff12e33aa78802036ebf4b562eaf4df4b4f679177bb68b4bada8dad629940"),
+    (make_double, 500, 3,
+     "585517d3168c35c3df59ecd30b5038a64f9081ff93e112e259c5d905390ca94f"),
+    (make_simple, staircase_text(300), 0,
+     "8f9901d914e39888cb22e7c99790a3449b30f0690144375208eae0b8c236dbef"),
+], ids=["simple-1", "simple-2", "simple-3", "double-1", "double-2",
+        "double-3", "staircase-300"])
+def test_dump_matches_golden_hash(make, arg, seed, digest):
+    # a change meant to keep every output must keep these dumps byte for
+    # byte; reading one back and writing it again changes nothing
+    h, g = make(arg, seed)
+    module = scheme_simple if h.kind == "simple" else scheme_double
+    preprocess = getattr(module, f"preprocess_{h.kind}")
+    text = dump.write(preprocess(h, g))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert dump.write(module.parse_dump(text)) == text

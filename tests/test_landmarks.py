@@ -205,7 +205,7 @@ def test_range_min_matches_slices():
     rng = np.random.default_rng(5)
     for n in (0, 1, 2, 3, 7, 8, 9, 33):
         values = rng.integers(-50, 50, size=n)
-        table = landmarks.RangeMin(values)
+        table = visibility.RangeMin(values)
         a, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
         a, b = a.ravel(), b.ravel()
         got = table.query(a, b, 99)

@@ -56,9 +56,10 @@ def test_local_equals_global(small_doubles, random_doubles):
             ca, cb = scheme_double._local_chains(link)
             ga, gb = oracles.extension_sequences(g, s)
             assert [v for v, _ in ca] == ga and [v for v, _ in cb] == gb
-            bd, td = scheme_double._local_vertical_dominators(link)
+            bd, td = oracles.local_vertical_dominators(link)
             bds, tds = oracles.k_dominators(g, s, 1)
             assert bd[0] == bds[1] and td[0] == tds[1]
+            assert (link.bd, link.td) == (bd[0], td[0])
         for s, t in invariants.invisible_interval_pairs(g):
             link = sch.link_of(s)
             nd, fd = scheme_double._local_dominators(link, int(h.xs[t]))
@@ -315,9 +316,10 @@ def test_preprocess_rejects_inconsistent_landmarks(dbl, shifts, drop, reason):
 
 
 def test_row_dominators_match_links(small_doubles, random_doubles):
-    # the build-time reduction over the closed rows picks what the
-    # routing-time scan picks on each link, also on graphs with an edge
-    # dropped, where the two may disagree with the global dominators
+    # the reduction over the closed rows, which the links route by,
+    # picks what a scan of each link's entries picks, also on graphs
+    # with an edge dropped, where the two may disagree with the global
+    # dominators
     cases = small_doubles + random_doubles
     for h, g in small_doubles:
         cases += [(h, oracles.without_edge(g, u, v))
@@ -334,6 +336,7 @@ def test_row_dominators_match_links(small_doubles, random_doubles):
                                          g.indptr, g.indices, rows)
         bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys, *rows)
         for v in range(h.n):
-            lbd, ltd = scheme_double._local_vertical_dominators(
-                sch.link_of(v))
+            link = sch.link_of(v)
+            lbd, ltd = oracles.local_vertical_dominators(link)
             assert (lbd[0], ltd[0]) == (bd[v], td[v]), f"n={h.n} v={v}"
+            assert (link.bd, link.td) == (bd[v], td[v])

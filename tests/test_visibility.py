@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import hypothesis
@@ -108,6 +109,58 @@ def test_neighbors_match_adjacency(steps, dbl, small_simples, small_doubles):
                 if w != v and oracles.co_visible_naive(h, v, w)]
 
 
+def rows_match_definition(h, g):
+    # row v lists exactly the w != v that the interval test says v sees
+    ids = np.arange(h.n)
+    for v in range(h.n):
+        sees = visibility.co_visible_fast(g, v, ids) & (ids != v)
+        assert g.neighbors_of(v).tolist() == np.flatnonzero(sees).tolist(), v
+
+
+def longest_run(h, g):
+    # the most positions right of a vertex's x-group and up to the end
+    # of its interval, all of which the build searches from the vertex
+    xs = np.sort(h.xs)
+    return int(max(np.searchsorted(xs, g.lm.r_x, "right")
+                   - np.searchsorted(xs, h.xs, "right")))
+
+
+@pytest.mark.parametrize("make, arg, seed", [
+    (make_simple, staircase_text(40), 0),
+    (make_simple, staircase_text(99), 0),
+    (make_simple, staircase_text(300), 0),
+    (make_simple, 400, 1), (make_simple, 600, 2), (make_simple, 800, 3),
+    (make_double, 400, 1), (make_double, 600, 2), (make_double, 800, 3),
+], ids=["staircase-40", "staircase-99", "staircase-300", "simple-400",
+        "simple-600", "simple-800", "double-400", "double-600",
+        "double-800"])
+def test_rows_match_definition_when_runs_are_halved(make, arg, seed):
+    h, g = make(arg, seed)
+    assert longest_run(h, g) > visibility._SCAN
+    rows_match_definition(h, g)
+
+
+@hypothesis.given(st.integers(34, 150).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_rows_match_definition_on_staircases(case):
+    m, swapped = case
+    h, g = make_simple(staircase_text(m, [i for i, b in enumerate(swapped)
+                                          if b]))
+    rows_match_definition(h, g)
+
+
+def test_staircase_build_time():
+    # n = 10^5; the intervals hold about n^2 / 3 positions in all but
+    # the graph has 2.5 n edges, and a build that walks the intervals
+    # takes over a minute
+    h = polygon.parse_polygon(staircase_text(49999))
+    start = time.perf_counter()
+    visibility.build_graph(h)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5, f"build_graph took {elapsed:.1f} s"
+
+
 def test_oracle_equivalence_fixtures(rect, steps, dbl, dbl_raw, drect):
     for h, g in (rect, steps, dbl, dbl_raw, drect):
         assert all_pairs_match(h, g) is None
@@ -168,9 +221,10 @@ def test_landmarks_match_ray_walk(rect, steps, dbl, dbl_raw, drect,
 
 @pytest.mark.parametrize("kind", ["simple", "double", "staircase"])
 def test_graph_memory_is_linear(kind):
-    # a dense n x n relation would need about 195 MiB at this size; on
-    # the staircase the x-runs of the intervals hold ~n^2 / 3 entries,
-    # so expanding them all at once would too
+    # a dense n x n relation would need about 195 MiB at this size; the
+    # staircase has as few edges as a random polygon but intervals that
+    # span a third of it, so a build whose memory followed the
+    # intervals rather than the edges would exceed the bound there
     if kind == "staircase":
         h = polygon.parse_polygon(staircase_text(4999))
     else:
