@@ -49,32 +49,48 @@ def closed_rows(indptr, indices, order):
     return indptr + np.arange(n + 1), order[keys % n]
 
 
+def cut_rows(rows, *cols):
+    """Link columns cut from the closed rows (ptr, ids): the ids, then
+    each int64 column taken at the ids, each as one tuple that one
+    slice per vertex cuts up. Taken from object arrays, the entries of
+    one vertex share one int object, not one per link; and tuples of
+    ints leave the cyclic garbage collector's lists once it has seen
+    them, while lists are scanned at every full collection."""
+    ptr, ids = rows
+    cuts = list(map(slice, ptr[:-1].tolist(), ptr[1:].tolist()))
+    return [list(map(tuple(c.astype(object)[ids].tolist()).__getitem__,
+                     cuts))
+            for c in (np.arange(len(ptr) - 1), *cols)]
+
+
 class Scheme:
     """A built routing scheme: per-vertex labels, routing tables and
     link tables, the contract both histogram kinds share.
 
-    Subclasses set ``kind`` and ``Link`` (built once per vertex as
-    ``Link(labels, row, v)`` from row v of rows, the closed_rows of
-    the adjacency in the order of ``link_order(n, labels)``, by default
-    the ids ascending), the ``max_*_bits`` bounds, the routing ``step``,
-    and the dump columns: ``columns`` fields written by ``row_fields(v)``
-    and read back by ``parse_row(v, fields)``. The adjacency is kept as
-    the CSR pair (indptr, indices) that visibility.VisibilityGraph built.
+    The labels and tables are kept as columns, one int64 (or bool)
+    array per field with one entry per vertex, in ``cols`` by field
+    name; ``label_of``/``table_of`` hand out records built for all
+    vertices at once from those columns. The links are cut in one
+    batch (``cut_rows``) from the closed rows that closed_rows gives in
+    the order of ``link_order(n, cols)``, by default the ids ascending.
+    The adjacency is kept as the CSR pair (indptr, indices) that
+    visibility.VisibilityGraph built.
+
+    Subclasses set ``kind``, the ``max_*_bits`` bounds, the routing
+    ``step``, the records and links in ``__init__``, and the dump
+    columns: ``columns`` fields between a row's id and its neighbor
+    ids, which ``dump_fields()`` formats for all rows and
+    ``read_fields(rows)`` parses and checks from a ``dump.Rows``.
     """
 
-    def __init__(self, n, labels, tables, indptr, indices, rows):
+    def __init__(self, n, cols, indptr, indices):
         self.n = n
-        self._labels = labels
-        self._tables = tables
+        self.cols = cols
         self.indptr = indptr
         self.indices = indices
-        # the links slice one list, so each id is one object
-        ptr, ids = (a.tolist() for a in rows)
-        self._links = [self.Link(labels, ids[a:b], v)
-                       for v, (a, b) in enumerate(zip(ptr, ptr[1:]))]
 
     @staticmethod
-    def link_order(n, labels=None):
+    def link_order(n, cols=None):
         return np.arange(n)
 
     def label_of(self, v: int):

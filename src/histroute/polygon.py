@@ -110,15 +110,35 @@ class Histogram:
 _LIMIT = 1 << 62
 
 
-def _coords(points):
-    """The points as int64 arrays xs, ys: the one conversion from Python
-    integers, behind the one range check."""
-    flat = list(itertools.chain.from_iterable(points))
+def out_of_range(a):
+    """Where the integers of the array a have |c| >= 2**62."""
+    return (a <= -_LIMIT) | (a >= _LIMIT)
+
+
+def int_tokens(tokens):
+    """int() of each token, as an array: (values, None), or the values
+    before the first token that int() rejects and its message. The
+    values are int64, or objects when one does not fit in int64."""
+    try:
+        return np.array(tokens, dtype=np.int64), None
+    except (ValueError, OverflowError):
+        vals = []
+        for t in tokens:
+            try:
+                vals.append(int(t))
+            except ValueError as exc:
+                return np.array(vals, dtype=object), str(exc)
+        return np.array(vals, dtype=object), None
+
+
+def _coords(flat):
+    """The coordinates x0, y0, x1, y1, ... as int64 arrays xs, ys: the
+    one conversion from integers, behind the one range check."""
     try:
         a = np.array(flat, dtype=np.int64)
     except OverflowError:   # beyond int64: compare as Python ints
         a = np.array(flat, dtype=object)
-    bad = np.flatnonzero((a <= -_LIMIT) | (a >= _LIMIT))
+    bad = np.flatnonzero(out_of_range(a))
     if len(bad):
         i = bad[0]
         raise PolygonError(
@@ -199,12 +219,13 @@ def _check_general_position(xs, ys):
     return None
 
 
-def _checked(points, kind: str):
-    """The points as int64 arrays xs, ys once they pass every stage of
-    :func:`validate`; raises PolygonError at the first failure."""
+def _checked(flat, kind: str):
+    """The coordinates x0, y0, x1, y1, ... as int64 arrays xs, ys once
+    they pass every stage of :func:`validate`; raises PolygonError at
+    the first failure."""
     if kind not in ("simple", "double"):
         raise PolygonError("syntax", f"unknown kind {kind!r}")
-    xs, ys = _coords(points)
+    xs, ys = _coords(flat)
     for code, check in (("closed-cycle", _check_closed_cycle),
                         ("x-monotone", _check_x_monotone),
                         ("general-position", _check_general_position)):
@@ -257,7 +278,7 @@ def validate(points, kind: str) -> ValidationReport:
     then for double histograms the base line.
     """
     try:
-        _checked(points, kind)
+        _checked(list(itertools.chain.from_iterable(points)), kind)
     except PolygonError as exc:
         return ValidationReport(False, exc.code, exc.message)
     return ValidationReport(True, None, "ok")
@@ -265,7 +286,8 @@ def validate(points, kind: str) -> ValidationReport:
 
 def build_histogram(points, kind: str) -> Histogram:
     """Validate and construct. Raises PolygonError on the first violation."""
-    return Histogram(kind, *_checked(points, kind))
+    return Histogram(kind, *_checked(
+        list(itertools.chain.from_iterable(points)), kind))
 
 
 def parse_polygon(text: str) -> Histogram:
@@ -274,39 +296,40 @@ def parse_polygon(text: str) -> Histogram:
     Line 1 is ``<kind> <n>``; the next n lines are ``<x> <y>``. Blank
     lines and lines starting with ``#`` are ignored.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+    lines = text.splitlines()
+    toks = list(map(str.split, lines))     # one split a line
+    rows = [i for i, t in enumerate(toks) if t and not t[0].startswith("#")]
     if not rows:
         raise PolygonError("syntax", "empty input")
-    lineno, header = rows[0]
-    parts = header.split()
+    parts = toks[rows[0]]
     if len(parts) != 2 or parts[0] not in ("simple", "double"):
         raise PolygonError(
-            "syntax", f"line {lineno}: expected '<kind> <n>', got {header!r}")
+            "syntax", f"line {rows[0] + 1}: expected '<kind> <n>', "
+            f"got {lines[rows[0]].strip()!r}")
     kind = parts[0]
     try:
         n = int(parts[1])
     except ValueError:
-        raise PolygonError("syntax", f"line {lineno}: bad vertex count") from None
+        raise PolygonError(
+            "syntax", f"line {rows[0] + 1}: bad vertex count") from None
     if len(rows) - 1 != n:
         raise PolygonError(
             "syntax", f"expected {n} vertex lines, got {len(rows) - 1}")
-    points = []
-    for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise PolygonError(
-                "syntax", f"line {lineno}: expected '<x> <y>', got {line!r}")
-        try:
-            points.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise PolygonError(
-                "syntax", f"line {lineno}: coordinates must be integers") from None
-    return build_histogram(points, kind)
+    # one conversion of all tokens; the first faulty line wins, one
+    # with other than two tokens or with a token that int() rejects
+    rows = rows[1:]
+    parts = list(map(toks.__getitem__, rows))
+    counts = np.fromiter(map(len, parts), dtype=np.int64, count=n)
+    bad = np.flatnonzero(counts != 2)
+    end = bad[0] if len(bad) else n
+    vals, err = int_tokens(list(itertools.chain.from_iterable(parts[:end])))
+    if err is not None:
+        raise PolygonError("syntax", f"line {rows[len(vals) // 2] + 1}: "
+                           "coordinates must be integers")
+    if end < n:
+        raise PolygonError("syntax", f"line {rows[end] + 1}: expected "
+                           f"'<x> <y>', got {lines[rows[end]].strip()!r}")
+    return Histogram(kind, *_checked(vals, kind))
 
 
 def to_text(h: Histogram) -> str:

@@ -17,11 +17,11 @@ import numpy as np
 from . import dump, polygon
 from . import landmarks as lmk
 from .engine import (HeaderProtocolError, RoutingError, Scheme,
-                     SchemeBuildError, closed_rows)
+                     SchemeBuildError, closed_rows, cut_rows)
 from .visibility import co_visible_fast
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class DoubleLabel:
     x: int
     y: int
@@ -29,7 +29,7 @@ class DoubleLabel:
     ihi: int    # right x-bound of I(v)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class DoubleTable:
     i2bd_lo: int
     i2bd_hi: int
@@ -40,29 +40,53 @@ class DoubleTable:
     bit_bottom: bool
 
 
+_LABEL_FIELDS, _TABLE_FIELDS = ([f.name for f in dataclasses.fields(c)]
+                                for c in (DoubleLabel, DoubleTable))
+# the integer columns, in dump order
+_NUMBER_FIELDS = _LABEL_FIELDS + _TABLE_FIELDS[:6]
+
+
 class DoubleLink:
-    """(vid, DoubleLabel) entries of the closed neighborhood in link
-    order (by x, distance to base, y), addressable by coordinates.
-    DoubleScheme sets bd and td, the ids of the neighborhood's bottom
+    """The closed neighborhood in link order (by x, distance to base,
+    y), as tuples cut by engine.cut_rows: ``ids`` (also as ``id_set``)
+    and, entry by entry, the coordinates ``xs``, ``ys`` and the interval
+    bounds ``ilo``, ``ihi`` of their labels. ``own`` is the label of
+    ``own_vid``, and bd and td are the ids of the neighborhood's bottom
     and top dominators (see _row_vertical_dominators)."""
 
-    def __init__(self, labels, row, own_vid: int):
-        self.entries = [(u, labels[u]) for u in row]
-        self.id_set = set(row)
+    __slots__ = ("own_vid", "own", "ids", "id_set", "xs", "ys", "ilo", "ihi",
+                 "bd", "td", "_chains")
+
+    def __init__(self, own_vid, own, ids, xs, ys, ilo, ihi, bd, td):
         self.own_vid = own_vid
-        self.own = labels[own_vid]
-        self._by_coord = {(lab.x, lab.y): vid for vid, lab in self.entries}
-        self._xs = [lab.x for _, lab in self.entries]
+        self.own = own
+        self.ids = ids
+        self.id_set = set(ids)
+        self.xs = xs
+        self.ys = ys
+        self.ilo = ilo
+        self.ihi = ihi
+        self.bd = bd
+        self.td = td
         self._chains = None
-        # set here, not only later, so every link shares one key table
-        self.bd = self.td = None
 
     def find(self, x: int, y: int):
-        return self._by_coord.get((x, y))
+        """The id at coordinates (x, y), or None: a bisection to x, then
+        a look back along its x-group, which holds at most two vertices
+        in a valid histogram. Of repeated coordinates the last in link
+        order wins."""
+        xs, ys = self.xs, self.ys
+        i = bisect.bisect_right(xs, x) - 1
+        while i >= 0 and xs[i] == x:
+            if ys[i] == y:
+                return self.ids[i]
+            i -= 1
+        return None
 
 
 def _local_dominators(link: DoubleLink, tx: int):
-    """Near and far dominator toward x-coordinate tx, from labels alone.
+    """Near and far dominator ids toward x-coordinate tx, from labels
+    alone.
 
     Mirrors the global definition: candidates are the closed
     neighborhood, the far side includes tx itself, ties break toward
@@ -70,18 +94,18 @@ def _local_dominators(link: DoubleLink, tx: int):
     always sit in the x-group adjacent to tx on their side, and link
     order puts each group's winner first, so two bisections suffice.
     """
-    entries, xs = link.entries, link._xs
+    ids, xs = link.ids, link.xs
     if tx > link.own.x:
         i = bisect.bisect_left(xs, tx)
-        nd = entries[bisect.bisect_left(xs, xs[i - 1])]
-        fd = entries[i] if i < len(entries) else None
+        nd = ids[bisect.bisect_left(xs, xs[i - 1])]
+        fd = ids[i] if i < len(ids) else None
     else:
         i = bisect.bisect_right(xs, tx)
-        if i == len(entries):
+        if i == len(ids):
             raise RoutingError(
                 f"no neighbor of {link.own_vid} lies toward x={tx}")
-        nd = entries[i]
-        fd = entries[bisect.bisect_left(xs, xs[i - 1])] if i > 0 else None
+        nd = ids[i]
+        fd = ids[bisect.bisect_left(xs, xs[i - 1])] if i > 0 else None
     return nd, fd
 
 
@@ -96,29 +120,34 @@ def _row_vertical_dominators(xs, ys, ptr, ids):
 
 
 def _local_chains(link: DoubleLink):
-    """Greedy interval-extension chains over the neighbor labels.
+    """Greedy interval-extension chains over the neighbor labels, as
+    (id, bound) pairs.
 
     Left chain: repeatedly pick, among neighbors whose interval starts
     strictly left of the current one, the leftmost vertex (ties toward
-    the base). Right chain mirrored. Both start at the own label. No
-    entry before a pick in that order starts left of the current one, so
-    a chain is the running records of one scan in link order, with the
+    the base), paired with its interval's left bound. Right chain
+    mirrored, with right bounds. Both start at the own label. No entry
+    before a pick in that order starts left of the current one, so a
+    chain is the running records of one scan in link order, with the
     x-groups taken from the right for the right chain. Cached per link.
     """
     if link._chains is not None:
         return link._chains
-    entries, xs = link.entries, link._xs
-    chain_a = [(link.own_vid, link.own)]
-    for e in entries:
-        if e[1].ilo < chain_a[-1][1].ilo:
-            chain_a.append(e)
-    chain_b = [(link.own_vid, link.own)]
-    j = len(entries)
+    ids, xs, ilo, ihi = link.ids, link.xs, link.ilo, link.ihi
+    lo, hi = link.own.ilo, link.own.ihi
+    chain_a = [(link.own_vid, lo)]
+    for u, b in zip(ids, ilo):
+        if b < lo:
+            lo = b
+            chain_a.append((u, b))
+    chain_b = [(link.own_vid, hi)]
+    j = len(ids)
     while j:
         i = bisect.bisect_left(xs, xs[j - 1])
-        for e in entries[i:j]:
-            if e[1].ihi > chain_b[-1][1].ihi:
-                chain_b.append(e)
+        for k in range(i, j):
+            if ihi[k] > hi:
+                hi = ihi[k]
+                chain_b.append((ids[k], hi))
         j = i
     link._chains = (chain_a, chain_b)
     return link._chains
@@ -151,22 +180,22 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
     if own.ilo <= tx <= own.ihi:
         nd, fd = _local_dominators(link, tx)
         pick = fd if fd is not None else nd
-        if pick[0] == link.own_vid:
+        if pick == link.own_vid:
             raise RoutingError(
                 f"dominator toward x={tx} degenerated to the current vertex")
-        return pick[0], None
+        return pick, None
 
     # case 2: target inside the level-2 interval
     chain_a, chain_b = _local_chains(link)
     if tx < own.ilo:
-        if tx >= chain_a[-1][1].ilo:
-            for vid, lab in chain_a[1:]:
-                if lab.ilo <= tx:
+        if tx >= chain_a[-1][1]:
+            for vid, lo in chain_a[1:]:
+                if lo <= tx:
                     return vid, None
     else:
-        if tx <= chain_b[-1][1].ihi:
-            for vid, lab in chain_b[1:]:
-                if lab.ihi >= tx:
+        if tx <= chain_b[-1][1]:
+            for vid, hi in chain_b[1:]:
+                if hi >= tx:
                     return vid, None
 
     # case 3: target inside the level-3 interval
@@ -184,25 +213,34 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
     return pick, (table.bd2x, table.bd2y)
 
 
-def _coordinates(labels):
-    """The x and the y of every label, as two int64 arrays."""
-    return (np.array([lab.x for lab in labels], dtype=np.int64),
-            np.array([lab.y for lab in labels], dtype=np.int64))
+def _unpacking(r, count):
+    """Python's message for unpacking count values into two names."""
+    if count < 2:
+        return f"not enough values to unpack (expected 2, got {count})"
+    return "too many values to unpack (expected 2)"
 
 
 class DoubleScheme(Scheme):
+    """Columns: the label fields ``x``, ``y``, ``ilo``, ``ihi`` and the
+    table fields, named as in DoubleLabel and DoubleTable."""
+
     kind = "double"
-    Link = DoubleLink
     columns = 4     # coordinates, interval bounds, table fields, bit
 
-    def __init__(self, n, labels, tables, indptr, indices, rows, vdom=None):
+    def __init__(self, n, cols, indptr, indices, rows, vdom=None):
         """vdom is the (bottom, top) pair _row_vertical_dominators gives
         for rows; it is computed here when not given."""
-        super().__init__(n, labels, tables, indptr, indices, rows)
+        super().__init__(n, cols, indptr, indices)
+        x, y, ilo, ihi = (cols[f] for f in _LABEL_FIELDS)
         if vdom is None:
-            vdom = _row_vertical_dominators(*_coordinates(labels), *rows)
-        for link, b, t in zip(self._links, *(a.tolist() for a in vdom)):
-            link.bd, link.td = b, t
+            vdom = _row_vertical_dominators(x, y, *rows)
+        self._labels = list(map(DoubleLabel, x.tolist(), y.tolist(),
+                                ilo.tolist(), ihi.tolist()))
+        self._tables = list(map(DoubleTable, *(
+            cols[f].tolist() for f in _TABLE_FIELDS)))
+        self._links = list(map(DoubleLink, range(n), self._labels,
+                               *cut_rows(rows, x, y, ilo, ihi),
+                               *(a.tolist() for a in vdom)))
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
@@ -210,34 +248,35 @@ class DoubleScheme(Scheme):
         self.max_header_bits = 2 * (w + 1)
 
     @staticmethod
-    def link_order(n, labels):
-        x, y = _coordinates(labels)
-        return np.lexsort((y, np.abs(y), x))
+    def link_order(n, cols):
+        y = cols["y"]
+        return np.lexsort((y, np.abs(y), cols["x"]))
 
     def step(self, link, table, target, header):
         return route_step_double(link, table, target, header)
 
-    def row_fields(self, v: int):
-        lab = self.label_of(v)
-        tab = self.table_of(v)
-        return [f"{lab.x} {lab.y}", f"{lab.ilo} {lab.ihi}",
-                f"{tab.i2bd_lo} {tab.i2bd_hi} {tab.i2td_lo} {tab.i2td_hi} "
-                f"{tab.bd2x} {tab.bd2y}", "1" if tab.bit_bottom else "0"]
+    def dump_fields(self):
+        cols = self.cols
+        return list(map("{} {} | {} {} | {} {} {} {} {} {} | {}".format, *(
+            cols[f].tolist() for f in _NUMBER_FIELDS),
+            cols["bit_bottom"].astype(np.int8).tolist()))
 
     @staticmethod
-    def parse_row(v: int, fields):
-        coords, bounds, table, bit = fields
-        x, y = (int(a) for a in coords.split())
-        if y == 0 or max(abs(x), abs(y)) >= 1 << 62:
-            raise ValueError(f"row {v}: vertex ({x},{y}) must lie off the "
-                             f"base line, with |x|, |y| < 2**62")
-        ilo, ihi = (int(a) for a in bounds.split())
-        f = [int(a) for a in table.split()]
-        if len(f) != 6:
-            raise ValueError(f"row {v}: expected 6 table fields, "
-                             f"got {table.strip()!r}")
-        return DoubleLabel(x, y, ilo, ihi), \
-            DoubleTable(*f, dump.parse_bit(bit))
+    def read_fields(rows):
+        vid = rows.vid
+        x, y = rows.fixed(1, 2, _unpacking)
+        off = (y == 0) | polygon.out_of_range(x) | polygon.out_of_range(y)
+        rows.fault(off, lambda r: (
+            f"row {vid[r]}: vertex ({x[r]},{y[r]}) must lie off the base "
+            f"line, with |x|, |y| < 2**62"))
+        bounds = rows.fixed(2, 2, _unpacking)
+        rows.bounded("interval bound", bounds)
+        table = rows.fixed(3, 6, lambda r, count: (
+            f"row {vid[r]}: expected 6 table fields, "
+            f"got {rows.fields[3][r].strip()!r}"))
+        rows.bounded("table field", table)
+        return {**dict(zip(_NUMBER_FIELDS, (x, y, *bounds, *table))),
+                "bit_bottom": rows.bits(4)}
 
 
 def _check_normalized(h):
@@ -263,10 +302,9 @@ def preprocess_double(h, g) -> DoubleScheme:
     _check_normalized(h)
     n = h.n
     lm = g.lm
-    labels = [DoubleLabel(*f) for f in zip(
-        h.xs.tolist(), h.ys.tolist(), lm.l_x.tolist(), lm.r_x.tolist())]
+    cols = {"x": h.xs, "y": h.ys, "ilo": lm.l_x, "ihi": lm.r_x}
     ptr, ids = closed_rows(g.indptr, g.indices,
-                           DoubleScheme.link_order(n, labels))
+                           DoubleScheme.link_order(n, cols))
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
@@ -323,12 +361,9 @@ def preprocess_double(h, g) -> DoubleScheme:
     if v is not None:
         raise SchemeBuildError(
             f"canonical bottom path at {v} starts off the dominators")
-    tables = [DoubleTable(*f) for f in zip(
-        i2bd_lo.tolist(), i2bd_hi.tolist(), i2td_lo.tolist(),
-        i2td_hi.tolist(), h.xs[bd2].tolist(), h.ys[bd2].tolist(),
-        bit.tolist())]
-    return DoubleScheme(n, labels, tables, g.indptr, g.indices, (ptr, ids),
-                        (lbd, ltd))
+    cols.update(zip(_TABLE_FIELDS, (
+        i2bd_lo, i2bd_hi, i2td_lo, i2td_hi, h.xs[bd2], h.ys[bd2], bit)))
+    return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), (lbd, ltd))
 
 
 def dump_scheme(scheme: DoubleScheme) -> str:

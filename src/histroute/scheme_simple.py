@@ -14,24 +14,28 @@ import numpy as np
 
 from . import dump
 from . import landmarks as lmk
-from .engine import RoutingError, Scheme, SchemeBuildError, closed_rows
+from .engine import (RoutingError, Scheme, SchemeBuildError, closed_rows,
+                     cut_rows)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class SimpleLabel:
     vid: int
     br: int | None = None   # breakpoint id, present iff reflex or base vertex
 
 
 class SimpleLink:
-    """The closed neighborhood's ids, ascending, the simple link order;
-    ``br[i]`` is the breakpoint of ``ids[i]``, None where it has none."""
+    """The closed neighborhood's ids, ascending, the simple link order,
+    as a tuple cut by engine.cut_rows and as ``id_set``; ``br[i]`` is the
+    breakpoint of ``ids[i]``, -1 where it has none."""
 
-    def __init__(self, labels, row, own_vid: int):
-        self.ids = row
-        self.id_set = set(row)
-        self.br = [labels[u].br for u in row]
+    __slots__ = ("own_vid", "ids", "id_set", "br")
+
+    def __init__(self, own_vid: int, ids, br):
         self.own_vid = own_vid
+        self.ids = ids
+        self.id_set = set(ids)
+        self.br = br
 
 
 def route_step_simple(link: SimpleLink, higher_left: bool,
@@ -52,7 +56,7 @@ def route_step_simple(link: SimpleLink, higher_left: bool,
     if nd == own_id:
         raise RoutingError(f"near dominator degenerated to self at {own_id}")
     b = link.br[near]
-    if b is None:
+    if b < 0:
         raise RoutingError(f"neighbor {nd} lacks a breakpoint id")
     if min(nd, b) <= tid <= max(nd, b):
         return nd
@@ -60,35 +64,50 @@ def route_step_simple(link: SimpleLink, higher_left: bool,
 
 
 class SimpleScheme(Scheme):
+    """Columns: ``br``, the breakpoint id of each vertex (-1 where it has
+    none), and ``bit``, its table bit: whether l(v) sits higher than
+    r(v)."""
+
     kind = "simple"
-    Link = SimpleLink
     columns = 2     # label, table bit
     max_table_bits = 1
     max_header_bits = 0
 
-    def __init__(self, n, labels, tables, indptr, indices, rows):
-        super().__init__(n, labels, tables, indptr, indices, rows)
+    def __init__(self, n, cols, indptr, indices, rows):
+        super().__init__(n, cols, indptr, indices)
+        br = cols["br"]
+        self._labels = list(map(SimpleLabel, range(n),
+                                np.where(br >= 0, br, None).tolist()))
+        self._tables = cols["bit"].tolist()
+        self._links = list(map(SimpleLink, range(n), *cut_rows(rows, br)))
         w = (n - 1).bit_length()
-        self.max_label_bits = max(
-            w * (2 if lab.br is not None else 1) for lab in labels)
+        self.max_label_bits = w * (2 if (br >= 0).any() else 1)
 
     def step(self, link, table, target, header):
         return route_step_simple(link, table, target), None
 
-    def row_fields(self, v: int):
-        lab = self.label_of(v)
-        return [str(lab.vid) if lab.br is None else f"{lab.vid} {lab.br}",
-                "1" if self.table_of(v) else "0"]
+    def dump_fields(self):
+        br = self.cols["br"].tolist()
+        return list(map("{} | {}".format,
+                        [f"{v} {b}" if b >= 0 else str(v)
+                         for v, b in enumerate(br)],
+                        self.cols["bit"].astype(np.int8).tolist()))
 
     @staticmethod
-    def parse_row(v: int, fields):
-        label, bit = fields
-        ids = [int(x) for x in label.split()]
-        if not 1 <= len(ids) <= 2 or ids[0] != v:
-            raise ValueError(f"row {v}: label must be '{v}' or "
-                             f"'{v} <breakpoint>', got {label.strip()!r}")
-        return SimpleLabel(v, ids[1] if len(ids) > 1 else None), \
-            dump.parse_bit(bit)
+    def read_fields(rows):
+        vals, starts = rows.ints(1)
+        counts = np.diff(starts)
+        vid = rows.vid[:len(counts)]
+        # -1 past the last token: an empty label has no head
+        head, second = (np.append(vals, [-1, -1])[starts[:-1] + k]
+                        for k in (0, 1))
+        rows.fault((counts < 1) | (counts > 2) | (head != vid), lambda r: (
+            f"row {vid[r]}: label must be '{vid[r]}' or '{vid[r]} "
+            f"<breakpoint>', got {rows.fields[1][r].strip()!r}"))
+        br = np.where(counts == 2, second, -1)
+        rows.fault((counts == 2) & ((br < 0) | (br >= rows.n)), lambda r: (
+            f"row {vid[r]}: breakpoint {br[r]} is outside [0, {rows.n})"))
+        return {"br": br, "bit": rows.bits(2)}
 
 
 def preprocess_simple(h, g) -> SimpleScheme:
@@ -125,10 +144,8 @@ def preprocess_simple(h, g) -> SimpleScheme:
         raise SchemeBuildError(
             f"closed neighborhood of {v} does not end at the landmarks")
 
-    labels = [SimpleLabel(v, b if b >= 0 else None)
-              for v, b in enumerate(lmk.breakpoints(g).tolist())]
-    bits = (lm.l_y > lm.r_y).tolist()
-    return SimpleScheme(n, labels, bits, g.indptr, g.indices, (ptr, ids))
+    cols = {"br": lmk.breakpoints(g), "bit": lm.l_y > lm.r_y}
+    return SimpleScheme(n, cols, g.indptr, g.indices, (ptr, ids))
 
 
 def dump_scheme(scheme: SimpleScheme) -> str:

@@ -277,14 +277,15 @@ def double_table(g: VisibilityGraph, v: int) -> DoubleTable:
 
 
 def local_vertical_dominators(link):
-    """Bottom and top dominator entries of a double link, by a scan of
-    its entries: the (distance to base, x)-minimal entries below and
-    above the base line, an empty side copying the other, ties to the
-    first entry in link order."""
-    below = [e for e in link.entries if e[1].y < 0]
-    above = [e for e in link.entries if e[1].y > 0]
-    return (min(below or above, key=lambda e: (abs(e[1].y), e[1].x)),
-            min(above or below, key=lambda e: (abs(e[1].y), e[1].x)))
+    """Bottom and top dominator entries (id, x, y) of a double link, by a
+    scan of its entries: the (distance to base, x)-minimal entries below
+    and above the base line, an empty side copying the other, ties to
+    the first entry in link order."""
+    entries = list(zip(link.ids, link.xs, link.ys))
+    below = [e for e in entries if e[2] < 0]
+    above = [e for e in entries if e[2] > 0]
+    return (min(below or above, key=lambda e: (abs(e[2]), e[1])),
+            min(above or below, key=lambda e: (abs(e[2]), e[1])))
 
 
 class NaiveOracle:

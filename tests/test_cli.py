@@ -291,9 +291,19 @@ def double12_dump(nbrs):
      "row 0 lists itself"),
     ("simple", "scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
      "row 0 lists 1 twice"),
+    ("simple", "scheme simple 2\n0 | 0 5 | 0 | 1\n1 | 1 | 0 | 0\n",
+     "row 0: breakpoint 5 is outside [0, 2)"),
+    ("double", f"scheme double 2\n{DOUBLE_ROW}"
+     f"1 | 1 -1 | 0 {2**63} | 0 1 0 1 0 1 | 0 | 0\n",
+     f"row 1: interval bound {2**63} is out of range"),
+    ("double", f"scheme double 2\n{DOUBLE_ROW}"
+     f"1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | {2**64}\n",
+     "row 1: neighbor id outside [0, 2)"),
 ], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
         "double-duplicate-row", "simple-no-vertices", "double-asymmetric",
-        "simple-self-entry", "simple-repeated-neighbor"])
+        "simple-self-entry", "simple-repeated-neighbor",
+        "simple-breakpoint-out-of-range", "double-field-beyond-int64",
+        "double-neighbor-beyond-int64"])
 def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
     # each of these used to end in a traceback or an unrelated message
     dump = tmp_path / "bad.scheme"

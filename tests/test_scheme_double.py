@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from histroute import engine, polygon, scheme_double
@@ -64,8 +65,8 @@ def test_local_equals_global(small_doubles, random_doubles):
             link = sch.link_of(s)
             nd, fd = scheme_double._local_dominators(link, int(h.xs[t]))
             gnd, gfd = oracles.dominators(g, s, t)
-            assert nd[0] == gnd
-            assert (fd[0] if fd is not None else None) == gfd
+            assert nd == gnd
+            assert fd == gfd
 
 
 def test_case1_hops_to_far_dominator(small_doubles):
@@ -100,8 +101,11 @@ def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
                 closed = [v, *g.neighbors_of(v).tolist()]
                 closed.sort(key=lambda u: (int(h.xs[u]), abs(int(h.ys[u])),
                                            int(h.ys[u])))
-                assert s.link_of(v).entries == \
-                    [(u, s.label_of(u)) for u in closed]
+                link = s.link_of(v)
+                assert list(link.ids) == closed
+                assert list(zip(link.xs, link.ys, link.ilo, link.ihi)) == \
+                    [(lab.x, lab.y, lab.ilo, lab.ihi)
+                     for lab in map(s.label_of, closed)]
 
 
 def test_route_all_pairs_fixture(sch_dbl, dbl):
@@ -229,10 +233,69 @@ ROW1 = "1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | 0"
      r"row 1: vertex \(1,0\) must lie off the base line"),
     (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', f'{2**62} -1')}\n",
      r"\|x\|, \|y\| < 2\*\*62"),
+    # every other field needs |c| < 2**62; a value beyond int64 is one
+    # more out-of-range value, and so are ids beyond it
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', f'{2**63} -1')}\n",
+     rf"row 1: vertex \({2**63},-1\) must lie off"),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('| 0 1 |', f'| 0 {2**62} |')}\n",
+     rf"row 1: interval bound {2**62} is out of range"),
+    (f"scheme double 2\n{ROW0}\n"
+     f"{ROW1.replace('| 0 1 |', f'| {-2**64} 1 |')}\n",
+     rf"row 1: interval bound {-2**64} is out of range"),
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', f'0 1 0 1 {-2**62} 1')}"
+     f"\n{ROW1}\n", rf"row 0: table field {-2**62} is out of range"),
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', f'0 1 0 {10**30} 0 1')}"
+     f"\n{ROW1}\n", rf"row 0: table field {10**30} is out of range"),
+    (f"scheme double 2\n{ROW0}\n{ROW1[:-1]}{2**64}\n",
+     r"row 1: neighbor id outside \[0, 2\)"),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 |', f'{2**63} |', 1)}\n",
+     rf"row id {2**63} is outside \[0, 2\)"),
 ])
 def test_parse_dump_strict(text, reason):
     with pytest.raises(ValueError, match=reason):
         scheme_double.parse_dump(text)
+
+
+# single-field faults of one row: name -> (field index, the field's text
+# in row v, the message for row v)
+FAULTS = {
+    "row-id": (0, lambda v: "5", lambda v: r"row id 5 is outside"),
+    "base-line": (1, lambda v: "1 0",
+                  lambda v: rf"row {v}: vertex \(1,0\) must lie off"),
+    "coordinates": (1, lambda v: "1", lambda v: (
+        r"not enough values to unpack \(expected 2, got 1\)")),
+    "not-an-int": (1, lambda v: "1 x", lambda v: "invalid literal for int"),
+    "bound": (2, lambda v: f"0 {2**62}",
+              lambda v: rf"row {v}: interval bound {2**62} is out"),
+    "table-count": (3, lambda v: "0 1 0",
+                    lambda v: rf"row {v}: expected 6 table fields"),
+    "table-range": (3, lambda v: f"0 1 0 1 0 {2**63}",
+                    lambda v: rf"row {v}: table field {2**63} is out"),
+    "bit": (4, lambda v: "3", lambda v: "bit field must be 0 or 1, got '3'"),
+    "neighbor": (5, lambda v: "9",
+                 lambda v: rf"row {v}: neighbor id outside \[0, 2\)"),
+}
+
+
+@pytest.mark.parametrize("first,second", [
+    (a, b) for a in FAULTS for b in FAULTS if FAULTS[a][0] != FAULTS[b][0]])
+def test_parse_dump_reports_first_fault_in_file_order(first, second):
+    # two faults in different fields: in two rows the earlier row's is
+    # reported, whichever field it is in, and in one row the earlier
+    # field's
+    def text(placed):
+        rows = [ROW0.split(" | "), ROW1.split(" | ")]
+        for v, name in placed:
+            col, field, _ = FAULTS[name]
+            rows[v][col] = field(v)
+        return "scheme double 2\n" + "".join(
+            " | ".join(r) + "\n" for r in rows)
+
+    with pytest.raises(ValueError, match=FAULTS[first][2](0)):
+        scheme_double.parse_dump(text([(0, first), (1, second)]))
+    if FAULTS[first][0] < FAULTS[second][0]:
+        with pytest.raises(ValueError, match=FAULTS[first][2](1)):
+            scheme_double.parse_dump(text([(1, first), (1, second)]))
 
 
 def test_parse_dump_minimal_rows_accepted():
@@ -326,14 +389,14 @@ def test_row_dominators_match_links(small_doubles, random_doubles):
                   for u, row in enumerate(oracles.neighbor_lists(g))
                   for v in row if u < v]
     for h, g in cases:
-        labels = [scheme_double.DoubleLabel(*f) for f in zip(
-            h.xs.tolist(), h.ys.tolist(), g.lm.l_x.tolist(),
-            g.lm.r_x.tolist())]
+        zero = np.zeros(h.n, dtype=np.int64)
+        cols = {"x": h.xs, "y": h.ys, "ilo": g.lm.l_x, "ihi": g.lm.r_x,
+                **dict.fromkeys(scheme_double._TABLE_FIELDS, zero)}
         rows = engine.closed_rows(
             g.indptr, g.indices,
-            scheme_double.DoubleScheme.link_order(h.n, labels))
-        sch = scheme_double.DoubleScheme(h.n, labels, [None] * h.n,
-                                         g.indptr, g.indices, rows)
+            scheme_double.DoubleScheme.link_order(h.n, cols))
+        sch = scheme_double.DoubleScheme(h.n, cols, g.indptr, g.indices,
+                                         rows)
         bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys, *rows)
         for v in range(h.n):
             link = sch.link_of(v)

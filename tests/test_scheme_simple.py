@@ -46,8 +46,11 @@ def test_links_hold_closed_neighborhood_ascending(small_simples):
         for s in (sch, again):
             for v in range(h.n):
                 link = s.link_of(v)
-                assert link.ids == sorted([v, *g.neighbors_of(v).tolist()])
-                assert link.br == [s.label_of(u).br for u in link.ids]
+                assert list(link.ids) == sorted(
+                    [v, *g.neighbors_of(v).tolist()])
+                assert list(link.br) == [
+                    -1 if br is None else br
+                    for br in (s.label_of(u).br for u in link.ids)]
 
 
 def test_route_trace_steps(sch_steps):
@@ -162,10 +165,56 @@ def test_labels_match_oracle(small_simples, random_simples):
      "row 0 lists itself"),
     ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
      "row 0 lists 1 twice"),
+    # breakpoints are ids in [0, n); ids beyond int64 are out of range too
+    ("scheme simple 2\n0 | 0 2 | 0 | 1\n1 | 1 | 0 | 0\n",
+     r"row 0: breakpoint 2 is outside \[0, 2\)"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 -1 | 0 | 0\n",
+     r"row 1: breakpoint -1 is outside \[0, 2\)"),
+    (f"scheme simple 2\n0 | 0 {2**63} | 0 | 1\n1 | 1 | 0 | 0\n",
+     rf"row 0: breakpoint {2**63} is outside \[0, 2\)"),
+    (f"scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | {-2**64}\n",
+     r"row 1: neighbor id outside \[0, 2\)"),
+    (f"scheme simple 2\n0 | 0 | 0 | 1\n{2**63} | 1 | 0 | 0\n",
+     rf"row id {2**63} is outside \[0, 2\)"),
+    (f"scheme simple 2\n0 | {2**64} | 0 | 1\n1 | 1 | 0 | 0\n",
+     "row 0: label must be"),
 ])
 def test_parse_dump_strict(text, reason):
     with pytest.raises(ValueError, match=reason):
         scheme_simple.parse_dump(text)
+
+
+# single-field faults of one row: name -> (field index, the field's text
+# in row v, the message for row v)
+FAULTS = {
+    "row-id": (0, lambda v: "2", lambda v: r"row id 2 is outside"),
+    "label": (1, lambda v: f"{v} 0 1", lambda v: rf"row {v}: label must be"),
+    "breakpoint": (1, lambda v: f"{v} 7",
+                   lambda v: rf"row {v}: breakpoint 7 is outside"),
+    "bit": (2, lambda v: "2", lambda v: "bit field must be 0 or 1, got '2'"),
+    "neighbor": (3, lambda v: "x", lambda v: "invalid literal for int"),
+}
+
+
+@pytest.mark.parametrize("first,second", [
+    (a, b) for a in FAULTS for b in FAULTS if FAULTS[a][0] != FAULTS[b][0]])
+def test_parse_dump_reports_first_fault_in_file_order(first, second):
+    # two faults in different fields: in two rows the earlier row's is
+    # reported, whichever field it is in, and in one row the earlier
+    # field's
+    def text(placed):
+        rows = [["0", "0", "0", "1"], ["1", "1", "0", "0"]]
+        for v, name in placed:
+            col, field, _ = FAULTS[name]
+            rows[v][col] = field(v)
+        return "scheme simple 2\n" + "".join(
+            " | ".join(r) + "\n" for r in rows)
+
+    with pytest.raises(ValueError, match=FAULTS[first][2](0)):
+        scheme_simple.parse_dump(text([(0, first), (1, second)]))
+    if FAULTS[first][0] < FAULTS[second][0]:
+        with pytest.raises(ValueError, match=FAULTS[first][2](1)):
+            scheme_simple.parse_dump(text([(1, first), (1, second)]))
 
 
 def _tampered(graph, drop=None, **changes):
