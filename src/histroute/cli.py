@@ -8,6 +8,7 @@ usage errors.
 """
 
 import argparse
+import re
 import sys
 
 from . import dump
@@ -99,9 +100,11 @@ def _cmd_build(args) -> int:
 
 
 def _load_for_route(text: str, kind: str):
-    """Accept either a polygon file or a scheme dump (self-contained)."""
-    head = text.split()
-    if head and head[0] == "scheme":
+    """Accept either a polygon file or a scheme dump (self-contained):
+    the first word of a dump's first line that is neither blank nor a
+    ``#`` comment is ``scheme``."""
+    head = re.search(r"^[^\S\n]*([^#\s]\S*)", text, re.MULTILINE)
+    if head and head[1] == "scheme":
         return dump.read(text, _KINDS[kind][1])
     return _prepare(text, kind)[1]
 

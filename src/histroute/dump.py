@@ -139,12 +139,13 @@ class Rows:
                           lambda r: err)
         return vals, starts[:self.end + 1]
 
-    def fixed(self, f: int, k: int, message):
-        """Field f as k integers a row, as k columns; message(r, count)
-        names a row r with another count."""
+    def fixed(self, f: int, k: int, what: str):
+        """Field f as k integers a row, as k columns; a row with another
+        count is a fault that names the field as k <what>."""
         vals, starts = self.ints(f)
-        counts = np.diff(starts)
-        self.fault(counts != k, lambda r: message(r, counts[r]))
+        self.fault(np.diff(starts) != k, lambda r: (
+            f"row {self.vid[r]}: expected {k} {what}, "
+            f"got {self.fields[f][r].strip()!r}"))
         return vals[:k * self.end].reshape(-1, k).T
 
     def bounded(self, what: str, cols):

@@ -2,11 +2,12 @@
 
 The engine moves a packet by repeatedly calling the scheme's step
 function, handing it nothing but the current vertex's link table and
-routing table, the target's label, and the packet header. The returned
-vertex must appear in the current link table; anything else is a
-firewall breach. Ground truth distances come from one bit-parallel
-BFS over the visibility graph's CSR, and verify_all_pairs compares
-every routed path against them.
+routing table, the target's label, and the packet header. The step
+answers with a port, a position in the link's ``ids``; a port outside
+the link, or naming the current vertex, is a firewall breach. Ground
+truth distances come from one bit-parallel BFS over the visibility
+graph's CSR, and verify_all_pairs compares every routed path against
+them.
 """
 
 import copy
@@ -23,7 +24,8 @@ class RoutingError(Exception):
 
 
 class FirewallError(RoutingError):
-    """The step function tried to move to a vertex outside the link table."""
+    """The step function returned a port outside the link table, or the
+    port of the current vertex."""
 
 
 class HeaderProtocolError(RoutingError):
@@ -52,10 +54,11 @@ def closed_rows(indptr, indices, order):
 def cut_rows(rows, *cols):
     """Link columns cut from the closed rows (ptr, ids): the ids, then
     each int64 column taken at the ids, each as one tuple that one
-    slice per vertex cuts up. Taken from object arrays, the entries of
-    one vertex share one int object, not one per link; and tuples of
-    ints leave the cyclic garbage collector's lists once it has seen
-    them, while lists are scanned at every full collection."""
+    slice per vertex cuts up: a port indexes every column of a link.
+    Taken from object arrays, the entries of one vertex share one int
+    object, not one per link; and tuples of ints leave the cyclic
+    garbage collector's lists once it has seen them, while lists are
+    scanned at every full collection."""
     ptr, ids = rows
     cuts = list(map(slice, ptr[:-1].tolist(), ptr[1:].tolist()))
     return [list(map(tuple(c.astype(object)[ids].tolist()).__getitem__,
@@ -77,10 +80,12 @@ class Scheme:
     visibility.VisibilityGraph built.
 
     Subclasses set ``kind``, the ``max_*_bits`` bounds, the routing
-    ``step``, the records and links in ``__init__``, and the dump
-    columns: ``columns`` fields between a row's id and its neighbor
-    ids, which ``dump_fields()`` formats for all rows and
-    ``read_fields(rows)`` parses and checks from a ``dump.Rows``.
+    ``step`` (it returns the next hop's port, its position in
+    ``link.ids``, and the header), the records and links in
+    ``__init__``, and the dump columns: ``columns`` fields between a
+    row's id and its neighbor ids, which ``dump_fields()`` formats for
+    all rows and ``read_fields(rows)`` parses and checks from a
+    ``dump.Rows``.
     """
 
     def __init__(self, n, cols, indptr, indices):
@@ -102,16 +107,14 @@ class Scheme:
     def link_of(self, v: int):
         return self._links[v]
 
-    def neighbor_ids(self, v: int):
-        """The ids v sees, ascending."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
-
 
 def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
-    The trace includes both endpoints; s == t gives an empty trace.
-    A packet still travelling after 4n hops raises HopLimitExceeded.
+    The trace includes both endpoints; s == t gives an empty trace. A
+    port outside [0, len(link.ids)), or naming the current vertex,
+    raises FirewallError; a packet still travelling after 4n hops
+    raises HopLimitExceeded.
     """
     if s == t:
         return []
@@ -125,10 +128,11 @@ def run_route(scheme, s: int, t: int):
             raise HopLimitExceeded(
                 f"no arrival after {hop_limit} hops routing {s} -> {t}")
         link = scheme.link_of(cur)
-        nxt, header = scheme.step(link, scheme.table_of(cur), target, header)
-        if nxt == cur or nxt not in link.id_set:
+        port, header = scheme.step(link, scheme.table_of(cur), target, header)
+        ids = link.ids
+        if not 0 <= port < len(ids) or (nxt := ids[port]) == cur:
             raise FirewallError(
-                f"step at {cur} returned {nxt}, not a neighbor")
+                f"step at {cur} returned port {port}, not a neighbor")
         trace.append(nxt)
         cur = nxt
     return trace

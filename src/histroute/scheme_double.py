@@ -5,11 +5,11 @@ interval. The routing table holds the x-bounds of the level-2 intervals
 of the two vertical dominators, the coordinates of the level-2 bottom
 dominator, and one path-choice bit. A step reads only the closed
 neighborhood's labels, the local table, the target label, and a header
-of at most one vertex's coordinates, and every routed path is at most
-twice a shortest one.
+of at most one vertex's coordinates, and answers with a port into the
+link; every routed path is at most twice a shortest one.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 import dataclasses
 
 import numpy as np
@@ -48,20 +48,19 @@ _NUMBER_FIELDS = _LABEL_FIELDS + _TABLE_FIELDS[:6]
 
 class DoubleLink:
     """The closed neighborhood in link order (by x, distance to base,
-    y), as tuples cut by engine.cut_rows: ``ids`` (also as ``id_set``)
-    and, entry by entry, the coordinates ``xs``, ``ys`` and the interval
-    bounds ``ilo``, ``ihi`` of their labels. ``own`` is the label of
-    ``own_vid``, and bd and td are the ids of the neighborhood's bottom
-    and top dominators (see _row_vertical_dominators)."""
+    y), as tuples cut by engine.cut_rows that a port indexes: ``ids``
+    and the coordinates ``xs``, ``ys`` and interval bounds ``ilo``,
+    ``ihi`` of their labels. ``own`` is the label of ``own_vid``, and
+    bd and td are the ports of the neighborhood's bottom and top
+    dominators (see _row_vertical_dominators)."""
 
-    __slots__ = ("own_vid", "own", "ids", "id_set", "xs", "ys", "ilo", "ihi",
+    __slots__ = ("own_vid", "own", "ids", "xs", "ys", "ilo", "ihi",
                  "bd", "td", "_chains")
 
     def __init__(self, own_vid, own, ids, xs, ys, ilo, ihi, bd, td):
         self.own_vid = own_vid
         self.own = own
         self.ids = ids
-        self.id_set = set(ids)
         self.xs = xs
         self.ys = ys
         self.ilo = ilo
@@ -71,21 +70,21 @@ class DoubleLink:
         self._chains = None
 
     def find(self, x: int, y: int):
-        """The id at coordinates (x, y), or None: a bisection to x, then
+        """The port at coordinates (x, y), or None: a bisection to x, then
         a look back along its x-group, which holds at most two vertices
         in a valid histogram. Of repeated coordinates the last in link
         order wins."""
         xs, ys = self.xs, self.ys
-        i = bisect.bisect_right(xs, x) - 1
+        i = bisect_right(xs, x) - 1
         while i >= 0 and xs[i] == x:
             if ys[i] == y:
-                return self.ids[i]
+                return i
             i -= 1
         return None
 
 
 def _local_dominators(link: DoubleLink, tx: int):
-    """Near and far dominator ids toward x-coordinate tx, from labels
+    """Near and far dominator ports toward x-coordinate tx, from labels
     alone.
 
     Mirrors the global definition: candidates are the closed
@@ -94,34 +93,35 @@ def _local_dominators(link: DoubleLink, tx: int):
     always sit in the x-group adjacent to tx on their side, and link
     order puts each group's winner first, so two bisections suffice.
     """
-    ids, xs = link.ids, link.xs
+    xs = link.xs
     if tx > link.own.x:
-        i = bisect.bisect_left(xs, tx)
-        nd = ids[bisect.bisect_left(xs, xs[i - 1])]
-        fd = ids[i] if i < len(ids) else None
-    else:
-        i = bisect.bisect_right(xs, tx)
-        if i == len(ids):
-            raise RoutingError(
-                f"no neighbor of {link.own_vid} lies toward x={tx}")
-        nd = ids[i]
-        fd = ids[bisect.bisect_left(xs, xs[i - 1])] if i > 0 else None
-    return nd, fd
+        i = bisect_left(xs, tx)
+        return (bisect_left(xs, xs[i - 1]),
+                i if i < len(xs) else None)
+    i = bisect_right(xs, tx)
+    if i == len(xs):
+        raise RoutingError(
+            f"no neighbor of {link.own_vid} lies toward x={tx}")
+    return i, bisect_left(xs, xs[i - 1]) if i > 0 else None
 
 
 def _row_vertical_dominators(xs, ys, ptr, ids):
-    """Per closed row (ptr, ids), the bottom and top dominators: the
-    entries below and above the base line least by (distance to base,
-    x), an empty side copying the other. Ties fall to the smaller id,
-    as in link order: least by (off side, |y|, x, id)."""
-    orders = [np.lexsort((xs, np.abs(ys), off)) for off in (ys > 0, ys < 0)]
-    return [by[np.minimum.reduceat(np.argsort(by)[ids], ptr[:-1])]
-            for by in orders]
+    """Per closed row (ptr, ids), the ports (positions in the row) of the
+    bottom and top dominators: the entries below and above the base line
+    least by (distance to base, x), an empty side copying the other.
+    Ties fall to the smaller id, as in link order: least by (off side,
+    |y|, x, id)."""
+    out = []
+    for off in (ys > 0, ys < 0):
+        rank = np.argsort(np.lexsort((xs, np.abs(ys), off)))[ids]
+        least = np.repeat(np.minimum.reduceat(rank, ptr[:-1]), np.diff(ptr))
+        out.append(np.flatnonzero(rank == least) - ptr[:-1])   # one a row
+    return out
 
 
 def _local_chains(link: DoubleLink):
     """Greedy interval-extension chains over the neighbor labels, as
-    (id, bound) pairs.
+    (port, bound) pairs.
 
     Left chain: repeatedly pick, among neighbors whose interval starts
     strictly left of the current one, the leftmost vertex (ties toward
@@ -133,21 +133,22 @@ def _local_chains(link: DoubleLink):
     """
     if link._chains is not None:
         return link._chains
-    ids, xs, ilo, ihi = link.ids, link.xs, link.ilo, link.ihi
+    xs, ilo, ihi = link.xs, link.ilo, link.ihi
     lo, hi = link.own.ilo, link.own.ihi
-    chain_a = [(link.own_vid, lo)]
-    for u, b in zip(ids, ilo):
+    own = link.ids.index(link.own_vid)
+    chain_a = [(own, lo)]
+    for k, b in enumerate(ilo):
         if b < lo:
             lo = b
-            chain_a.append((u, b))
-    chain_b = [(link.own_vid, hi)]
-    j = len(ids)
+            chain_a.append((k, b))
+    chain_b = [(own, hi)]
+    j = len(xs)
     while j:
-        i = bisect.bisect_left(xs, xs[j - 1])
+        i = bisect_left(xs, xs[j - 1])
         for k in range(i, j):
             if ihi[k] > hi:
                 hi = ihi[k]
-                chain_b.append((ids[k], hi))
+                chain_b.append((k, hi))
         j = i
     link._chains = (chain_a, chain_b)
     return link._chains
@@ -155,7 +156,7 @@ def _local_chains(link: DoubleLink):
 
 def route_step_double(link: DoubleLink, table: DoubleTable,
                       target: DoubleLabel, header):
-    """One routing hop: (next vertex id, outgoing header).
+    """One routing hop: (port of the next vertex, outgoing header).
 
     Pure function of the four local inputs. The header is None or a
     coordinate pair naming a vertex that must be visible here.
@@ -169,34 +170,30 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
         if (hx, hy) == (own.x, own.y):
             header = None    # the named vertex is this one: discard
         else:
-            nxt = link.find(hx, hy)
-            if nxt is None:
+            port = link.find(hx, hy)
+            if port is None:
                 raise HeaderProtocolError(
                     f"header names ({hx},{hy}), which is not visible here")
-            return nxt, None
+            return port, None
 
     tx = target.x
     # case 1: target inside the own interval
     if own.ilo <= tx <= own.ihi:
         nd, fd = _local_dominators(link, tx)
-        pick = fd if fd is not None else nd
-        if pick == link.own_vid:
-            raise RoutingError(
-                f"dominator toward x={tx} degenerated to the current vertex")
-        return pick, None
+        return (fd if fd is not None else nd), None
 
     # case 2: target inside the level-2 interval
     chain_a, chain_b = _local_chains(link)
     if tx < own.ilo:
         if tx >= chain_a[-1][1]:
-            for vid, lo in chain_a[1:]:
+            for port, lo in chain_a[1:]:
                 if lo <= tx:
-                    return vid, None
+                    return port, None
     else:
         if tx <= chain_b[-1][1]:
-            for vid, hi in chain_b[1:]:
+            for port, hi in chain_b[1:]:
                 if hi >= tx:
-                    return vid, None
+                    return port, None
 
     # case 3: target inside the level-3 interval
     if table.i2bd_lo <= tx <= table.i2bd_hi:
@@ -207,17 +204,7 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
     # case 4: beyond the level-3 interval; aim for the level-2 bottom
     # dominator and record it in the header
     pick = link.bd if table.bit_bottom else link.td
-    if pick == link.own_vid:
-        raise RoutingError(
-            "vertical dominator degenerated to the current vertex")
     return pick, (table.bd2x, table.bd2y)
-
-
-def _unpacking(r, count):
-    """Python's message for unpacking count values into two names."""
-    if count < 2:
-        return f"not enough values to unpack (expected 2, got {count})"
-    return "too many values to unpack (expected 2)"
 
 
 class DoubleScheme(Scheme):
@@ -228,8 +215,8 @@ class DoubleScheme(Scheme):
     columns = 4     # coordinates, interval bounds, table fields, bit
 
     def __init__(self, n, cols, indptr, indices, rows, vdom=None):
-        """vdom is the (bottom, top) pair _row_vertical_dominators gives
-        for rows; it is computed here when not given."""
+        """vdom is the (bottom, top) port pair _row_vertical_dominators
+        gives for rows; it is computed here when not given."""
         super().__init__(n, cols, indptr, indices)
         x, y, ilo, ihi = (cols[f] for f in _LABEL_FIELDS)
         if vdom is None:
@@ -264,16 +251,14 @@ class DoubleScheme(Scheme):
     @staticmethod
     def read_fields(rows):
         vid = rows.vid
-        x, y = rows.fixed(1, 2, _unpacking)
+        x, y = rows.fixed(1, 2, "coordinates")
         off = (y == 0) | polygon.out_of_range(x) | polygon.out_of_range(y)
         rows.fault(off, lambda r: (
             f"row {vid[r]}: vertex ({x[r]},{y[r]}) must lie off the base "
             f"line, with |x|, |y| < 2**62"))
-        bounds = rows.fixed(2, 2, _unpacking)
+        bounds = rows.fixed(2, 2, "interval bounds")
         rows.bounded("interval bound", bounds)
-        table = rows.fixed(3, 6, lambda r, count: (
-            f"row {vid[r]}: expected 6 table fields, "
-            f"got {rows.fields[3][r].strip()!r}"))
+        table = rows.fixed(3, 6, "table fields")
         rows.bounded("table field", table)
         return {**dict(zip(_NUMBER_FIELDS, (x, y, *bounds, *table))),
                 "bit_bottom": rows.bits(4)}
@@ -308,7 +293,8 @@ def preprocess_double(h, g) -> DoubleScheme:
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
-    lbd, ltd = _row_vertical_dominators(h.xs, h.ys, ptr, ids)
+    vdom = _row_vertical_dominators(h.xs, h.ys, ptr, ids)
+    lbd, ltd = (ids[ptr[:-1] + port] for port in vdom)
     v = lmk.first_vertex((lbd != bd1) | (ltd != td1))
     if v is not None:
         raise SchemeBuildError(
@@ -363,7 +349,7 @@ def preprocess_double(h, g) -> DoubleScheme:
             f"canonical bottom path at {v} starts off the dominators")
     cols.update(zip(_TABLE_FIELDS, (
         i2bd_lo, i2bd_hi, i2td_lo, i2td_hi, h.xs[bd2], h.ys[bd2], bit)))
-    return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), (lbd, ltd))
+    return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), vdom)
 
 
 def dump_scheme(scheme: DoubleScheme) -> str:

@@ -4,10 +4,11 @@ Labels are vertex ids, extended with the breakpoint id for reflex and
 base vertices. The per-vertex routing table is a single bit saying
 which of the two interval ends sits higher (closer to the base). The
 step function needs only the closed-neighborhood link table, that bit,
-and the target's label, and always advances along a shortest path.
+and the target's label, and answers with the port of a neighbor on a
+shortest path.
 """
 
-import bisect
+from bisect import bisect_left
 import dataclasses
 
 import numpy as np
@@ -26,41 +27,40 @@ class SimpleLabel:
 
 class SimpleLink:
     """The closed neighborhood's ids, ascending, the simple link order,
-    as a tuple cut by engine.cut_rows and as ``id_set``; ``br[i]`` is the
-    breakpoint of ``ids[i]``, -1 where it has none."""
+    as a tuple cut by engine.cut_rows; ``br[i]`` is the breakpoint of
+    ``ids[i]``, -1 where it has none. A port is a position in both."""
 
-    __slots__ = ("own_vid", "ids", "id_set", "br")
+    __slots__ = ("own_vid", "ids", "br")
 
     def __init__(self, own_vid: int, ids, br):
         self.own_vid = own_vid
         self.ids = ids
-        self.id_set = set(ids)
         self.br = br
 
 
 def route_step_simple(link: SimpleLink, higher_left: bool,
                       target: SimpleLabel) -> int:
-    """One routing hop. Pure function of the three local inputs."""
+    """One routing hop: the next vertex's port. Pure function of the
+    three local inputs."""
     tid = target.vid
-    if tid in link.id_set:
-        return tid
     ids = link.ids
-    lo, hi = ids[0], ids[-1]
-    if not lo <= tid <= hi:
+    if not ids[0] <= tid <= ids[-1]:
         # target outside the interval: move to the higher interval end
-        return lo if higher_left else hi
+        return 0 if higher_left else len(ids) - 1
+    i = bisect_left(ids, tid)
+    if ids[i] == tid:
+        return i
     own_id = link.own_vid
-    i = bisect.bisect_left(ids, tid)
     near, far = (i - 1, i) if tid > own_id else (i, i - 1)
-    nd, fd = ids[near], ids[far]
+    nd = ids[near]
     if nd == own_id:
         raise RoutingError(f"near dominator degenerated to self at {own_id}")
     b = link.br[near]
     if b < 0:
         raise RoutingError(f"neighbor {nd} lacks a breakpoint id")
     if min(nd, b) <= tid <= max(nd, b):
-        return nd
-    return fd
+        return near
+    return far
 
 
 class SimpleScheme(Scheme):

@@ -17,7 +17,7 @@ from histroute import engine, polygon, scheme_double, scheme_simple, \
 import invariants
 import oracles
 from conftest import H_RECT_TEXT, H_STEPS_TEXT, make_double, make_simple
-from test_engine import HijackedScheme
+from test_engine import HijackedScheme, own_port, port_of
 
 BUDGET = {1: 120.0, 2: 180.0, 4: 60.0, 5: 180.0, 6: 120.0}
 
@@ -195,18 +195,21 @@ def test_criterion_6_scale_smoke(capsys):
 def test_criterion_7_locality_firewall(capsys, sch_steps, sch_dbl):
     caught_firewall = False
     try:
-        engine.run_route(HijackedScheme(sch_steps, at=1, nxt=6), 1, 6)
+        engine.run_route(HijackedScheme(
+            sch_steps, at=1, port=lambda link: len(link.ids)), 1, 6)
     except engine.FirewallError:
         caught_firewall = True
     caught_self = False
     try:
-        engine.run_route(HijackedScheme(sch_steps, at=1, loop=True), 1, 6)
+        engine.run_route(HijackedScheme(sch_steps, at=1, port=own_port),
+                         1, 6)
     except engine.FirewallError:
         caught_self = True
     caught_header = False
     try:
         engine.run_route(
-            HijackedScheme(sch_dbl, at=1, nxt=3, header=(999, 999)), 1, 6)
+            HijackedScheme(sch_dbl, at=1, port=port_of(3),
+                           header=(999, 999)), 1, 6)
     except engine.HeaderProtocolError:
         caught_header = True
     ok = caught_firewall and caught_self and caught_header

@@ -156,6 +156,19 @@ def test_route_from_dump_after_deleting_polygon(capsys, steps_file,
     assert out.strip().splitlines()[0] == "2 0 7 6"
 
 
+def test_route_from_commented_dump(capsys, dbl_file, tmp_path):
+    # a leading comment and a blank line, which the dump reader skips,
+    # used to send the dump to the polygon parser
+    plain = tmp_path / "dbl.scheme"
+    run(capsys, "build", dbl_file, "--scheme", "double", "--out", str(plain))
+    commented = tmp_path / "commented.scheme"
+    commented.write_text("# built from dbl.poly\n\n" + plain.read_text())
+    args = ("--scheme", "double", "--from", "0", "--to", "6", "--trace")
+    want = run(capsys, "route", str(plain), *args)
+    assert want[0] == 0 and len(want[1].splitlines()) == 2
+    assert run(capsys, "route", str(commented), *args) == want
+
+
 def test_route_dump_kind_mismatch(capsys, steps_file, tmp_path):
     dump = tmp_path / "steps.scheme"
     run(capsys, "build", steps_file, "--scheme", "simple",

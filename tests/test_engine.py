@@ -20,14 +20,14 @@ from conftest import make_double, make_simple, staircase_text
 
 
 class HijackedScheme:
-    """Wraps a real scheme and misbehaves at exactly one vertex."""
+    """Wraps a real scheme and misbehaves at exactly one vertex: there
+    its step returns the port port(link) and the given header."""
 
-    def __init__(self, inner, at, nxt=None, header=None, loop=False):
+    def __init__(self, inner, at, port=None, header=None):
         self.inner = inner
         self.at = at
-        self.nxt = nxt
+        self.port = port
         self.header = header
-        self.loop = loop
         self.kind = inner.kind
         self.n = inner.n
         self.max_label_bits = inner.max_label_bits
@@ -43,17 +43,19 @@ class HijackedScheme:
     def link_of(self, v):
         return self.inner.link_of(v)
 
-    def neighbor_ids(self, v):
-        return self.inner.neighbor_ids(v)
-
     def step(self, link, table, target, header):
-        own = link.own_vid
-        if own == self.at:
-            if self.loop:
-                return own, None
-            if self.nxt is not None:
-                return self.nxt, self.header
+        if link.own_vid == self.at and self.port is not None:
+            return self.port(link), self.header
         return self.inner.step(link, table, target, header)
+
+
+def port_of(v):
+    """The port of vertex v in a link that holds it."""
+    return lambda link: link.ids.index(v)
+
+
+def own_port(link):
+    return link.ids.index(link.own_vid)
 
 
 def test_run_route_trivial(sch_rect):
@@ -62,22 +64,30 @@ def test_run_route_trivial(sch_rect):
 
 
 def test_firewall_rejects_non_neighbor(sch_steps):
-    # vertex 1 sees only 0, 2, 3; returning 6 must be caught
-    bad = HijackedScheme(sch_steps, at=1, nxt=6)
-    with pytest.raises(engine.FirewallError):
+    # vertex 1's link holds 0, 1, 2, 3: port 4 is past its end
+    assert sch_steps.link_of(1).ids == (0, 1, 2, 3)
+    bad = HijackedScheme(sch_steps, at=1, port=lambda link: len(link.ids))
+    with pytest.raises(engine.FirewallError, match="port 4"):
+        engine.run_route(bad, 1, 6)
+
+
+def test_firewall_rejects_negative_port(sch_steps):
+    # -1 would index the link's last entry, a neighbor
+    bad = HijackedScheme(sch_steps, at=1, port=lambda link: -1)
+    with pytest.raises(engine.FirewallError, match="port -1"):
         engine.run_route(bad, 1, 6)
 
 
 def test_firewall_rejects_self_hop(sch_steps):
-    bad = HijackedScheme(sch_steps, at=1, loop=True)
-    with pytest.raises(engine.FirewallError):
+    bad = HijackedScheme(sch_steps, at=1, port=own_port)
+    with pytest.raises(engine.FirewallError, match="port 1"):
         engine.run_route(bad, 1, 6)
 
 
 def test_header_violation_rejected(sch_dbl):
     # a header naming coordinates absent from the next link table blows
     # up when that vertex consumes it
-    bad = HijackedScheme(sch_dbl, at=1, nxt=3, header=(999, 999))
+    bad = HijackedScheme(sch_dbl, at=1, port=port_of(3), header=(999, 999))
     with pytest.raises(engine.HeaderProtocolError):
         engine.run_route(bad, 1, 6)
 
@@ -86,7 +96,7 @@ def test_hop_limit(sch_steps):
     class PingPong(HijackedScheme):
         def step(self, link, table, target, header):
             own = link.own_vid
-            return (0 if own != 0 else 1), None
+            return link.ids.index(0 if own != 0 else 1), None
 
     with pytest.raises(engine.HopLimitExceeded, match="after 32 hops"):
         engine.run_route(PingPong(sch_steps, at=0), 2, 6)
@@ -265,7 +275,7 @@ class Detour(HijackedScheme):
     def step(self, link, table, target, header):
         own = link.own_vid
         if own % 5 == 0:
-            return min(i for i in link.id_set if i != own), None
+            return link.ids.index(min(i for i in link.ids if i != own)), None
         return self.inner.step(link, table, target, header)
 
 
@@ -382,7 +392,7 @@ def test_verify_records_misroute(sch_steps, steps):
         def step(self, link, table, target, header):
             own = link.own_vid
             nxt = min(i for i in link.ids if i != own)
-            return nxt, None
+            return link.ids.index(nxt), None
 
     rep = engine.verify_all_pairs(Stubborn(sch_steps, at=0), g)
     assert not rep.ok
@@ -455,29 +465,50 @@ def test_fuzzed_dump_reads_then_routes_or_raises(case):
             pass
 
 
-@pytest.mark.parametrize("make, arg, seed, digest", [
+def trace_digest(sch):
+    """sha256 of the traces of a fixed pair grid, one line a route."""
+    n = sch.n
+    traces = (engine.run_route(sch, s, t)
+              for s in range(0, n, 17) for t in range(5, n, 23))
+    text = "\n".join(" ".join(map(str, trace)) for trace in traces)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make, arg, seed, digest, traces", [
     (make_simple, 500, 1,
-     "37d15e2a99ad75c45eeeb700bf68c6124fc070a654af263bacfd8a3ed44d6c0d"),
+     "37d15e2a99ad75c45eeeb700bf68c6124fc070a654af263bacfd8a3ed44d6c0d",
+     "7df9c006a6c8b99e660209c63e1777614b9b0963843625a292e8bccf65a4c820"),
     (make_simple, 500, 2,
-     "93229f40c7e2af94b7985cd255f2352b31760182879d35a3e22cfd5f755498f4"),
+     "93229f40c7e2af94b7985cd255f2352b31760182879d35a3e22cfd5f755498f4",
+     "6f6dffa16304d567d5a400432641d90c745230867c8e8a4faceb7160990262c4"),
     (make_simple, 500, 3,
-     "d1984a01e734fffc49081b09bbb1267d67374c38780ab71d77597d2a179cc5e2"),
+     "d1984a01e734fffc49081b09bbb1267d67374c38780ab71d77597d2a179cc5e2",
+     "b1fe3b77a160fae225bd188e588cea366541d5eed1a1f0f9d23e6117100192e9"),
     (make_double, 500, 1,
-     "4c8c9a68d1a64361a0e0aa7105e88bbda23af2212bb5066e1cbf20e515a89e67"),
+     "4c8c9a68d1a64361a0e0aa7105e88bbda23af2212bb5066e1cbf20e515a89e67",
+     "1844461e4abb8bc7ea777ba71a6ba87fbadbe5026749a25b81277288ca7b02bc"),
     (make_double, 500, 2,
-     "985ff12e33aa78802036ebf4b562eaf4df4b4f679177bb68b4bada8dad629940"),
+     "985ff12e33aa78802036ebf4b562eaf4df4b4f679177bb68b4bada8dad629940",
+     "849107f4f9136701af05936ac4fb92cebbee862a40fdb5b4a0e1c20e38ff36c8"),
     (make_double, 500, 3,
-     "585517d3168c35c3df59ecd30b5038a64f9081ff93e112e259c5d905390ca94f"),
+     "585517d3168c35c3df59ecd30b5038a64f9081ff93e112e259c5d905390ca94f",
+     "a41b7ce7b8b4f539133b426e64053c49c091664180b4d480e5eacb6a46f85de3"),
     (make_simple, staircase_text(300), 0,
-     "8f9901d914e39888cb22e7c99790a3449b30f0690144375208eae0b8c236dbef"),
+     "8f9901d914e39888cb22e7c99790a3449b30f0690144375208eae0b8c236dbef",
+     "ba1d47b744ddd1cd889926f742f077ee10779f9a1b5d9a45ee3be3ca5451d8b0"),
 ], ids=["simple-1", "simple-2", "simple-3", "double-1", "double-2",
         "double-3", "staircase-300"])
-def test_dump_matches_golden_hash(make, arg, seed, digest):
+def test_dump_matches_golden_hash(make, arg, seed, digest, traces):
     # a change meant to keep every output must keep these dumps byte for
-    # byte; reading one back and writing it again changes nothing
+    # byte and the routes hop for hop, on the built scheme and on the
+    # one read back; writing that one again changes nothing
     h, g = make(arg, seed)
     module = scheme_simple if h.kind == "simple" else scheme_double
     preprocess = getattr(module, f"preprocess_{h.kind}")
-    text = dump.write(preprocess(h, g))
+    sch = preprocess(h, g)
+    text = dump.write(sch)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert dump.write(module.parse_dump(text)) == text
+    again = module.parse_dump(text)
+    assert dump.write(again) == text
+    assert trace_digest(sch) == traces
+    assert trace_digest(again) == traces

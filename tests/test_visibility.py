@@ -238,15 +238,16 @@ def test_graph_memory_is_linear(kind):
     assert peak < 16 * 2**20, f"build_graph peak {peak / 2**20:.1f} MiB"
 
 
-# Tracemalloc peaks at n = 10^4, measured with numpy 2.4 on Python 3.11:
-# 9.7 MiB simple and 23.3-24.1 MiB double preprocessing (objects reused
-# from free lists are not counted, so the peak moves with what ran
-# before), 26.4 MiB reading the double dump. Each bound adds a fifth to
-# the highest peak seen, rounded up to whole MiB; the per-vertex links,
-# their tuples of shared ints and id sets, are most of each peak.
+# Tracemalloc peaks at n = 10^4, measured with numpy 2.4 on Python 3.11,
+# in this module alone and in the whole suite: 5.9 MiB simple and
+# 16.1-16.6 MiB double preprocessing, 16.7-19.6 MiB reading the double
+# dump (objects reused from free lists are not counted, so the peak
+# moves with what ran before). Each bound adds a fifth to the highest
+# peak seen, rounded up to whole MiB; the per-vertex links, their tuples
+# of shared ints, are most of each peak.
 @pytest.mark.parametrize("kind, preprocess, bound_mib", [
-    ("simple", scheme_simple.preprocess_simple, 12),
-    ("double", scheme_double.preprocess_double, 29),
+    ("simple", scheme_simple.preprocess_simple, 8),
+    ("double", scheme_double.preprocess_double, 20),
 ], ids=["simple", "double"])
 def test_preprocess_memory(kind, preprocess, bound_mib):
     h = polygon.normalize(polygon.generate(kind, 10_000, seed=1))
@@ -272,4 +273,4 @@ def test_dump_read_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
+    assert peak < 24 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
