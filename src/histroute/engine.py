@@ -72,20 +72,20 @@ class Scheme:
 
     The labels and tables are kept as columns, one int64 (or bool)
     array per field with one entry per vertex, in ``cols`` by field
-    name; ``label_of``/``table_of`` hand out records built for all
-    vertices at once from those columns. The links are cut in one
-    batch (``cut_rows``) from the closed rows that closed_rows gives in
-    the order of ``link_order(n, cols)``, by default the ids ascending.
-    The adjacency is kept as the CSR pair (indptr, indices) that
-    visibility.VisibilityGraph built.
+    name; ``label_of`` and the list ``tables`` hand out records built
+    for all vertices at once from those columns. The list ``links``
+    holds links cut in one batch (``cut_rows``) from the closed rows
+    that closed_rows gives in the order of ``link_order(n, cols)``, by
+    default the ids ascending. The adjacency is kept as the CSR pair
+    (indptr, indices) that visibility.VisibilityGraph built.
 
-    Subclasses set ``kind``, the ``max_*_bits`` bounds, the routing
-    ``step`` (it returns the next hop's port, its position in
-    ``link.ids``, and the header), the records and links in
-    ``__init__``, and the dump columns: ``columns`` fields between a
-    row's id and its neighbor ids, which ``dump_fields()`` formats for
-    all rows and ``read_fields(rows)`` parses and checks from a
-    ``dump.Rows``.
+    Subclasses set ``kind``, the ``max_*_bits`` bounds, the records and
+    links in ``__init__``, the dump columns (``columns`` fields between
+    a row's id and its neighbor ids, which ``dump_fields()`` formats
+    for all rows and ``read_fields(rows)`` parses and checks from a
+    ``dump.Rows``) and ``step``, the kind's routing function itself as
+    a plain function, bound when read off a scheme: it returns the next
+    hop's port, its position in ``link.ids``, and the header.
     """
 
     def __init__(self, n, cols, indptr, indices):
@@ -102,40 +102,38 @@ class Scheme:
         return self._labels[v]
 
     def table_of(self, v: int):
-        return self._tables[v]
-
-    def link_of(self, v: int):
-        return self._links[v]
+        return self.tables[v]
 
 
 def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
     The trace includes both endpoints; s == t gives an empty trace. A
-    port outside [0, len(link.ids)), or naming the current vertex,
-    raises FirewallError; a packet still travelling after 4n hops
-    raises HopLimitExceeded.
+    hop is one call of the step, bound once a route, on the current
+    vertex's link and table, the target label and the header. A port
+    outside [0, len(link.ids)), or naming the current vertex, raises
+    FirewallError; a packet still travelling after 4n hops raises
+    HopLimitExceeded.
     """
     if s == t:
         return []
-    hop_limit = 4 * scheme.n
-    trace = [s]
-    header = None
-    cur = s
+    links, tables, step = scheme.links, scheme.tables, scheme.step
     target = scheme.label_of(t)
-    while cur != t:
-        if len(trace) - 1 >= hop_limit:
-            raise HopLimitExceeded(
-                f"no arrival after {hop_limit} hops routing {s} -> {t}")
-        link = scheme.link_of(cur)
-        port, header = scheme.step(link, scheme.table_of(cur), target, header)
+    trace = [s]
+    header, cur = None, s
+    for _ in range(4 * scheme.n):
+        link = links[cur]
+        port, header = step(link, tables[cur], target, header)
         ids = link.ids
         if not 0 <= port < len(ids) or (nxt := ids[port]) == cur:
             raise FirewallError(
                 f"step at {cur} returned port {port}, not a neighbor")
         trace.append(nxt)
+        if nxt == t:
+            return trace
         cur = nxt
-    return trace
+    raise HopLimitExceeded(
+        f"no arrival after {4 * scheme.n} hops routing {s} -> {t}")
 
 
 _BATCH = 512   # sources per kernel batch: 8 uint64 words

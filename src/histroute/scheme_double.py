@@ -129,10 +129,9 @@ def _local_chains(link: DoubleLink):
     mirrored, with right bounds. Both start at the own label. No entry
     before a pick in that order starts left of the current one, so a
     chain is the running records of one scan in link order, with the
-    x-groups taken from the right for the right chain. Cached per link.
+    x-groups taken from the right for the right chain. Stored in
+    ``link._chains``, which holds None until the first call.
     """
-    if link._chains is not None:
-        return link._chains
     xs, ilo, ihi = link.xs, link.ilo, link.ihi
     lo, hi = link.own.ilo, link.own.ihi
     own = link.ids.index(link.own_vid)
@@ -154,16 +153,20 @@ def _local_chains(link: DoubleLink):
     return link._chains
 
 
-def route_step_double(link: DoubleLink, table: DoubleTable,
+def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
                       target: DoubleLabel, header):
-    """One routing hop: (port of the next vertex, outgoing header).
-
-    Pure function of the four local inputs. The header is None or a
-    coordinate pair naming a vertex that must be visible here.
+    """One routing hop: (port of the next vertex, outgoing header), from
+    the four local inputs alone; bound as ``DoubleScheme.step``, it
+    never reads ``scheme``. The header is None or a coordinate pair
+    naming a vertex that must be visible here.
     """
-    hit = link.find(target.x, target.y)
-    if hit is not None:
-        return hit, None
+    tx = target.x
+    xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
+    i = bisect_right(xs, tx) - 1
+    while i >= 0 and xs[i] == tx:
+        if link.ys[i] == target.y:
+            return i, None
+        i -= 1
     own = link.own
     if header is not None:
         hx, hy = header
@@ -176,14 +179,13 @@ def route_step_double(link: DoubleLink, table: DoubleTable,
                     f"header names ({hx},{hy}), which is not visible here")
             return port, None
 
-    tx = target.x
     # case 1: target inside the own interval
     if own.ilo <= tx <= own.ihi:
         nd, fd = _local_dominators(link, tx)
         return (fd if fd is not None else nd), None
 
     # case 2: target inside the level-2 interval
-    chain_a, chain_b = _local_chains(link)
+    chain_a, chain_b = link._chains or _local_chains(link)
     if tx < own.ilo:
         if tx >= chain_a[-1][1]:
             for port, lo in chain_a[1:]:
@@ -223,11 +225,11 @@ class DoubleScheme(Scheme):
             vdom = _row_vertical_dominators(x, y, *rows)
         self._labels = list(map(DoubleLabel, x.tolist(), y.tolist(),
                                 ilo.tolist(), ihi.tolist()))
-        self._tables = list(map(DoubleTable, *(
+        self.tables = list(map(DoubleTable, *(
             cols[f].tolist() for f in _TABLE_FIELDS)))
-        self._links = list(map(DoubleLink, range(n), self._labels,
-                               *cut_rows(rows, x, y, ilo, ihi),
-                               *(a.tolist() for a in vdom)))
+        self.links = list(map(DoubleLink, range(n), self._labels,
+                              *cut_rows(rows, x, y, ilo, ihi),
+                              *(a.tolist() for a in vdom)))
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
@@ -239,8 +241,7 @@ class DoubleScheme(Scheme):
         y = cols["y"]
         return np.lexsort((y, np.abs(y), cols["x"]))
 
-    def step(self, link, table, target, header):
-        return route_step_double(link, table, target, header)
+    step = route_step_double
 
     def dump_fields(self):
         cols = self.cols

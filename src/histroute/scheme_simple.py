@@ -38,29 +38,30 @@ class SimpleLink:
         self.br = br
 
 
-def route_step_simple(link: SimpleLink, higher_left: bool,
-                      target: SimpleLabel) -> int:
-    """One routing hop: the next vertex's port. Pure function of the
-    three local inputs."""
+def route_step_simple(scheme, link: SimpleLink, higher_left: bool,
+                      target: SimpleLabel, header):
+    """One hop, as ``SimpleScheme.step``: (next port, None) from the link,
+    table bit and target label alone; ``scheme`` and header go unread."""
     tid = target.vid
     ids = link.ids
     if not ids[0] <= tid <= ids[-1]:
         # target outside the interval: move to the higher interval end
-        return 0 if higher_left else len(ids) - 1
+        return (0 if higher_left else len(ids) - 1), None
     i = bisect_left(ids, tid)
     if ids[i] == tid:
-        return i
+        return i, None
     own_id = link.own_vid
-    near, far = (i - 1, i) if tid > own_id else (i, i - 1)
+    right = tid > own_id    # ports i - 1, i: the near one is on own_id's side
+    near = i - 1 if right else i
     nd = ids[near]
     if nd == own_id:
         raise RoutingError(f"near dominator degenerated to self at {own_id}")
     b = link.br[near]
     if b < 0:
         raise RoutingError(f"neighbor {nd} lacks a breakpoint id")
-    if min(nd, b) <= tid <= max(nd, b):
-        return near
-    return far
+    if nd <= tid <= b or b <= tid <= nd:
+        return near, None
+    return (i if right else i - 1), None
 
 
 class SimpleScheme(Scheme):
@@ -78,13 +79,12 @@ class SimpleScheme(Scheme):
         br = cols["br"]
         self._labels = list(map(SimpleLabel, range(n),
                                 np.where(br >= 0, br, None).tolist()))
-        self._tables = cols["bit"].tolist()
-        self._links = list(map(SimpleLink, range(n), *cut_rows(rows, br)))
+        self.tables = cols["bit"].tolist()
+        self.links = list(map(SimpleLink, range(n), *cut_rows(rows, br)))
         w = (n - 1).bit_length()
         self.max_label_bits = w * (2 if (br >= 0).any() else 1)
 
-    def step(self, link, table, target, header):
-        return route_step_simple(link, table, target), None
+    step = route_step_simple
 
     def dump_fields(self):
         br = self.cols["br"].tolist()

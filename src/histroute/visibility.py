@@ -25,6 +25,8 @@ base: ray shooting is the all-nearest-smaller-values problem (Berkman,
 Schieber and Vishkin 1993), one monotone-stack pass per chain.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .polygon import Histogram
@@ -32,20 +34,19 @@ from .polygon import Histogram
 _SCAN = 32      # a range of at most this many positions is scanned whole
 
 
-class Landmarks:
-    """Per-vertex ray hits and visibility intervals, stored as arrays.
+class Landmarks(NamedTuple):
+    """Per-vertex ray hits and visibility intervals, int64 arrays.
 
     l_vid and r_vid are -1 where a ray of a double histogram ends on a
     boundary edge between its endpoints.
     """
 
-    def __init__(self, n):
-        self.l_vid = np.full(n, -1, dtype=np.int64)
-        self.l_x = np.zeros(n, dtype=np.int64)
-        self.l_y = np.zeros(n, dtype=np.int64)
-        self.r_vid = np.full(n, -1, dtype=np.int64)
-        self.r_x = np.zeros(n, dtype=np.int64)
-        self.r_y = np.zeros(n, dtype=np.int64)
+    l_vid: np.ndarray
+    l_x: np.ndarray
+    l_y: np.ndarray
+    r_vid: np.ndarray
+    r_x: np.ndarray
+    r_y: np.ndarray
 
 
 class RangeMin:
@@ -106,7 +107,8 @@ def compute_landmarks(h: Histogram) -> Landmarks:
     the ray's own tooth ends on that boundary edge.
     """
     n, xs, ys = h.n, h.xs, h.ys
-    lm = Landmarks(n)
+    l_vid = np.full(n, -1, dtype=np.int64)
+    r_vid = np.full(n, -1, dtype=np.int64)
     if h.kind == "simple":
         dist = h.base_y - h.he_y
         chains = [np.flatnonzero(dist > 0)]        # all but the base edge
@@ -123,18 +125,17 @@ def compute_landmarks(h: Histogram) -> Landmarks:
             # the boundary edges' own vertices, else a point between them
             l_open = np.where(h.he_xlo[teeth] == h.xmin, vleft, -1)
             r_open = np.where(h.he_xhi[teeth] == h.xmax, vright, -1)
-        l_vid = np.where(prev >= 0, vright[prev], l_open)
-        r_vid = np.where(nxt >= 0, vleft[nxt], r_open)
+        l_hit = np.where(prev >= 0, vright[prev], l_open)
+        r_hit = np.where(nxt >= 0, vleft[nxt], r_open)
         for ends in (vleft, vright):
-            lm.l_vid[ends], lm.r_vid[ends] = l_vid, r_vid
+            l_vid[ends], r_vid[ends] = l_hit, r_hit
     if h.kind == "simple":
-        lm.l_vid[[0, n - 1]], lm.r_vid[[0, n - 1]] = 0, n - 1
-    for vid, x, y, edge in ((lm.l_vid, lm.l_x, lm.l_y, h.xmin),
-                            (lm.r_vid, lm.r_x, lm.r_y, h.xmax)):
+        l_vid[[0, n - 1]], r_vid[[0, n - 1]] = 0, n - 1
+    cols = []
+    for vid, edge in ((l_vid, h.xmin), (r_vid, h.xmax)):
         hit = vid >= 0
-        x[:] = np.where(hit, xs[vid], edge)
-        y[:] = np.where(hit, ys[vid], ys)
-    return lm
+        cols += [vid, np.where(hit, xs[vid], edge), np.where(hit, ys[vid], ys)]
+    return Landmarks(*cols)
 
 
 class VisibilityGraph:

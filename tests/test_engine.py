@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -20,8 +21,9 @@ from conftest import make_double, make_simple, staircase_text
 
 
 class HijackedScheme:
-    """Wraps a real scheme and misbehaves at exactly one vertex: there
-    its step returns the port port(link) and the given header."""
+    """Wraps a real scheme, sharing its link and table lists, and
+    misbehaves at exactly one vertex: there its step returns the port
+    port(link) and the given header."""
 
     def __init__(self, inner, at, port=None, header=None):
         self.inner = inner
@@ -30,18 +32,14 @@ class HijackedScheme:
         self.header = header
         self.kind = inner.kind
         self.n = inner.n
+        self.links = inner.links
+        self.tables = inner.tables
         self.max_label_bits = inner.max_label_bits
         self.max_table_bits = inner.max_table_bits
         self.max_header_bits = inner.max_header_bits
 
     def label_of(self, v):
         return self.inner.label_of(v)
-
-    def table_of(self, v):
-        return self.inner.table_of(v)
-
-    def link_of(self, v):
-        return self.inner.link_of(v)
 
     def step(self, link, table, target, header):
         if link.own_vid == self.at and self.port is not None:
@@ -65,7 +63,7 @@ def test_run_route_trivial(sch_rect):
 
 def test_firewall_rejects_non_neighbor(sch_steps):
     # vertex 1's link holds 0, 1, 2, 3: port 4 is past its end
-    assert sch_steps.link_of(1).ids == (0, 1, 2, 3)
+    assert sch_steps.links[1].ids == (0, 1, 2, 3)
     bad = HijackedScheme(sch_steps, at=1, port=lambda link: len(link.ids))
     with pytest.raises(engine.FirewallError, match="port 4"):
         engine.run_route(bad, 1, 6)
@@ -465,16 +463,19 @@ def test_fuzzed_dump_reads_then_routes_or_raises(case):
             pass
 
 
+def grid_pairs(n):
+    """The fixed pair grid the golden trace digests route."""
+    return [(s, t) for s in range(0, n, 17) for t in range(5, n, 23)]
+
+
 def trace_digest(sch):
     """sha256 of the traces of a fixed pair grid, one line a route."""
-    n = sch.n
-    traces = (engine.run_route(sch, s, t)
-              for s in range(0, n, 17) for t in range(5, n, 23))
+    traces = (engine.run_route(sch, s, t) for s, t in grid_pairs(sch.n))
     text = "\n".join(" ".join(map(str, trace)) for trace in traces)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("make, arg, seed, digest, traces", [
+GOLDEN = [
     (make_simple, 500, 1,
      "37d15e2a99ad75c45eeeb700bf68c6124fc070a654af263bacfd8a3ed44d6c0d",
      "7df9c006a6c8b99e660209c63e1777614b9b0963843625a292e8bccf65a4c820"),
@@ -496,8 +497,13 @@ def trace_digest(sch):
     (make_simple, staircase_text(300), 0,
      "8f9901d914e39888cb22e7c99790a3449b30f0690144375208eae0b8c236dbef",
      "ba1d47b744ddd1cd889926f742f077ee10779f9a1b5d9a45ee3be3ca5451d8b0"),
-], ids=["simple-1", "simple-2", "simple-3", "double-1", "double-2",
-        "double-3", "staircase-300"])
+]
+GOLDEN_IDS = ["simple-1", "simple-2", "simple-3", "double-1", "double-2",
+              "double-3", "staircase-300"]
+
+
+@pytest.mark.parametrize("make, arg, seed, digest, traces", GOLDEN,
+                         ids=GOLDEN_IDS)
 def test_dump_matches_golden_hash(make, arg, seed, digest, traces):
     # a change meant to keep every output must keep these dumps byte for
     # byte and the routes hop for hop, on the built scheme and on the
@@ -512,3 +518,93 @@ def test_dump_matches_golden_hash(make, arg, seed, digest, traces):
     assert dump.write(again) == text
     assert trace_digest(sch) == traces
     assert trace_digest(again) == traces
+
+
+def built(make, arg, seed):
+    h, g = make(arg, seed)
+    module = scheme_simple if h.kind == "simple" else scheme_double
+    return getattr(module, f"preprocess_{h.kind}")(h, g)
+
+
+@pytest.mark.parametrize("make, arg, seed",
+                         [case[:3] for case in GOLDEN], ids=GOLDEN_IDS)
+def test_step_reads_only_local_inputs(make, arg, seed):
+    # replaying every hop from the module-level step, handed no scheme,
+    # only the link, table, target label and header, gives the traces
+    sch = built(make, arg, seed)
+    step = (scheme_simple.route_step_simple if sch.kind == "simple"
+            else scheme_double.route_step_double)
+    assert type(sch).__dict__["step"] is step
+    for s, t in grid_pairs(sch.n):
+        want = engine.run_route(sch, s, t)
+        trace, header, target = want[:1], None, sch.label_of(t)
+        for _ in want[1:]:
+            link = sch.links[trace[-1]]
+            port, header = step(None, link, sch.tables[trace[-1]], target,
+                                header)
+            trace.append(link.ids[port])
+        assert trace == want
+
+
+class StepProbe:
+    """A scheme that passes every attribute through to the one it wraps,
+    as the benchmark's header probe does, but its own step: that counts
+    the calls and the headers they emit."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.calls = self.header_hops = 0
+
+    def __getattr__(self, name):
+        return getattr(self.scheme, name)
+
+    def step(self, link, table, target, header):
+        port, out = self.scheme.step(link, table, target, header)
+        self.calls += 1
+        self.header_hops += out is not None
+        return port, out
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """Install a plain-function wrapper as each scheme class's step, as
+    the benchmark's traced run does, and put the originals back; yields
+    [calls, hops that emit a header]."""
+    counts = [0, 0]
+    classes = (scheme_simple.SimpleScheme, scheme_double.DoubleScheme)
+    saved = [(cls, cls.__dict__["step"]) for cls in classes]
+
+    def wrap(fn):
+        def wrapper(*args):
+            port, out = fn(*args)
+            counts[0] += 1
+            counts[1] += out is not None
+            return port, out
+        return wrapper
+
+    try:
+        for cls in classes:
+            cls.step = wrap(cls.step)
+        yield counts
+    finally:
+        for cls, original in saved:
+            cls.step = original
+
+
+@pytest.mark.parametrize("make", [make_simple, make_double])
+def test_step_hooks_see_every_hop(make):
+    # the benchmark's probe and traced run replace step; either way the
+    # routes stay the same, one step call is made a hop, and the header
+    # hops of a double scheme are counted
+    sch = built(make, 500, 1)
+    pairs = grid_pairs(sch.n)
+    bare = [engine.run_route(sch, s, t) for s, t in pairs]
+    hops = sum(max(len(trace) - 1, 0) for trace in bare)
+    probe = StepProbe(sch)
+    assert [engine.run_route(probe, s, t) for s, t in pairs] == bare
+    assert probe.calls == hops
+    assert (probe.header_hops > 0) == (sch.kind == "double")
+    with counted_steps() as counts:
+        assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
+    assert counts == [hops, probe.header_hops]
+    assert [engine.run_route(sch, s, t) for s, t in pairs] == bare

@@ -53,7 +53,7 @@ def test_local_equals_global(small_doubles, random_doubles):
     for h, g in small_doubles + random_doubles:
         sch = scheme_double.preprocess_double(h, g)
         for s in range(h.n):
-            link = sch.link_of(s)
+            link = sch.links[s]
             ca, cb = scheme_double._local_chains(link)
             ga, gb = oracles.extension_sequences(g, s)
             assert [link.ids[p] for p, _ in ca] == ga
@@ -63,7 +63,7 @@ def test_local_equals_global(small_doubles, random_doubles):
             assert bd[0] == bds[1] and td[0] == tds[1]
             assert (link.ids[link.bd], link.ids[link.td]) == (bd[0], td[0])
         for s, t in invariants.invisible_interval_pairs(g):
-            link = sch.link_of(s)
+            link = sch.links[s]
             nd, fd = scheme_double._local_dominators(link, int(h.xs[t]))
             gnd, gfd = oracles.dominators(g, s, t)
             assert link.ids[nd] == gnd
@@ -81,13 +81,13 @@ def test_case1_hops_to_far_dominator(small_doubles):
             if fd is None:
                 continue
             target = sch.label_of(t)
-            port, hdr = sch.step(sch.link_of(s), sch.table_of(s),
+            port, hdr = sch.step(sch.links[s], sch.table_of(s),
                                  target, None)
-            assert sch.link_of(s).ids[port] == fd and hdr is None
+            assert sch.links[s].ids[port] == fd and hdr is None
             if 1 + int(d[fd, t]) > int(d[s, t]):
-                port, _ = sch.step(sch.link_of(fd), sch.table_of(fd),
+                port, _ = sch.step(sch.links[fd], sch.table_of(fd),
                                    target, None)
-                nxt2 = sch.link_of(fd).ids[port]
+                nxt2 = sch.links[fd].ids[port]
                 assert nxt2 == oracles.fd2(g, s, t)
                 assert int(d[nxt2, t]) == int(d[s, t]) - 1
 
@@ -103,7 +103,7 @@ def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
                 closed = [v, *g.neighbors_of(v).tolist()]
                 closed.sort(key=lambda u: (int(h.xs[u]), abs(int(h.ys[u])),
                                            int(h.ys[u])))
-                link = s.link_of(v)
+                link = s.links[v]
                 assert list(link.ids) == closed
                 assert list(zip(link.xs, link.ys, link.ilo, link.ihi)) == \
                     [(lab.x, lab.y, lab.ilo, lab.ihi)
@@ -139,7 +139,7 @@ def test_rectangle_all_direct(sch_drect, drect):
 
 def test_header_names_next_hop(sch_dbl):
     # a header pointing at a neighbor forces that hop
-    link = sch_dbl.link_of(1)
+    link = sch_dbl.links[1]
     lab3 = sch_dbl.label_of(3)
     target = sch_dbl.label_of(6)
     port, hdr = sch_dbl.step(link, sch_dbl.table_of(1), target,
@@ -150,9 +150,9 @@ def test_header_names_next_hop(sch_dbl):
 def test_header_naming_self_is_discarded(sch_dbl):
     own = sch_dbl.label_of(1)
     target = sch_dbl.label_of(6)
-    plain, _ = sch_dbl.step(sch_dbl.link_of(1), sch_dbl.table_of(1),
+    plain, _ = sch_dbl.step(sch_dbl.links[1], sch_dbl.table_of(1),
                             target, None)
-    with_header, _ = sch_dbl.step(sch_dbl.link_of(1), sch_dbl.table_of(1),
+    with_header, _ = sch_dbl.step(sch_dbl.links[1], sch_dbl.table_of(1),
                                   target, (own.x, own.y))
     assert with_header == plain
 
@@ -160,7 +160,7 @@ def test_header_naming_self_is_discarded(sch_dbl):
 def test_header_to_stranger_rejected(sch_dbl):
     target = sch_dbl.label_of(6)
     with pytest.raises(engine.HeaderProtocolError):
-        sch_dbl.step(sch_dbl.link_of(1), sch_dbl.table_of(1),
+        sch_dbl.step(sch_dbl.links[1], sch_dbl.table_of(1),
                      target, (999, 999))
 
 
@@ -402,7 +402,7 @@ def test_row_dominators_match_links(small_doubles, random_doubles):
                                          rows)
         bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys, *rows)
         for v in range(h.n):
-            link = sch.link_of(v)
+            link = sch.links[v]
             lbd, ltd = oracles.local_vertical_dominators(link)
             assert (lbd[0], ltd[0]) == (link.ids[bd[v]], link.ids[td[v]]), \
                 f"n={h.n} v={v}"

@@ -46,7 +46,7 @@ def test_links_hold_closed_neighborhood_ascending(small_simples):
         again = scheme_simple.parse_dump(scheme_simple.dump_scheme(sch))
         for s in (sch, again):
             for v in range(h.n):
-                link = s.link_of(v)
+                link = s.links[v]
                 assert list(link.ids) == sorted(
                     [v, *g.neighbors_of(v).tolist()])
                 assert list(link.br) == [
@@ -62,13 +62,13 @@ def test_route_trace_steps(sch_steps):
 def test_route_step_invisible_in_interval(sch_steps):
     # target 6 sits between the near dominator 4 (breakpoint 5) and the
     # far dominator 7; outside [4,5] the far dominator wins
-    link = sch_steps.link_of(0)
-    port = scheme_simple.route_step_simple(
-        link, sch_steps.table_of(0), sch_steps.label_of(6))
-    assert link.ids[port] == 7
-    port = scheme_simple.route_step_simple(
-        link, sch_steps.table_of(0), sch_steps.label_of(5))
-    assert link.ids[port] == 4
+    link = sch_steps.links[0]
+    port, hdr = scheme_simple.route_step_simple(
+        None, link, sch_steps.tables[0], sch_steps.label_of(6), None)
+    assert link.ids[port] == 7 and hdr is None
+    port, hdr = scheme_simple.route_step_simple(
+        None, link, sch_steps.tables[0], sch_steps.label_of(5), None)
+    assert link.ids[port] == 4 and hdr is None
 
 
 def test_route_rect_all_direct(sch_rect):

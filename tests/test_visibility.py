@@ -215,8 +215,12 @@ def test_landmarks_match_ray_walk(rect, steps, dbl, dbl_raw, drect,
                + random_simples + random_doubles] + raw)
     for h in corpus:
         lm = visibility.compute_landmarks(h)
-        for name, walked in oracles.ray_hits(h).items():
-            assert getattr(lm, name).tolist() == walked.tolist(), (h, name)
+        hits = oracles.ray_hits(h)
+        assert lm._fields == tuple(hits)
+        for name, walked in hits.items():
+            got = getattr(lm, name)
+            assert got.dtype == np.int64, (h, name)
+            assert got.tolist() == walked.tolist(), (h, name)
 
 
 @pytest.mark.parametrize("kind", ["simple", "double", "staircase"])
