@@ -38,6 +38,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _pairs(text: str):
+    """argparse type of --pairs: 'all' or a positive integer."""
+    if text != "all" and not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be 'all' or a positive integer, got {text!r}")
+    return text if text == "all" else int(text)
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -132,23 +140,12 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.pairs != "all":
-        try:
-            pairs = int(args.pairs)
-            if pairs <= 0:
-                raise ValueError
-        except ValueError:
-            print("error: --pairs takes 'all' or a positive integer",
-                  file=sys.stderr)
-            return 2
-    else:
-        pairs = "all"
     try:
         g, scheme = _prepare(_read(args.file), args.scheme)
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
     try:
-        report = engine.verify_all_pairs(scheme, g, pairs=pairs,
+        report = engine.verify_all_pairs(scheme, g, pairs=args.pairs,
                                          seed=args.seed,
                                          report_path=args.report)
     except engine.SampleSizeError as exc:
@@ -199,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("verify", help="route many pairs against BFS")
     w.add_argument("file", help="polygon file")
     w.add_argument("--scheme", required=True, choices=("simple", "double"))
-    w.add_argument("--pairs", default="all",
+    w.add_argument("--pairs", type=_pairs, default="all",
                    help="'all' or a sample size (default all)")
     w.add_argument("--report", help="write per-pair CSV here")
     w.add_argument("--seed", type=_seed, default=0)

@@ -292,7 +292,7 @@ def _sample_pairs(n, k, seed, chunk=_CHUNK):
     """
     rng = np.random.default_rng(seed)
     left = k
-    while left:
+    while left > 0:
         size = left + 8
         spans = [min(chunk, size - lo) for lo in range(0, size, chunk)]
         trng = copy.deepcopy(rng)
@@ -335,7 +335,8 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     pairs is "all" for every ordered pair with s != t, or an integer
     sample size (drawn uniformly with the given seed) of at most
-    n(n-1); a larger sample raises SampleSizeError, a ValueError.
+    n(n-1); a negative or larger sample raises SampleSizeError, a
+    ValueError.
     Simple schemes must match BFS exactly; double schemes must have
     stretch at most 2 and make two-step progress along every trace.
     Routes longer than 2n hops are failures regardless of stretch.
@@ -351,6 +352,9 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
         pair_iter = ((s, t) for s in range(n) for t in range(n) if s != t)
     else:
         k = int(pairs)
+        if k < 0:
+            raise SampleSizeError(f"cannot sample {k} pairs: a sample "
+                                  f"size is not negative")
         if k > n * (n - 1):
             raise SampleSizeError(
                 f"cannot sample {k} pairs: there are only {n * (n - 1)} "

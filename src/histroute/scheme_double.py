@@ -52,10 +52,11 @@ class DoubleLink:
     and the coordinates ``xs``, ``ys`` and interval bounds ``ilo``,
     ``ihi`` of their labels. ``own`` is the label of ``own_vid``, and
     bd and td are the ports of the neighborhood's bottom and top
-    dominators (see _row_vertical_dominators)."""
+    dominators (see _row_vertical_dominators). Every field is fixed at
+    build; routing reads a link and never writes to it."""
 
     __slots__ = ("own_vid", "own", "ids", "xs", "ys", "ilo", "ihi",
-                 "bd", "td", "_chains")
+                 "bd", "td")
 
     def __init__(self, own_vid, own, ids, xs, ys, ilo, ihi, bd, td):
         self.own_vid = own_vid
@@ -67,7 +68,6 @@ class DoubleLink:
         self.ihi = ihi
         self.bd = bd
         self.td = td
-        self._chains = None
 
     def find(self, x: int, y: int):
         """The port at coordinates (x, y), or None: a bisection to x, then
@@ -119,46 +119,13 @@ def _row_vertical_dominators(xs, ys, ptr, ids):
     return out
 
 
-def _local_chains(link: DoubleLink):
-    """Greedy interval-extension chains over the neighbor labels, as
-    (port, bound) pairs.
-
-    Left chain: repeatedly pick, among neighbors whose interval starts
-    strictly left of the current one, the leftmost vertex (ties toward
-    the base), paired with its interval's left bound. Right chain
-    mirrored, with right bounds. Both start at the own label. No entry
-    before a pick in that order starts left of the current one, so a
-    chain is the running records of one scan in link order, with the
-    x-groups taken from the right for the right chain. Stored in
-    ``link._chains``, which holds None until the first call.
-    """
-    xs, ilo, ihi = link.xs, link.ilo, link.ihi
-    lo, hi = link.own.ilo, link.own.ihi
-    own = link.ids.index(link.own_vid)
-    chain_a = [(own, lo)]
-    for k, b in enumerate(ilo):
-        if b < lo:
-            lo = b
-            chain_a.append((k, b))
-    chain_b = [(own, hi)]
-    j = len(xs)
-    while j:
-        i = bisect_left(xs, xs[j - 1])
-        for k in range(i, j):
-            if ihi[k] > hi:
-                hi = ihi[k]
-                chain_b.append((k, hi))
-        j = i
-    link._chains = (chain_a, chain_b)
-    return link._chains
-
-
 def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
                       target: DoubleLabel, header):
     """One routing hop: (port of the next vertex, outgoing header), from
     the four local inputs alone; bound as ``DoubleScheme.step``, it
-    never reads ``scheme``. The header is None or a coordinate pair
-    naming a vertex that must be visible here.
+    never reads ``scheme`` and writes to none of its inputs. The header
+    is None or a coordinate pair naming a vertex that must be visible
+    here.
     """
     tx = target.x
     xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
@@ -184,18 +151,27 @@ def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
         nd, fd = _local_dominators(link, tx)
         return (fd if fd is not None else nd), None
 
-    # case 2: target inside the level-2 interval
-    chain_a, chain_b = link._chains or _local_chains(link)
+    # case 2: target inside the level-2 interval, which spans the
+    # intervals of the bottom and top dominators: hop to the first port
+    # whose interval reaches tx, in link order for a target on the left,
+    # and for one on the right with x-groups taken from the right, each
+    # nearer the base first: the first vertex of the greedy extension
+    # sequence toward tx whose interval reaches it
+    ilo, ihi = link.ilo, link.ihi
     if tx < own.ilo:
-        if tx >= chain_a[-1][1]:
-            for port, lo in chain_a[1:]:
-                if lo <= tx:
-                    return port, None
-    else:
-        if tx <= chain_b[-1][1]:
-            for port, hi in chain_b[1:]:
-                if hi >= tx:
-                    return port, None
+        if tx >= ilo[link.bd] or tx >= ilo[link.td]:
+            port = 0
+            while ilo[port] > tx:
+                port += 1
+            return port, None
+    elif tx <= ihi[link.bd] or tx <= ihi[link.td]:
+        port = len(ihi) - 1
+        while ihi[port] < tx:
+            port -= 1
+        port = bisect_left(xs, xs[port])
+        while ihi[port] < tx:
+            port += 1
+        return port, None
 
     # case 3: target inside the level-3 interval
     if table.i2bd_lo <= tx <= table.i2bd_hi:
@@ -279,8 +255,9 @@ def preprocess_double(h, g) -> DoubleScheme:
     Requires normalized coordinates. Checks, per vertex, that what a
     step derives locally, reduced over the closed rows, equals its
     global definition from the level-k dominator arrays: the bottom/top
-    dominators, the level-2 interval reached by the extension chains,
-    and the level-3 interval covered by the two tabled level-2
+    dominators, the level-2 interval as the neighborhood's extreme
+    interval bounds, which case 2 reads from the dominators' ports, and
+    the level-3 interval covered by the two tabled level-2
     intervals. A mismatch aborts; the links come from the rows last.
     """
     if h.kind != "double":

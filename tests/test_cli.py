@@ -200,10 +200,14 @@ def test_verify_double_with_report(capsys, dbl_file, tmp_path):
     assert len(rows) == 41
 
 
-def test_verify_bad_pairs_arg(capsys, steps_file):
+@pytest.mark.parametrize("pairs", ["-3", "0", "x"])
+def test_verify_bad_pairs_arg(capsys, steps_file, pairs):
     code, out, err = run(capsys, "verify", steps_file, "--scheme", "simple",
-                         "--pairs", "-3")
-    assert code == 2
+                         "--pairs", pairs)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--pairs" in errors[0]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -334,6 +334,14 @@ def test_verify_rejects_oversized_sample(sch_rect, rect):
         engine.verify_all_pairs(sch_rect, g, pairs=10**11, seed=0)
 
 
+def test_verify_rejects_negative_sample(sch_rect, rect):
+    h, g = rect
+    assert engine.verify_all_pairs(sch_rect, g, pairs=0, seed=0).pairs == 0
+    with pytest.raises(engine.SampleSizeError, match="negative"):
+        engine.verify_all_pairs(sch_rect, g, pairs=-3, seed=0)
+    assert list(engine._sample_pairs(10, -3, 1)) == []
+
+
 @pytest.mark.parametrize("n, k, chunk", [
     (2, 50, 1), (2, 50, 7), (3, 40, 5), (50, 300, 64), (50, 300, 1 << 16),
 ])

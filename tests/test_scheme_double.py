@@ -49,15 +49,28 @@ def test_size_bounds(sch_dbl, sch_drect):
 
 def test_local_equals_global(small_doubles, random_doubles):
     # everything the step function derives from its link table must
-    # agree with the global definitions
+    # agree with the global definitions; toward an x in I2(s) but not
+    # in I(s) (case 2), on the built scheme and on its dump read back,
+    # the step hops to the first vertex after s of the extension
+    # sequence on x's side whose interval reaches x
     for h, g in small_doubles + random_doubles:
         sch = scheme_double.preprocess_double(h, g)
+        again = scheme_double.parse_dump(scheme_double.dump_scheme(sch))
+        l_x, r_x = g.lm.l_x.tolist(), g.lm.r_x.tolist()
         for s in range(h.n):
-            link = sch.links[s]
-            ca, cb = scheme_double._local_chains(link)
             ga, gb = oracles.extension_sequences(g, s)
-            assert [link.ids[p] for p, _ in ca] == ga
-            assert [link.ids[p] for p, _ in cb] == gb
+            lo, hi = g.interval(s)
+            lo2, hi2 = oracles.ik_bounds(g, s, 2)
+            for x in [*range(lo2, lo), *range(hi + 1, hi2 + 1)]:
+                want = (next(u for u in ga[1:] if l_x[u] <= x) if x < lo
+                        else next(u for u in gb[1:] if r_x[u] >= x))
+                # no vertex lies at y = 0, so this is never a direct hit
+                target = scheme_double.DoubleLabel(x, 0, x, x)
+                for sc in (sch, again):
+                    link = sc.links[s]
+                    port, header = sc.step(link, sc.tables[s], target, None)
+                    assert (link.ids[port], header) == (want, None)
+            link = sch.links[s]
             bd, td = oracles.local_vertical_dominators(link)
             bds, tds = oracles.k_dominators(g, s, 1)
             assert bd[0] == bds[1] and td[0] == tds[1]
