@@ -2,7 +2,9 @@
 
 Subcommands: gen (random polygon), validate (check a polygon file),
 build (polygon -> scheme dump), route (one source/target pair), and
-verify (all or sampled pairs against BFS). Exit codes: 0 on success,
+verify (all or sampled pairs against BFS). Every input names its own
+kind: a polygon file in its ``simple N`` or ``double N`` header, a
+dump in its ``scheme <kind> <n>`` header. Exit codes: 0 on success,
 1 when validation, building, routing, or verification fails, 2 on
 usage errors.
 """
@@ -51,16 +53,11 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _prepare(text: str, kind: str):
-    """Polygon text -> (graph, scheme) for the given kind."""
+def _prepare(text: str):
+    """Polygon text -> (graph, scheme) of the kind its header names."""
     h = polygon.parse_polygon(text)
-    if h.kind != kind:
-        raise polygon.PolygonError(
-            "syntax", f"file holds a {h.kind} histogram, not {kind}")
-    if h.kind == "double":
-        h = polygon.normalize(h)
     g = visibility.build_graph(h)
-    return g, _KINDS[kind][0](h, g)
+    return g, _KINDS[h.kind][0](h, g)
 
 
 def _cmd_gen(args) -> int:
@@ -90,7 +87,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build(args) -> int:
     try:
-        _, scheme = _prepare(_read(args.file), args.scheme)
+        _, scheme = _prepare(_read(args.file))
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
     text = dump.write(scheme)
@@ -107,19 +104,19 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_for_route(text: str, kind: str):
+def _load_for_route(text: str):
     """Accept either a polygon file or a scheme dump (self-contained):
     the first word of a dump's first line that is neither blank nor a
     ``#`` comment is ``scheme``."""
     head = re.search(r"^[^\S\n]*([^#\s]\S*)", text, re.MULTILINE)
     if head and head[1] == "scheme":
-        return dump.read(text, _KINDS[kind][1])
-    return _prepare(text, kind)[1]
+        return dump.read(text, *(cls for _, cls in _KINDS.values()))
+    return _prepare(text)[1]
 
 
 def _cmd_route(args) -> int:
     try:
-        scheme = _load_for_route(_read(args.file), args.scheme)
+        scheme = _load_for_route(_read(args.file))
     except (polygon.PolygonError, engine.SchemeBuildError,
             ValueError) as exc:
         return _fail(str(exc))
@@ -141,7 +138,7 @@ def _cmd_route(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        g, scheme = _prepare(_read(args.file), args.scheme)
+        g, scheme = _prepare(_read(args.file))
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
     try:
@@ -180,13 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="preprocess a polygon into a scheme dump")
     b.add_argument("file")
-    b.add_argument("--scheme", required=True, choices=("simple", "double"))
     b.add_argument("--out", help="dump file (default stdout)")
     b.set_defaults(fn=_cmd_build)
 
     r = sub.add_parser("route", help="route one pair and compare with BFS")
     r.add_argument("file", help="polygon file or scheme dump")
-    r.add_argument("--scheme", required=True, choices=("simple", "double"))
     r.add_argument("--from", dest="src", required=True, type=int)
     r.add_argument("--to", dest="dst", required=True, type=int)
     r.add_argument("--trace", action="store_true",
@@ -195,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("verify", help="route many pairs against BFS")
     w.add_argument("file", help="polygon file")
-    w.add_argument("--scheme", required=True, choices=("simple", "double"))
     w.add_argument("--pairs", type=_pairs, default="all",
                    help="'all' or a sample size (default all)")
     w.add_argument("--report", help="write per-pair CSV here")

@@ -36,8 +36,9 @@ def write(scheme) -> str:
     return "\n".join([f"scheme {scheme.kind} {scheme.n}", *rows]) + "\n"
 
 
-def read(text: str, cls):
-    """Inverse of write: the scheme of class cls that text describes.
+def read(text: str, *classes):
+    """Inverse of write: the scheme that text describes, of the class
+    among classes whose kind its header names.
 
     Every id in [0, n) has exactly one row, and the neighbor lists
     are symmetric, without self entries or repeated ids.
@@ -45,8 +46,10 @@ def read(text: str, cls):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     head = lines[0].split() if lines else []
-    if head[:2] != ["scheme", cls.kind] or len(head) != 3:
-        raise ValueError(f"not a {cls.kind} scheme dump")
+    kinds = {cls.kind: cls for cls in classes}
+    if len(head) != 3 or head[0] != "scheme" or head[1] not in kinds:
+        raise ValueError(f"not a {' or '.join(kinds)} scheme dump")
+    cls = kinds[head[1]]
     n = int(head[2])
     if n < 1:
         raise ValueError(f"a scheme needs at least one vertex, got n={n}")

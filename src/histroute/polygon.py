@@ -133,18 +133,21 @@ def int_tokens(tokens):
 
 def _coords(flat):
     """The coordinates x0, y0, x1, y1, ... as int64 arrays xs, ys: the
-    one conversion from integers, behind the one range check."""
-    try:
-        a = np.array(flat, dtype=np.int64)
-    except OverflowError:   # beyond int64: compare as Python ints
-        a = np.array(flat, dtype=object)
+    one conversion from integers, behind the one type and range check."""
+    a = np.asarray(flat)
+    if a.dtype.kind not in "iu":    # not all fit int64, or not all ints
+        for i, c in enumerate(flat):
+            if not isinstance(c, (int, np.integer)):
+                raise PolygonError("syntax", f"vertex {i // 2}: coordinate "
+                                   f"{c!r} is not an integer")
+        a = np.array(flat, dtype=object)    # compare as Python ints
     bad = np.flatnonzero(out_of_range(a))
     if len(bad):
         i = bad[0]
         raise PolygonError(
             "syntax", f"vertex {i // 2}: coordinate {a[i]} is out of range, "
             "|c| must be below 2**62")
-    return a.reshape(-1, 2).T.copy()
+    return a.reshape(-1, 2).T.astype(np.int64)
 
 
 def _check_closed_cycle(xs, ys):
@@ -338,6 +341,18 @@ def to_text(h: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ranks(h: Histogram):
+    """The rank rule of :func:`normalize`, as int64 arrays: the distinct
+    x values ascending, whose positions are the x ranks (searchsorted
+    maps an x value to its rank), and each vertex's x and y rank."""
+    x_values, xs = np.unique(h.xs, return_inverse=True)
+    y_values, ys = np.unique(h.ys, return_inverse=True)
+    if h.kind == "double":   # ranks -k..-1 below the base line, 1.. above
+        below = np.searchsorted(y_values, 0)
+        ys = np.where(h.ys < 0, ys - below, ys - below + 1)
+    return x_values, xs, ys
+
+
 def normalize(h: Histogram) -> Histogram:
     """Map coordinates to canonical ranks, preserving order on each axis.
 
@@ -347,14 +362,10 @@ def normalize(h: Histogram) -> Histogram:
     ones 1,2,... likewise. Visibility only depends on coordinate order,
     so the visibility graph is unchanged. Idempotent. The ranks keep the
     order on each axis and the sign of y, so the result is valid
-    whenever h is and is not validated again.
+    whenever h is and is not validated again. No step of preprocessing
+    needs it: preprocess_double takes the same ranks itself.
     """
-    xs = np.unique(h.xs, return_inverse=True)[1]
-    y_values, ys = np.unique(h.ys, return_inverse=True)
-    if h.kind == "double":   # ranks -k..-1 below the base line, 1.. above
-        below = np.searchsorted(y_values, 0)
-        ys = np.where(h.ys < 0, ys - below, ys - below + 1)
-    return Histogram(h.kind, xs, ys)
+    return Histogram(h.kind, *ranks(h)[1:])
 
 
 def generate(kind: str, n: int, seed: int) -> Histogram:

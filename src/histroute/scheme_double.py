@@ -241,37 +241,30 @@ class DoubleScheme(Scheme):
                 "bit_bottom": rows.bits(4)}
 
 
-def _check_normalized(h):
-    norm = polygon.normalize(h)     # idempotent: the identity iff normalized
-    if not np.array_equal(h.xs, norm.xs):
-        raise SchemeBuildError("x coordinates are not normalized ranks")
-    if not np.array_equal(h.ys, norm.ys):
-        raise SchemeBuildError("y coordinates are not normalized ranks")
-
-
 def preprocess_double(h, g) -> DoubleScheme:
     """Build labels, tables, and link tables for a double histogram.
 
-    Requires normalized coordinates. Checks, per vertex, that what a
-    step derives locally, reduced over the closed rows, equals its
-    global definition from the level-k dominator arrays: the bottom/top
-    dominators, the level-2 interval as the neighborhood's extreme
-    interval bounds, which case 2 reads from the dominators' ports, and
-    the level-3 interval covered by the two tabled level-2
-    intervals. A mismatch aborts; the links come from the rows last.
+    Takes any valid double histogram and stores coordinate ranks
+    (polygon.ranks); g's interval bounds become ranks only once checked.
+    Checks, per vertex, that what a step derives locally, reduced over
+    the closed rows, equals its global definition from the level-k
+    dominator arrays: the bottom/top dominators, the level-2 interval as
+    the neighborhood's extreme interval bounds, which case 2 reads from
+    the dominators' ports, and the level-3 interval covered by the two
+    tabled level-2 intervals. A mismatch aborts; the links come last.
     """
     if h.kind != "double":
         raise SchemeBuildError(f"need a double histogram, got {h.kind}")
-    _check_normalized(h)
     n = h.n
     lm = g.lm
-    cols = {"x": h.xs, "y": h.ys, "ilo": lm.l_x, "ihi": lm.r_x}
+    x_values, x, y = polygon.ranks(h)
+    cols = {"x": x, "y": y}
     ptr, ids = closed_rows(g.indptr, g.indices,
                            DoubleScheme.link_order(n, cols))
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
-    vdom = _row_vertical_dominators(h.xs, h.ys, ptr, ids)
+    vdom = _row_vertical_dominators(x, y, ptr, ids)
     lbd, ltd = (ids[ptr[:-1] + port] for port in vdom)
     v = lmk.first_vertex((lbd != bd1) | (ltd != td1))
     if v is not None:
@@ -325,8 +318,10 @@ def preprocess_double(h, g) -> DoubleScheme:
     if v is not None:
         raise SchemeBuildError(
             f"canonical bottom path at {v} starts off the dominators")
-    cols.update(zip(_TABLE_FIELDS, (
-        i2bd_lo, i2bd_hi, i2td_lo, i2td_hi, h.xs[bd2], h.ys[bd2], bit)))
+    bounds = np.searchsorted(x_values, (
+        lm.l_x, lm.r_x, i2bd_lo, i2bd_hi, i2td_lo, i2td_hi))   # as x ranks
+    cols.update(zip(_NUMBER_FIELDS[2:], (*bounds, x[bd2], y[bd2])),
+                bit_bottom=bit)
     return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), vdom)
 
 

@@ -84,29 +84,21 @@ def test_coordinate_out_of_range(capsys, tmp_path, cmd, line):
     p = tmp_path / "huge.poly"
     p.write_text("simple 4\n0 3\n0 0\n99999999999999999999999 0\n"
                  "99999999999999999999999 3\n")
-    code, out, err = run(capsys, cmd, str(p), *(["--scheme", "simple"]
-                                                 if cmd == "build" else []))
+    code, out, err = run(capsys, cmd, str(p))
     assert code == 1
     assert (out + err).splitlines() == [line]
 
 
 def test_build_summary(capsys, steps_file, tmp_path):
     dump = tmp_path / "steps.scheme"
-    code, out, err = run(capsys, "build", steps_file, "--scheme", "simple",
-                         "--out", str(dump))
+    code, out, err = run(capsys, "build", steps_file, "--out", str(dump))
     assert code == 0
     assert "labBits=" in out and "tabBits=1" in out and "hdrBits=0" in out
     assert dump.read_text().startswith("scheme simple 8")
 
 
-def test_build_kind_mismatch(capsys, steps_file):
-    code, out, err = run(capsys, "build", steps_file, "--scheme", "double")
-    assert code == 1
-    assert "error" in err
-
-
 def test_route_with_trace(capsys, steps_file):
-    code, out, err = run(capsys, "route", steps_file, "--scheme", "simple",
+    code, out, err = run(capsys, "route", steps_file,
                          "--from", "2", "--to", "6", "--trace")
     assert code == 0
     lines = out.strip().splitlines()
@@ -115,28 +107,27 @@ def test_route_with_trace(capsys, steps_file):
 
 
 def test_route_without_trace(capsys, steps_file):
-    code, out, err = run(capsys, "route", steps_file, "--scheme", "simple",
+    code, out, err = run(capsys, "route", steps_file,
                          "--from", "2", "--to", "6")
     assert code == 0
     assert out.strip() == "routed=3 bfs=3"
 
 
 def test_route_self(capsys, steps_file):
-    code, out, err = run(capsys, "route", steps_file, "--scheme", "simple",
+    code, out, err = run(capsys, "route", steps_file,
                          "--from", "3", "--to", "3")
     assert code == 0
     assert out.strip() == "routed=0 bfs=0"
 
 
 def test_route_double(capsys, dbl_file):
-    code, out, err = run(capsys, "route", dbl_file, "--scheme", "double",
-                         "--from", "0", "--to", "6")
+    code, out, err = run(capsys, "route", dbl_file, "--from", "0", "--to", "6")
     assert code == 0
     assert out.startswith("routed=")
 
 
 def test_route_bad_ids(capsys, steps_file):
-    code, out, err = run(capsys, "route", steps_file, "--scheme", "simple",
+    code, out, err = run(capsys, "route", steps_file,
                          "--from", "2", "--to", "99")
     assert code == 2
     assert "vertex ids" in err
@@ -146,11 +137,10 @@ def test_route_from_dump_after_deleting_polygon(capsys, steps_file,
                                                 tmp_path):
     # the dump alone must be enough to route
     dump = tmp_path / "steps.scheme"
-    run(capsys, "build", steps_file, "--scheme", "simple",
-        "--out", str(dump))
+    run(capsys, "build", steps_file, "--out", str(dump))
     import os
     os.remove(steps_file)
-    code, out, err = run(capsys, "route", str(dump), "--scheme", "simple",
+    code, out, err = run(capsys, "route", str(dump),
                          "--from", "2", "--to", "6", "--trace")
     assert code == 0
     assert out.strip().splitlines()[0] == "2 0 7 6"
@@ -160,26 +150,17 @@ def test_route_from_commented_dump(capsys, dbl_file, tmp_path):
     # a leading comment and a blank line, which the dump reader skips,
     # used to send the dump to the polygon parser
     plain = tmp_path / "dbl.scheme"
-    run(capsys, "build", dbl_file, "--scheme", "double", "--out", str(plain))
+    run(capsys, "build", dbl_file, "--out", str(plain))
     commented = tmp_path / "commented.scheme"
     commented.write_text("# built from dbl.poly\n\n" + plain.read_text())
-    args = ("--scheme", "double", "--from", "0", "--to", "6", "--trace")
+    args = ("--from", "0", "--to", "6", "--trace")
     want = run(capsys, "route", str(plain), *args)
     assert want[0] == 0 and len(want[1].splitlines()) == 2
     assert run(capsys, "route", str(commented), *args) == want
 
 
-def test_route_dump_kind_mismatch(capsys, steps_file, tmp_path):
-    dump = tmp_path / "steps.scheme"
-    run(capsys, "build", steps_file, "--scheme", "simple",
-        "--out", str(dump))
-    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
-                         "--from", "0", "--to", "3")
-    assert code == 1
-
-
 def test_verify_simple(capsys, steps_file):
-    code, out, err = run(capsys, "verify", steps_file, "--scheme", "simple")
+    code, out, err = run(capsys, "verify", steps_file)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "pairs=56"
@@ -189,9 +170,8 @@ def test_verify_simple(capsys, steps_file):
 
 def test_verify_double_with_report(capsys, dbl_file, tmp_path):
     report = tmp_path / "pairs.csv"
-    code, out, err = run(capsys, "verify", dbl_file, "--scheme", "double",
-                         "--pairs", "40", "--seed", "2",
-                         "--report", str(report))
+    code, out, err = run(capsys, "verify", dbl_file, "--pairs", "40",
+                         "--seed", "2", "--report", str(report))
     assert code == 0
     assert "pairs=40" in out
     with open(report, newline="") as fh:
@@ -202,8 +182,7 @@ def test_verify_double_with_report(capsys, dbl_file, tmp_path):
 
 @pytest.mark.parametrize("pairs", ["-3", "0", "x"])
 def test_verify_bad_pairs_arg(capsys, steps_file, pairs):
-    code, out, err = run(capsys, "verify", steps_file, "--scheme", "simple",
-                         "--pairs", pairs)
+    code, out, err = run(capsys, "verify", steps_file, "--pairs", pairs)
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--pairs" in errors[0]
@@ -212,8 +191,8 @@ def test_verify_bad_pairs_arg(capsys, steps_file, pairs):
 
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "simple", "--n", "8", "--seed", "-5"),
-    ("verify", "FILE", "--scheme", "simple", "--seed", "-1"),
-    ("verify", "FILE", "--scheme", "simple", "--seed", "one"),
+    ("verify", "FILE", "--seed", "-1"),
+    ("verify", "FILE", "--seed", "one"),
 ])
 def test_negative_seed(capsys, steps_file, argv):
     argv = [steps_file if a == "FILE" else a for a in argv]
@@ -227,8 +206,7 @@ def test_negative_seed(capsys, steps_file, argv):
 def test_verify_oversized_pairs(capsys, tmp_path):
     p = tmp_path / "s12.poly"
     p.write_text(polygon.to_text(polygon.generate("simple", 12, seed=1)))
-    code, out, err = run(capsys, "verify", str(p), "--scheme", "simple",
-                         "--pairs", "100000000000")
+    code, out, err = run(capsys, "verify", str(p), "--pairs", "100000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "'all'" in err
@@ -241,7 +219,7 @@ def test_verify_internal_value_error_is_not_a_usage_error(
 
     monkeypatch.setattr(engine, "run_route", broken)
     with pytest.raises(ValueError, match="internal defect"):
-        cli.cli_main(["verify", steps_file, "--scheme", "simple"])
+        cli.cli_main(["verify", steps_file])
 
 
 def test_missing_file(capsys):
@@ -251,9 +229,9 @@ def test_missing_file(capsys):
 
 @pytest.mark.parametrize("cmd,args", [
     ("validate", []),
-    ("build", ["--scheme", "simple"]),
-    ("route", ["--scheme", "double", "--from", "0", "--to", "1"]),
-    ("verify", ["--scheme", "simple"]),
+    ("build", []),
+    ("route", ["--from", "0", "--to", "1"]),
+    ("verify", []),
 ])
 def test_non_utf8_file(capsys, tmp_path, cmd, args):
     # these used to end in a UnicodeDecodeError traceback, route aside
@@ -271,9 +249,8 @@ def test_gen_validate_build_route_pipeline(capsys, tmp_path):
     assert run(capsys, "gen", "--kind", "double", "--n", "20", "--seed",
                "11", "--out", str(poly))[0] == 0
     assert run(capsys, "validate", str(poly))[0] == 0
-    assert run(capsys, "build", str(poly), "--scheme", "double",
-               "--out", str(dump))[0] == 0
-    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
+    assert run(capsys, "build", str(poly), "--out", str(dump))[0] == 0
+    code, out, err = run(capsys, "route", str(dump),
                          "--from", "0", "--to", "19")
     assert code == 0
     routed, bfs = (int(part.split("=")[1]) for part in out.split())
@@ -294,39 +271,41 @@ def double12_dump(nbrs):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("kind,text,reason", [
-    ("simple", "scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n",
+@pytest.mark.parametrize("text,reason", [
+    ("scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n",
      "duplicate row id 0"),
-    ("simple", "scheme simple 2\n0 | 0 | 0 | 7\n1 | 1 | 0 | 0\n",
+    ("scheme simple 2\n0 | 0 | 0 | 7\n1 | 1 | 0 | 0\n",
      "neighbor id outside [0, 2)"),
-    ("double", "scheme double 2\n" + DOUBLE_ROW + DOUBLE_ROW,
+    ("scheme double 2\n" + DOUBLE_ROW + DOUBLE_ROW,
      "duplicate row id 0"),
-    ("simple", "scheme simple 0\n", "at least one vertex"),
-    ("double", double12_dump({8: "0 2 7 11"}),
+    ("scheme simple 0\n", "at least one vertex"),
+    (double12_dump({8: "0 2 7 11"}),
      "row 8 lists 2 more often than row 2 lists 8"),
-    ("simple", "scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
+    ("scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
      "row 0 lists itself"),
-    ("simple", "scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
+    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
      "row 0 lists 1 twice"),
-    ("simple", "scheme simple 2\n0 | 0 5 | 0 | 1\n1 | 1 | 0 | 0\n",
+    ("scheme simple 2\n0 | 0 5 | 0 | 1\n1 | 1 | 0 | 0\n",
      "row 0: breakpoint 5 is outside [0, 2)"),
-    ("double", f"scheme double 2\n{DOUBLE_ROW}"
+    (f"scheme double 2\n{DOUBLE_ROW}"
      f"1 | 1 -1 | 0 {2**63} | 0 1 0 1 0 1 | 0 | 0\n",
      f"row 1: interval bound {2**63} is out of range"),
-    ("double", f"scheme double 2\n{DOUBLE_ROW}"
+    (f"scheme double 2\n{DOUBLE_ROW}"
      f"1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | {2**64}\n",
      "row 1: neighbor id outside [0, 2)"),
+    ("scheme triple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | 0\n",
+     "not a simple or double scheme dump"),
 ], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
         "double-duplicate-row", "simple-no-vertices", "double-asymmetric",
         "simple-self-entry", "simple-repeated-neighbor",
         "simple-breakpoint-out-of-range", "double-field-beyond-int64",
-        "double-neighbor-beyond-int64"])
-def test_route_rejects_malformed_dump(capsys, tmp_path, kind, text, reason):
+        "double-neighbor-beyond-int64", "unknown-kind"])
+def test_route_rejects_malformed_dump(capsys, tmp_path, text, reason):
     # each of these used to end in a traceback or an unrelated message
     dump = tmp_path / "bad.scheme"
     dump.write_text(text)
-    code, out, err = run(capsys, "route", str(dump), "--scheme", kind,
-                         "--from", "0", "--to", "1")
+    code, out, err = run(capsys, "route", str(dump), "--from", "0",
+                         "--to", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and reason in err
     assert len(err.strip().splitlines()) == 1
@@ -339,7 +318,7 @@ def test_route_rejects_dump_with_vertex_on_base_line(capsys, tmp_path):
     dump.write_text("scheme double 2\n"
                     "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 |\n"
                     "1 | 1 0 | 5 6 | 0 1 0 1 0 1 | 1 |\n")
-    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
+    code, out, err = run(capsys, "route", str(dump),
                          "--from", "1", "--to", "0")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "base line" in err
@@ -351,7 +330,7 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
     # 8's link holds nothing beyond it
     dump = tmp_path / "cut.scheme"
     dump.write_text(double12_dump({8: "0 7 10 11", 9: "7 10 11"}))
-    code, out, err = run(capsys, "route", str(dump), "--scheme", "double",
+    code, out, err = run(capsys, "route", str(dump),
                          "--from", "8", "--to", "9")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -401,10 +380,9 @@ def fuzz_argvs(draw, path, out):
             ["4", "8", "10", "3", "-2", "x"]))], ["--seed", draw(ids)],
             ["--out", out]],
         "validate": [],
-        "build": [["--scheme", kind], ["--out", out]],
-        "route": [["--scheme", kind], ["--from", draw(ids)],
-                  ["--to", draw(ids)], ["--trace"]],
-        "verify": [["--scheme", kind], ["--pairs", draw(st.sampled_from(
+        "build": [["--out", out]],
+        "route": [["--from", draw(ids)], ["--to", draw(ids)], ["--trace"]],
+        "verify": [["--pairs", draw(st.sampled_from(
             ["all", "5", "0", "x", "99999"]))], ["--seed", draw(ids)],
             ["--report", out]],
     }[cmd]

@@ -391,18 +391,30 @@ def test_verify_memory_is_bounded():
     assert peak < 16 * 2**20, f"verify peak {peak / 2**20:.1f} MiB"
 
 
+class Stubborn(HijackedScheme):
+    """Every step hops to the lowest neighbor: port 0 or 1."""
+
+    def step(self, link, table, target, header):
+        own = link.own_vid
+        nxt = min(i for i in link.ids if i != own)
+        return link.ids.index(nxt), None
+
+
 def test_verify_records_misroute(sch_steps, steps):
     h, g = steps
-
-    class Stubborn(HijackedScheme):
-        def step(self, link, table, target, header):
-            own = link.own_vid
-            nxt = min(i for i in link.ids if i != own)
-            return link.ids.index(nxt), None
-
     rep = engine.verify_all_pairs(Stubborn(sch_steps, at=0), g)
     assert not rep.ok
     assert any(f["routed"] == -1 or f["reason"] for f in rep.failures)
+
+
+def test_verify_counts_failures_past_the_record_cap():
+    # 1000 failures are recorded; the summary counts them all
+    h, g = make_simple(60, seed=3)
+    sch = scheme_simple.preprocess_simple(h, g)
+    rep = engine.verify_all_pairs(Stubborn(sch, at=0), g)
+    assert (rep.pairs, rep.failed, len(rep.failures)) == (3540, 3338, 1000)
+    assert rep.summary_lines()[-1] == "failures=3338"
+    assert all(f["s"] >= 0 for f in rep.failures)
 
 
 def test_summary_lines(sch_rect, rect):

@@ -289,6 +289,19 @@ def test_coordinate_out_of_range(c):
     assert str(ei.value) == f"syntax: {message}"
 
 
+@pytest.mark.parametrize("c", [2.9, 2.0, "2", None, np.float64(2)])
+def test_coordinate_not_an_integer(c):
+    # 2.9 used to be read as 2 and pass, "2" to be read as 2, and None
+    # to raise a bare TypeError
+    p = [(0, 3), (0, 0), (c, 0), (2, 3)]
+    message = f"vertex 2: coordinate {c!r} is not an integer"
+    rep = polygon.validate(p, "simple")
+    assert (rep.ok, rep.code, rep.message) == (False, "syntax", message)
+    with pytest.raises(polygon.PolygonError) as ei:
+        polygon.build_histogram(p, "simple")
+    assert str(ei.value) == f"syntax: {message}"
+
+
 @pytest.mark.parametrize("kind", ["simple", "double"])
 def test_coordinate_range_limits(kind):
     # the widest square: its coordinate differences reach 2**63 - 2

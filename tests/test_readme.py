@@ -1,0 +1,34 @@
+"""The command examples of README.md, run through the CLI as shown."""
+
+import pathlib
+import re
+import shlex
+
+from histroute import cli
+
+README = (pathlib.Path(__file__).resolve().parents[1]
+          / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```\w*\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+
+
+def block(start: str) -> str:
+    """The one fenced block of README.md that starts with start."""
+    found = [b for b in BLOCKS if b.startswith(start)]
+    assert len(found) == 1, f"{len(found)} blocks start with {start!r}"
+    return found[0]
+
+
+def test_readme_commands_run_as_shown(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "steps.poly").write_text(block("simple 8"))
+    out = {}
+    for line in block("histroute ").splitlines():
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.cli_main(argv) == 0, line
+        out[argv[0]] = capsys.readouterr().out
+        if "#" in line:     # the output shown in a comment
+            assert out[argv[0]].strip() == line.split("#", 1)[1].strip()
+    assert out["verify"] == block("pairs=")
+    command, *shown = block("$ histroute route").splitlines()
+    assert cli.cli_main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == shown

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from histroute import engine, polygon, scheme_double
+from histroute import engine, polygon, scheme_double, visibility
 
 import invariants
 import oracles
@@ -183,17 +183,31 @@ def test_preprocess_rejects_simple():
         scheme_double.preprocess_double(h, g)
 
 
-def test_preprocess_rejects_unnormalized(dbl_raw, dbl):
-    h, g = dbl_raw
-    with pytest.raises(engine.SchemeBuildError):
-        scheme_double.preprocess_double(h, g)
-    # one axis off its ranks at a time, each with its own message
-    h, g = dbl
-    for xs, ys, axis in ((h.xs * 2, h.ys, "x"), (h.xs, h.ys * 2, "y")):
-        with pytest.raises(engine.SchemeBuildError,
-                           match=f"{axis} coordinates are not normalized"):
-            scheme_double.preprocess_double(
-                polygon.Histogram("double", xs, ys), g)
+@pytest.mark.parametrize("n", [8, 12, 40, 200])
+def test_raw_polygon_dumps_as_its_normalized_twin(dbl_raw, n):
+    # preprocess_double stores coordinate ranks itself. Each side of the
+    # base line gets its own gaps, so |y| orders the two sides unlike
+    # their ranks, as link order would show if it read raw coordinates.
+    rng = np.random.default_rng(n)
+    cases = [dbl_raw[0]]
+    for seed in range(10):
+        h = polygon.generate("double", n, seed)
+        x_at = np.cumsum(rng.integers(1, 9, h.n)) - 40
+        up, down = (np.cumsum(rng.integers(1, 9, h.n)) for _ in "ud")
+        ys = np.where(h.ys > 0, up[np.abs(h.ys)], -down[np.abs(h.ys)])
+        cases.append(polygon.build_histogram(
+            zip(x_at[h.xs].tolist(), ys.tolist()), "double"))
+    for raw in cases:
+        norm = polygon.normalize(raw)
+        assert not np.array_equal(raw.xs, norm.xs)
+        assert not np.array_equal(raw.ys, norm.ys)
+        got, want = (scheme_double.preprocess_double(
+            h, visibility.build_graph(h)) for h in (raw, norm))
+        assert scheme_double.dump_scheme(got) == \
+            scheme_double.dump_scheme(want)
+        for a, b in zip(got.links, want.links):     # the dump omits these
+            assert [getattr(a, f) for f in a.__slots__] == \
+                [getattr(b, f) for f in b.__slots__]
 
 
 def test_dump_round_trip(sch_dbl, dbl):
