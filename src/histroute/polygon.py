@@ -17,7 +17,6 @@ counterclockwise orientation, and general position: every x value and
 every y value is shared by exactly two vertices.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -37,18 +36,12 @@ class PolygonError(Exception):
         self.message = message
 
 
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    code: str | None
-    message: str
-
-
 class Histogram:
     """A validated histogram polygon with derived per-vertex facts.
 
-    Construct via :func:`build_histogram`; the constructor assumes the
-    int64 coordinate arrays already passed :func:`validate`.
+    Construct via :func:`build_histogram` or :func:`parse_polygon`; the
+    constructor assumes the int64 coordinate arrays already passed their
+    checks.
     """
 
     def __init__(self, kind: str, xs, ys):
@@ -224,8 +217,10 @@ def _check_general_position(xs, ys):
 
 def _checked(flat, kind: str):
     """The coordinates x0, y0, x1, y1, ... as int64 arrays xs, ys once
-    they pass every stage of :func:`validate`; raises PolygonError at
-    the first failure."""
+    they pass every stage after the point shape: coordinate type and
+    range, closed orthogonal cycle, x-monotonicity, general position,
+    ccw orientation, vertex numbering, then for double histograms the
+    base line. Raises PolygonError at the first failure."""
     if kind not in ("simple", "double"):
         raise PolygonError("syntax", f"unknown kind {kind!r}")
     xs, ys = _coords(flat)
@@ -273,24 +268,19 @@ def _checked(flat, kind: str):
     return xs, ys
 
 
-def validate(points, kind: str) -> ValidationReport:
-    """Check the staged histogram invariants, reporting the first failure.
-
-    Stage order: coordinate range, closed orthogonal cycle,
-    x-monotonicity, general position, ccw orientation, vertex numbering,
-    then for double histograms the base line.
-    """
-    try:
-        _checked(list(itertools.chain.from_iterable(points)), kind)
-    except PolygonError as exc:
-        return ValidationReport(False, exc.code, exc.message)
-    return ValidationReport(True, None, "ok")
-
-
 def build_histogram(points, kind: str) -> Histogram:
-    """Validate and construct. Raises PolygonError on the first violation."""
-    return Histogram(kind, *_checked(
-        list(itertools.chain.from_iterable(points)), kind))
+    """Check the points and construct. Raises PolygonError at the first
+    failed stage: each point is a pair (x, y), then the stages of
+    :func:`_checked`."""
+    flat = []
+    for i, p in enumerate(points):
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            raise PolygonError("syntax", f"vertex {i}: expected a point "
+                               f"(x, y), got {p!r}") from None
+        flat += (x, y)
+    return Histogram(kind, *_checked(flat, kind))
 
 
 def parse_polygon(text: str) -> Histogram:

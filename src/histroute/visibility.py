@@ -177,10 +177,6 @@ class VisibilityGraph:
         self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
         self.indices = key % n
 
-    def neighbors_of(self, v: int):
-        """The ids v sees, ascending: a view into the CSR."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 

@@ -88,7 +88,7 @@ def dominators(g: VisibilityGraph, s: int, t: int):
     is then a boundary point).
     """
     h = g.h
-    cand = g.neighbors_of(s).tolist() + [s]
+    cand = g.indices[g.indptr[s]:g.indptr[s + 1]].tolist() + [s]
     if h.kind == "simple":
         if t > s:
             nd = max(u for u in cand if u < t)
@@ -137,7 +137,7 @@ def extension_sequences(g: VisibilityGraph, s: int):
     """
     h = g.h
     lm = g.lm
-    nbr = g.neighbors_of(s).tolist()
+    nbr = g.indices[g.indptr[s]:g.indptr[s + 1]].tolist()
 
     chain_a = [s]
     while True:
@@ -400,7 +400,7 @@ def ray_hits(h: Histogram):
 
 def neighbor_lists(g: VisibilityGraph):
     """The graph's adjacency as one id list per vertex."""
-    return [g.neighbors_of(v).tolist() for v in range(g.n)]
+    return [row.tolist() for row in np.split(g.indices, g.indptr[1:-1])]
 
 
 def csr_of(neighbors):

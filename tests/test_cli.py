@@ -2,15 +2,22 @@ import contextlib
 import csv
 import io
 import os
+import pathlib
+import re
+import subprocess
+import sys
 import tempfile
 
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
+import histroute
 from histroute import cli, engine, polygon, scheme_double, scheme_simple, \
     visibility
 
+import oracles
 from conftest import H_DBL_TEXT, H_STEPS_TEXT
 
 
@@ -336,6 +343,40 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_route_on_dump_missing_a_breakpoint(capsys, tmp_path):
+    # the reader accepts a reflex vertex's row without its breakpoint,
+    # so the step that reads it as the near neighbor has to fail
+    h = polygon.parse_polygon(H_STEPS_TEXT)
+    g = visibility.build_graph(h)
+    rows = scheme_simple.dump_scheme(
+        scheme_simple.preprocess_simple(h, g)).splitlines()
+    u = int(np.flatnonzero(~h.convex)[0])
+    fields = rows[u + 1].split(" | ")
+    assert fields[1] != str(u)
+    rows[u + 1] = " | ".join([fields[0], str(u), *fields[2:]])
+    text = "\n".join(rows) + "\n"
+
+    def near(s, t):
+        # the near neighbor a first step from s to t reads: the last id
+        # of s's closed row before t, or the first after it
+        ids = sorted([s, *oracles.neighbor_lists(g)[s]])
+        if t in ids or not ids[0] < t < ids[-1]:
+            return None
+        return max(w for w in ids if w < t) if t > s else \
+            min(w for w in ids if w > t)
+    s, t = next((s, t) for s in range(h.n) for t in range(h.n)
+                if near(s, t) == u)
+    with pytest.raises(engine.RoutingError,
+                       match=f"^neighbor {u} lacks a breakpoint id$"):
+        engine.run_route(scheme_simple.parse_dump(text), s, t)
+    dump = tmp_path / "nobr.scheme"
+    dump.write_text(text)
+    code, out, err = run(capsys, "route", str(dump),
+                         "--from", str(s), "--to", str(t))
+    assert (code, out) == (1, "")
+    assert err == f"error: neighbor {u} lacks a breakpoint id\n"
+
+
 # file contents for the fuzz below: small polygons, their dumps, and
 # both as text with one line changed
 FUZZ_TEXTS = []
@@ -406,3 +447,29 @@ def test_cli_fuzz_exits_cleanly(data):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.cli_main(argv) in (0, 1, 2)
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_console_script_names_main():
+    # the entry point pip installs as the histroute command
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"histroute": "histroute.cli:main"}
+
+
+def test_console_script_commands_run(tmp_path):
+    # the workflow's console-script commands, run through __main__ and
+    # main() in fresh processes: each must exit 0
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    commands = re.findall(r"^\s+histroute (.+)$", workflow, re.MULTILINE)
+    assert len(commands) == 4
+    src = os.path.dirname(os.path.dirname(histroute.__file__))
+    for line in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "histroute", *line.split()],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, (line, done.stderr)

@@ -57,9 +57,10 @@ def test_extension_reaches_neighborhood_extremes(small_doubles):
     # chain fixpoints attain the extreme interval ends over the closed
     # neighborhood
     for h, g in small_doubles:
+        nbrs = oracles.neighbor_lists(g)
         for s in range(g.n):
             chain_a, chain_b = oracles.extension_sequences(g, s)
-            closed = [s] + g.neighbors_of(s).tolist()
+            closed = [s] + nbrs[s]
             assert int(g.lm.l_x[chain_a[-1]]) == \
                 min(int(g.lm.l_x[u]) for u in closed)
             assert int(g.lm.r_x[chain_b[-1]]) == \

@@ -40,10 +40,17 @@ def test_parse_errors(text, code):
     assert ei.value.code == code
 
 
+def rejection(p, kind):
+    """(code, message) of the PolygonError build_histogram raises."""
+    with pytest.raises(polygon.PolygonError) as ei:
+        polygon.build_histogram(p, kind)
+    return ei.value.code, ei.value.message
+
+
 def test_validate_ok():
-    assert polygon.validate(pts(H_RECT_TEXT), "simple").ok
-    assert polygon.validate(pts(H_STEPS_TEXT), "simple").ok
-    assert polygon.validate(pts(H_DBL_TEXT), "double").ok
+    polygon.build_histogram(pts(H_RECT_TEXT), "simple")
+    polygon.build_histogram(pts(H_STEPS_TEXT), "simple")
+    polygon.build_histogram(pts(H_DBL_TEXT), "double")
 
 
 def test_validate_diagonal_edge():
@@ -51,8 +58,7 @@ def test_validate_diagonal_edge():
     # makes the following edge diagonal
     p = pts(H_STEPS_TEXT)
     p[5] = (3, 0)
-    rep = polygon.validate(p, "simple")
-    assert not rep.ok and rep.code == "closed-cycle"
+    assert rejection(p, "simple")[0] == "closed-cycle"
 
 
 def test_validate_general_position():
@@ -60,46 +66,41 @@ def test_validate_general_position():
     p = pts(H_STEPS_TEXT)
     p[5] = (3, 0)
     p[6] = (7, 0)
-    rep = polygon.validate(p, "simple")
-    assert not rep.ok and rep.code == "general-position"
+    assert rejection(p, "simple")[0] == "general-position"
 
 
 def test_validate_open_cycle():
-    rep = polygon.validate([(0, 3), (0, 0), (3, 0), (3, 2)], "simple")
-    assert not rep.ok and rep.code == "closed-cycle"
+    assert rejection([(0, 3), (0, 0), (3, 0), (3, 2)],
+                     "simple")[0] == "closed-cycle"
 
 
 def test_validate_not_x_monotone():
     p = [(0, 4), (0, 0), (3, 0), (3, 2), (1, 2), (1, 3), (5, 3), (5, 4)]
-    rep = polygon.validate(p, "simple")
-    assert not rep.ok and rep.code == "x-monotone"
+    assert rejection(p, "simple")[0] == "x-monotone"
 
 
 def test_validate_orientation():
-    rep = polygon.validate([(0, 3), (3, 3), (3, 0), (0, 0)], "simple")
-    assert not rep.ok and rep.code == "orientation"
+    assert rejection([(0, 3), (3, 3), (3, 0), (0, 0)],
+                     "simple")[0] == "orientation"
 
 
 def test_validate_numbering():
-    rep = polygon.validate([(0, 0), (3, 0), (3, 3), (0, 3)], "simple")
-    assert not rep.ok and rep.code == "numbering"
+    assert rejection([(0, 0), (3, 0), (3, 3), (0, 3)],
+                     "simple")[0] == "numbering"
 
 
 def test_validate_base_line_crossing_chain():
     p = [(0, 2), (0, -2), (2, -2), (2, 1), (3, 1), (3, -1), (6, -1), (6, 2)]
-    rep = polygon.validate(p, "double")
-    assert not rep.ok and rep.code == "base-line"
+    assert rejection(p, "double")[0] == "base-line"
 
 
 def test_validate_vertex_on_base_line():
     p = [(0, 2), (0, -2), (2, -2), (2, 0), (3, 0), (3, -1), (6, -1), (6, 2)]
-    rep = polygon.validate(p, "double")
-    assert not rep.ok and rep.code == "base-line"
+    assert rejection(p, "double")[0] == "base-line"
 
 
 def test_validate_unknown_kind():
-    rep = polygon.validate(pts(H_RECT_TEXT), "fancy")
-    assert not rep.ok and rep.code == "syntax"
+    assert rejection(pts(H_RECT_TEXT), "fancy")[0] == "syntax"
 
 
 def test_build_histogram_raises():
@@ -119,7 +120,7 @@ def test_normalize_simple_ranks():
     h = polygon.normalize(polygon.parse_polygon(H_STEPS_TEXT))
     # x in {0,2,3,7} collapses to ranks 0..3
     assert sorted(set(int(x) for x in h.xs)) == [0, 1, 2, 3]
-    assert polygon.validate(h.points(), "simple").ok
+    polygon.build_histogram(h.points(), "simple")
 
 
 def test_normalize_double_signs_and_idempotence():
@@ -152,7 +153,7 @@ def test_normalize_keeps_validity_and_visibility(
                  + random_doubles + [near_staircase(99)]):
         for raw in (h, stretched(h, rng)):
             nh = polygon.normalize(raw)
-            assert polygon.validate(nh.points(), h.kind).ok
+            polygon.build_histogram(nh.points(), h.kind)
             assert nh.points() == polygon.normalize(h).points()
             gn = visibility.build_graph(nh)
             assert gn.indptr.tolist() == g.indptr.tolist()
@@ -173,7 +174,7 @@ def test_generate_rejects_bad_n(kind, n):
 def test_generate_simple_valid(n, seed):
     h = polygon.generate("simple", n, seed=seed)
     assert h.kind == "simple" and h.n == n
-    assert polygon.validate(h.points(), "simple").ok
+    polygon.build_histogram(h.points(), "simple")
     again = polygon.parse_polygon(polygon.to_text(h))
     assert again.points() == h.points()
 
@@ -184,9 +185,9 @@ def test_generate_simple_valid(n, seed):
 def test_generate_double_valid(n, seed):
     h = polygon.generate("double", n, seed=seed)
     assert h.kind == "double" and h.n == n
-    assert polygon.validate(h.points(), "double").ok
+    polygon.build_histogram(h.points(), "double")
     nh = polygon.normalize(h)
-    assert polygon.validate(nh.points(), "double").ok
+    polygon.build_histogram(nh.points(), "double")
 
 
 def test_generate_deterministic():
@@ -197,27 +198,24 @@ def test_generate_deterministic():
 
 def test_x_monotone_chain_reverses():
     p = [(0, 4), (0, 0), (3, 0), (3, 2), (1, 2), (1, 3), (5, 3), (5, 4)]
-    rep = polygon.validate(p, "simple")
-    assert (rep.code, rep.message) == \
+    assert rejection(p, "simple") == \
         ("x-monotone", "a chain reverses x-direction")
 
 
 def test_x_monotone_chains_touch():
     # the bottom chain rises to the top edge's height between x=1 and 2
     p = [(0, 3), (0, 0), (1, 0), (1, 3), (2, 3), (2, 0), (3, 0), (3, 3)]
-    rep = polygon.validate(p, "simple")
-    assert (rep.code, rep.message) == \
+    assert rejection(p, "simple") == \
         ("x-monotone", "chains touch between x=1 and x=2")
 
 
 def test_x_monotone_chains_cross():
     # the bottom chain passes above the top edge between x=1 and 2
     p = [(0, 3), (0, 0), (1, 0), (1, 4), (2, 4), (2, 0), (3, 0), (3, 3)]
-    rep = polygon.validate(p, "simple")
-    assert (rep.code, rep.message) == ("x-monotone", "chains cross")
+    assert rejection(p, "simple") == ("x-monotone", "chains cross")
 
 
-# One entry per message validate gives: (points, kind, code, message).
+# One entry per message build_histogram gives: (points, kind, code, message).
 # The odd count, duplicate and base-line cases are ones random
 # mutations of generated polygons rarely reach.
 VALIDATE_MESSAGES = [
@@ -273,8 +271,22 @@ VALIDATE_MESSAGES = [
 @pytest.mark.parametrize("p,kind,code,message", VALIDATE_MESSAGES,
                          ids=[m for *_, m in VALIDATE_MESSAGES])
 def test_validate_messages(p, kind, code, message):
-    rep = polygon.validate(p, kind)
-    assert (rep.ok, rep.code, rep.message) == (code is None, code, message)
+    if code is None:
+        assert polygon.build_histogram(p, kind).points() == p
+    else:
+        assert rejection(p, kind) == (code, message)
+
+
+@pytest.mark.parametrize("p,i", [
+    ([(0, 3), (0, 0, 2), (0,), (2, 3)], 1),
+    ([(0, 3), (0, 0), (2, 0), (2, 3, 4)], 3),
+    ([(0, 3), (0, 0), 2, (2, 3)], 2),
+])
+def test_point_not_a_pair(p, i):
+    # the first used to pass as the square (0,3), (0,0), (2,0), (2,3),
+    # the others to raise a bare ValueError or TypeError
+    assert rejection(p, "simple") == (
+        "syntax", f"vertex {i}: expected a point (x, y), got {p[i]!r}")
 
 
 @pytest.mark.parametrize("c", [2**62, -2**62, 2**63, 10**23, -2**70])
@@ -282,8 +294,6 @@ def test_coordinate_out_of_range(c):
     p = [(0, 3), (0, 0), (c, 0), (c, 3)]
     message = (f"vertex 2: coordinate {c} is out of range, "
                "|c| must be below 2**62")
-    rep = polygon.validate(p, "simple")
-    assert (rep.ok, rep.code, rep.message) == (False, "syntax", message)
     with pytest.raises(polygon.PolygonError) as ei:
         polygon.build_histogram(p, "simple")
     assert str(ei.value) == f"syntax: {message}"
@@ -295,8 +305,6 @@ def test_coordinate_not_an_integer(c):
     # to raise a bare TypeError
     p = [(0, 3), (0, 0), (c, 0), (2, 3)]
     message = f"vertex 2: coordinate {c!r} is not an integer"
-    rep = polygon.validate(p, "simple")
-    assert (rep.ok, rep.code, rep.message) == (False, "syntax", message)
     with pytest.raises(polygon.PolygonError) as ei:
         polygon.build_histogram(p, "simple")
     assert str(ei.value) == f"syntax: {message}"

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from histroute import engine, polygon, scheme_double, visibility
+from histroute import engine, landmarks, polygon, scheme_double, visibility
 
 import invariants
 import oracles
@@ -111,9 +111,10 @@ def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
     for h, g in small_doubles:
         sch = scheme_double.preprocess_double(h, g)
         again = scheme_double.parse_dump(scheme_double.dump_scheme(sch))
+        nbrs = oracles.neighbor_lists(g)
         for s in (sch, again):
             for v in range(h.n):
-                closed = [v, *g.neighbors_of(v).tolist()]
+                closed = [v, *nbrs[v]]
                 closed.sort(key=lambda u: (int(h.xs[u]), abs(int(h.ys[u])),
                                            int(h.ys[u])))
                 link = s.links[v]
@@ -389,21 +390,34 @@ def _tampered(graph, shifts=(), drop=None):
     return g
 
 
-@pytest.mark.parametrize("shifts,drop,reason", [
+@pytest.mark.parametrize("shifts,drop,level2,reason", [
     # widening I(7) alone makes its global level-1 dominators differ
     # from the ones its unchanged neighbors offer
-    ([("l_x", 7, -1)], None, "local bottom/top dominators at 7"),
-    ([("l_x", 1, 1)], None, r"dominators at 1 .* \(3,0\) vs \(3,3\)"),
-    ([("l_x", 0, -1)], None, "level-2 interval of 0"),
-    ([("l_x", 3, 1)], None, "0 does not see 3"),
-    ([("r_x", 3, -2)], None, "level-1 dominators of 7 both miss 3"),
+    ([("l_x", 7, -1)], None, None, "local bottom/top dominators at 7"),
+    ([("l_x", 1, 1)], None, None, r"dominators at 1 .* \(3,0\) vs \(3,3\)"),
+    ([("l_x", 0, -1)], None, None, "level-2 interval of 0"),
+    ([("l_x", 3, 1)], None, None, "0 does not see 3"),
+    ([("r_x", 3, -2)], None, None, "level-1 dominators of 7 both miss 3"),
     # without the edge 0-3, 0's neighbors no longer hold its global
     # bottom dominator 3
-    ([], (0, 3), r"dominators at 0 .* \(4,10\) vs \(3,10\)"),
+    ([], (0, 3), None, r"dominators at 0 .* \(4,10\) vs \(3,10\)"),
+    # level-2 dominators 5 and 7 of vertex 0, in place of 3 and 10, span
+    # x in [2, 5]: I^3(0) keeps its right end 5 but not its left end 0
+    ([], None, (0, 5, 7), "level-3 interval of 0"),
 ], ids=["widened-7", "dominators-1", "level-2", "unseen-hop", "hop-missed",
-        "dropped-edge"])
-def test_preprocess_rejects_inconsistent_landmarks(dbl, shifts, drop, reason):
+        "dropped-edge", "level-3-left"])
+def test_preprocess_rejects_inconsistent_landmarks(dbl, monkeypatch, shifts,
+                                                   drop, level2, reason):
     h, g = dbl
+    if level2 is not None:
+        levels = landmarks.dominator_levels
+        v, bd2, td2 = level2
+
+        def tampered_levels(g, k):
+            bd, td = levels(g, k)
+            bd[2][v], td[2][v] = bd2, td2
+            return bd, td
+        monkeypatch.setattr(landmarks, "dominator_levels", tampered_levels)
     with pytest.raises(engine.SchemeBuildError, match=reason):
         scheme_double.preprocess_double(h, _tampered(g, shifts, drop))
 
