@@ -10,7 +10,6 @@ usage errors.
 """
 
 import argparse
-import re
 import sys
 
 from . import dump
@@ -106,10 +105,10 @@ def _cmd_build(args) -> int:
 
 def _load_for_route(text: str):
     """Accept either a polygon file or a scheme dump (self-contained):
-    the first word of a dump's first line that is neither blank nor a
-    ``#`` comment is ``scheme``."""
-    head = re.search(r"^[^\S\n]*([^#\s]\S*)", text, re.MULTILINE)
-    if head and head[1] == "scheme":
+    a dump's first content line (polygon.content_lines) starts with the
+    word ``scheme``."""
+    lines = polygon.content_lines(text)[1]
+    if lines and lines[0].split()[0] == "scheme":
         return dump.read(text, *(cls for _, cls in _KINDS.values()))
     return _prepare(text)[1]
 

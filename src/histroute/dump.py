@@ -3,7 +3,7 @@
 A dump is a header line ``scheme <kind> <n>`` followed by one row per
 vertex whose fields are separated by ``|``: the vertex id, the scheme
 class's own columns, and the ids of the vertex's neighbors. Blank lines
-and lines starting with ``#`` are skipped.
+and ``#`` comments are skipped, as polygon.content_lines finds them.
 
 Both directions work a column at a time. The writer formats each field
 for all rows at once. The reader splits all rows into their fields at
@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .engine import closed_rows
-from .polygon import int_tokens, out_of_range
+from .polygon import content_lines, int_tokens, out_of_range
 
 
 def write(scheme) -> str:
@@ -40,11 +40,10 @@ def read(text: str, *classes):
     """Inverse of write: the scheme that text describes, of the class
     among classes whose kind its header names.
 
-    Every id in [0, n) has exactly one row, and the neighbor lists
-    are symmetric, without self entries or repeated ids.
+    Every id in [0, n) has one row; neighbor lists are symmetric, with
+    no self entry or repeated id, and pass the class's check_links.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)[1]
     head = lines[0].split() if lines else []
     kinds = {cls.kind: cls for cls in classes}
     if len(head) != 3 or head[0] != "scheme" or head[1] not in kinds:
@@ -72,6 +71,7 @@ def read(text: str, *classes):
     at = np.empty(n, dtype=np.int64)
     at[rows.vid] = np.arange(n)     # the row of each vertex
     cols = {name: c[at] for name, c in cols.items()}
+    cls.check_links(cols, src, nbrs)
     rows = closed_rows(indptr, indices, cls.link_order(n, cols))
     return cls(n, cols, indptr, indices, rows)
 

@@ -124,6 +124,15 @@ def int_tokens(tokens):
         return np.array(vals, dtype=object), None
 
 
+def content_lines(text):
+    """(numbers, lines): the lines of text, split by str.splitlines()
+    and stripped, that are neither blank nor ``#`` comments, with their
+    1-based numbers; the one comment rule of polygons and dumps."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    numbers = [i for i, ln in enumerate(lines, 1) if ln and ln[0] != "#"]
+    return numbers, [lines[i - 1] for i in numbers]
+
+
 def _coords(flat):
     """The coordinates x0, y0, x1, y1, ... as int64 arrays xs, ys: the
     one conversion from integers, behind the one type and range check."""
@@ -287,41 +296,38 @@ def parse_polygon(text: str) -> Histogram:
     """Parse the plain text polygon format.
 
     Line 1 is ``<kind> <n>``; the next n lines are ``<x> <y>``. Blank
-    lines and lines starting with ``#`` are ignored.
+    lines and ``#`` comments (content_lines) are ignored.
     """
-    lines = text.splitlines()
-    toks = list(map(str.split, lines))     # one split a line
-    rows = [i for i, t in enumerate(toks) if t and not t[0].startswith("#")]
-    if not rows:
+    numbers, lines = content_lines(text)
+    if not lines:
         raise PolygonError("syntax", "empty input")
-    parts = toks[rows[0]]
+    parts = lines[0].split()
     if len(parts) != 2 or parts[0] not in ("simple", "double"):
         raise PolygonError(
-            "syntax", f"line {rows[0] + 1}: expected '<kind> <n>', "
-            f"got {lines[rows[0]].strip()!r}")
+            "syntax", f"line {numbers[0]}: expected '<kind> <n>', "
+            f"got {lines[0]!r}")
     kind = parts[0]
     try:
         n = int(parts[1])
     except ValueError:
         raise PolygonError(
-            "syntax", f"line {rows[0] + 1}: bad vertex count") from None
-    if len(rows) - 1 != n:
+            "syntax", f"line {numbers[0]}: bad vertex count") from None
+    if len(lines) - 1 != n:
         raise PolygonError(
-            "syntax", f"expected {n} vertex lines, got {len(rows) - 1}")
+            "syntax", f"expected {n} vertex lines, got {len(lines) - 1}")
     # one conversion of all tokens; the first faulty line wins, one
     # with other than two tokens or with a token that int() rejects
-    rows = rows[1:]
-    parts = list(map(toks.__getitem__, rows))
+    parts = list(map(str.split, lines[1:]))
     counts = np.fromiter(map(len, parts), dtype=np.int64, count=n)
     bad = np.flatnonzero(counts != 2)
     end = bad[0] if len(bad) else n
     vals, err = int_tokens(list(itertools.chain.from_iterable(parts[:end])))
     if err is not None:
-        raise PolygonError("syntax", f"line {rows[len(vals) // 2] + 1}: "
+        raise PolygonError("syntax", f"line {numbers[1 + len(vals) // 2]}: "
                            "coordinates must be integers")
     if end < n:
-        raise PolygonError("syntax", f"line {rows[end] + 1}: expected "
-                           f"'<x> <y>', got {lines[rows[end]].strip()!r}")
+        raise PolygonError("syntax", f"line {numbers[1 + end]}: expected "
+                           f"'<x> <y>', got {lines[1 + end]!r}")
     return Histogram(kind, *_checked(vals, kind))
 
 

@@ -219,6 +219,14 @@ class DoubleScheme(Scheme):
 
     step = route_step_double
 
+    @staticmethod
+    def check_links(cols, src, dst):
+        x = cols["x"][dst]      # a row lists only vertices in its I(v)
+        bad = np.flatnonzero((x < cols["ilo"][src]) | (x > cols["ihi"][src]))
+        if bad.size:
+            raise ValueError(f"row {src[bad[0]]} lists {dst[bad[0]]}, "
+                             f"outside its interval")
+
     def dump_fields(self):
         cols = self.cols
         return list(map("{} {} | {} {} | {} {} {} {} {} {} | {}".format, *(

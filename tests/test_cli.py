@@ -166,6 +166,23 @@ def test_route_from_commented_dump(capsys, dbl_file, tmp_path):
     assert run(capsys, "route", str(commented), *args) == want
 
 
+def test_route_takes_comment_lines_as_the_readers_do(capsys, steps_file,
+                                                     tmp_path):
+    # str.splitlines() ends a line at a form feed, so the dump reader
+    # takes this dump's second line as its header; the CLI used to send
+    # it to the polygon parser
+    plain = tmp_path / "steps.scheme"
+    run(capsys, "build", steps_file, "--out", str(plain))
+    fed = tmp_path / "ff.scheme"
+    fed.write_text("# built\x0c" + plain.read_text())
+    assert scheme_simple.parse_dump(fed.read_text()).n == 8
+    args = ("--from", "0", "--to", "5", "--trace")
+    want = run(capsys, "route", str(plain), *args)
+    assert want[0] == 0
+    assert run(capsys, "route", str(fed), *args) == want
+    assert run(capsys, "route", steps_file, *args) == want
+
+
 def test_verify_simple(capsys, steps_file):
     code, out, err = run(capsys, "verify", steps_file)
     assert code == 0
@@ -267,10 +284,10 @@ def test_gen_validate_build_route_pipeline(capsys, tmp_path):
 DOUBLE_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
 
 
-def double12_dump(nbrs):
-    """The dump of generate("double", 12, seed=5), with the neighbor
-    lists of the rows in nbrs replaced."""
-    h = polygon.normalize(polygon.generate("double", 12, seed=5))
+def double12_dump(nbrs, seed=5):
+    """The dump of generate("double", 12, seed), with the neighbor lists
+    of the rows in nbrs replaced."""
+    h = polygon.normalize(polygon.generate("double", 12, seed=seed))
     scheme = scheme_double.preprocess_double(h, visibility.build_graph(h))
     rows = scheme_double.dump_scheme(scheme).splitlines()
     for v, ids in nbrs.items():
@@ -302,11 +319,15 @@ def double12_dump(nbrs):
      "row 1: neighbor id outside [0, 2)"),
     ("scheme triple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | 0\n",
      "not a simple or double scheme dump"),
+    # 2 and 8 do not see each other: x(8) = 5 lies outside I(2) = [0, 4]
+    (double12_dump({2: "0 1 3 4 5 6 7 8 11", 8: "0 2 7 9 10 11"}),
+     "row 2 lists 8, outside its interval"),
 ], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
         "double-duplicate-row", "simple-no-vertices", "double-asymmetric",
         "simple-self-entry", "simple-repeated-neighbor",
         "simple-breakpoint-out-of-range", "double-field-beyond-int64",
-        "double-neighbor-beyond-int64", "unknown-kind"])
+        "double-neighbor-beyond-int64", "unknown-kind",
+        "double-link-outside-interval"])
 def test_route_rejects_malformed_dump(capsys, tmp_path, text, reason):
     # each of these used to end in a traceback or an unrelated message
     dump = tmp_path / "bad.scheme"
@@ -341,6 +362,21 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
                          "--from", "8", "--to", "9")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_route_on_dump_with_no_neighbor_toward_the_target(capsys, tmp_path):
+    # both rows drop the edge 2-3, so the dump reads; 3 shares 2's x,
+    # and 2's link holds no vertex at or beyond that x
+    text = double12_dump({2: "0 1", 3: "0 1 4 5"}, seed=0)
+    with pytest.raises(engine.RoutingError,
+                       match="^no neighbor of 2 lies toward x=1$"):
+        engine.run_route(scheme_double.parse_dump(text), 2, 3)
+    dump = tmp_path / "cut.scheme"
+    dump.write_text(text)
+    code, out, err = run(capsys, "route", str(dump),
+                         "--from", "2", "--to", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: no neighbor of 2 lies toward x=1\n"
 
 
 def test_route_on_dump_missing_a_breakpoint(capsys, tmp_path):

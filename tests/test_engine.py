@@ -96,7 +96,7 @@ def test_hop_limit(sch_steps):
             own = link.own_vid
             return link.ids.index(0 if own != 0 else 1), None
 
-    with pytest.raises(engine.HopLimitExceeded, match="after 32 hops"):
+    with pytest.raises(engine.HopLimitExceeded, match="after 16 hops"):
         engine.run_route(PingPong(sch_steps, at=0), 2, 6)
 
 
@@ -309,8 +309,6 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
             else:
                 reason = engine.check_two_step_progress(
                     [dist[t][v] for v in trace])
-            if routed > 2 * h.n:
-                reason = "route longer than 2n hops"
         stretch = routed / bfs if routed >= 0 else float("inf")
         want_rows.append([str(s), str(t), str(bfs), str(routed),
                           f"{stretch:.3f}"])
@@ -342,14 +340,28 @@ def test_verify_rejects_negative_sample(sch_rect, rect):
     assert list(engine._sample_pairs(10, -3, 1)) == []
 
 
-@pytest.mark.parametrize("n, k, chunk", [
-    (2, 50, 1), (2, 50, 7), (3, 40, 5), (50, 300, 64), (50, 300, 1 << 16),
-])
-def test_sample_pairs_match_one_shot_draws(n, k, chunk):
+@pytest.mark.parametrize("n, k", [(2, 50), (3, 40), (50, 300)])
+def test_sample_pairs_match_one_shot_draws(n, k):
     # n = 2 keeps about half the draws, so the sample takes several rounds
     for seed in (0, 1, 4, 9):
-        got = list(engine._sample_pairs(n, k, seed, chunk=chunk))
+        got = list(engine._sample_pairs(n, k, seed))
         assert got == oracles.sample_pairs(n, k, seed)
+
+
+@pytest.mark.parametrize("k", [4000, 10000])
+def test_sample_pairs_of_benchmark_size_match_one_shot_draws(k):
+    assert list(engine._sample_pairs(1000, k, 7)) == \
+        oracles.sample_pairs(1000, k, 7)
+
+
+def test_sample_pairs_over_several_chunks(monkeypatch):
+    # rounds of at most _CHUNK draws each still give k pairs, s != t,
+    # the same for the same seed
+    monkeypatch.setattr(engine, "_CHUNK", 16)
+    got = list(engine._sample_pairs(3, 100, 2))
+    assert len(got) == 100 and all(s != t for s, t in got)
+    assert all(0 <= s < 3 and 0 <= t < 3 for s, t in got)
+    assert list(engine._sample_pairs(3, 100, 2)) == got
 
 
 def test_verify_sampled_pairs_are_the_one_shot_sample(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -70,9 +71,20 @@ def test_local_equals_global(small_doubles, random_doubles):
                     link = sc.links[s]
                     port, header = sc.step(link, sc.tables[s], target, None)
                     assert (link.ids[port], header) == (want, None)
+            bds, tds = oracles.k_dominators(g, s, 1)
+            lo3, hi3 = oracles.ik_bounds(g, s, 3)
+            blo, bhi = oracles.ik_bounds(g, bds[1], 2)
+            for x in [*range(lo3, lo2), *range(hi2 + 1, hi3 + 1)]:
+                # case 3: x in I3(s) but not in I2(s), reached through
+                # bd1(s) when x lies in I2(bd1(s)), else through td1(s)
+                want = bds[1] if blo <= x <= bhi else tds[1]
+                target = scheme_double.DoubleLabel(x, 0, x, x)
+                for sc in (sch, again):
+                    link = sc.links[s]
+                    port, header = sc.step(link, sc.tables[s], target, None)
+                    assert (link.ids[port], header) == (want, None)
             link = sch.links[s]
             bd, td = oracles.local_vertical_dominators(link)
-            bds, tds = oracles.k_dominators(g, s, 1)
             assert bd[0] == bds[1] and td[0] == tds[1]
             assert (link.ids[link.bd], link.ids[link.td]) == (bd[0], td[0])
         for s, t in invariants.invisible_interval_pairs(g):
@@ -332,6 +344,37 @@ def test_parse_dump_minimal_rows_accepted():
     sch = scheme_double.parse_dump(f"scheme double 2\n{ROW0}\n{ROW1}\n")
     assert sch.indices[sch.indptr[0]:sch.indptr[1]].tolist() == [1]
     assert sch.table_of(1).bit_bottom is False
+
+
+@pytest.mark.parametrize("n,seed", [(8, 1), (12, 5), (20, 3)])
+def test_parse_dump_rejects_links_outside_intervals(n, seed):
+    # a pair the histogram does not see, listed in both rows, is
+    # symmetric; the reader still rejects it, at the first listing in
+    # file order whose vertex lies outside the lister's interval
+    h, g = make_double(n, seed=seed)
+    sch = scheme_double.preprocess_double(h, g)
+    head, *rows = scheme_double.dump_scheme(sch).splitlines()
+    nbrs = oracles.neighbor_lists(g)
+    label = sch.label_of
+
+    def outside(u, v):
+        return not label(u).ilo <= label(v).x <= label(u).ihi
+
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if v not in nbrs[u]]
+    assert pairs
+    for u, v in pairs:
+        new = list(rows)
+        for a, b in ((u, v), (v, u)):
+            ids = " ".join(map(str, sorted([*nbrs[a], b])))
+            new[a] = new[a].rsplit("| ", 1)[0] + "| " + ids
+        # rows by id, then the reverse, each with its listings in order
+        for order, listings in ((new, [(u, v), (v, u)]),
+                                (new[::-1], [(v, u), (u, v)])):
+            a, b = next(p for p in listings if outside(*p))
+            with pytest.raises(ValueError, match=(
+                    f"^row {a} lists {b}, outside its interval$")):
+                scheme_double.parse_dump("\n".join([head, *order]) + "\n")
 
 
 def _damaged(text):
