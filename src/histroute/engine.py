@@ -13,7 +13,6 @@ them.
 import csv
 import dataclasses
 import itertools
-import operator
 
 import numpy as np
 
@@ -250,34 +249,41 @@ class VerifyReport:
         ]
 
 
-def check_two_step_progress(d):
-    """Check that a routed trace makes progress in at most two hops.
+def check_two_step_progress(d, lens):
+    """Check that routed traces make progress in at most two hops.
 
-    The trace must decompose into consecutive segments of one or two
+    A trace must decompose into consecutive segments of one or two
     hops, each ending at least one unit closer to the target; the
     stretch-2 argument chains exactly these segments. Positions in the
     middle of a segment carry no guarantee of their own, so the check
-    asks whether some segmentation reaches the end of the trace.
-    d lists the BFS distance to the target of each vertex on the trace.
-    Returns None, or a failure reason.
+    asks whether some segmentation reaches the end of the trace:
+    position p is reached from a reached p - 1 or p - 2 farther away.
+
+    d holds the int64 BFS distances to the target of the vertices of
+    consecutive traces, trace i being the next lens[i] >= 1 of them.
+    Returns an int64 array with, per trace, -1 when some segmentation
+    reaches its end, else the last position one reaches. The traces are
+    walked a position at a time, longest first, so those still alive at
+    p are a prefix: O(sum(lens) + max(lens)) work.
     """
-    if all(map(operator.gt, d, d[1:])):     # every hop gets closer
-        return None
-    m = len(d)
-    reach = [False] * m
-    reach[0] = True
-    frontier = 0
-    for i in range(m - 1):
-        if not reach[i]:
-            continue
-        closer = d[i] - 1
-        for j in (i + 1, i + 2):
-            if j < m and d[j] <= closer:
-                reach[j] = True
-                frontier = max(frontier, j)
-    if not reach[m - 1]:
-        return f"progress stalls after position {frontier}"
-    return None
+    d = np.asarray(d, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    order = np.argsort(-lens, kind="stable")
+    first = (np.cumsum(lens) - lens)[order]
+    alive = len(lens) - np.cumsum(np.bincount(lens))  # traces longer than p
+    last = np.zeros(len(lens), dtype=np.int64)
+    back2 = np.zeros(len(lens), dtype=bool)     # reached p - 2
+    back1 = np.ones(len(lens), dtype=bool)      # reached p - 1
+    for p, k in enumerate(alive[1:-1].tolist(), 1):
+        at = first[:k] + p
+        now = back1[:k] & (d[at] < d[at - 1])
+        # at p = 1, back2 is all False: d[at - 2] may be any entry
+        now |= back2[:k] & (d[at] < d[at - 2])
+        last[:k][now] = p
+        back2, back1 = back1[:k], now
+    out = np.empty_like(last)
+    out[order] = np.where(last == lens[order] - 1, -1, last)
+    return out
 
 
 _FAILURE_CAP = 1000
@@ -311,21 +317,20 @@ def _sample_pairs(n, k, seed):
 def _route_flat(scheme, chunk):
     """Route every pair of chunk into one flat list of vertex ids.
 
-    Returns (vs, lens, reasons): pair i's trace is the next lens[i]
-    ids of vs, and reasons[i] is None, or the failure reason of its
-    RoutingError, in which case its trace is held as [s] alone.
+    Returns (vs, lens, errors): pair i's trace is the next lens[i] ids
+    of vs, and errors maps each pair i whose route raised a RoutingError
+    to its failure reason, in which case its trace is held as [s] alone.
     """
-    vs, lens, reasons = [], [], []
-    for s, t in chunk:
+    vs, lens, errors = [], [], {}
+    for i, (s, t) in enumerate(chunk):
         try:
             trace = run_route(scheme, s, t)
-            reasons.append(None)
         except RoutingError as exc:
             trace = [s]
-            reasons.append(f"{type(exc).__name__}: {exc}")
+            errors[i] = f"{type(exc).__name__}: {exc}"
         vs.extend(trace)
         lens.append(len(trace))
-    return vs, lens, reasons
+    return vs, lens, errors
 
 
 def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
@@ -342,7 +347,11 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     grow with the number of pairs: each chunk is routed, then one BFS
     pass from its distinct targets answers the distances its checks
     read, d(s, t) per pair and, for a double scheme, d(v, t) for every
-    v on the trace.
+    v on the trace. The checks run as array tests over the chunk; only
+    failing pairs get a record, built in pair order. A pair fails on
+    the first of: a RoutingError, then for a simple scheme a route
+    longer than the BFS distance, for a double one a stretch above 2,
+    then a trace without two-step progress.
     """
     n = scheme.n
     if pairs == "all":
@@ -375,39 +384,47 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     try:
         while chunk := list(itertools.islice(pair_iter, _CHUNK)):
             total_pairs += len(chunk)
-            vs, lens, reasons = _route_flat(scheme, chunk)
-            ts = [t for _, t in chunk]
+            ss, ts = zip(*chunk)
+            vs, lens, errors = _route_flat(scheme, chunk)
+            lens = np.array(lens, dtype=np.int64)
+            first = np.cumsum(lens) - lens      # each trace's offset in vs
             if simple:   # only d(s, t) is read: each trace's first id
-                bfs_of = _query_distances(*csr, [s for s, _ in chunk], ts)
+                bfs = _query_distances(*csr, ss, ts)
             else:        # d(v, t) for every v on a trace
                 dq = _query_distances(*csr, vs, np.repeat(ts, lens))
-                bfs_of = dq[np.cumsum(lens) - lens]
-                dq = dq.tolist()
-            o = 0
-            for (s, t), m, reason, bfs in zip(chunk, lens, reasons,
-                                               bfs_of.tolist()):
-                if reason is not None:
-                    routed, trace, stretch = -1, None, float("inf")
+                bfs = dq[first]
+            routed = lens - 1
+            routed[list(errors)] = -1
+            stretch = np.where(routed < 0, np.inf, routed / bfs)
+            good = stretch[routed >= 0]
+            if good.size:
+                max_stretch = max(max_stretch, good.max().item())
+                # added left to right, as the pairs come, so chunking
+                # cannot round the sum differently
+                sums = np.cumsum(np.append(stretch_sum, good))
+                stretch_sum = sums[-1].item()
+            if simple:
+                bad = routed != bfs
+            else:
+                far = routed > 2 * bfs
+                stall = check_two_step_progress(dq, lens)
+                bad = (routed < 0) | far | (stall >= 0)
+            fail = np.flatnonzero(bad).tolist()
+            total_failures += len(fail)
+            for i in fail[:_FAILURE_CAP - len(failures)]:
+                if i in errors:
+                    reason, trace = errors[i], None
                 else:
-                    trace = vs[o:o + m]
-                    routed = m - 1
-                    stretch = routed / bfs
-                    max_stretch = max(max_stretch, stretch)
-                    stretch_sum += stretch
-                    if simple and routed != bfs:
-                        reason = "not a shortest path"
-                    elif not simple and routed > 2 * bfs:
-                        reason = "stretch above 2"
-                    elif not simple:
-                        reason = check_two_step_progress(dq[o:o + m])
-                o += m
-                if reason is not None:
-                    total_failures += 1
-                    if len(failures) < _FAILURE_CAP:
-                        failures.append(dict(s=s, t=t, bfs=bfs, routed=routed,
-                                             trace=trace, reason=reason))
-                if writer is not None:
-                    writer.writerow([s, t, bfs, routed, f"{stretch:.3f}"])
+                    reason = ("not a shortest path" if simple else
+                              "stretch above 2" if far[i] else
+                              f"progress stalls after position {stall[i]}")
+                    trace = vs[first[i]:first[i] + lens[i]]
+                failures.append(dict(s=ss[i], t=ts[i], bfs=bfs[i].item(),
+                                     routed=routed[i].item(), trace=trace,
+                                     reason=reason))
+            if writer is not None:
+                writer.writerows(zip(ss, ts, bfs.tolist(), routed.tolist(),
+                                     map("{:.3f}".format, stretch.tolist())))
     finally:
         if fh is not None:
             fh.close()

@@ -5,11 +5,12 @@ scanning the whole polygon: rectangle visibility and horizontal ray
 hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
-vertex sets, hop distances by a plain queue walk, a pair sample by
-one-shot draws. They are slow (O(n) or worse per vertex) and exist so
-the tests can check the library's sweeps, array-based preprocessing,
-bit-parallel BFS, chunked sampling and local routing decisions against
-a second, independent derivation.
+vertex sets, hop distances by a plain queue walk, two-step progress
+by a walk along one trace, a pair sample by one-shot draws. They are
+slow (O(n) or worse per vertex) and exist so the tests can check the
+library's sweeps, array-based preprocessing, bit-parallel BFS, array
+progress check, chunked sampling and local routing decisions against a
+second, independent derivation.
 """
 
 import collections
@@ -435,6 +436,23 @@ def bfs(neighbors, s: int):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def two_step_progress(d):
+    """Whether a trace splits into segments of one or two hops, each
+    ending closer to the target, d listing the distances to the target
+    along the trace: -1 if some segmentation reaches the last position,
+    else the last position one reaches. A forward walk over reachable
+    positions, one trace at a time."""
+    reach = [True] + [False] * (len(d) - 1)
+    frontier = 0
+    for i in range(len(d) - 1):
+        if reach[i]:
+            for j in (i + 1, i + 2):
+                if j < len(d) and d[j] <= d[i] - 1:
+                    reach[j] = True
+                    frontier = max(frontier, j)
+    return -1 if reach[-1] else frontier
 
 
 def sample_pairs(n: int, k: int, seed):

@@ -196,29 +196,62 @@ def test_verify_rejects_disconnected_graph(sch_rect):
 
 
 def progress_check(profile):
-    # trace visiting vertices 0..m-1 whose distances to t are profile
-    drow = np.array(profile)
-    return engine.check_two_step_progress(
-        [drow[v] for v in range(len(profile))])
+    # one trace whose vertices lie at the given distances to t
+    [got] = engine.check_two_step_progress(np.array(profile), [len(profile)])
+    return got
 
 
 def test_two_step_progress_accepts_segmentation():
-    assert progress_check([2, 1, 0]) is None
-    assert progress_check([3, 3, 2, 1, 0]) is None
+    assert progress_check([2, 1, 0]) == -1
+    assert progress_check([3, 3, 2, 1, 0]) == -1
     # a greedy per-position reading would reject this one: position 1
     # cannot extend, but the segmentation 0->2->4->5->6 can
-    assert progress_check([4, 3, 3, 3, 2, 1, 0]) is None
+    assert progress_check([4, 3, 3, 3, 2, 1, 0]) == -1
 
 
 def test_two_step_progress_rejects_stall():
-    assert progress_check([3, 3, 3, 0]) is not None
-    assert progress_check([2, 2, 2, 1, 0]) is not None
-    assert progress_check([1, 2, 1, 2, 0]) is not None
+    assert progress_check([3, 3, 3, 0]) == 0
+    assert progress_check([2, 2, 2, 1, 0]) == 0
+    assert progress_check([1, 2, 1, 2, 0]) == 0
+    assert progress_check([2, 1, 2, 2, 0]) == 1
+    # reached by the two-hop segment 0->2, stuck from 1 and 2 alike
+    assert progress_check([3, 2, 2, 2, 2, 0]) == 2
 
 
 def test_two_step_progress_trivial():
-    assert progress_check([0]) is None
-    assert progress_check([1, 0]) is None
+    assert progress_check([0]) == -1
+    assert progress_check([1, 0]) == -1
+    assert engine.check_two_step_progress([], []).tolist() == []
+
+
+@st.composite
+def distance_profiles(draw):
+    """Distances to t along a trace of 1 to 300 vertices, built from
+    segments: one hop 1 or 2 closer, or two hops ending 1 closer whose
+    middle is closer, level or farther; unless the trace is clean, a
+    segment may also be one hop that repeats or rises. One byte picks
+    each segment."""
+    m = draw(st.integers(1, 300))
+    clean = draw(st.booleans())
+    d = [draw(st.integers(0, 600))]
+    for b in draw(st.binary(min_size=m, max_size=m)):
+        b %= 6 if clean else 8
+        if b < 3:
+            d.append(d[-1] - 1 - (b == 2))
+        elif b < 6:
+            d += [d[-1] + b - 4, d[-1] - 1]
+        else:
+            d.append(d[-1] + b - 6)
+    return d[:m]
+
+
+@hypothesis.given(batch=st.lists(distance_profiles(), min_size=1, max_size=8))
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_two_step_progress_matches_oracle(batch):
+    # traces of mixed lengths in one call, each against the walk along it
+    got = engine.check_two_step_progress(np.concatenate(batch),
+                                         [len(d) for d in batch])
+    assert got.tolist() == [oracles.two_step_progress(d) for d in batch]
 
 
 def test_verify_all_pairs_counts(sch_rect, rect):
@@ -307,8 +340,10 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
             elif routed > 2 * bfs:
                 reason = "stretch above 2"
             else:
-                reason = engine.check_two_step_progress(
+                stall = oracles.two_step_progress(
                     [dist[t][v] for v in trace])
+                reason = (f"progress stalls after position {stall}"
+                          if stall >= 0 else None)
         stretch = routed / bfs if routed >= 0 else float("inf")
         want_rows.append([str(s), str(t), str(bfs), str(routed),
                           f"{stretch:.3f}"])
@@ -321,6 +356,41 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
         else {"HopLimit", "stretch ", "progress"})
     assert rows == want_rows
     assert rep.failures == want_failures
+
+
+@pytest.mark.parametrize("make, preprocess", [
+    (make_simple, scheme_simple.preprocess_simple),
+    (make_double, scheme_double.preprocess_double),
+])
+def test_verify_is_the_same_in_small_chunks(tmp_path, monkeypatch, make,
+                                            preprocess):
+    # chunks of 7 pairs cut the pair order everywhere, failures included;
+    # the stretch sum is added in pair order, so not one bit moves
+    h, g = make(24, seed=3)
+    sch = Detour(preprocess(h, g), at=-1)
+
+    def run(name):
+        out = tmp_path / name
+        rep = engine.verify_all_pairs(sch, g, report_path=str(out))
+        return rep, out.read_text()
+
+    whole, whole_csv = run("whole.csv")
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    small, small_csv = run("small.csv")
+    for rep in (whole, small):
+        assert type(rep.max_stretch) is float
+        assert type(rep.mean_stretch) is float
+    assert small.max_stretch == whole.max_stretch
+    assert small.mean_stretch == whole.mean_stretch
+    assert small.failed == whole.failed > 10
+    assert small.failures == whole.failures
+    assert small_csv == whole_csv
+    assert small == whole
+    # the record cap falls inside a chunk
+    monkeypatch.setattr(engine, "_FAILURE_CAP", 10)
+    capped, _ = run("capped.csv")
+    assert capped.failed == whole.failed
+    assert capped.failures == whole.failures[:10]
 
 
 def test_verify_rejects_oversized_sample(sch_rect, rect):
@@ -450,13 +520,15 @@ def test_import_loads_no_scipy():
 
 @st.composite
 def small_dumps(draw):
-    """A dump of either kind with n <= 5, every number field in [-3, 3]
-    or now and then far outside int64, symmetric neighbor rows in any
-    order, and simple labels that name their own row."""
+    """A dump of either kind with n <= 5 and symmetric neighbor rows in
+    any order. Every number field is drawn in range: simple labels name
+    their own row and maybe a breakpoint in [0, n); double rows lie off
+    the base line, numbers in [-3, 3], with interval bounds that cover
+    their neighbors' x. Then at most one number of the dump is
+    poisoned: set far outside int64, or anywhere in [-3, 3]."""
     kind = draw(st.sampled_from(["simple", "double"]))
     n = draw(st.integers(1, 5))
-    field = (st.integers(-3, 3) | st.sampled_from([-2**63, 2**62, 10**23])
-             ).map(str)
+    small = st.integers(-3, 3)
     pairs = list(itertools.combinations(range(n), 2))
     nbrs = [[] for _ in range(n)]
     for (u, v), edge in zip(pairs, draw(st.lists(
@@ -464,15 +536,32 @@ def small_dumps(draw):
         if edge:
             nbrs[u].append(v)
             nbrs[v].append(u)
+    if kind == "simple":    # one field: the id, then maybe a breakpoint
+        rows = [[[v, *draw(st.lists(st.integers(0, n - 1), max_size=1))]]
+                for v in range(n)]
+    else:                   # coordinates, interval bounds, table fields
+        xy = [[draw(small), draw(small.filter(bool))] for _ in range(n)]
+        rows = []
+        for v in range(n):
+            xs = [xy[u][0] for u in [v, *nbrs[v]]]
+            bounds = [min(xs) - draw(st.integers(0, 1)),
+                      max(xs) + draw(st.integers(0, 1))]
+            rows.append([xy[v], bounds,
+                         draw(st.lists(small, min_size=6, max_size=6))])
+    spots = [(field, j) for row in rows for field in row
+             for j in range(len(field))]
+    poison = draw(st.none() | st.tuples(
+        st.integers(0, len(spots) - 1),
+        st.sampled_from([-2**63, 2**62, 10**23]) | small))
+    if poison is not None:
+        field, j = spots[poison[0]]
+        field[j] = poison[1]
     lines = [f"scheme {kind} {n}"]
     for v in range(n):
-        if kind == "simple":
-            cols = [" ".join([str(v), *draw(st.lists(field, max_size=1))])]
-        else:
-            cols = [" ".join(draw(st.lists(field, min_size=k, max_size=k)))
-                    for k in (2, 2, 6)]
         ids = draw(st.permutations(nbrs[v]))
-        lines.append(" | ".join([str(v), *cols, draw(st.sampled_from("01")),
+        lines.append(" | ".join([str(v), *(" ".join(map(str, field))
+                                           for field in rows[v]),
+                                 draw(st.sampled_from("01")),
                                  " ".join(map(str, ids))]))
     return kind, "\n".join(lines) + "\n"
 
