@@ -2,7 +2,7 @@
 
 from .engine import (FirewallError, HeaderProtocolError, HopLimitExceeded,
                      RoutingError, Scheme, SchemeBuildError, VerifyReport,
-                     distances, run_route, verify_all_pairs)
+                     query_distances, run_route, verify_all_pairs)
 from .polygon import (Histogram, PolygonError, build_histogram, generate,
                       normalize, parse_polygon, to_text)
 from .scheme_double import DoubleScheme, preprocess_double, route_step_double
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FirewallError", "HeaderProtocolError", "HopLimitExceeded",
     "RoutingError", "Scheme", "SchemeBuildError", "VerifyReport",
-    "distances", "run_route", "verify_all_pairs",
+    "query_distances", "run_route", "verify_all_pairs",
     "Histogram", "PolygonError", "build_histogram", "generate", "normalize",
     "parse_polygon", "to_text",
     "DoubleScheme", "preprocess_double", "route_step_double",

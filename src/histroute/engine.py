@@ -6,8 +6,8 @@ routing table, the target's label, and the packet header. The step
 answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. Ground
 truth distances come from one bit-parallel BFS over the visibility
-graph's CSR, and verify_all_pairs compares every routed path against
-them.
+graph's CSR, asked only the pairs a check reads, and verify_all_pairs
+compares every routed path against them.
 """
 
 import csv
@@ -179,25 +179,30 @@ def _bfs_levels(indptr, indices, sources):
         level += 1
 
 
-def distances(indptr, indices, sources):
-    """Hop distances by BFS on the CSR adjacency (indptr, indices):
-    row i holds the distance from sources[i] to every vertex, -1 where
-    unreachable."""
-    n = len(indptr) - 1
-    d = _query_distances(indptr, indices, np.tile(np.arange(n), len(sources)),
-                         np.repeat(sources, n))
-    return d.reshape(len(sources), n)
+def query_distances(indptr, indices, qv, qt, reach=None):
+    """d(qv[i], qt[i]) for every i, -1 where unreachable, by BFS on the
+    symmetric CSR adjacency (indptr, indices) from the distinct qt.
 
-
-def _query_distances(indptr, indices, qv, qt):
-    """d(qv[i], qt[i]) for every i, from one kernel pass over the
-    distinct qt; -1 where unreachable."""
+    The sources run in batches of _BATCH, each only until all of its
+    queries are answered. reach, when given, is a hint per query of how
+    far it lies: the sources are batched in ascending order of the
+    largest hint among their queries, so near queries share batches
+    that stop early. A hint only orders the sources; a wrong one costs
+    time, never a distance.
+    """
     qv = np.asarray(qv, dtype=np.int64)
     qt = np.asarray(qt, dtype=np.int64)
-    wanted = np.zeros(len(indptr) - 1, dtype=bool)
+    n = len(indptr) - 1
+    wanted = np.zeros(n, dtype=bool)
     wanted[qt] = True
     targets = np.flatnonzero(wanted)
-    j = (np.cumsum(wanted) - 1)[qt]         # index of qt[i] in targets
+    if reach is not None:
+        far = np.full(n, np.iinfo(np.int64).min)
+        np.maximum.at(far, qt, np.asarray(reach, dtype=np.int64))
+        targets = targets[np.argsort(far[targets], kind="stable")]
+    rank = np.empty(n, dtype=np.int64)
+    rank[targets] = np.arange(len(targets))
+    j = rank[qt]                            # index of qt[i] in targets
     batch = j // _BATCH
     order = np.argsort(batch, kind="stable")
     cuts = np.zeros(-(-len(targets) // _BATCH) + 1, dtype=np.int64)
@@ -344,14 +349,16 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     stretch at most 2 and make two-step progress along every trace.
 
     Pairs are taken in chunks of at most 65536, so memory does not
-    grow with the number of pairs: each chunk is routed, then one BFS
-    pass from its distinct targets answers the distances its checks
-    read, d(s, t) per pair and, for a double scheme, d(v, t) for every
-    v on the trace. The checks run as array tests over the chunk; only
-    failing pairs get a record, built in pair order. A pair fails on
-    the first of: a RoutingError, then for a simple scheme a route
-    longer than the BFS distance, for a double one a stretch above 2,
-    then a trace without two-step progress.
+    grow with the number of pairs: each chunk is routed, then one
+    query_distances call answers the distances its checks read, each
+    hinted by its pair's routed length (n for a route that raised):
+    for a simple scheme d(s, t) per pair, from whichever endpoint more
+    of the chunk's pairs share; for a double one d(v, t) for every v
+    on the trace, from the distinct targets. The checks run as array
+    tests over the chunk; only failing pairs get a record, built in
+    pair order. A pair fails on the first of: a RoutingError, then for
+    a simple scheme a route longer than the BFS distance, for a double
+    one a stretch above 2, then a trace without two-step progress.
     """
     n = scheme.n
     if pairs == "all":
@@ -388,13 +395,20 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             vs, lens, errors = _route_flat(scheme, chunk)
             lens = np.array(lens, dtype=np.int64)
             first = np.cumsum(lens) - lens      # each trace's offset in vs
-            if simple:   # only d(s, t) is read: each trace's first id
-                bfs = _query_distances(*csr, ss, ts)
-            else:        # d(v, t) for every v on a trace
-                dq = _query_distances(*csr, vs, np.repeat(ts, lens))
-                bfs = dq[first]
             routed = lens - 1
             routed[list(errors)] = -1
+            reach = np.where(routed < 0, n, routed)
+            if simple:   # only d(s, t) = d(t, s) is read: the BFS starts
+                # from whichever endpoint more of the chunk's pairs share
+                sa, ta = np.array(ss), np.array(ts)
+                shared = np.bincount(np.append(sa, ta), minlength=n)
+                flip = shared[sa] > shared[ta]
+                bfs = query_distances(*csr, np.where(flip, ta, sa),
+                                      np.where(flip, sa, ta), reach)
+            else:        # d(v, t) for every v on a trace
+                dq = query_distances(*csr, vs, np.repeat(ts, lens),
+                                     np.repeat(reach, lens))
+                bfs = dq[first]
             stretch = np.where(routed < 0, np.inf, routed / bfs)
             good = stretch[routed >= 0]
             if good.size:

@@ -8,14 +8,13 @@ everywhere.
 
 import numpy as np
 
-from histroute import engine
 from histroute.visibility import co_visible_fast
 
 import oracles
 
 
 def distance_matrix(g):
-    return engine.distances(g.indptr, g.indices, list(range(g.n)))
+    return oracles.distances(g.indptr, g.indices, list(range(g.n)))
 
 
 def invisible_interval_pairs(g):

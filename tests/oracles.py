@@ -19,6 +19,7 @@ import weakref
 
 import numpy as np
 
+from histroute import engine
 from histroute.polygon import Histogram
 from histroute.scheme_double import DoubleTable
 from histroute.scheme_simple import SimpleLabel
@@ -436,6 +437,17 @@ def bfs(neighbors, s: int):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def distances(indptr, indices, sources):
+    """Hop distances on the CSR adjacency (indptr, indices) as full
+    rows: row i holds the distance from sources[i] to every vertex, -1
+    where unreachable, one pair query per vertex and source."""
+    n = len(indptr) - 1
+    d = engine.query_distances(indptr, indices,
+                               np.tile(np.arange(n), len(sources)),
+                               np.repeat(sources, n))
+    return d.reshape(len(sources), n)
 
 
 def two_step_progress(d):

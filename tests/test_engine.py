@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 
 import hypothesis
 import hypothesis.strategies as st
@@ -102,25 +103,25 @@ def test_hop_limit(sch_steps):
 
 def test_distances_rect(rect):
     h, g = rect
-    assert engine.distances(g.indptr, g.indices, [0]).tolist() == \
+    assert oracles.distances(g.indptr, g.indices, [0]).tolist() == \
         [[0, 1, 1, 1]]
 
 
 def test_distances_steps(steps):
     h, g = steps
-    d = engine.distances(g.indptr, g.indices, [2, 6])
+    d = oracles.distances(g.indptr, g.indices, [2, 6])
     assert d[0, 6] == 3 and d[0, 2] == 0 and d[0, 0] == 1
     assert d[1, 2] == 3
 
 
 def test_distances_unreachable():
     # 0 - 1   2 (isolated), read from plain lists
-    d = engine.distances(*oracles.csr_of([[1], [0], []]), [0, 2])
+    d = oracles.distances(*oracles.csr_of([[1], [0], []]), [0, 2])
     assert d.tolist() == [[0, 1, -1], [-1, -1, 0]]
 
 
 def assert_matches_queue_bfs(neighbors, sources):
-    d = engine.distances(*oracles.csr_of(neighbors), sources)
+    d = oracles.distances(*oracles.csr_of(neighbors), sources)
     assert d.dtype == np.int64 and d.shape == (len(sources), len(neighbors))
     rows = {s: oracles.bfs(neighbors, s) for s in set(sources)}
     assert d.tolist() == [rows[s] for s in sources]
@@ -185,6 +186,68 @@ def test_distances_word_and_batch_edges(count):
     sources = rng.integers(0, len(neighbors), size=count).tolist()
     sources[-1] = len(neighbors) - 1
     assert_matches_queue_bfs(neighbors, sources)
+
+
+@pytest.fixture(scope="session")
+def query_graphs(small_simples, small_doubles):
+    # the empty-row shapes, small polygon graphs, and two graphs of 200
+    # vertices, one with an isolated vertex appended, past several
+    # 64-source batches
+    big = [oracles.neighbor_lists(make_simple(200, seed=9)[1]),
+           oracles.neighbor_lists(make_double(200, seed=7)[1]) + [[]]]
+    return EMPTY_ROW_GRAPHS + big + [
+        oracles.neighbor_lists(g) for h, g in small_simples + small_doubles]
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_query_distances_match_queue_bfs(query_graphs, data):
+    # hints and 64-source batches order the sources, never a distance:
+    # repeated queries, qv == qt and unreachable pairs included
+    neighbors = data.draw(st.sampled_from(query_graphs))
+    n = len(neighbors)
+    m = data.draw(st.integers(0, 3 * n))
+    pool = data.draw(st.integers(1, n))         # distinct targets at most
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    qt = rng.permutation(n)[:pool][rng.integers(0, pool, size=m)]
+    qv = np.where(rng.random(m) < data.draw(st.sampled_from([0, 0.2, 1])),
+                  qt, rng.integers(0, n, size=m))
+    rows = {t: oracles.bfs(neighbors, t) for t in set(qt.tolist())}
+    want = [rows[t][v] for v, t in zip(qv.tolist(), qt.tolist())]
+    hint = data.draw(st.sampled_from(
+        ["none", "negative", "constant", "below", "exact", "random"]))
+    reach = {"none": None,
+             "negative": rng.integers(-2 * n, 0, size=m),
+             "constant": np.full(m, data.draw(st.integers(-3, n))),
+             "below": np.array(want) - rng.integers(1, 4, size=m),
+             "exact": np.array(want, dtype=np.int64),
+             "random": rng.integers(-3, 2 * n, size=m)}[hint]
+    with unittest.mock.patch.object(engine, "_BATCH", 64):
+        got = engine.query_distances(*oracles.csr_of(neighbors), qv, qt,
+                                     reach)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_verify_bfs_work_is_pinned(monkeypatch):
+    # words x levels of every BFS one simple-large-sized verify runs;
+    # the parent, from the distinct targets in id order, ran 500
+    kernel, runs = engine._bfs_levels, []   # [words, levels] per BFS
+
+    def counted(indptr, indices, sources):
+        runs.append([-(-len(sources) // 64), 0])
+        for item in kernel(indptr, indices, sources):
+            runs[-1][1] += 1
+            yield item
+
+    h = polygon.generate("simple", 2400, 1)
+    g = visibility.build_graph(h)
+    sch = scheme_simple.preprocess_simple(h, g)
+    monkeypatch.setattr(engine, "_bfs_levels", counted)
+    assert engine.verify_all_pairs(sch, g, pairs=4000, seed=1).ok
+    assert sum(words * levels for words, levels in runs) <= 300
+    # after the connectivity BFS, the batches run nearest pairs first
+    levels = [levels for words, levels in runs[1:]]
+    assert len(levels) > 1 and levels == sorted(levels)
 
 
 def test_verify_rejects_disconnected_graph(sch_rect):
