@@ -7,12 +7,17 @@ answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. Ground
 truth distances come from one bit-parallel BFS over the visibility
 graph's CSR, asked only the pairs a check reads, and verify_all_pairs
-compares every routed path against them.
+compares every routed path against them. The BFS pulls its levels
+from the CSR with the vertices renumbered by degree, highest first,
+so that each vertex's c-th neighbours form one column over a prefix
+of the rows; a level gathers each of the first _CAP columns whole, and
+one reduceat the rest of the rows of higher degree.
 """
 
 import csv
 import dataclasses
 import itertools
+import typing
 
 import numpy as np
 
@@ -142,41 +147,119 @@ def run_route(scheme, s: int, t: int):
 
 
 _BATCH = 512   # sources per kernel batch: 8 uint64 words
+_CAP = 16      # neighbour columns a BFS level pulls one by one
 
 
-def _bfs_levels(indptr, indices, sources):
+class _BfsPlan(typing.NamedTuple):
+    """The CSR adjacency in the jagged-diagonal layout (Saad, "Krylov
+    subspace methods on supercomputers", SIAM J. Sci. Stat. Comput.
+    1989) that _bfs_levels pulls from: rows renumbered by degree,
+    highest first, so each column of neighbours covers a prefix of the
+    rows. Vertex v is row rank[v]; cols[c][i] is the row of row i's
+    c-th neighbour, for every row i of degree > c; the rows of degree
+    > _CAP list their other neighbours' rows in pull, row i's starting
+    at starts[i]."""
+    rank: np.ndarray
+    cols: list
+    pull: np.ndarray
+    starts: np.ndarray
+
+
+def _bfs_plan(indptr, indices):
+    """The _BfsPlan of the CSR adjacency (indptr, indices), built in
+    O(n + E): a stable counting sort orders the rows by degree, every
+    degree above _CAP counting as _CAP + 1, which is all the columns
+    need."""
+    n = len(indptr) - 1
+    deg = np.minimum(np.diff(indptr), _CAP + 1)
+    # numpy's stable sort of a uint8 key is a radix (counting) sort
+    order = np.argsort((_CAP + 1 - deg).astype(np.uint8), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    deg, first = deg[order], indptr[order]
+    cols = [rank[indices[first[:k] + c]]
+            for c in range(_CAP) if (k := np.count_nonzero(deg > c))]
+    k = np.count_nonzero(deg > _CAP)
+    rest = indptr[order[:k] + 1] - first[:k] - _CAP     # each at least 1
+    starts = np.cumsum(rest) - rest
+    at = np.repeat(first[:k] + _CAP - starts, rest) + np.arange(rest.sum())
+    return _BfsPlan(rank, cols, rank[indices[at]], starts)
+
+
+def _bfs_levels(plan, sources):
     """Bit-parallel BFS from up to _BATCH sources at once (Then et al.,
     "The More the Merrier: Efficient Multi-Source Graph Traversal",
-    VLDB 2014).
+    VLDB 2014), on the rows of a _bfs_plan.
 
     The sources are packed 64 to a uint64 word. For each level d from
-    0 up, yields (d, new): bit j % 64 of new[v, j // 64] is set iff
-    vertex v lies at distance exactly d from sources[j]. A level costs
-    O(E) word operations per word; no sources x vertices table is
-    built. A caller that has what it needs may stop early.
+    0 up, yields (d, new): bit j % 64 of new[plan.rank[v], j // 64] is
+    set iff vertex v lies at distance exactly d from sources[j]. A
+    level pulls the frontier words of each neighbour column into a
+    prefix of the rows with one gather, then those of the rows of
+    degree > _CAP past their first _CAP neighbours with one reduceat:
+    O(E) word operations per word, in O(_CAP) numpy calls. No sources x
+    vertices table is built. A caller that has what it needs may stop
+    early.
     """
-    n = len(indptr) - 1
-    # reduceat gives a[start] for an empty segment, so the rows with no
-    # neighbours are zeroed after each pull; the repeated last entry
-    # keeps every start in range and, ORed twice, changes nothing
-    pull = np.append(indices, indices[-1] if len(indices) else 0)
-    starts = indptr[:-1]
-    empty = np.flatnonzero(np.diff(indptr) == 0)
+    rank, cols, pull, starts = plan
     j = np.arange(len(sources))
-    new = np.zeros((n, (len(sources) + 63) // 64), dtype=np.uint64)
-    np.bitwise_or.at(new, (np.asarray(sources, dtype=np.int64), j // 64),
+    new = np.zeros((len(rank), (len(sources) + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(new, (rank[np.asarray(sources, dtype=np.int64)],
+                           j // 64),
                      np.uint64(1) << (j % 64).astype(np.uint64))
     unseen = ~new
     level = 0
     while True:
         yield level, new
-        new = np.bitwise_or.reduceat(new[pull], starts, axis=0)
-        new[empty] = 0
-        new &= unseen
+        nxt = np.zeros_like(new)
+        for col in cols:
+            nxt[:len(col)] |= np.take(new, col, axis=0)
+        if len(starts):
+            nxt[:len(starts)] |= np.bitwise_or.reduceat(new[pull], starts,
+                                                         axis=0)
+        new = nxt & unseen
         if not new.any():
             return
         unseen ^= new
         level += 1
+
+
+def _query(plan, qv, qt, reach):
+    """query_distances on the rows of a _bfs_plan."""
+    qv = np.asarray(qv, dtype=np.int64)
+    qt = np.asarray(qt, dtype=np.int64)
+    n = len(plan.rank)
+    wanted = np.zeros(n, dtype=bool)
+    wanted[qt] = True
+    targets = np.flatnonzero(wanted)
+    if reach is not None:
+        far = np.full(n, np.iinfo(np.int64).min)
+        np.maximum.at(far, qt, np.asarray(reach, dtype=np.int64))
+        targets = targets[np.argsort(far[targets], kind="stable")]
+    place = np.empty(n, dtype=np.int64)
+    place[targets] = np.arange(len(targets))
+    j = place[qt]                           # index of qt[i] in targets
+    batch = j // _BATCH
+    order = np.argsort(batch, kind="stable")
+    cuts = np.zeros(-(-len(targets) // _BATCH) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(batch, minlength=len(cuts) - 1), out=cuts[1:])
+    row = plan.rank[qv[order]]              # qv's rows of the level words
+    dist = np.full(len(qv), -1, dtype=np.int64)    # in `order`
+    for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        sources = targets[b * _BATCH:(b + 1) * _BATCH]
+        js = j[order[lo:hi]] - b * _BATCH
+        word = row[lo:hi] * -(-len(sources) // 64) + (js >> 6)
+        mask = np.uint64(1) << (js & 63).astype(np.uint64)
+        found, left = dist[lo:hi], hi - lo
+        for level, new in _bfs_levels(plan, sources):
+            hit = (np.take(new, word) & mask) != 0
+            found[hit] = level
+            left -= np.count_nonzero(hit)
+            if not left:
+                break
+    out = np.empty_like(dist)
+    out[order] = dist
+    return out
 
 
 def query_distances(indptr, indices, qv, qt, reach=None):
@@ -190,39 +273,7 @@ def query_distances(indptr, indices, qv, qt, reach=None):
     that stop early. A hint only orders the sources; a wrong one costs
     time, never a distance.
     """
-    qv = np.asarray(qv, dtype=np.int64)
-    qt = np.asarray(qt, dtype=np.int64)
-    n = len(indptr) - 1
-    wanted = np.zeros(n, dtype=bool)
-    wanted[qt] = True
-    targets = np.flatnonzero(wanted)
-    if reach is not None:
-        far = np.full(n, np.iinfo(np.int64).min)
-        np.maximum.at(far, qt, np.asarray(reach, dtype=np.int64))
-        targets = targets[np.argsort(far[targets], kind="stable")]
-    rank = np.empty(n, dtype=np.int64)
-    rank[targets] = np.arange(len(targets))
-    j = rank[qt]                            # index of qt[i] in targets
-    batch = j // _BATCH
-    order = np.argsort(batch, kind="stable")
-    cuts = np.zeros(-(-len(targets) // _BATCH) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(batch, minlength=len(cuts) - 1), out=cuts[1:])
-    dist = np.full(len(qv), -1, dtype=np.int64)    # in `order`
-    for b, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        sources = targets[b * _BATCH:(b + 1) * _BATCH]
-        js = j[order[lo:hi]] - b * _BATCH
-        word = qv[order[lo:hi]] * -(-len(sources) // 64) + (js >> 6)
-        mask = np.uint64(1) << (js & 63).astype(np.uint64)
-        found, left = dist[lo:hi], hi - lo
-        for level, new in _bfs_levels(indptr, indices, sources):
-            hit = (np.take(new, word) & mask) != 0
-            found[hit] = level
-            left -= np.count_nonzero(hit)
-            if not left:
-                break
-    out = np.empty_like(dist)
-    out[order] = dist
-    return out
+    return _query(_bfs_plan(indptr, indices), qv, qt, reach)
 
 
 @dataclasses.dataclass
@@ -374,8 +425,8 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 f"ordered pairs with s != t; use 'all'")
         pair_iter = _sample_pairs(n, k, seed)
 
-    csr = g.indptr, g.indices
-    reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(*csr, [0]))
+    plan = _bfs_plan(g.indptr, g.indices)
+    reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(plan, [0]))
     if reached < n:
         raise SchemeBuildError("visibility graph is not connected")
 
@@ -403,11 +454,11 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 sa, ta = np.array(ss), np.array(ts)
                 shared = np.bincount(np.append(sa, ta), minlength=n)
                 flip = shared[sa] > shared[ta]
-                bfs = query_distances(*csr, np.where(flip, ta, sa),
-                                      np.where(flip, sa, ta), reach)
+                bfs = _query(plan, np.where(flip, ta, sa),
+                             np.where(flip, sa, ta), reach)
             else:        # d(v, t) for every v on a trace
-                dq = query_distances(*csr, vs, np.repeat(ts, lens),
-                                     np.repeat(reach, lens))
+                dq = _query(plan, vs, np.repeat(ts, lens),
+                            np.repeat(reach, lens))
                 bfs = dq[first]
             stretch = np.where(routed < 0, np.inf, routed / bfs)
             good = stretch[routed >= 0]

@@ -188,6 +188,82 @@ def test_distances_word_and_batch_edges(count):
     assert_matches_queue_bfs(neighbors, sources)
 
 
+def graph_of(n, edges):
+    """Neighbor id lists of the undirected graph on n vertices with the
+    given edges, each row in edge order."""
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return neighbors
+
+
+def assert_levels_match_queue_bfs(neighbors, sources):
+    # level d of the kernel sets bit j of row rank[v] iff v lies at
+    # distance d from sources[j], and the levels end at the deepest one
+    plan = engine._bfs_plan(*oracles.csr_of(neighbors))
+    j = np.arange(len(sources))
+    dist = np.array([oracles.bfs(neighbors, s) for s in sources])
+    got = []
+    for level, new in engine._bfs_levels(plan, sources):
+        assert level == len(got)
+        bits = new[plan.rank][:, j // 64] >> (j % 64).astype(np.uint64)
+        got.append((bits & np.uint64(1)).T == 1)
+    want = [dist == d for d in range(dist.max() + 1)]
+    assert np.array_equal(got, want)
+
+
+def cap_edges_graph():
+    # a hub of degree _CAP + 1 joined to one of degree _CAP, leaves of
+    # equal degree, and an isolated last vertex
+    cap = engine._CAP
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(cap)] + \
+        [(1, 2 + cap + i) for i in range(cap - 1)]
+    return graph_of(2 * cap + 2, edges)
+
+
+KERNEL_GRAPHS = {
+    "star": graph_of(101, [(0, v) for v in range(1, 101)]),
+    "cap-edges": cap_edges_graph(),
+    "cycle": graph_of(7, [(v, (v + 1) % 7) for v in range(7)]),
+    "bipartite": graph_of(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "edgeless": [[] for _ in range(5)],
+    **{f"empty-rows-{i}": g for i, g in enumerate(EMPTY_ROW_GRAPHS)},
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GRAPHS)
+def test_bfs_levels_match_queue_bfs(name):
+    neighbors = KERNEL_GRAPHS[name]
+    assert_levels_match_queue_bfs(neighbors, list(range(len(neighbors))))
+
+
+def test_bfs_levels_on_a_staircase():
+    # a near-staircase histogram: one hub sees about 3/4 of the vertices
+    rng = np.random.default_rng(1)
+    swaps = [i for i in range(98) if rng.random() < 0.5]
+    h, g = make_simple(staircase_text(99, swaps))
+    neighbors = oracles.neighbor_lists(g)
+    assert max(map(len, neighbors)) > 0.7 * g.n
+    assert_levels_match_queue_bfs(neighbors, list(range(g.n)))
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_bfs_levels_on_random_graphs(data):
+    # a few hubs over a sparse random graph: degrees on both sides of
+    # the column cap, ties, isolated vertices and repeated sources
+    n = data.draw(st.integers(1, 80))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hubs = rng.integers(0, n, size=data.draw(st.integers(0, 3)))
+    pairs = {tuple(sorted(e)) for e in rng.integers(0, n, size=(n, 2))}
+    pairs |= {(min(h, v), max(h, v)) for h in hubs.tolist()
+              for v in rng.integers(0, n, size=rng.integers(0, 2 * n))}
+    neighbors = graph_of(n, sorted((u, v) for u, v in pairs if u != v))
+    sources = rng.integers(0, n, size=data.draw(st.integers(1, 130)))
+    assert_levels_match_queue_bfs(neighbors, sources.tolist())
+
+
 @pytest.fixture(scope="session")
 def query_graphs(small_simples, small_doubles):
     # the empty-row shapes, small polygon graphs, and two graphs of 200
@@ -233,9 +309,9 @@ def test_verify_bfs_work_is_pinned(monkeypatch):
     # the parent, from the distinct targets in id order, ran 500
     kernel, runs = engine._bfs_levels, []   # [words, levels] per BFS
 
-    def counted(indptr, indices, sources):
+    def counted(plan, sources):
         runs.append([-(-len(sources) // 64), 0])
-        for item in kernel(indptr, indices, sources):
+        for item in kernel(plan, sources):
             runs[-1][1] += 1
             yield item
 
