@@ -75,8 +75,9 @@ class Scheme:
 
     The labels and tables are kept as columns, one int64 (or bool)
     array per field with one entry per vertex, in ``cols`` by field
-    name; ``label_of`` and the list ``tables`` hand out records built
-    for all vertices at once from those columns. The list ``links``
+    name; the lists ``labels`` and ``tables`` hold records built for
+    all vertices at once from those columns, which run_route indexes
+    and ``label_of`` and ``table_of`` read. The list ``links``
     holds links cut in one batch (``cut_rows``) from the closed rows
     that closed_rows gives in the order of ``link_order(n, cols)``, by
     default the ids ascending. The adjacency is kept as the CSR pair
@@ -109,7 +110,7 @@ class Scheme:
         out none."""
 
     def label_of(self, v: int):
-        return self._labels[v]
+        return self.labels[v]
 
     def table_of(self, v: int):
         return self.tables[v]
@@ -128,7 +129,7 @@ def run_route(scheme, s: int, t: int):
     if s == t:
         return []
     links, tables, step = scheme.links, scheme.tables, scheme.step
-    target = scheme.label_of(t)
+    target = scheme.labels[t]
     trace = [s]
     header, cur = None, s
     for _ in range(2 * scheme.n):

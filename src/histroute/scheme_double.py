@@ -53,7 +53,9 @@ class DoubleLink:
     ``ihi`` of their labels. ``own`` is the label of ``own_vid``, and
     bd and td are the ports of the neighborhood's bottom and top
     dominators (see _row_vertical_dominators). Every field is fixed at
-    build; routing reads a link and never writes to it."""
+    build; routing reads a link and never writes to it. The step calls
+    ``find`` only to follow a header; its direct hit and case 1 bisect
+    ``xs`` inline."""
 
     __slots__ = ("own_vid", "own", "ids", "xs", "ys", "ilo", "ihi",
                  "bd", "td")
@@ -83,28 +85,6 @@ class DoubleLink:
         return None
 
 
-def _local_dominators(link: DoubleLink, tx: int):
-    """Near and far dominator ports toward x-coordinate tx, from labels
-    alone.
-
-    Mirrors the global definition: candidates are the closed
-    neighborhood, the far side includes tx itself, ties break toward
-    the base line. fd is None when the far side is empty. The winners
-    always sit in the x-group adjacent to tx on their side, and link
-    order puts each group's winner first, so two bisections suffice.
-    """
-    xs = link.xs
-    if tx > link.own.x:
-        i = bisect_left(xs, tx)
-        return (bisect_left(xs, xs[i - 1]),
-                i if i < len(xs) else None)
-    i = bisect_right(xs, tx)
-    if i == len(xs):
-        raise RoutingError(
-            f"no neighbor of {link.own_vid} lies toward x={tx}")
-    return i, bisect_left(xs, xs[i - 1]) if i > 0 else None
-
-
 def _row_vertical_dominators(xs, ys, ptr, ids):
     """Per closed row (ptr, ids), the ports (positions in the row) of the
     bottom and top dominators: the entries below and above the base line
@@ -126,14 +106,22 @@ def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
     never reads ``scheme`` and writes to none of its inputs. The header
     is None or a coordinate pair naming a vertex that must be visible
     here.
+
+    A hop runs in this one Python frame, except one that reads a header
+    naming another vertex, which calls ``link.find``: the direct hit
+    inlines find's bisection, and case 1 reads the bounds of tx's
+    x-group from it.
     """
     tx = target.x
     xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
-    i = bisect_right(xs, tx) - 1
+    j = bisect_right(xs, tx)
+    i = j - 1
+    ys, ty = link.ys, target.y
     while i >= 0 and xs[i] == tx:
-        if link.ys[i] == target.y:
+        if ys[i] == ty:
             return i, None
         i -= 1
+    # xs[i + 1:j] is tx's x-group
     own = link.own
     if header is not None:
         hx, hy = header
@@ -146,10 +134,20 @@ def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
                     f"header names ({hx},{hy}), which is not visible here")
             return port, None
 
-    # case 1: target inside the own interval
+    # case 1: target inside the own interval. Hop to the far dominator,
+    # or to the near one when the far side is empty: each is the first
+    # entry, nearest the base line, of the x-group next to tx on its
+    # side, the far side counting tx's own group xs[i + 1:j]. For a
+    # target on the right the far one starts at i + 1; on the left the
+    # near one starts at j and the far one at xs[j - 1]'s group
     if own.ilo <= tx <= own.ihi:
-        nd, fd = _local_dominators(link, tx)
-        return (fd if fd is not None else nd), None
+        if tx > own.x:
+            return (i + 1 if i + 1 < len(xs)
+                    else bisect_left(xs, xs[i])), None
+        if j == len(xs):
+            raise RoutingError(
+                f"no neighbor of {link.own_vid} lies toward x={tx}")
+        return (bisect_left(xs, xs[j - 1]) if j > 0 else j), None
 
     # case 2: target inside the level-2 interval, which spans the
     # intervals of the bottom and top dominators: hop to the first port
@@ -199,11 +197,11 @@ class DoubleScheme(Scheme):
         x, y, ilo, ihi = (cols[f] for f in _LABEL_FIELDS)
         if vdom is None:
             vdom = _row_vertical_dominators(x, y, *rows)
-        self._labels = list(map(DoubleLabel, x.tolist(), y.tolist(),
-                                ilo.tolist(), ihi.tolist()))
+        self.labels = list(map(DoubleLabel, x.tolist(), y.tolist(),
+                               ilo.tolist(), ihi.tolist()))
         self.tables = list(map(DoubleTable, *(
             cols[f].tolist() for f in _TABLE_FIELDS)))
-        self.links = list(map(DoubleLink, range(n), self._labels,
+        self.links = list(map(DoubleLink, range(n), self.labels,
                               *cut_rows(rows, x, y, ilo, ihi),
                               *(a.tolist() for a in vdom)))
         w = (n - 1).bit_length()

@@ -77,8 +77,8 @@ class SimpleScheme(Scheme):
     def __init__(self, n, cols, indptr, indices, rows):
         super().__init__(n, cols, indptr, indices)
         br = cols["br"]
-        self._labels = list(map(SimpleLabel, range(n),
-                                np.where(br >= 0, br, None).tolist()))
+        self.labels = list(map(SimpleLabel, range(n),
+                               np.where(br >= 0, br, None).tolist()))
         self.tables = cols["bit"].tolist()
         self.links = list(map(SimpleLink, range(n), *cut_rows(rows, br)))
         w = (n - 1).bit_length()

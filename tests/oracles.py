@@ -6,13 +6,15 @@ hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
 vertex sets, hop distances by a plain queue walk, two-step progress
-by a walk along one trace, a pair sample by one-shot draws. They are
+by a walk along one trace, a pair sample by one-shot draws, and the
+double step with its own dominator bisections. They are
 slow (O(n) or worse per vertex) and exist so the tests can check the
 library's sweeps, array-based preprocessing, bit-parallel BFS, array
 progress check, chunked sampling and local routing decisions against a
 second, independent derivation.
 """
 
+from bisect import bisect_left, bisect_right
 import collections
 import copy
 import weakref
@@ -20,8 +22,9 @@ import weakref
 import numpy as np
 
 from histroute import engine
+from histroute.engine import HeaderProtocolError, RoutingError
 from histroute.polygon import Histogram
-from histroute.scheme_double import DoubleTable
+from histroute.scheme_double import DoubleLabel, DoubleLink, DoubleTable
 from histroute.scheme_simple import SimpleLabel
 from histroute.visibility import VisibilityGraph, co_visible_fast
 
@@ -288,6 +291,94 @@ def local_vertical_dominators(link):
     above = [e for e in entries if e[2] > 0]
     return (min(below or above, key=lambda e: (abs(e[2]), e[1])),
             min(above or below, key=lambda e: (abs(e[2]), e[1])))
+
+
+def local_dominators(link: DoubleLink, tx: int):
+    """Near and far dominator ports toward x-coordinate tx, from labels
+    alone.
+
+    Mirrors the global definition: candidates are the closed
+    neighborhood, the far side includes tx itself, ties break toward
+    the base line. fd is None when the far side is empty. The winners
+    always sit in the x-group adjacent to tx on their side, and link
+    order puts each group's winner first, so two bisections suffice.
+    """
+    xs = link.xs
+    if tx > link.own.x:
+        i = bisect_left(xs, tx)
+        return (bisect_left(xs, xs[i - 1]),
+                i if i < len(xs) else None)
+    i = bisect_right(xs, tx)
+    if i == len(xs):
+        raise RoutingError(
+            f"no neighbor of {link.own_vid} lies toward x={tx}")
+    return i, bisect_left(xs, xs[i - 1]) if i > 0 else None
+
+
+def reference_step_double(scheme, link: DoubleLink, table: DoubleTable,
+                          target: DoubleLabel, header):
+    """scheme_double.route_step_double with case 1 answered by
+    local_dominators' own two bisections, not from the direct-hit
+    bisection: the same (port, header), or the same exception, for
+    every input. The header is None or a coordinate pair naming a
+    vertex that must be visible here.
+    """
+    tx = target.x
+    xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
+    i = bisect_right(xs, tx) - 1
+    while i >= 0 and xs[i] == tx:
+        if link.ys[i] == target.y:
+            return i, None
+        i -= 1
+    own = link.own
+    if header is not None:
+        hx, hy = header
+        if (hx, hy) == (own.x, own.y):
+            header = None    # the named vertex is this one: discard
+        else:
+            port = link.find(hx, hy)
+            if port is None:
+                raise HeaderProtocolError(
+                    f"header names ({hx},{hy}), which is not visible here")
+            return port, None
+
+    # case 1: target inside the own interval
+    if own.ilo <= tx <= own.ihi:
+        nd, fd = local_dominators(link, tx)
+        return (fd if fd is not None else nd), None
+
+    # case 2: target inside the level-2 interval, which spans the
+    # intervals of the bottom and top dominators: hop to the first port
+    # whose interval reaches tx, in link order for a target on the left,
+    # and for one on the right with x-groups taken from the right, each
+    # nearer the base first: the first vertex of the greedy extension
+    # sequence toward tx whose interval reaches it
+    ilo, ihi = link.ilo, link.ihi
+    if tx < own.ilo:
+        if tx >= ilo[link.bd] or tx >= ilo[link.td]:
+            port = 0
+            while ilo[port] > tx:
+                port += 1
+            return port, None
+    elif tx <= ihi[link.bd] or tx <= ihi[link.td]:
+        port = len(ihi) - 1
+        while ihi[port] < tx:
+            port -= 1
+        port = bisect_left(xs, xs[port])
+        while ihi[port] < tx:
+            port += 1
+        return port, None
+
+    # case 3: target inside the level-3 interval
+    if table.i2bd_lo <= tx <= table.i2bd_hi:
+        return link.bd, None
+    if table.i2td_lo <= tx <= table.i2td_hi:
+        return link.td, None
+
+    # case 4: beyond the level-3 interval; aim for the level-2 bottom
+    # dominator and record it in the header
+    pick = link.bd if table.bit_bottom else link.td
+    return pick, (table.bd2x, table.bd2y)
 
 
 class NaiveOracle:

@@ -22,7 +22,7 @@ from conftest import make_double, make_simple, staircase_text
 
 
 class HijackedScheme:
-    """Wraps a real scheme, sharing its link and table lists, and
+    """Wraps a real scheme, sharing its label, link and table lists, and
     misbehaves at exactly one vertex: there its step returns the port
     port(link) and the given header."""
 
@@ -33,14 +33,12 @@ class HijackedScheme:
         self.header = header
         self.kind = inner.kind
         self.n = inner.n
+        self.labels = inner.labels
         self.links = inner.links
         self.tables = inner.tables
         self.max_label_bits = inner.max_label_bits
         self.max_table_bits = inner.max_table_bits
         self.max_header_bits = inner.max_header_bits
-
-    def label_of(self, v):
-        return self.inner.label_of(v)
 
     def step(self, link, table, target, header):
         if link.own_vid == self.at and self.port is not None:

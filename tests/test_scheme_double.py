@@ -1,6 +1,9 @@
 import copy
 import itertools
+import sys
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -89,26 +92,28 @@ def test_local_equals_global(small_doubles, random_doubles):
             assert (link.ids[link.bd], link.ids[link.td]) == (bd[0], td[0])
         for s, t in invariants.invisible_interval_pairs(g):
             link = sch.links[s]
-            nd, fd = scheme_double._local_dominators(link, int(h.xs[t]))
+            nd, fd = oracles.local_dominators(link, int(h.xs[t]))
             gnd, gfd = oracles.dominators(g, s, t)
             assert link.ids[nd] == gnd
             assert (None if fd is None else link.ids[fd]) == gfd
 
 
 def test_case1_hops_to_far_dominator(small_doubles):
-    # invisible in-interval target: one hop to fd, and where fd is not
-    # on a shortest path the next hop lands one closer anyway
+    # invisible in-interval target: one hop to fd, or to nd when the far
+    # side is empty, and where fd is not on a shortest path the next hop
+    # lands one closer anyway
     for h, g in small_doubles:
         sch = scheme_double.preprocess_double(h, g)
         d = invariants.distance_matrix(g)
         for s, t in invariants.invisible_interval_pairs(g):
             nd, fd = oracles.dominators(g, s, t)
-            if fd is None:
-                continue
             target = sch.label_of(t)
             port, hdr = sch.step(sch.links[s], sch.table_of(s),
                                  target, None)
-            assert sch.links[s].ids[port] == fd and hdr is None
+            assert sch.links[s].ids[port] == (nd if fd is None else fd)
+            assert hdr is None
+            if fd is None:
+                continue
             if 1 + int(d[fd, t]) > int(d[s, t]):
                 port, _ = sch.step(sch.links[fd], sch.table_of(fd),
                                    target, None)
@@ -491,3 +496,103 @@ def test_row_dominators_match_links(small_doubles, random_doubles):
             assert (lbd[0], ltd[0]) == (link.ids[bd[v]], link.ids[td[v]]), \
                 f"n={h.n} v={v}"
             assert (link.bd, link.td) == (bd[v], td[v])
+
+
+def route_hops(sch):
+    """(link, table, target, header) of every hop of the scheme's
+    all-pairs routes, each hop taken by the shipped step; a route that
+    raises ends there."""
+    step = scheme_double.route_step_double
+    for s, t in itertools.permutations(range(sch.n), 2):
+        target, header, cur = sch.labels[t], None, s
+        for _ in range(2 * sch.n):
+            link, table = sch.links[cur], sch.tables[cur]
+            yield link, table, target, header
+            try:
+                port, header = step(None, link, table, target, header)
+            except engine.RoutingError:
+                break
+            cur = link.ids[port]
+            if cur == t:
+                break
+
+
+def outcome(step, *args):
+    """What step(None, *args) gives: its (port, header), or the type and
+    message of what it raises."""
+    try:
+        return step(None, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_step_matches_reference_on_all_routes(small_doubles, random_doubles):
+    # case 1 read from the direct-hit bisection answers as the reference
+    # step's own dominator bisections do, at every hop, on built and
+    # reloaded schemes
+    for h, g in small_doubles + random_doubles:
+        sch = scheme_double.preprocess_double(h, g)
+        again = scheme_double.parse_dump(scheme_double.dump_scheme(sch))
+        for sc in (sch, again):
+            for args in route_hops(sc):
+                assert outcome(scheme_double.route_step_double, *args) == \
+                    outcome(oracles.reference_step_double, *args)
+
+
+@pytest.fixture(scope="module")
+def two_doubles(sch_dbl):
+    return [sch_dbl, scheme_double.preprocess_double(*make_double(60, 1))]
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_step_matches_reference_on_drawn_inputs(two_doubles, data):
+    # at every link: targets from one left of its least x to one right of
+    # its largest, at any y or on a vertex of the link, and headers that
+    # are absent, name a vertex of the link, or name any point; the own
+    # interval as built, or widened by one past the link's ends, as a
+    # damaged dump may have it, so that case 1 meets every such target
+    for sch in two_doubles:
+        for link, table in zip(sch.links, sch.tables):
+            lo, hi = link.xs[0] - 1, link.xs[-1] + 1
+            if data.draw(st.booleans()):
+                own = scheme_double.DoubleLabel(link.own.x, link.own.y,
+                                                lo, hi)
+                link = scheme_double.DoubleLink(
+                    link.own_vid, own, *(getattr(link, f)
+                                         for f in link.__slots__[2:]))
+            xs, ys = st.integers(lo, hi), st.integers(-sch.n - 1, sch.n + 1)
+            on_link = st.sampled_from(list(zip(link.xs, link.ys)))
+            tx, ty = data.draw(on_link | st.tuples(xs, ys))
+            target = scheme_double.DoubleLabel(tx, ty, tx, tx)
+            header = data.draw(st.none() | on_link | st.tuples(xs, ys))
+            args = link, table, target, header
+            assert outcome(scheme_double.route_step_double, *args) == \
+                outcome(oracles.reference_step_double, *args)
+
+
+def test_step_makes_no_nested_python_call():
+    # a hop costs one Python frame: replayed under a profiler, every step
+    # of all-pairs routes calls no Python function, except DoubleLink.find
+    # on a hop that carries a header
+    sch = scheme_double.preprocess_double(*make_double(60, 1))
+    step = scheme_double.route_step_double
+    find = scheme_double.DoubleLink.find.__code__
+    calls, finds = [], 0
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    for link, table, target, header in route_hops(sch):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            step(None, link, table, target, header)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] is step.__code__
+        assert all(c is find and header is not None for c in calls[1:]), \
+            [c.co_name for c in calls[1:]]
+        finds += len(calls) - 1
+    assert finds > 100
