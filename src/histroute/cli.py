@@ -127,8 +127,8 @@ def _cmd_route(args) -> int:
         trace = engine.run_route(scheme, args.src, args.dst)
     except engine.RoutingError as exc:
         return _fail(str(exc))
-    [bfs] = engine.query_distances(scheme.indptr, scheme.indices,
-                                   [args.src], [args.dst]).tolist()
+    bfs = engine.bfs_distances(scheme.indptr, scheme.indices, args.src,
+                               args.dst)[args.dst].item()
     if args.trace:
         print(" ".join(str(v) for v in trace))
     print(f"routed={max(len(trace) - 1, 0)} bfs={bfs}")

@@ -7,7 +7,9 @@ answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. Ground
 truth distances come from one bit-parallel BFS over the visibility
 graph's CSR, asked only the pairs a check reads, and verify_all_pairs
-compares every routed path against them. The BFS pulls its levels
+compares every routed path against them; a one-source BFS that pushes
+from each level's frontier answers a single distance and the
+connectivity check. The bit-parallel BFS pulls its levels
 from the CSR with the vertices renumbered by degree, highest first,
 so that each vertex's c-th neighbours form one column over a prefix
 of the rows; a level gathers each of the first _CAP columns whole, and
@@ -263,6 +265,34 @@ def _query(plan, qv, qt, reach):
     return out
 
 
+def bfs_distances(indptr, indices, s, stop=None):
+    """Hop distances from s on the CSR adjacency (indptr, indices), -1
+    where unreached, as an int64 array. Each level pushes from its
+    frontier along the frontier's rows, in a fixed number of numpy
+    calls and O(frontier edges) work. Given a vertex stop, the search
+    ends with the level that reaches it, and later levels stay -1.
+    """
+    n = len(indptr) - 1
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[s] = 0
+    slot = np.empty(n, dtype=np.int64)
+    front, level = np.array([s], dtype=np.int64), 0
+    while len(front) and (stop is None or dist[stop] < 0):
+        lo = indptr[front]
+        k = indptr[front + 1] - lo
+        nbr = indices[np.repeat(lo - np.cumsum(k) + k, k)
+                      + np.arange(k.sum())]
+        nbr = nbr[dist[nbr] < 0]
+        # one copy of each new vertex: the position whose write to
+        # slot[v] numpy applied last, whichever that was
+        j = np.arange(len(nbr))
+        slot[nbr] = j
+        front = nbr[slot[nbr] == j]
+        level += 1
+        dist[front] = level
+    return dist
+
+
 def query_distances(indptr, indices, qv, qt, reach=None):
     """d(qv[i], qt[i]) for every i, -1 where unreachable, by BFS on the
     symmetric CSR adjacency (indptr, indices) from the distinct qt.
@@ -426,10 +456,9 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 f"ordered pairs with s != t; use 'all'")
         pair_iter = _sample_pairs(n, k, seed)
 
-    plan = _bfs_plan(g.indptr, g.indices)
-    reached = sum(np.count_nonzero(new) for _, new in _bfs_levels(plan, [0]))
-    if reached < n:
+    if (bfs_distances(g.indptr, g.indices, 0) < 0).any():
         raise SchemeBuildError("visibility graph is not connected")
+    plan = _bfs_plan(g.indptr, g.indices)
 
     simple = scheme.kind == "simple"
     failures = []

@@ -127,6 +127,18 @@ def test_route_self(capsys, steps_file):
     assert out.strip() == "routed=0 bfs=0"
 
 
+def test_route_distance_builds_no_bfs_plan(capsys, steps_file,
+                                           monkeypatch):
+    # the one distance comes from a one-source BFS, not the pair query
+    def refused(*args):
+        raise AssertionError("a BFS plan was built")
+
+    monkeypatch.setattr(engine, "_bfs_plan", refused)
+    code, out, err = run(capsys, "route", steps_file,
+                         "--from", "2", "--to", "6")
+    assert (code, out.strip()) == (0, "routed=3 bfs=3")
+
+
 def test_route_double(capsys, dbl_file):
     code, out, err = run(capsys, "route", dbl_file, "--from", "0", "--to", "6")
     assert code == 0

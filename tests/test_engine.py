@@ -319,8 +319,9 @@ def test_verify_bfs_work_is_pinned(monkeypatch):
     monkeypatch.setattr(engine, "_bfs_levels", counted)
     assert engine.verify_all_pairs(sch, g, pairs=4000, seed=1).ok
     assert sum(words * levels for words, levels in runs) <= 300
-    # after the connectivity BFS, the batches run nearest pairs first
-    levels = [levels for words, levels in runs[1:]]
+    # the batches run nearest pairs first; the connectivity BFS is not
+    # one of them
+    levels = [levels for words, levels in runs]
     assert len(levels) > 1 and levels == sorted(levels)
 
 
@@ -330,6 +331,61 @@ def test_verify_rejects_disconnected_graph(sch_rect):
 
     with pytest.raises(engine.SchemeBuildError, match="not connected"):
         engine.verify_all_pairs(sch_rect, Cut())
+
+
+def test_verify_rejects_isolated_vertex(sch_rect):
+    class Cut:      # the rectangle's graph without vertex 3's edges
+        indptr, indices = oracles.csr_of([[1, 2], [0, 2], [0, 1], []])
+
+    with pytest.raises(engine.SchemeBuildError, match="not connected"):
+        engine.verify_all_pairs(sch_rect, Cut())
+
+
+def test_verify_accepts_a_path_as_connected(sch_rect):
+    class Path:     # 0-1-2-3: connected, so the pairs are checked
+        indptr, indices = oracles.csr_of(graph_of(4, [(0, 1), (1, 2),
+                                                      (2, 3)]))
+
+    rep = engine.verify_all_pairs(sch_rect, Path())
+    # the rectangle routes 0-2, 0-3 and 1-3 in one hop, both ways
+    assert rep.pairs == 12 and rep.failed == 6
+
+
+@pytest.mark.parametrize("name", ["double-20", "two-components"])
+def test_bfs_distances_match_query_distances(name):
+    # from every source, in full and stopped at every target, including
+    # the unreachable ones of a graph in two components
+    if name == "double-20":
+        neighbors = oracles.neighbor_lists(make_double(20, seed=3)[1])
+    else:
+        neighbors = graph_of(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                                 (5, 6), (6, 7), (4, 8)])
+    indptr, indices = oracles.csr_of(neighbors)
+    n = len(neighbors)
+    qv, qt = np.tile(np.arange(n), n), np.repeat(np.arange(n), n)
+    want = engine.query_distances(indptr, indices, qv, qt).reshape(n, n)
+    assert (want < 0).any() == (name == "two-components")
+    for s in range(n):
+        got = engine.bfs_distances(indptr, indices, s)
+        assert got.dtype == np.int64 and got.tolist() == want[s].tolist()
+        for t in range(n):
+            stopped = engine.bfs_distances(indptr, indices, s, t)
+            assert stopped[t] == want[s, t]
+            # levels up to t's, or all of them when t is unreachable
+            near = want[s] <= (want[s, t] if want[s, t] >= 0 else n)
+            assert stopped[near].tolist() == want[s, near].tolist()
+
+
+def test_bfs_distances_on_a_long_path():
+    # one level per vertex, each a frontier of one; stopped at the
+    # middle vertex, the levels past it stay unreached
+    n = 20000
+    indptr, indices = oracles.csr_of(graph_of(n, zip(range(n - 1),
+                                                     range(1, n))))
+    assert engine.bfs_distances(indptr, indices, 0).tolist() == \
+        list(range(n))
+    got = engine.bfs_distances(indptr, indices, n - 1, n // 2)
+    assert got.tolist() == [-1] * (n // 2) + list(range(n - n // 2))[::-1]
 
 
 def progress_check(profile):
