@@ -4,7 +4,7 @@ Subcommands: gen (random polygon), validate (check a polygon file),
 build (polygon -> scheme dump), route (one source/target pair), and
 verify (all or sampled pairs against BFS). Every input names its own
 kind: a polygon file in its ``simple N`` or ``double N`` header, a
-dump in its ``scheme <kind> <n>`` header. Exit codes: 0 on success,
+dump in its container header (see dump). Exit codes: 0 on success,
 1 when validation, building, routing, or verification fails, 2 on
 usage errors.
 """
@@ -89,33 +89,35 @@ def _cmd_build(args) -> int:
         _, scheme = _prepare(_read(args.file))
     except (polygon.PolygonError, engine.SchemeBuildError) as exc:
         return _fail(str(exc))
-    text = dump.write(scheme)
+    data = dump.write(scheme)
     summary = [f"labBits={scheme.max_label_bits}",
                f"tabBits={scheme.max_table_bits}",
                f"hdrBits={scheme.max_header_bits}"]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.write(data)
         print("\n".join(summary))
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
         print("\n".join(summary), file=sys.stderr)
     return 0
 
 
-def _load_for_route(text: str):
-    """Accept either a polygon file or a scheme dump (self-contained):
-    a dump's first content line (polygon.content_lines) starts with the
-    word ``scheme``."""
-    lines = polygon.content_lines(text)[1]
-    if lines and lines[0].split()[0] == "scheme":
-        return dump.read(text, *(cls for _, cls in _KINDS.values()))
-    return _prepare(text)[1]
+def _load_for_route(path: str):
+    """Accept either a scheme dump (self-contained), a file that starts
+    with dump.MAGIC, or a polygon file, decoded as UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(dump.MAGIC):
+        return dump.read(data, *(cls for _, cls in _KINDS.values()))
+    return _prepare(data.decode("utf-8"))[1]
 
 
 def _cmd_route(args) -> int:
     try:
-        scheme = _load_for_route(_read(args.file))
+        scheme = _load_for_route(args.file)
     except (polygon.PolygonError, engine.SchemeBuildError,
             ValueError) as exc:
         return _fail(str(exc))

@@ -86,13 +86,15 @@ class Scheme:
     (indptr, indices) that visibility.VisibilityGraph built.
 
     Subclasses set ``kind``, the ``max_*_bits`` bounds, the records and
-    links in ``__init__``, the dump columns (``columns`` fields between
-    a row's id and its neighbor ids, which ``dump_fields()`` formats
-    for all rows and ``read_fields(rows)`` parses and checks from a
-    ``dump.Rows``) and ``step``, the kind's routing function itself as
-    a plain function, bound when read off a scheme: it returns the next
-    hop's port, its position in ``link.ids``, and the header. The dump
-    reader calls ``check_links``, which a kind may override.
+    links in ``__init__``, the dump columns (``fields``, the names in
+    ``cols`` in dump order, whose values a dump reader hands as int64
+    arrays to ``check_cols(n, cols)``: it returns the columns as
+    ``__init__`` takes them and a list of (bad, message) checks, a
+    mask over the vertices and the error at a vertex) and
+    ``step``, the kind's routing function itself as a plain function,
+    bound when read off a scheme: it returns the next hop's port, its
+    position in ``link.ids``, and the header. The dump reader calls
+    ``check_links``, which a kind may override.
     """
 
     def __init__(self, n, cols, indptr, indices):
@@ -107,8 +109,8 @@ class Scheme:
 
     @staticmethod
     def check_links(cols, src, dst):
-        """Raise ValueError at the first listing src[i] -> dst[i] of a
-        dump, in file order, that the columns rule out; the base rules
+        """Raise dump.DumpError at the first listing src[i] -> dst[i] of
+        a dump, in CSR order, that the columns rule out; the base rules
         out none."""
 
     def label_of(self, v: int):

@@ -127,7 +127,7 @@ def int_tokens(tokens):
 def content_lines(text):
     """(numbers, lines): the lines of text, split by str.splitlines()
     and stripped, that are neither blank nor ``#`` comments, with their
-    1-based numbers; the one comment rule of polygons and dumps."""
+    1-based numbers; the comment rule of polygon text."""
     lines = [ln.strip() for ln in text.splitlines()]
     numbers = [i for i, ln in enumerate(lines, 1) if ln and ln[0] != "#"]
     return numbers, [lines[i - 1] for i in numbers]

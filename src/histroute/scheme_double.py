@@ -42,8 +42,6 @@ class DoubleTable:
 
 _LABEL_FIELDS, _TABLE_FIELDS = ([f.name for f in dataclasses.fields(c)]
                                 for c in (DoubleLabel, DoubleTable))
-# the integer columns, in dump order
-_NUMBER_FIELDS = _LABEL_FIELDS + _TABLE_FIELDS[:6]
 
 
 class DoubleLink:
@@ -188,7 +186,7 @@ class DoubleScheme(Scheme):
     table fields, named as in DoubleLabel and DoubleTable."""
 
     kind = "double"
-    columns = 4     # coordinates, interval bounds, table fields, bit
+    fields = (*_LABEL_FIELDS, *_TABLE_FIELDS)
 
     def __init__(self, n, cols, indptr, indices, rows, vdom=None):
         """vdom is the (bottom, top) port pair _row_vertical_dominators
@@ -222,29 +220,21 @@ class DoubleScheme(Scheme):
         x = cols["x"][dst]      # a row lists only vertices in its I(v)
         bad = np.flatnonzero((x < cols["ilo"][src]) | (x > cols["ihi"][src]))
         if bad.size:
-            raise ValueError(f"row {src[bad[0]]} lists {dst[bad[0]]}, "
-                             f"outside its interval")
-
-    def dump_fields(self):
-        cols = self.cols
-        return list(map("{} {} | {} {} | {} {} {} {} {} {} | {}".format, *(
-            cols[f].tolist() for f in _NUMBER_FIELDS),
-            cols["bit_bottom"].astype(np.int8).tolist()))
+            raise dump.DumpError(f"row {src[bad[0]]} lists {dst[bad[0]]}, "
+                                 f"outside its interval")
 
     @staticmethod
-    def read_fields(rows):
-        vid = rows.vid
-        x, y = rows.fixed(1, 2, "coordinates")
+    def check_cols(n, cols):
+        x, y, bit = cols["x"], cols["y"], cols["bit_bottom"]
         off = (y == 0) | polygon.out_of_range(x) | polygon.out_of_range(y)
-        rows.fault(off, lambda r: (
-            f"row {vid[r]}: vertex ({x[r]},{y[r]}) must lie off the base "
-            f"line, with |x|, |y| < 2**62"))
-        bounds = rows.fixed(2, 2, "interval bounds")
-        rows.bounded("interval bound", bounds)
-        table = rows.fixed(3, 6, "table fields")
-        rows.bounded("table field", table)
-        return {**dict(zip(_NUMBER_FIELDS, (x, y, *bounds, *table))),
-                "bit_bottom": rows.bits(4)}
+        return {**cols, "bit_bottom": bit == 1}, [
+            (off, lambda v: (
+                f"row {v}: vertex ({x[v]},{y[v]}) must lie off the base "
+                f"line, with |x|, |y| < 2**62")),
+            *dump.range_checks("interval bound", (cols["ilo"], cols["ihi"])),
+            *dump.range_checks("table field",
+                               [cols[f] for f in _TABLE_FIELDS[:6]]),
+            dump.bit_check(bit)]
 
 
 def preprocess_double(h, g) -> DoubleScheme:
@@ -326,17 +316,17 @@ def preprocess_double(h, g) -> DoubleScheme:
             f"canonical bottom path at {v} starts off the dominators")
     bounds = np.searchsorted(x_values, (
         lm.l_x, lm.r_x, i2bd_lo, i2bd_hi, i2td_lo, i2td_hi))   # as x ranks
-    cols.update(zip(_NUMBER_FIELDS[2:], (*bounds, x[bd2], y[bd2])),
-                bit_bottom=bit)
+    cols.update(zip(DoubleScheme.fields[2:], (*bounds, x[bd2], y[bd2], bit)))
     return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), vdom)
 
 
-def dump_scheme(scheme: DoubleScheme) -> str:
-    """Self-contained text dump: one row per vertex with coordinates,
-    interval bounds, table fields, the bit, and the neighbor ids."""
+def dump_scheme(scheme: DoubleScheme) -> bytes:
+    """Self-contained dump (see dump): the CSR of the neighbor ids, then
+    the coordinate, interval bound and table columns."""
     return dump.write(scheme)
 
 
-def parse_dump(text: str) -> DoubleScheme:
-    """Inverse of dump_scheme. Raises ValueError on malformed text."""
-    return dump.read(text, DoubleScheme)
+def parse_dump(data: bytes) -> DoubleScheme:
+    """Inverse of dump_scheme. Raises dump.DumpError, a ValueError, on
+    a malformed dump."""
+    return dump.read(data, DoubleScheme)

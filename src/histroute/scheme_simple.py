@@ -70,7 +70,7 @@ class SimpleScheme(Scheme):
     r(v)."""
 
     kind = "simple"
-    columns = 2     # label, table bit
+    fields = ("br", "bit")
     max_table_bits = 1
     max_header_bits = 0
 
@@ -86,28 +86,13 @@ class SimpleScheme(Scheme):
 
     step = route_step_simple
 
-    def dump_fields(self):
-        br = self.cols["br"].tolist()
-        return list(map("{} | {}".format,
-                        [f"{v} {b}" if b >= 0 else str(v)
-                         for v, b in enumerate(br)],
-                        self.cols["bit"].astype(np.int8).tolist()))
-
     @staticmethod
-    def read_fields(rows):
-        vals, starts = rows.ints(1)
-        counts = np.diff(starts)
-        vid = rows.vid[:len(counts)]
-        # -1 past the last token: an empty label has no head
-        head, second = (np.append(vals, [-1, -1])[starts[:-1] + k]
-                        for k in (0, 1))
-        rows.fault((counts < 1) | (counts > 2) | (head != vid), lambda r: (
-            f"row {vid[r]}: label must be '{vid[r]}' or '{vid[r]} "
-            f"<breakpoint>', got {rows.fields[1][r].strip()!r}"))
-        br = np.where(counts == 2, second, -1)
-        rows.fault((counts == 2) & ((br < 0) | (br >= rows.n)), lambda r: (
-            f"row {vid[r]}: breakpoint {br[r]} is outside [0, {rows.n})"))
-        return {"br": br, "bit": rows.bits(2)}
+    def check_cols(n, cols):
+        br, bit = cols["br"], cols["bit"]
+        return {"br": br, "bit": bit == 1}, [
+            ((br < -1) | (br >= n), lambda v: (
+                f"row {v}: breakpoint {br[v]} is outside [0, {n})")),
+            dump.bit_check(bit)]
 
 
 def preprocess_simple(h, g) -> SimpleScheme:
@@ -148,12 +133,13 @@ def preprocess_simple(h, g) -> SimpleScheme:
     return SimpleScheme(n, cols, g.indptr, g.indices, (ptr, ids))
 
 
-def dump_scheme(scheme: SimpleScheme) -> str:
-    """Self-contained text dump: one row per vertex with label fields,
-    the table bit, and the neighbor ids."""
+def dump_scheme(scheme: SimpleScheme) -> bytes:
+    """Self-contained dump (see dump): the CSR of the neighbor ids, then
+    the breakpoint and table bit columns."""
     return dump.write(scheme)
 
 
-def parse_dump(text: str) -> SimpleScheme:
-    """Inverse of dump_scheme. Raises ValueError on malformed text."""
-    return dump.read(text, SimpleScheme)
+def parse_dump(data: bytes) -> SimpleScheme:
+    """Inverse of dump_scheme. Raises dump.DumpError, a ValueError, on
+    a malformed dump."""
+    return dump.read(data, SimpleScheme)

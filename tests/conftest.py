@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from histroute import polygon, visibility
@@ -66,6 +67,52 @@ def make_double(text_or_n, seed=0):
     h = polygon.normalize(h)
     g = visibility.build_graph(h)
     return h, g
+
+
+# the dump arrays of two vertices that see each other, one of each kind
+SIMPLE2 = {"indptr": [0, 1, 2], "indices": [1, 0], "br": [-1, -1],
+           "bit": [0, 0]}
+DOUBLE2 = {"indptr": [0, 1, 2], "indices": [1, 0], "x": [0, 1],
+           "y": [1, -1], "ilo": [0, 0], "ihi": [1, 1], "i2bd_lo": [0, 0],
+           "i2bd_hi": [1, 1], "i2td_lo": [0, 0], "i2td_hi": [1, 1],
+           "bd2x": [0, 0], "bd2y": [1, 1], "bit_bottom": [1, 0]}
+
+
+def dump_arrays(scheme):
+    """The arrays of the scheme's dump, by name in dump order, as int64
+    copies that a test may damage before it packs them."""
+    return {name: np.array(a, dtype=np.int64) for name, a in (
+        ("indptr", scheme.indptr), ("indices", scheme.indices),
+        *((f, scheme.cols[f]) for f in scheme.fields))}
+
+
+def with_rows(arrays, rows):
+    """The arrays with the neighbor lists of the vertices in rows, a
+    dict, replaced by the lists given, in the order given."""
+    ptr, ids = arrays["indptr"], arrays["indices"]
+    lists = [ids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+    for v, new in rows.items():
+        lists[v] = list(new)
+    return {**arrays, "indptr": np.cumsum([0, *map(len, lists)]),
+            "indices": np.array([i for row in lists for i in row],
+                                dtype=np.int64)}
+
+
+def pack(kind, n, arrays, version=1):
+    """A dump container written from raw arrays, apart from dump.write:
+    the header naming version, kind and n, a table line for each array
+    of arrays (name -> values, in order), then each array's values as
+    little-endian signed integers of the narrowest of 1, 2, 4 or 8 bytes
+    that holds them. The values are packed as given, unchecked."""
+    table, raw = [f"histroute-dump {version} {kind} {n}"], []
+    for name, values in arrays.items():
+        a = np.asarray(values, dtype=np.int64)
+        lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+        w = next(w for w in (1, 2, 4, 8)
+                 if -2**(8 * w - 1) <= lo and hi < 2**(8 * w - 1))
+        table.append(f"{name} {w} {len(a)}")
+        raw.append(a.astype(f"<i{w}").tobytes())
+    return "\n".join([*table, ""]).encode() + b"".join(raw)
 
 
 def staircase_text(m, swaps=None):

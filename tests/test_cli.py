@@ -18,7 +18,8 @@ from histroute import cli, engine, polygon, scheme_double, scheme_simple, \
     visibility
 
 import oracles
-from conftest import H_DBL_TEXT, H_STEPS_TEXT
+from conftest import DOUBLE2, H_DBL_TEXT, H_STEPS_TEXT, SIMPLE2, \
+    dump_arrays, pack, with_rows
 
 
 @pytest.fixture()
@@ -101,7 +102,20 @@ def test_build_summary(capsys, steps_file, tmp_path):
     code, out, err = run(capsys, "build", steps_file, "--out", str(dump))
     assert code == 0
     assert "labBits=" in out and "tabBits=1" in out and "hdrBits=0" in out
-    assert dump.read_text().startswith("scheme simple 8")
+    assert dump.read_bytes().startswith(b"histroute-dump 1 simple 8\n")
+
+
+def test_build_writes_the_same_bytes_to_stdout_and_out(capsysbinary,
+                                                       dbl_file, tmp_path):
+    # the dump goes to stdout's binary buffer, the summary to stderr
+    out = tmp_path / "dbl.scheme"
+    assert cli.cli_main(["build", dbl_file, "--out", str(out)]) == 0
+    summary = capsysbinary.readouterr().out
+    assert cli.cli_main(["build", dbl_file]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == out.read_bytes()
+    assert captured.out.startswith(b"histroute-dump 1 double 12\n")
+    assert captured.err == summary
 
 
 def test_route_with_trace(capsys, steps_file):
@@ -165,34 +179,23 @@ def test_route_from_dump_after_deleting_polygon(capsys, steps_file,
     assert out.strip().splitlines()[0] == "2 0 7 6"
 
 
-def test_route_from_commented_dump(capsys, dbl_file, tmp_path):
-    # a leading comment and a blank line, which the dump reader skips,
-    # used to send the dump to the polygon parser
-    plain = tmp_path / "dbl.scheme"
-    run(capsys, "build", dbl_file, "--out", str(plain))
-    commented = tmp_path / "commented.scheme"
-    commented.write_text("# built from dbl.poly\n\n" + plain.read_text())
+def test_route_reads_a_dump_only_when_it_starts_with_the_magic(
+        capsys, dbl_file, tmp_path):
+    # polygon text may start with a comment; a dump behind one is no
+    # longer a dump, and the polygon parser rejects it in one line
+    dump = tmp_path / "dbl.scheme"
+    run(capsys, "build", dbl_file, "--out", str(dump))
+    commented = tmp_path / "commented.poly"
+    commented.write_text("# a comment\n\n" + H_DBL_TEXT)
     args = ("--from", "0", "--to", "6", "--trace")
-    want = run(capsys, "route", str(plain), *args)
+    want = run(capsys, "route", str(dump), *args)
     assert want[0] == 0 and len(want[1].splitlines()) == 2
     assert run(capsys, "route", str(commented), *args) == want
-
-
-def test_route_takes_comment_lines_as_the_readers_do(capsys, steps_file,
-                                                     tmp_path):
-    # str.splitlines() ends a line at a form feed, so the dump reader
-    # takes this dump's second line as its header; the CLI used to send
-    # it to the polygon parser
-    plain = tmp_path / "steps.scheme"
-    run(capsys, "build", steps_file, "--out", str(plain))
-    fed = tmp_path / "ff.scheme"
-    fed.write_text("# built\x0c" + plain.read_text())
-    assert scheme_simple.parse_dump(fed.read_text()).n == 8
-    args = ("--from", "0", "--to", "5", "--trace")
-    want = run(capsys, "route", str(plain), *args)
-    assert want[0] == 0
-    assert run(capsys, "route", str(fed), *args) == want
-    assert run(capsys, "route", steps_file, *args) == want
+    hidden = tmp_path / "hidden.scheme"
+    hidden.write_bytes(b"# built from dbl.poly\n" + dump.read_bytes())
+    code, out, err = run(capsys, "route", str(hidden), *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_verify_simple(capsys, steps_file):
@@ -293,57 +296,64 @@ def test_gen_validate_build_route_pipeline(capsys, tmp_path):
     assert routed <= 2 * bfs
 
 
-DOUBLE_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
-
-
 def double12_dump(nbrs, seed=5):
     """The dump of generate("double", 12, seed), with the neighbor lists
     of the rows in nbrs replaced."""
     h = polygon.normalize(polygon.generate("double", 12, seed=seed))
     scheme = scheme_double.preprocess_double(h, visibility.build_graph(h))
-    rows = scheme_double.dump_scheme(scheme).splitlines()
-    for v, ids in nbrs.items():
-        rows[v + 1] = rows[v + 1].rsplit("| ", 1)[0] + "| " + ids
-    return "\n".join(rows) + "\n"
+    return pack("double", 12, with_rows(dump_arrays(scheme), nbrs))
 
 
-@pytest.mark.parametrize("text,reason", [
-    ("scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n",
-     "duplicate row id 0"),
-    ("scheme simple 2\n0 | 0 | 0 | 7\n1 | 1 | 0 | 0\n",
-     "neighbor id outside [0, 2)"),
-    ("scheme double 2\n" + DOUBLE_ROW + DOUBLE_ROW,
-     "duplicate row id 0"),
-    ("scheme simple 0\n", "at least one vertex"),
-    (double12_dump({8: "0 2 7 11"}),
+GOOD = pack("simple", 2, SIMPLE2)
+
+
+@pytest.mark.parametrize("data,reason", [
+    (pack("simple", 2, {**SIMPLE2, "indices": [7, 0]}),
+     "row 0: neighbor id outside [0, 2)"),
+    (pack("simple", 0, {"indptr": [0], "indices": [], "br": [], "bit": []}),
+     "at least one vertex"),
+    (double12_dump({8: [0, 2, 7, 11]}),
      "row 8 lists 2 more often than row 2 lists 8"),
-    ("scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
+    (pack("simple", 2, {**SIMPLE2, "indptr": [0, 2, 4],
+                        "indices": [0, 1, 0, 1]}),
      "row 0 lists itself"),
-    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
+    (pack("simple", 2, {**SIMPLE2, "indptr": [0, 2, 4],
+                        "indices": [1, 1, 0, 0]}),
      "row 0 lists 1 twice"),
-    ("scheme simple 2\n0 | 0 5 | 0 | 1\n1 | 1 | 0 | 0\n",
+    (pack("simple", 2, {**SIMPLE2, "br": [5, -1]}),
      "row 0: breakpoint 5 is outside [0, 2)"),
-    (f"scheme double 2\n{DOUBLE_ROW}"
-     f"1 | 1 -1 | 0 {2**63} | 0 1 0 1 0 1 | 0 | 0\n",
-     f"row 1: interval bound {2**63} is out of range"),
-    (f"scheme double 2\n{DOUBLE_ROW}"
-     f"1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | {2**64}\n",
-     "row 1: neighbor id outside [0, 2)"),
-    ("scheme triple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | 0\n",
-     "not a simple or double scheme dump"),
+    (pack("double", 2, {**DOUBLE2, "ihi": [1, 2**62]}),
+     f"row 1: interval bound {2**62} is out of range"),
+    (pack("triple", 2, SIMPLE2), "not a simple or double scheme dump"),
     # 2 and 8 do not see each other: x(8) = 5 lies outside I(2) = [0, 4]
-    (double12_dump({2: "0 1 3 4 5 6 7 8 11", 8: "0 2 7 9 10 11"}),
+    (double12_dump({2: [0, 1, 3, 4, 5, 6, 7, 8, 11], 8: [0, 2, 7, 9, 10, 11]}),
      "row 2 lists 8, outside its interval"),
-], ids=["simple-duplicate-row", "simple-neighbor-out-of-range",
-        "double-duplicate-row", "simple-no-vertices", "double-asymmetric",
-        "simple-self-entry", "simple-repeated-neighbor",
-        "simple-breakpoint-out-of-range", "double-field-beyond-int64",
-        "double-neighbor-beyond-int64", "unknown-kind",
-        "double-link-outside-interval"])
-def test_route_rejects_malformed_dump(capsys, tmp_path, text, reason):
-    # each of these used to end in a traceback or an unrelated message
+    # no magic: polygon text, which this is not
+    (b"histroute-dumb" + GOOD[len(b"histroute-dump"):], "can't decode"),
+    (GOOD.replace(b"simple 2\n", b"simple two\n", 1),
+     "malformed dump header 'histroute-dump 1 simple two'"),
+    (pack("simple", 2, SIMPLE2, version=2),
+     "unknown dump version '2', this reader reads version 1"),
+    (GOOD[:-1], "dump holds 8 bytes of arrays, its table names 9"),
+    (GOOD[:30], "dump truncated in its header or table"),
+    (GOOD.replace(b"indices 1 2", b"indices 2 2"),
+     "dump holds 9 bytes of arrays, its table names 11"),
+    (GOOD.replace(b"indices 1 2", b"indices 1 3"),
+     "dump holds 9 bytes of arrays, its table names 10"),
+    (pack("simple", 3, {"indptr": [0, 2, 3, 4], "indices": [2, 1, 0, 0],
+                        "br": [-1] * 3, "bit": [0] * 3}),
+     "row 0 is out of order: 2 before 1"),
+], ids=["simple-neighbor-out-of-range", "simple-no-vertices",
+        "double-asymmetric", "simple-self-entry", "simple-repeated-neighbor",
+        "simple-breakpoint-out-of-range", "double-field-out-of-range",
+        "unknown-kind", "double-link-outside-interval", "bad-magic",
+        "malformed-header", "unknown-version", "truncated-arrays",
+        "truncated-table", "width-disagrees", "length-disagrees",
+        "row-out-of-order"])
+def test_route_rejects_malformed_dump(capsys, tmp_path, data, reason):
+    # each ends in one error line, never a traceback
     dump = tmp_path / "bad.scheme"
-    dump.write_text(text)
+    dump.write_bytes(data)
     code, out, err = run(capsys, "route", str(dump), "--from", "0",
                          "--to", "1")
     assert code == 1 and out == ""
@@ -355,9 +365,8 @@ def test_route_rejects_dump_with_vertex_on_base_line(capsys, tmp_path):
     # this dump used to end in a TypeError: no link entry lay off the
     # base line, so the vertical dominators came out None
     dump = tmp_path / "bad.dump"
-    dump.write_text("scheme double 2\n"
-                    "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 |\n"
-                    "1 | 1 0 | 5 6 | 0 1 0 1 0 1 | 1 |\n")
+    dump.write_bytes(pack("double", 2, {**DOUBLE2, "y": [1, 0], "ilo": [0, 5],
+                                        "ihi": [1, 6]}))
     code, out, err = run(capsys, "route", str(dump),
                          "--from", "1", "--to", "0")
     assert code == 1 and out == ""
@@ -369,7 +378,7 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
     # both rows drop the edge 8-9, so the dump reads; 9 shares 8's x and
     # 8's link holds nothing beyond it
     dump = tmp_path / "cut.scheme"
-    dump.write_text(double12_dump({8: "0 7 10 11", 9: "7 10 11"}))
+    dump.write_bytes(double12_dump({8: [0, 7, 10, 11], 9: [7, 10, 11]}))
     code, out, err = run(capsys, "route", str(dump),
                          "--from", "8", "--to", "9")
     assert code == 1 and out == ""
@@ -379,12 +388,12 @@ def test_route_on_dump_missing_an_edge(capsys, tmp_path):
 def test_route_on_dump_with_no_neighbor_toward_the_target(capsys, tmp_path):
     # both rows drop the edge 2-3, so the dump reads; 3 shares 2's x,
     # and 2's link holds no vertex at or beyond that x
-    text = double12_dump({2: "0 1", 3: "0 1 4 5"}, seed=0)
+    data = double12_dump({2: [0, 1], 3: [0, 1, 4, 5]}, seed=0)
     with pytest.raises(engine.RoutingError,
                        match="^no neighbor of 2 lies toward x=1$"):
-        engine.run_route(scheme_double.parse_dump(text), 2, 3)
+        engine.run_route(scheme_double.parse_dump(data), 2, 3)
     dump = tmp_path / "cut.scheme"
-    dump.write_text(text)
+    dump.write_bytes(data)
     code, out, err = run(capsys, "route", str(dump),
                          "--from", "2", "--to", "3")
     assert (code, out) == (1, "")
@@ -396,13 +405,11 @@ def test_route_on_dump_missing_a_breakpoint(capsys, tmp_path):
     # so the step that reads it as the near neighbor has to fail
     h = polygon.parse_polygon(H_STEPS_TEXT)
     g = visibility.build_graph(h)
-    rows = scheme_simple.dump_scheme(
-        scheme_simple.preprocess_simple(h, g)).splitlines()
+    arrays = dump_arrays(scheme_simple.preprocess_simple(h, g))
     u = int(np.flatnonzero(~h.convex)[0])
-    fields = rows[u + 1].split(" | ")
-    assert fields[1] != str(u)
-    rows[u + 1] = " | ".join([fields[0], str(u), *fields[2:]])
-    text = "\n".join(rows) + "\n"
+    assert arrays["br"][u] >= 0
+    arrays["br"][u] = -1
+    data = pack("simple", h.n, arrays)
 
     def near(s, t):
         # the near neighbor a first step from s to t reads: the last id
@@ -416,44 +423,46 @@ def test_route_on_dump_missing_a_breakpoint(capsys, tmp_path):
                 if near(s, t) == u)
     with pytest.raises(engine.RoutingError,
                        match=f"^neighbor {u} lacks a breakpoint id$"):
-        engine.run_route(scheme_simple.parse_dump(text), s, t)
+        engine.run_route(scheme_simple.parse_dump(data), s, t)
     dump = tmp_path / "nobr.scheme"
-    dump.write_text(text)
+    dump.write_bytes(data)
     code, out, err = run(capsys, "route", str(dump),
                          "--from", str(s), "--to", str(t))
     assert (code, out) == (1, "")
     assert err == f"error: neighbor {u} lacks a breakpoint id\n"
 
 
-# file contents for the fuzz below: small polygons, their dumps, and
-# both as text with one line changed
-FUZZ_TEXTS = []
+# file contents for the fuzz below: small polygons and their dumps
+FUZZ_FILES = []
 for _kind, _n, _seed in (("simple", 4, 0), ("simple", 10, 3),
                          ("double", 8, 1), ("double", 12, 5)):
     _h = polygon.normalize(polygon.generate(_kind, _n, _seed))
     _g = visibility.build_graph(_h)
     _module = scheme_double if _kind == "double" else scheme_simple
-    FUZZ_TEXTS += [polygon.to_text(_h),
+    FUZZ_FILES += [polygon.to_text(_h).encode(),
                    _module.dump_scheme(cli._KINDS[_kind][0](_h, _g))]
 
 
 @st.composite
 def fuzz_files(draw):
     """Bytes of a fuzz file: a polygon or dump as it is, with one line
-    replaced, dropped or repeated, or raw bytes."""
-    how = draw(st.sampled_from(["as is", "replace", "drop", "repeat",
+    replaced, dropped or repeated, cut short, or raw bytes."""
+    how = draw(st.sampled_from(["as is", "replace", "drop", "repeat", "cut",
                                 "bytes"]))
     if how == "bytes":
         return draw(st.binary(max_size=64))
-    lines = draw(st.sampled_from(FUZZ_TEXTS)).splitlines()
+    data = draw(st.sampled_from(FUZZ_FILES))
+    if how == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    lines = data.split(b"\n")
     i = draw(st.integers(0, len(lines) - 1))
     if how == "replace":
-        lines[i] = draw(st.text(max_size=16))
+        lines[i] = draw(st.text(max_size=16)).encode("utf-8", "surrogatepass")
     elif how == "drop":
         del lines[i]
     elif how == "repeat":
         lines.insert(i, lines[i])
-    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    return b"\n".join(lines)
 
 
 @st.composite
@@ -492,7 +501,8 @@ def test_cli_fuzz_exits_cleanly(data):
         with open(path, "wb") as fh:
             fh.write(data.draw(fuzz_files()))
         argv = data.draw(fuzz_argvs(path, out))
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # build writes a dump to the binary buffer under sys.stdout
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.cli_main(argv) in (0, 1, 2)
 
@@ -509,15 +519,25 @@ def test_console_script_names_main():
 
 
 def test_console_script_commands_run(tmp_path):
-    # the workflow's console-script commands, run through __main__ and
-    # main() in fresh processes: each must exit 0
+    # the workflow's console-script step, run by bash as the runner runs
+    # it, with histroute going through __main__ and main() in fresh
+    # processes: every command must succeed
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    commands = re.findall(r"^\s+histroute (.+)$", workflow, re.MULTILINE)
-    assert len(commands) == 4
+    step = re.search(r"name: Run the installed console script\n"
+                     r"(?:\s+#.*\n)*\s+run: \|\n((?: {10}.*\n)+)", workflow)
+    script = "".join(line[10:] + "\n" for line in step[1].splitlines())
+    assert len(re.findall(r"^histroute ", script, re.MULTILINE)) == 7
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    wrapper = bin_dir / "histroute"
+    wrapper.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m histroute "$@"\n')
+    wrapper.chmod(0o755)
     src = os.path.dirname(os.path.dirname(histroute.__file__))
-    for line in commands:
-        done = subprocess.run(
-            [sys.executable, "-m", "histroute", *line.split()],
-            cwd=tmp_path, capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, (line, done.stderr)
+    done = subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "RUNNER_TEMP": str(tmp_path),
+             "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}"})
+    assert done.returncode == 0, (done.stdout, done.stderr)
+    assert (tmp_path / "cut.err").read_text().startswith("error: ")

@@ -3,10 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from histroute import engine, scheme_simple
+from histroute import dump, engine, scheme_simple
 
 import oracles
-from conftest import make_double
+from conftest import SIMPLE2, dump_arrays, make_double, pack, with_rows
 
 
 def test_labels_rect(sch_rect):
@@ -115,22 +115,22 @@ def test_dump_round_trip(sch_steps):
     assert engine.run_route(again, 2, 6) == [2, 0, 7, 6]
 
 
-def test_dump_read_takes_rows_and_ids_in_any_order(sch_steps):
-    head, *rows = scheme_simple.dump_scheme(sch_steps).splitlines()
-    rng = np.random.default_rng(2)
-    shuffled = []
-    for i in rng.permutation(len(rows)):
-        *fields, ids = rows[i].split(" | ")
-        ids = " ".join(rng.permutation(ids.split()).tolist())
-        shuffled.append(" | ".join([*fields, ids]))
-    again = scheme_simple.parse_dump("\n".join([head, *shuffled]))
-    assert scheme_simple.dump_scheme(again) == \
-        scheme_simple.dump_scheme(sch_steps)
+def test_dump_read_rejects_a_row_out_of_order(sch_steps):
+    # the container keeps each row ascending, as the CSR does; a row in
+    # another order is a fault of that row
+    arrays = dump_arrays(sch_steps)
+    ptr, ids = arrays["indptr"], arrays["indices"]
+    v = next(v for v in range(8) if ptr[v + 1] - ptr[v] > 1)
+    row = ids[ptr[v]:ptr[v + 1]].tolist()
+    data = pack("simple", 8, with_rows(arrays, {v: row[::-1]}))
+    with pytest.raises(dump.DumpError, match=(
+            f"^row {v} is out of order: {row[-1]} before {row[-2]}$")):
+        scheme_simple.parse_dump(data)
 
 
 def test_parse_dump_rejects_garbage():
-    with pytest.raises(Exception):
-        scheme_simple.parse_dump("not a scheme\n")
+    with pytest.raises(dump.DumpError):
+        scheme_simple.parse_dump(b"not a scheme\n")
 
 
 def test_route_unknown_target_raises(sch_steps):
@@ -146,77 +146,81 @@ def test_labels_match_oracle(small_simples, random_simples):
                 f"n={h.n} v={v}"
 
 
-@pytest.mark.parametrize("text,reason", [
-    ("", "not a simple scheme dump"),
-    ("scheme simple -1\n", "at least one vertex"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n", "expected 2 rows"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n2 | 1 | 0 | 0\n", "row id 2 is outside"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n-1 | 1 | 0 | 0\n", "row id -1"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | -1\n", "neighbor id"),
-    ("scheme simple 2\n0 | 0 | 0 | 2\n1 | 1 | 0 | 0\n", "row 0: neighbor id"),
-    ("scheme simple 2\n0 | 0 | 2 | 1\n1 | 1 | 0 | 0\n", "bit field"),
-    ("scheme simple 2\n0 | 0 | true | 1\n1 | 1 | 0 | 0\n", "bit field"),
-    ("scheme simple 2\n0 | 1 | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
-    ("scheme simple 2\n0 |  | 0 | 1\n1 | 1 | 0 | 0\n", "label"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0\n", "malformed row"),
-    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0\n",
-     "row 0 lists 1 more often than row 1 lists 0"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 |\n",
-     "row 0 lists 1 more often than row 1 lists 0"),
-    ("scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
-     "row 0 lists itself"),
-    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
-     "row 0 lists 1 twice"),
-    # breakpoints are ids in [0, n); ids beyond int64 are out of range too
-    ("scheme simple 2\n0 | 0 2 | 0 | 1\n1 | 1 | 0 | 0\n",
-     r"row 0: breakpoint 2 is outside \[0, 2\)"),
-    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 -1 | 0 | 0\n",
-     r"row 1: breakpoint -1 is outside \[0, 2\)"),
-    (f"scheme simple 2\n0 | 0 {2**63} | 0 | 1\n1 | 1 | 0 | 0\n",
-     rf"row 0: breakpoint {2**63} is outside \[0, 2\)"),
-    (f"scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | {-2**64}\n",
+@pytest.mark.parametrize("data,reason", [
+    (b"", "not a simple scheme dump"),
+    (pack("simple", 0, {"indptr": [0], "indices": [], "br": [], "bit": []}),
+     "at least one vertex"),
+    (pack("simple", 2, {**SIMPLE2, "indices": [1, -1]}),
      r"row 1: neighbor id outside \[0, 2\)"),
-    (f"scheme simple 2\n0 | 0 | 0 | 1\n{2**63} | 1 | 0 | 0\n",
-     rf"row id {2**63} is outside \[0, 2\)"),
-    (f"scheme simple 2\n0 | {2**64} | 0 | 1\n1 | 1 | 0 | 0\n",
-     "row 0: label must be"),
-])
-def test_parse_dump_strict(text, reason):
-    with pytest.raises(ValueError, match=reason):
-        scheme_simple.parse_dump(text)
+    (pack("simple", 2, {**SIMPLE2, "indices": [2, 0]}),
+     r"row 0: neighbor id outside \[0, 2\)"),
+    (pack("simple", 2, {**SIMPLE2, "indices": [1, 2**63 - 1]}),
+     r"row 1: neighbor id outside \[0, 2\)"),
+    (pack("simple", 2, {**SIMPLE2, "bit": [2, 0]}),
+     "row 0: bit field must be 0 or 1, got 2"),
+    (pack("simple", 2, {**SIMPLE2, "bit": [0, -1]}),
+     "row 1: bit field must be 0 or 1, got -1"),
+    (pack("simple", 2, {**SIMPLE2, "indices": [1, 1], "indptr": [0, 2, 2]}),
+     "row 0 lists 1 twice"),
+    (pack("simple", 2, {**SIMPLE2, "indices": [1], "indptr": [0, 1, 1]}),
+     "row 0 lists 1 more often than row 1 lists 0"),
+    (pack("simple", 2, {**SIMPLE2, "indices": [0, 0], "indptr": [0, 1, 2]}),
+     "row 0 lists itself"),
+    (pack("simple", 2, {**SIMPLE2, "br": [2, -1]}),
+     r"row 0: breakpoint 2 is outside \[0, 2\)"),
+    (pack("simple", 2, {**SIMPLE2, "br": [-1, -2]}),
+     r"row 1: breakpoint -2 is outside \[0, 2\)"),
+    (pack("simple", 2, {**SIMPLE2, "br": [-2**63, -1]}),
+     rf"row 0: breakpoint {-2**63} is outside \[0, 2\)"),
+    (pack("double", 2, SIMPLE2), "not a simple scheme dump$"),
+    (pack("simple", 2, {**SIMPLE2, "bit": [0, 0, 0]}),
+     "dump table: bit has length 3, expected 2"),
+    (pack("simple", 2, {**SIMPLE2, "indptr": [0, 1]}),
+     "dump table: indptr has length 2, expected 3"),
+    (pack("simple", 2, {"indptr": [0, 1, 2], "indices": [1, 0],
+                        "bit": [0, 0], "br": [-1, -1]}),
+     "dump table: expected 'br <width> <length>', got 'bit 1 2'"),
+], ids=["empty", "no-vertices", "neighbor-negative", "neighbor-too-big",
+        "neighbor-at-int64-max", "bit", "bit-negative", "repeated-neighbor",
+        "unmatched-listing", "self-entry", "breakpoint", "breakpoint-below",
+        "breakpoint-at-int64-min", "wrong-kind", "column-length",
+        "indptr-length", "columns-swapped"])
+def test_parse_dump_strict(data, reason):
+    with pytest.raises(dump.DumpError, match=reason):
+        scheme_simple.parse_dump(data)
 
 
-# single-field faults of one row: name -> (field index, the field's text
-# in row v, the message for row v)
+# single-column faults of one vertex, in the order the reader checks
+# them: name -> (the values at vertex v of the arrays it changes, the
+# message for vertex v)
 FAULTS = {
-    "row-id": (0, lambda v: "2", lambda v: r"row id 2 is outside"),
-    "label": (1, lambda v: f"{v} 0 1", lambda v: rf"row {v}: label must be"),
-    "breakpoint": (1, lambda v: f"{v} 7",
+    "breakpoint": (lambda v: {"br": 7},
                    lambda v: rf"row {v}: breakpoint 7 is outside"),
-    "bit": (2, lambda v: "2", lambda v: "bit field must be 0 or 1, got '2'"),
-    "neighbor": (3, lambda v: "x", lambda v: "invalid literal for int"),
+    "bit": (lambda v: {"bit": 2},
+            lambda v: f"row {v}: bit field must be 0 or 1, got 2"),
+    "neighbor": (lambda v: {"indices": 9},
+                 lambda v: rf"row {v}: neighbor id outside \[0, 2\)"),
 }
 
 
 @pytest.mark.parametrize("first,second", [
-    (a, b) for a in FAULTS for b in FAULTS if FAULTS[a][0] != FAULTS[b][0]])
+    (a, b) for a in FAULTS for b in FAULTS if a != b])
 def test_parse_dump_reports_first_fault_in_file_order(first, second):
-    # two faults in different fields: in two rows the earlier row's is
-    # reported, whichever field it is in, and in one row the earlier
-    # field's
-    def text(placed):
-        rows = [["0", "0", "0", "1"], ["1", "1", "0", "0"]]
+    # two faults in different columns: at two vertices the lower one's
+    # is reported, whichever column it is in, and at one vertex the
+    # first checked; each vertex has one listing, at its own index
+    def data(placed):
+        arrays = {name: list(a) for name, a in SIMPLE2.items()}
         for v, name in placed:
-            col, field, _ = FAULTS[name]
-            rows[v][col] = field(v)
-        return "scheme simple 2\n" + "".join(
-            " | ".join(r) + "\n" for r in rows)
+            for col, value in FAULTS[name][0](v).items():
+                arrays[col][v] = value
+        return pack("simple", 2, arrays)
 
-    with pytest.raises(ValueError, match=FAULTS[first][2](0)):
-        scheme_simple.parse_dump(text([(0, first), (1, second)]))
-    if FAULTS[first][0] < FAULTS[second][0]:
-        with pytest.raises(ValueError, match=FAULTS[first][2](1)):
-            scheme_simple.parse_dump(text([(1, first), (1, second)]))
+    with pytest.raises(dump.DumpError, match=FAULTS[first][1](0)):
+        scheme_simple.parse_dump(data([(0, first), (1, second)]))
+    if list(FAULTS).index(first) < list(FAULTS).index(second):
+        with pytest.raises(dump.DumpError, match=FAULTS[first][1](1)):
+            scheme_simple.parse_dump(data([(1, first), (1, second)]))
 
 
 def _tampered(graph, drop=None, **changes):

@@ -243,9 +243,9 @@ def test_graph_memory_is_linear(kind):
 
 # Tracemalloc peaks at n = 10^4, measured with numpy 2.4 on Python 3.11,
 # in this module alone and in the whole suite: 5.9 MiB simple and
-# 16.1-16.6 MiB double preprocessing, 16.7-19.6 MiB reading the double
-# dump (objects reused from free lists are not counted, so the peak
-# moves with what ran before). Each bound adds a fifth to the highest
+# 16.1-16.6 MiB double preprocessing, 13.6 MiB reading the double dump
+# (objects reused from free lists are not counted, so the peak moves
+# with what ran before). Each bound adds a fifth to the highest
 # peak seen, rounded up to whole MiB; the per-vertex links, their tuples
 # of shared ints, are most of each peak.
 @pytest.mark.parametrize("kind, preprocess, bound_mib", [
@@ -268,12 +268,12 @@ def test_preprocess_memory(kind, preprocess, bound_mib):
 def test_dump_read_memory():
     # bound: see test_preprocess_memory
     h = polygon.normalize(polygon.generate("double", 10_000, seed=1))
-    text = dump.write(scheme_double.preprocess_double(
+    data = dump.write(scheme_double.preprocess_double(
         h, visibility.build_graph(h)))
     tracemalloc.start()
     try:
-        dump.read(text, scheme_double.DoubleScheme)
+        dump.read(data, scheme_double.DoubleScheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
+    assert peak < 17 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
