@@ -98,21 +98,77 @@ def with_rows(arrays, rows):
                                 dtype=np.int64)}
 
 
-def pack(kind, n, arrays, version=1):
+def pack(kind, n, arrays, version=1, lines=None):
     """A dump container written from raw arrays, apart from dump.write:
     the header naming version, kind and n, a table line for each array
     of arrays (name -> values, in order), then each array's values as
     little-endian signed integers of the narrowest of 1, 2, 4 or 8 bytes
-    that holds them. The values are packed as given, unchecked."""
+    that holds them. The values are packed as given, unchecked; lines
+    (name -> text) replaces the table lines of the arrays it names."""
     table, raw = [f"histroute-dump {version} {kind} {n}"], []
     for name, values in arrays.items():
         a = np.asarray(values, dtype=np.int64)
         lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
         w = next(w for w in (1, 2, 4, 8)
                  if -2**(8 * w - 1) <= lo and hi < 2**(8 * w - 1))
-        table.append(f"{name} {w} {len(a)}")
+        table.append((lines or {}).get(name, f"{name} {w} {len(a)}"))
         raw.append(a.astype(f"<i{w}").tobytes())
     return "\n".join([*table, ""]).encode() + b"".join(raw)
+
+
+def rows(text):
+    """The container of a small dump written row by row: a line
+    'scheme <kind> <n>', then a line per vertex v in id order, 'v | v
+    [br] | bit | ids' for a simple scheme (no br: none) and 'v | x y |
+    ilo ihi | <six table fields> | bit | ids' for a double one, fields
+    in the class's order. Packed unchecked, so the reader meets what
+    the rows hold."""
+    head, *lines = text.splitlines()
+    _, kind, n = head.split()
+    cls = {"simple": scheme_simple.SimpleScheme,
+           "double": scheme_double.DoubleScheme}[kind]
+    values, lists = [], []
+    for line in lines:
+        _, *fields, ids = (list(map(int, part.split()))
+                           for part in line.split("|"))
+        if kind == "simple":
+            fields[0] = fields[0][1:] or [-1]
+        values.append([c for f in fields for c in f])
+        lists.append(ids)
+    return pack(kind, n, {
+        "indptr": np.cumsum([0, *map(len, lists)]),
+        "indices": [i for ids in lists for i in ids],
+        **{f: [vs[k] for vs in values] for k, f in enumerate(cls.fields)}})
+
+
+def faulty(kind, base, faults, placed):
+    """(data, reason): the dump of the arrays base with the faults
+    placed, (vertex, name) pairs, made there, and the message pattern
+    of the one the reader reports; None if two of them change one
+    entry. faults maps a name to (stage, the changes at vertex v, the
+    message at v), in the order the reader meets them: a stage 0 fault
+    replaces table lines (name -> text) and comes first, in table
+    order; a stage 1 fault changes indptr and a stage 2 fault the
+    entries of a vertex, each as (array, index, value) triples, and
+    these come by vertex, then in faults order."""
+    arrays = {name: list(a) for name, a in base.items()}
+    lines, changed = {}, set()
+    for v, name in placed:
+        stage, changes, _ = faults[name]
+        for change in changes(v).items() if stage == 0 else changes(v):
+            key = change[0] if stage == 0 else change[:2]
+            if key in changed:
+                return None
+            changed.add(key)
+            if stage == 0:
+                lines[change[0]] = change[1]
+            else:
+                col, i, value = change
+                arrays[col][i] = value
+    v, name = min(placed, key=lambda p: (
+        faults[p[1]][0], faults[p[1]][0] and p[0], list(faults).index(p[1])))
+    return pack(kind, len(base["indptr"]) - 1, arrays, lines=lines), \
+        faults[name][2](v)
 
 
 def staircase_text(m, swaps=None):

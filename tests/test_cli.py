@@ -179,6 +179,22 @@ def test_route_from_dump_after_deleting_polygon(capsys, steps_file,
     assert out.strip().splitlines()[0] == "2 0 7 6"
 
 
+def test_route_takes_comment_lines_as_the_readers_do(capsys, steps_file,
+                                                     tmp_path):
+    # str.splitlines() ends a line at a form feed, so the polygon reader
+    # takes this file's second line as its header, and so does route
+    fed = tmp_path / "ff.poly"
+    fed.write_text("# built\x0c" + H_STEPS_TEXT)
+    assert polygon.parse_polygon(fed.read_text()).n == 8
+    dump = tmp_path / "steps.scheme"
+    run(capsys, "build", steps_file, "--out", str(dump))
+    args = ("--from", "0", "--to", "5", "--trace")
+    want = run(capsys, "route", str(dump), *args)
+    assert want[0] == 0
+    assert run(capsys, "route", str(fed), *args) == want
+    assert run(capsys, "route", steps_file, *args) == want
+
+
 def test_route_reads_a_dump_only_when_it_starts_with_the_magic(
         capsys, dbl_file, tmp_path):
     # polygon text may start with a comment; a dump behind one is no
@@ -305,6 +321,7 @@ def double12_dump(nbrs, seed=5):
 
 
 GOOD = pack("simple", 2, SIMPLE2)
+TEXT_ROW = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1\n"
 
 
 @pytest.mark.parametrize("data,reason", [
@@ -343,13 +360,26 @@ GOOD = pack("simple", 2, SIMPLE2)
     (pack("simple", 3, {"indptr": [0, 2, 3, 4], "indices": [2, 1, 0, 0],
                         "br": [-1] * 3, "bit": [0] * 3}),
      "row 0 is out of order: 2 before 1"),
+    # dumps in the text format that the container replaced are polygon
+    # text to route, and not polygons
+    ("scheme simple 2\n0 | 0 | 0 | 1\n0 | 0 | 0 | 1\n".encode(),
+     "line 1: expected '<kind> <n>', got 'scheme simple 2'"),
+    (f"scheme double 2\n{TEXT_ROW}{TEXT_ROW}".encode(),
+     "line 1: expected '<kind> <n>', got 'scheme double 2'"),
+    (f"scheme double 2\n{TEXT_ROW}"
+     f"1 | 1 -1 | 0 {2**63} | 0 1 0 1 0 1 | 0 | 0\n".encode(),
+     "line 1: expected '<kind> <n>', got 'scheme double 2'"),
+    (f"scheme double 2\n{TEXT_ROW}"
+     f"1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | {2**64}\n".encode(),
+     "line 1: expected '<kind> <n>', got 'scheme double 2'"),
 ], ids=["simple-neighbor-out-of-range", "simple-no-vertices",
         "double-asymmetric", "simple-self-entry", "simple-repeated-neighbor",
         "simple-breakpoint-out-of-range", "double-field-out-of-range",
         "unknown-kind", "double-link-outside-interval", "bad-magic",
         "malformed-header", "unknown-version", "truncated-arrays",
         "truncated-table", "width-disagrees", "length-disagrees",
-        "row-out-of-order"])
+        "row-out-of-order", "simple-duplicate-row", "double-duplicate-row",
+        "double-field-beyond-int64", "double-neighbor-beyond-int64"])
 def test_route_rejects_malformed_dump(capsys, tmp_path, data, reason):
     # each ends in one error line, never a traceback
     dump = tmp_path / "bad.scheme"

@@ -12,8 +12,8 @@ from histroute import dump, engine, landmarks, polygon, scheme_double, \
 
 import invariants
 import oracles
-from conftest import DOUBLE2, dump_arrays, make_double, make_simple, pack, \
-    with_rows
+from conftest import DOUBLE2, dump_arrays, faulty, make_double, make_simple, \
+    pack, rows, with_rows
 
 
 def test_label_fields(sch_dbl, dbl):
@@ -267,80 +267,111 @@ def test_tables_match_oracle(small_doubles, random_doubles):
 GOOD = pack("double", 2, DOUBLE2)
 
 
+ROW0 = "0 | 0 1 | 0 1 | 0 1 0 1 0 1 | 1 | 1"
+ROW1 = "1 | 1 -1 | 0 1 | 0 1 0 1 0 1 | 0 | 0"
+TEXT_REFUSED = "not a double scheme dump: it does not start with"
+
+
+# a str is a dump in the row notation of conftest.rows, here GOOD's rows
+# ROW0 and ROW1 with one fault; bytes go to the reader as they are
 @pytest.mark.parametrize("data,reason", [
-    (pack("double", 0, {name: [] for name in DOUBLE2} | {"indptr": [0]}),
-     "at least one vertex"),
-    (pack("double", 2, {**DOUBLE2, "indices": [1, 9]}),
+    ("scheme double 0\n", "at least one vertex"),
+    (f"scheme double 2\n{ROW0}\n{ROW1[:-1]}9\n",
      r"row 1: neighbor id outside \[0, 2\)"),
-    (pack("double", 2, {**DOUBLE2, "indices": [-1, 0]}),
-     r"row 0: neighbor id outside \[0, 2\)"),
-    (pack("double", 2, {**DOUBLE2, "bit_bottom": [3, 0]}),
+    pytest.param(pack("double", 2, {**DOUBLE2, "indices": [-1, 0]}),
+                 r"row 0: neighbor id outside \[0, 2\)",
+                 id="neighbor-negative"),
+    (f"scheme double 2\n{ROW0.replace('| 1 |', '| 3 |')}\n{ROW1}\n",
      "row 0: bit field must be 0 or 1, got 3"),
-    (pack("double", 2, {**DOUBLE2, "y": [1, 0]}),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', '1 0')}\n",
      r"row 1: vertex \(1,0\) must lie off the base line"),
-    (pack("double", 2, {**DOUBLE2, "x": [0, 2**62]}),
+    (f"scheme double 2\n{ROW0}\n{ROW1.replace('1 -1', f'{2**62} -1')}\n",
      r"\|x\|, \|y\| < 2\*\*62"),
-    (pack("double", 2, {**DOUBLE2, "x": [0, -2**63]}),
-     rf"row 1: vertex \({-2**63},-1\) must lie off"),
-    (pack("double", 2, {**DOUBLE2, "ihi": [1, 2**62]}),
+    pytest.param(pack("double", 2, {**DOUBLE2, "x": [0, -2**63]}),
+                 rf"row 1: vertex \({-2**63},-1\) must lie off",
+                 id="x-at-int64-min"),
+    (f"scheme double 2\n{ROW0}\n"
+     f"{ROW1.replace('| 0 1 |', f'| 0 {2**62} |')}\n",
      rf"row 1: interval bound {2**62} is out of range"),
-    (pack("double", 2, {**DOUBLE2, "ilo": [0, -2**63]}),
-     rf"row 1: interval bound {-2**63} is out of range"),
-    (pack("double", 2, {**DOUBLE2, "i2td_lo": [-2**62, 0]}),
-     rf"row 0: table field {-2**62} is out of range"),
-    (pack("double", 2, {**DOUBLE2, "bd2x": [0, 2**63 - 1]}),
-     rf"row 1: table field {2**63 - 1} is out of range"),
-    (pack("double", 2, {**DOUBLE2, "indptr": [1, 1, 2]}),
-     "row 0: indptr starts at 1, not 0"),
-    (pack("double", 2, {**DOUBLE2, "indptr": [0, 2, 1]}),
-     "row 1: indptr falls from 2 to 1"),
-    (pack("double", 2, {**DOUBLE2, "indptr": [0, 1, 1]}),
-     "indptr ends at 1, not at 2, the length of indices"),
-    (b"HISTROUTE" + GOOD, "not a double scheme dump: it does not start "
-                          "with 'histroute-dump'"),
-    (pack("double", 2, DOUBLE2, version=0),
-     "unknown dump version '0', this reader reads version 1"),
-    (GOOD.replace(b" double ", b" triple "), "not a double scheme dump$"),
-    (GOOD[:-3], "dump holds 24 bytes of arrays, its table names 27"),
-    (GOOD + b"\0", "dump holds 28 bytes of arrays, its table names 27"),
-    (GOOD[:GOOD.index(b"\ny ")], "dump truncated in its header or table"),
-    (GOOD.replace(b"\nx 1 2", b"\nx 3 2"),
-     "dump table: x has width 3, not 1, 2, 4 or 8"),
-    (GOOD.replace(b"\ny 1 2", b"\ny 1 3"),
-     "dump table: y has length 3, expected 2"),
-    (GOOD.replace(b"\nilo 1 2", b"\nlow 1 2"),
-     "dump table: expected 'ilo <width> <length>', got 'low 1 2'"),
-    (GOOD.replace(b"\nihi 1 2", b"\nihi 1 2 2"),
-     "dump table: expected 'ihi <width> <length>', got 'ihi 1 2 2'"),
-    (GOOD.replace(b"\nihi 1 2", b"\nihi \xff 2"),
-     "dump header or table is not ASCII"),
-], ids=["no-vertices", "neighbor-out-of-range", "neighbor-negative", "bit",
-        "base-line", "x-out-of-range", "x-at-int64-min", "bound",
-        "bound-at-int64-min", "table-field", "table-field-at-int64-max",
-        "indptr-start", "indptr-falls", "indptr-end", "bad-magic",
-        "unknown-version", "unknown-kind", "truncated-arrays",
-        "trailing-bytes", "truncated-table", "width", "length",
-        "table-name", "table-line", "not-ascii"])
+    pytest.param(pack("double", 2, {**DOUBLE2, "ilo": [0, -2**63]}),
+                 rf"row 1: interval bound {-2**63} is out of range",
+                 id="bound-at-int64-min"),
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', f'0 1 0 1 {-2**62} 1')}"
+     f"\n{ROW1}\n", rf"row 0: table field {-2**62} is out of range"),
+    pytest.param(pack("double", 2, {**DOUBLE2, "bd2x": [0, 2**63 - 1]}),
+                 rf"row 1: table field {2**63 - 1} is out of range",
+                 id="table-field-at-int64-max"),
+    pytest.param(pack("double", 2, {**DOUBLE2, "indptr": [1, 1, 2]}),
+                 "row 0: indptr starts at 1, not 0", id="indptr-start"),
+    pytest.param(pack("double", 2, {**DOUBLE2, "indptr": [0, 2, 1]}),
+                 "row 1: indptr falls from 2 to 1", id="indptr-falls"),
+    pytest.param(pack("double", 2, {**DOUBLE2, "indptr": [0, 1, 1]}),
+                 "indptr ends at 1, not at 2, the length of indices",
+                 id="indptr-end"),
+    pytest.param(b"HISTROUTE" + GOOD, "not a double scheme dump: it does "
+                 "not start with 'histroute-dump'", id="bad-magic"),
+    pytest.param(pack("double", 2, DOUBLE2, version=0),
+                 "unknown dump version '0', this reader reads version 1",
+                 id="unknown-version"),
+    pytest.param(GOOD.replace(b" double ", b" triple "),
+                 "not a double scheme dump$", id="unknown-kind"),
+    pytest.param(GOOD[:-3], "dump holds 24 bytes of arrays, its table "
+                 "names 27", id="truncated-arrays"),
+    pytest.param(GOOD + b"\0", "dump holds 28 bytes of arrays, its table "
+                 "names 27", id="trailing-bytes"),
+    pytest.param(GOOD[:GOOD.index(b"\ny ")],
+                 "dump truncated in its header or table",
+                 id="truncated-table"),
+    pytest.param(GOOD.replace(b"\nx 1 2", b"\nx 3 2"),
+                 "dump table: x has width 3, not 1, 2, 4 or 8", id="width"),
+    pytest.param(GOOD.replace(b"\ny 1 2", b"\ny 1 3"),
+                 "dump table: y has length 3, expected 2", id="length"),
+    pytest.param(GOOD.replace(b"\nilo 1 2", b"\nlow 1 2"),
+                 "dump table: expected 'ilo <width> <length>', got 'low 1 2'",
+                 id="table-name"),
+    pytest.param(GOOD.replace(b"\nihi 1 2", b"\nihi 1 2 2"), "dump table: "
+                 "expected 'ihi <width> <length>', got 'ihi 1 2 2'",
+                 id="table-line"),
+    pytest.param(GOOD.replace(b"\nihi 1 2", b"\nihi \xff 2"),
+                 "dump header or table is not ASCII", id="not-ascii"),
+    # dumps in the text format that the container replaced, one with a
+    # value beyond int64, are refused at the magic, before any is read
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', '0 1 0')}\n{ROW1}\n"
+     .encode(), TEXT_REFUSED),
+    (f"scheme double 2\n{ROW0.replace('0 1 0 1 0 1', f'0 1 0 {10**30} 0 1')}"
+     f"\n{ROW1}\n".encode(), TEXT_REFUSED),
+])
 def test_parse_dump_strict(data, reason):
     with pytest.raises(dump.DumpError, match=reason):
-        scheme_double.parse_dump(data)
+        scheme_double.parse_dump(rows(data) if isinstance(data, str)
+                                 else data)
 
 
-# single-column faults of one vertex, in the order the reader checks
-# them: name -> (the values at vertex v of the arrays it changes, the
-# message for vertex v)
+# faults named after the text-row fields whose role their arrays or
+# table lines took over (see conftest.faulty): a token that is not an
+# integer now stands in a table line, the count of table fields is a
+# table column's length there, and the row id's role is the row's
+# indptr entry
 FAULTS = {
-    "base-line": (lambda v: {"y": 0},
-                  lambda v: rf"row {v}: vertex \({v},0\) must lie off"),
-    "low-bound": (lambda v: {"ilo": -2**62},
+    "not-an-int": (0, lambda v: {"x": "x 1 two"}, lambda v: (
+        "dump table: expected 'x <width> <length>', got 'x 1 two'")),
+    "table-count": (0, lambda v: {"bd2x": "bd2x 1 3"},
+                    lambda v: "dump table: bd2x has length 3, expected 2"),
+    "row-id": (1, lambda v: [("indptr", v + 1, v - 1)],
+               lambda v: rf"row {v}: indptr falls from {v} to {v - 1}"),
+    "base-line": (2, lambda v: [("y", v, 0)],
+                  lambda v: rf"row {v}: vertex \(-?\d+,0\) must lie off"),
+    "coordinates": (2, lambda v: [("x", v, 2**62)],
+                    lambda v: rf"row {v}: vertex \({2**62},"),
+    "low-bound": (2, lambda v: [("ilo", v, -2**62)],
                   lambda v: rf"row {v}: interval bound {-2**62} is out"),
-    "bound": (lambda v: {"ihi": 2**62},
+    "bound": (2, lambda v: [("ihi", v, 2**62)],
               lambda v: rf"row {v}: interval bound {2**62} is out"),
-    "table-range": (lambda v: {"bd2y": 2**62},
+    "table-range": (2, lambda v: [("bd2y", v, 2**62)],
                     lambda v: rf"row {v}: table field {2**62} is out"),
-    "bit": (lambda v: {"bit_bottom": 3},
+    "bit": (2, lambda v: [("bit_bottom", v, 3)],
             lambda v: rf"row {v}: bit field must be 0 or 1, got 3"),
-    "neighbor": (lambda v: {"indices": 9},
+    "neighbor": (2, lambda v: [("indices", v, 9)],
                  lambda v: rf"row {v}: neighbor id outside \[0, 2\)"),
 }
 
@@ -348,21 +379,12 @@ FAULTS = {
 @pytest.mark.parametrize("first,second", [
     (a, b) for a in FAULTS for b in FAULTS if a != b])
 def test_parse_dump_reports_first_fault_in_file_order(first, second):
-    # two faults in different columns: at two vertices the lower one's
-    # is reported, whichever column it is in, and at one vertex the
-    # first checked; each vertex has one listing, at its own index
-    def data(placed):
-        arrays = {name: list(a) for name, a in DOUBLE2.items()}
-        for v, name in placed:
-            for col, value in FAULTS[name][0](v).items():
-                arrays[col][v] = value
-        return pack("double", 2, arrays)
-
-    with pytest.raises(dump.DumpError, match=FAULTS[first][1](0)):
-        scheme_double.parse_dump(data([(0, first), (1, second)]))
-    if list(FAULTS).index(first) < list(FAULTS).index(second):
-        with pytest.raises(dump.DumpError, match=FAULTS[first][1](1)):
-            scheme_double.parse_dump(data([(1, first), (1, second)]))
+    # two faults, at two vertices and at one; each vertex has one
+    # listing, at its own index
+    for placed in ([(0, first), (1, second)], [(1, first), (1, second)]):
+        data, reason = faulty("double", DOUBLE2, FAULTS, placed)
+        with pytest.raises(dump.DumpError, match=reason):
+            scheme_double.parse_dump(data)
 
 
 def test_parse_dump_minimal_rows_accepted():

@@ -6,7 +6,8 @@ import pytest
 from histroute import dump, engine, scheme_simple
 
 import oracles
-from conftest import SIMPLE2, dump_arrays, make_double, pack, with_rows
+from conftest import SIMPLE2, dump_arrays, faulty, make_double, pack, rows, \
+    with_rows
 
 
 def test_labels_rect(sch_rect):
@@ -146,59 +147,86 @@ def test_labels_match_oracle(small_simples, random_simples):
                 f"n={h.n} v={v}"
 
 
+# a str is a dump in the row notation of conftest.rows; bytes go to
+# the reader as they are
+TEXT_REFUSED = "not a simple scheme dump: it does not start with"
+
+
 @pytest.mark.parametrize("data,reason", [
     (b"", "not a simple scheme dump"),
-    (pack("simple", 0, {"indptr": [0], "indices": [], "br": [], "bit": []}),
-     "at least one vertex"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [1, -1]}),
-     r"row 1: neighbor id outside \[0, 2\)"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [2, 0]}),
-     r"row 0: neighbor id outside \[0, 2\)"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [1, 2**63 - 1]}),
-     r"row 1: neighbor id outside \[0, 2\)"),
-    (pack("simple", 2, {**SIMPLE2, "bit": [2, 0]}),
-     "row 0: bit field must be 0 or 1, got 2"),
-    (pack("simple", 2, {**SIMPLE2, "bit": [0, -1]}),
-     "row 1: bit field must be 0 or 1, got -1"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [1, 1], "indptr": [0, 2, 2]}),
+    pytest.param(pack("simple", 0, {"indptr": [0], "indices": [], "br": [],
+                                    "bit": []}),
+                 "at least one vertex", id="no-vertices"),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | -1\n", "neighbor id"),
+    ("scheme simple 2\n0 | 0 | 0 | 2\n1 | 1 | 0 | 0\n", "row 0: neighbor id"),
+    pytest.param(pack("simple", 2, {**SIMPLE2, "indices": [1, 2**63 - 1]}),
+                 r"row 1: neighbor id outside \[0, 2\)",
+                 id="neighbor-at-int64-max"),
+    ("scheme simple 2\n0 | 0 | 2 | 1\n1 | 1 | 0 | 0\n", "bit field"),
+    pytest.param(pack("simple", 2, {**SIMPLE2, "bit": [0, -1]}),
+                 "row 1: bit field must be 0 or 1, got -1", id="bit-negative"),
+    # a repeated listing is reported before the missing match
+    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0\n",
      "row 0 lists 1 twice"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [1], "indptr": [0, 1, 1]}),
+    ("scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 |\n",
      "row 0 lists 1 more often than row 1 lists 0"),
-    (pack("simple", 2, {**SIMPLE2, "indices": [0, 0], "indptr": [0, 1, 2]}),
+    ("scheme simple 2\n0 | 0 | 0 | 0 1\n1 | 1 | 0 | 0 1\n",
      "row 0 lists itself"),
-    (pack("simple", 2, {**SIMPLE2, "br": [2, -1]}),
+    ("scheme simple 2\n0 | 0 | 0 | 1 1\n1 | 1 | 0 | 0 0\n",
+     "row 0 lists 1 twice"),
+    ("scheme simple 2\n0 | 0 2 | 0 | 1\n1 | 1 | 0 | 0\n",
      r"row 0: breakpoint 2 is outside \[0, 2\)"),
-    (pack("simple", 2, {**SIMPLE2, "br": [-1, -2]}),
-     r"row 1: breakpoint -2 is outside \[0, 2\)"),
-    (pack("simple", 2, {**SIMPLE2, "br": [-2**63, -1]}),
-     rf"row 0: breakpoint {-2**63} is outside \[0, 2\)"),
-    (pack("double", 2, SIMPLE2), "not a simple scheme dump$"),
-    (pack("simple", 2, {**SIMPLE2, "bit": [0, 0, 0]}),
-     "dump table: bit has length 3, expected 2"),
-    (pack("simple", 2, {**SIMPLE2, "indptr": [0, 1]}),
-     "dump table: indptr has length 2, expected 3"),
-    (pack("simple", 2, {"indptr": [0, 1, 2], "indices": [1, 0],
-                        "bit": [0, 0], "br": [-1, -1]}),
-     "dump table: expected 'br <width> <length>', got 'bit 1 2'"),
-], ids=["empty", "no-vertices", "neighbor-negative", "neighbor-too-big",
-        "neighbor-at-int64-max", "bit", "bit-negative", "repeated-neighbor",
-        "unmatched-listing", "self-entry", "breakpoint", "breakpoint-below",
-        "breakpoint-at-int64-min", "wrong-kind", "column-length",
-        "indptr-length", "columns-swapped"])
+    # -1 is no breakpoint
+    pytest.param(pack("simple", 2, {**SIMPLE2, "br": [-1, -2]}),
+                 r"row 1: breakpoint -2 is outside \[0, 2\)",
+                 id="breakpoint-below"),
+    pytest.param(pack("simple", 2, {**SIMPLE2, "br": [-2**63, -1]}),
+                 rf"row 0: breakpoint {-2**63} is outside \[0, 2\)",
+                 id="breakpoint-at-int64-min"),
+    pytest.param(pack("double", 2, SIMPLE2), "not a simple scheme dump$",
+                 id="wrong-kind"),
+    pytest.param(pack("simple", 2, {**SIMPLE2, "bit": [0, 0, 0]}),
+                 "dump table: bit has length 3, expected 2",
+                 id="column-length"),
+    pytest.param(pack("simple", 2, {**SIMPLE2, "indptr": [0, 1]}),
+                 "dump table: indptr has length 2, expected 3",
+                 id="indptr-length"),
+    pytest.param(pack("simple", 2, {"indptr": [0, 1, 2], "indices": [1, 0],
+                                    "bit": [0, 0], "br": [-1, -1]}),
+                 "dump table: expected 'br <width> <length>', got 'bit 1 2'",
+                 id="columns-swapped"),
+    # dumps in the text format that the container replaced, some with
+    # values beyond int64, are refused at the magic, before any is read
+    (b"scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 -1 | 0 | 0\n", TEXT_REFUSED),
+    (b"scheme simple 2\n0 | 0 | true | 1\n1 | 1 | 0 | 0\n", TEXT_REFUSED),
+    (f"scheme simple 2\n0 | 0 {2**63} | 0 | 1\n1 | 1 | 0 | 0\n".encode(),
+     TEXT_REFUSED),
+    (f"scheme simple 2\n0 | 0 | 0 | 1\n1 | 1 | 0 | {-2**64}\n".encode(),
+     TEXT_REFUSED),
+    (f"scheme simple 2\n0 | 0 | 0 | 1\n{2**63} | 1 | 0 | 0\n".encode(),
+     TEXT_REFUSED),
+    (f"scheme simple 2\n0 | {2**64} | 0 | 1\n1 | 1 | 0 | 0\n".encode(),
+     TEXT_REFUSED),
+])
 def test_parse_dump_strict(data, reason):
     with pytest.raises(dump.DumpError, match=reason):
-        scheme_simple.parse_dump(data)
+        scheme_simple.parse_dump(rows(data) if isinstance(data, str)
+                                 else data)
 
 
-# single-column faults of one vertex, in the order the reader checks
-# them: name -> (the values at vertex v of the arrays it changes, the
-# message for vertex v)
+# faults named after the text-row fields whose role their arrays took
+# over (see conftest.faulty): the row id's is the row's indptr entry,
+# the label's the breakpoint column, below -1 (no breakpoint) or beyond
 FAULTS = {
-    "breakpoint": (lambda v: {"br": 7},
+    "row-id": (1, lambda v: [("indptr", v + 1, v - 1)],
+               lambda v: rf"row {v}: indptr falls from {v} to {v - 1}"),
+    "label": (2, lambda v: [("br", v, -2)],
+              lambda v: rf"row {v}: breakpoint -2 is outside"),
+    "breakpoint": (2, lambda v: [("br", v, 7)],
                    lambda v: rf"row {v}: breakpoint 7 is outside"),
-    "bit": (lambda v: {"bit": 2},
+    "bit": (2, lambda v: [("bit", v, 2)],
             lambda v: f"row {v}: bit field must be 0 or 1, got 2"),
-    "neighbor": (lambda v: {"indices": 9},
+    "neighbor": (2, lambda v: [("indices", v, 9)],
                  lambda v: rf"row {v}: neighbor id outside \[0, 2\)"),
 }
 
@@ -206,21 +234,13 @@ FAULTS = {
 @pytest.mark.parametrize("first,second", [
     (a, b) for a in FAULTS for b in FAULTS if a != b])
 def test_parse_dump_reports_first_fault_in_file_order(first, second):
-    # two faults in different columns: at two vertices the lower one's
-    # is reported, whichever column it is in, and at one vertex the
-    # first checked; each vertex has one listing, at its own index
-    def data(placed):
-        arrays = {name: list(a) for name, a in SIMPLE2.items()}
-        for v, name in placed:
-            for col, value in FAULTS[name][0](v).items():
-                arrays[col][v] = value
-        return pack("simple", 2, arrays)
-
-    with pytest.raises(dump.DumpError, match=FAULTS[first][1](0)):
-        scheme_simple.parse_dump(data([(0, first), (1, second)]))
-    if list(FAULTS).index(first) < list(FAULTS).index(second):
-        with pytest.raises(dump.DumpError, match=FAULTS[first][1](1)):
-            scheme_simple.parse_dump(data([(1, first), (1, second)]))
+    # two faults, at two vertices and at one (where they change two
+    # entries); each vertex has one listing, at its own index
+    for placed in ([(0, first), (1, second)], [(1, first), (1, second)]):
+        case = faulty("simple", SIMPLE2, FAULTS, placed)
+        if case is not None:
+            with pytest.raises(dump.DumpError, match=case[1]):
+                scheme_simple.parse_dump(case[0])
 
 
 def _tampered(graph, drop=None, **changes):
