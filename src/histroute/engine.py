@@ -123,13 +123,17 @@ class Scheme:
 def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
-    The trace includes both endpoints; s == t gives an empty trace. A
-    hop is one call of the step, bound once a route, on the current
-    vertex's link and table, the target label and the header. A port
-    outside [0, len(link.ids)), or naming the current vertex, raises
-    FirewallError; a packet still travelling after 2n hops, more than
-    twice any shortest path, raises HopLimitExceeded.
+    The trace includes both endpoints; s == t gives an empty trace. An
+    s or t outside [0, n) raises ValueError. A hop is one call of the
+    step, bound once a route, on the current vertex's link and table,
+    the target label and the header. A port outside [0, len(link.ids)),
+    or naming the current vertex, raises FirewallError; a packet still
+    travelling after 2n hops, more than twice any shortest path, raises
+    HopLimitExceeded.
     """
+    if not (0 <= s < scheme.n and 0 <= t < scheme.n):
+        raise ValueError(f"vertex ids must be in [0, {scheme.n}), "
+                         f"got {s} -> {t}")
     if s == t:
         return []
     links, tables, step = scheme.links, scheme.tables, scheme.step

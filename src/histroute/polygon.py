@@ -17,7 +17,7 @@ counterclockwise orientation, and general position: every x value and
 every y value is shared by exactly two vertices.
 """
 
-import itertools
+import re
 
 import numpy as np
 
@@ -108,20 +108,9 @@ def out_of_range(a):
     return (a <= -_LIMIT) | (a >= _LIMIT)
 
 
-def int_tokens(tokens):
-    """int() of each token, as an array: (values, None), or the values
-    before the first token that int() rejects and its message. The
-    values are int64, or objects when one does not fit in int64."""
-    try:
-        return np.array(tokens, dtype=np.int64), None
-    except (ValueError, OverflowError):
-        vals = []
-        for t in tokens:
-            try:
-                vals.append(int(t))
-            except ValueError as exc:
-                return np.array(vals, dtype=object), str(exc)
-        return np.array(vals, dtype=object), None
+# a "\n" not followed by a line of two tokens; \s is the whitespace that
+# str.split() splits at
+_FAULTY_LINE = re.compile(r"\n(?!\S+[^\S\n]+\S+$)", re.M)
 
 
 def content_lines(text):
@@ -315,20 +304,27 @@ def parse_polygon(text: str) -> Histogram:
     if len(lines) - 1 != n:
         raise PolygonError(
             "syntax", f"expected {n} vertex lines, got {len(lines) - 1}")
-    # one conversion of all tokens; the first faulty line wins, one
-    # with other than two tokens or with a token that int() rejects
-    parts = list(map(str.split, lines[1:]))
-    counts = np.fromiter(map(len, parts), dtype=np.int64, count=n)
-    bad = np.flatnonzero(counts != 2)
-    end = bad[0] if len(bad) else n
-    vals, err = int_tokens(list(itertools.chain.from_iterable(parts[:end])))
-    if err is not None:
-        raise PolygonError("syntax", f"line {numbers[1 + len(vals) // 2]}: "
-                           "coordinates must be integers")
-    if end < n:
-        raise PolygonError("syntax", f"line {numbers[1 + end]}: expected "
-                           f"'<x> <y>', got {lines[1 + end]!r}")
-    return Histogram(kind, *_checked(vals, kind))
+    # one search for a line of other than two tokens, one split and one
+    # conversion; where either fails, a loop finds the first faulty line
+    lines[0] = ""    # the parsed header: now a "\n" starts each vertex line
+    body = "\n".join(lines)
+    try:
+        if _FAULTY_LINE.search(body):
+            raise ValueError
+        flat = np.array(body.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        flat = []   # Python ints, so _checked reports one beyond int64
+        for number, line in zip(numbers[1:], lines[1:]):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise PolygonError("syntax", f"line {number}: expected "
+                                   f"'<x> <y>', got {line!r}") from None
+            try:
+                flat += map(int, tokens)
+            except ValueError:
+                raise PolygonError("syntax", f"line {number}: coordinates "
+                                   "must be integers") from None
+    return Histogram(kind, *_checked(flat, kind))
 
 
 def to_text(h: Histogram) -> str:

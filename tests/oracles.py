@@ -6,12 +6,13 @@ hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
 vertex sets, hop distances by a plain queue walk, two-step progress
-by a walk along one trace, a pair sample by one-shot draws, and the
-double step with its own dominator bisections. They are
+by a walk along one trace, a pair sample by one-shot draws, the
+double step with its own dominator bisections, and polygon text read
+line by line. They are
 slow (O(n) or worse per vertex) and exist so the tests can check the
 library's sweeps, array-based preprocessing, bit-parallel BFS, array
-progress check, chunked sampling and local routing decisions against a
-second, independent derivation.
+progress check, chunked sampling, local routing decisions and one-pass
+text parsing against a second, independent derivation.
 """
 
 from bisect import bisect_left, bisect_right
@@ -23,7 +24,7 @@ import numpy as np
 
 from histroute import engine
 from histroute.engine import HeaderProtocolError, RoutingError
-from histroute.polygon import Histogram
+from histroute.polygon import Histogram, PolygonError, build_histogram
 from histroute.scheme_double import DoubleLabel, DoubleLink, DoubleTable
 from histroute.scheme_simple import SimpleLabel
 from histroute.visibility import VisibilityGraph, co_visible_fast
@@ -570,3 +571,40 @@ def sample_pairs(n: int, k: int, seed):
         keep = ss != tt
         out.extend(zip(ss[keep].tolist(), tt[keep].tolist()))
     return out[:k]
+
+
+def parse_polygon_lines(text: str) -> Histogram:
+    """parse_polygon's result from the format's definition, one line at
+    a time: the lines of str.splitlines(), stripped, without blanks and
+    ``#`` comments; a header ``<kind> <n>``; then n lines, each split
+    into two tokens and converted by int(), the first faulty line
+    raising; then build_histogram of the points."""
+    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    numbered = [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
+    if not numbered:
+        raise PolygonError("syntax", "empty input")
+    (first, header), *rest = numbered
+    parts = header.split()
+    if len(parts) != 2 or parts[0] not in ("simple", "double"):
+        raise PolygonError("syntax", f"line {first}: expected '<kind> <n>', "
+                           f"got {header!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise PolygonError("syntax", f"line {first}: bad vertex count") \
+            from None
+    if len(rest) != n:
+        raise PolygonError("syntax",
+                           f"expected {n} vertex lines, got {len(rest)}")
+    points = []
+    for i, line in rest:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise PolygonError("syntax",
+                               f"line {i}: expected '<x> <y>', got {line!r}")
+        try:
+            points.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            raise PolygonError(
+                "syntax", f"line {i}: coordinates must be integers") from None
+    return build_histogram(points, parts[0])

@@ -277,6 +277,32 @@ def test_verify_internal_value_error_is_not_a_usage_error(
         cli.cli_main(["verify", steps_file])
 
 
+@pytest.mark.parametrize("failing,k", [(lambda s, t: s == 1, 7),
+                                       (lambda s, t: s < 3, 21)],
+                         ids=["7-failures", "21-failures"])
+def test_verify_prints_its_first_ten_failures(monkeypatch, capsys,
+                                              steps_file, failing, k):
+    real = engine.run_route
+
+    def hop_limited(scheme, s, t):
+        if failing(s, t):
+            raise engine.HopLimitExceeded(f"no arrival routing {s} -> {t}")
+        return real(scheme, s, t)
+
+    monkeypatch.setattr(engine, "run_route", hop_limited)
+    code, out, err = run(capsys, "verify", steps_file)
+    assert code == 1
+    assert f"failures={k}" in out.splitlines()
+    lines = err.splitlines()
+    assert len(lines) == min(k, 10)
+    for line in lines:
+        s, t = map(int, re.fullmatch(r"failure: s=(\d+) t=(\d+) reason=.*",
+                                     line).groups())
+        assert failing(s, t)
+        assert line.endswith(f" reason=HopLimitExceeded: no arrival routing "
+                             f"{s} -> {t}")
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/file.poly")
     assert code != 0

@@ -61,6 +61,20 @@ def test_run_route_trivial(sch_rect):
     assert engine.run_route(sch_rect, 1, 3) == [1, 3]
 
 
+@pytest.mark.parametrize("kind", ["simple", "double"])
+@pytest.mark.parametrize("s,t", [(-1, 3), (3, 12), (3, -1), (12, 3),
+                                 (-1, -1), (12, 12)])
+def test_run_route_rejects_ids_outside_the_scheme(kind, s, t):
+    # on the simple scheme (-1, 3) used to route from vertex 11,
+    # (3, 12) to raise a bare IndexError and (3, -1) a FirewallError
+    h, g = (make_simple if kind == "simple" else make_double)(12)
+    sch = scheme_simple.preprocess_simple(h, g) if kind == "simple" else \
+        scheme_double.preprocess_double(h, g)
+    with pytest.raises(ValueError) as ei:
+        engine.run_route(sch, s, t)
+    assert str(ei.value) == f"vertex ids must be in [0, 12), got {s} -> {t}"
+
+
 def test_firewall_rejects_non_neighbor(sch_steps):
     # vertex 1's link holds 0, 1, 2, 3: port 4 is past its end
     assert sch_steps.links[1].ids == (0, 1, 2, 3)

@@ -5,6 +5,7 @@ import pytest
 
 from histroute import dump, engine, polygon, scheme_simple, visibility
 
+import oracles
 from conftest import H_DBL_TEXT, H_RECT_TEXT, H_STEPS_TEXT, near_staircase
 
 
@@ -38,6 +39,61 @@ def test_parse_errors(text, code):
     with pytest.raises(polygon.PolygonError) as ei:
         polygon.parse_polygon(text)
     assert ei.value.code == code
+
+
+SQUARE = [(0, 3), (0, 0), (3, 0), (3, 3)]
+BIG = 99999999999999999999999
+# (text, code, message); code None: the text parses to SQUARE
+PARSE_MESSAGES = [
+    ("", "syntax", "empty input"),
+    ("# only a comment\n \t\n", "syntax", "empty input"),
+    ("simple\n", "syntax", "line 1: expected '<kind> <n>', got 'simple'"),
+    ("\n# kind\ntriangle 4\n0 3\n0 0\n3 0\n3 3\n", "syntax",
+     "line 3: expected '<kind> <n>', got 'triangle 4'"),
+    ("simple four\n0 3\n0 0\n3 0\n3 3\n", "syntax",
+     "line 1: bad vertex count"),
+    ("double 8.5\n" + "0 1\n" * 8, "syntax", "line 1: bad vertex count"),
+    ("simple 4\n0 3\n0 0\n3 0\n", "syntax", "expected 4 vertex lines, got 3"),
+    ("simple -1\n", "syntax", "expected -1 vertex lines, got 0"),
+    ("simple 0\n", "closed-cycle",
+     "need an even number of vertices, at least 4, got 0"),
+    ("simple 4\n0 3\n\n0 0 1\n3 0\n3 3\n", "syntax",
+     "line 4: expected '<x> <y>', got '0 0 1'"),
+    ("simple 4\n0 3\n0\n3 0\n3 3", "syntax",
+     "line 3: expected '<x> <y>', got '0'"),
+    ("simple 4\n0 3\na b\n3 0\n3 3\n", "syntax",
+     "line 3: coordinates must be integers"),
+    # the first faulty line wins; on one line, the token count
+    ("simple 4\n0 3\n0 x\n3 0 1\n3 3\n", "syntax",
+     "line 3: coordinates must be integers"),
+    ("simple 4\n0 3\n0 0 1\n3 x\n3 3\n", "syntax",
+     "line 3: expected '<x> <y>', got '0 0 1'"),
+    ("simple 4\n0 3\n0 x 1\n3 0\n3 3\n", "syntax",
+     "line 3: expected '<x> <y>', got '0 x 1'"),
+    # a coordinate beyond int64 is read, and rejected by its range
+    (f"simple 4\n0 3\n0 0\n{BIG} 0\n{BIG} 3\n", "syntax",
+     f"vertex 2: coordinate {BIG} is out of range, |c| must be below 2**62"),
+    (f"simple 4\n0 3\n0 0\n{BIG} 0\nx 3\n", "syntax",
+     "line 5: coordinates must be integers"),
+    (f"simple 4\n0 3\n0 {BIG} 0\n{BIG} 0\n3 3\n", "syntax",
+     f"line 3: expected '<x> <y>', got '0 {BIG} 0'"),
+    # str.splitlines() line ends, str.split() whitespace and int() forms
+    ("simple\t4\r\n 0 3 \n0\u30000\r3\xa00\x0c# c\x853\x1f\u2003+3\u2028",
+     None, None),
+    ("simple 4\n0 \u0663\n0 -0\n3 0\n0_3 3\n", None, None),
+]
+
+
+@pytest.mark.parametrize("text,code,message", PARSE_MESSAGES,
+                         ids=[repr(t[:24]) for t, *_ in PARSE_MESSAGES])
+def test_parse_messages(text, code, message):
+    if code is None:
+        h = polygon.parse_polygon(text)
+        assert h.points() == SQUARE and h.xs.dtype == np.int64
+        return
+    with pytest.raises(polygon.PolygonError) as ei:
+        polygon.parse_polygon(text)
+    assert (ei.value.code, ei.value.message) == (code, message)
 
 
 def rejection(p, kind):
@@ -387,3 +443,62 @@ def test_parse_fuzz_scaled_mutants(kind, n, seed, edits, shift):
     h = parses_or_rejects(text)
     if not edits and shift < 58:    # |c| < 2**62 after scaling
         assert h is not None
+
+
+def parse_outcome(parse, text):
+    """The kind and points parse gives text, or its (code, message)."""
+    try:
+        h = parse(text)
+    except polygon.PolygonError as exc:
+        return exc.code, exc.message
+    assert h.xs.dtype == h.ys.dtype == np.int64
+    return h.kind, h.points()
+
+
+SPACES = " \t\x1f\xa0\u2003\u3000"     # str.split() splits at each
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+ODD_TOKENS = ["1.0", "x", "0x10", "1e3", "+", "_1", "1__0", "\u00b2", "#",
+              "+3", "\u0663", "-0", "007", "1_0", "\uff19",
+              str(2**62), str(2**63), str(-2**63 - 1), str(10**30)]
+HUGE_TOKENS = st.one_of(st.integers(2**63, 2**70),     # beyond int64
+                        st.integers(-2**70, -2**63 - 1)).map(str)
+
+
+@st.composite
+def polygon_texts(draw):
+    """Polygon text around a generated polygon: blank and comment lines,
+    tabs and other whitespace, and up to three edits that leave a line
+    one token short or long or swap in a non-integer or huge token."""
+    kind = draw(st.sampled_from(["simple", "double"]))
+    n = 2 * draw(st.integers(4, 8))
+    h = polygon.generate(kind, n, seed=draw(st.integers(0, 999)))
+    rows = [[kind, str(n)]] + [[str(x), str(y)] for x, y in h.points()]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[-1 - draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row)))
+        op = draw(st.sampled_from(["drop", "add", "odd", "huge"]))
+        if op == "add":
+            row.insert(at, draw(st.sampled_from(ODD_TOKENS)))
+        elif op == "drop" and row:
+            del row[min(at, len(row) - 1)]
+        elif row:
+            row[min(at, len(row) - 1)] = draw(
+                st.sampled_from(ODD_TOKENS) if op == "odd" else HUGE_TOKENS)
+    space = st.text(SPACES, max_size=2)
+    filler = st.one_of(space, space.map(lambda s: s + "# 1 2 3"))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(filler, max_size=1))
+        sep = draw(st.text(SPACES, min_size=1, max_size=2))
+        lines.append(draw(space) + sep.join(row) + draw(space))
+    return "".join(ln + draw(st.sampled_from(LINE_ENDS)) for ln in lines)
+
+
+@hypothesis.given(text=st.one_of(
+    polygon_texts(),
+    st.lists(st.one_of(header_line, pair_line, st.text(max_size=12)),
+             max_size=10).map("\n".join)))
+@hypothesis.settings(max_examples=500, deadline=None)
+def test_parse_matches_line_by_line_reference(text):
+    assert parse_outcome(polygon.parse_polygon, text) == \
+        parse_outcome(oracles.parse_polygon_lines, text)

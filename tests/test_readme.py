@@ -1,4 +1,5 @@
-"""The command examples of README.md, run through the CLI as shown."""
+"""The examples of README.md: its commands run through the CLI, and its
+library block run as Python, as shown."""
 
 import pathlib
 import re
@@ -32,3 +33,10 @@ def test_readme_commands_run_as_shown(tmp_path, monkeypatch, capsys):
     command, *shown = block("$ histroute route").splitlines()
     assert cli.cli_main(shlex.split(command)[2:]) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_readme_library_block_runs_as_shown():
+    names = {}
+    exec(block("from histroute import"), names)
+    assert names["trace"][0] == 0 and names["trace"][-1] == 27
+    assert names["report"].ok
