@@ -5,8 +5,8 @@ build (polygon -> scheme dump), route (one source/target pair), and
 verify (all or sampled pairs against BFS). Every input names its own
 kind: a polygon file in its ``simple N`` or ``double N`` header, a
 dump in its container header (see dump). Exit codes: 0 on success,
-1 when validation, building, routing, or verification fails, 2 on
-usage errors.
+1 when reading, validation, building, routing, or verification fails,
+2 on usage errors; cli_main maps each error class to its code.
 """
 
 import argparse
@@ -26,9 +26,13 @@ _KINDS = {
 }
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
+# The exit-code table of cli_main: these errors end a subcommand in one
+# "error:" line, a sample that cannot be drawn (bad usage) with exit code
+# 2, the rest with 1. Any other exception, a plain ValueError too, is a
+# defect and propagates.
+_ERRORS = (engine.SampleSizeError, OSError, UnicodeDecodeError,
+           polygon.PolygonError, dump.DumpError, engine.SchemeBuildError,
+           engine.RoutingError)
 
 
 def _seed(text: str) -> int:
@@ -85,10 +89,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    try:
-        _, scheme = _prepare(_read(args.file))
-    except (polygon.PolygonError, engine.SchemeBuildError) as exc:
-        return _fail(str(exc))
+    _, scheme = _prepare(_read(args.file))
     data = dump.write(scheme)
     summary = [f"labBits={scheme.max_label_bits}",
                f"tabBits={scheme.max_table_bits}",
@@ -116,19 +117,12 @@ def _load_for_route(path: str):
 
 
 def _cmd_route(args) -> int:
-    try:
-        scheme = _load_for_route(args.file)
-    except (polygon.PolygonError, engine.SchemeBuildError,
-            ValueError) as exc:
-        return _fail(str(exc))
+    scheme = _load_for_route(args.file)
     n = scheme.n
     if not (0 <= args.src < n and 0 <= args.dst < n):
         print(f"error: vertex ids must be in [0, {n})", file=sys.stderr)
         return 2
-    try:
-        trace = engine.run_route(scheme, args.src, args.dst)
-    except engine.RoutingError as exc:
-        return _fail(str(exc))
+    trace = engine.run_route(scheme, args.src, args.dst)
     bfs = engine.bfs_distances(scheme.indptr, scheme.indices, args.src,
                                args.dst)[args.dst].item()
     if args.trace:
@@ -138,17 +132,9 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        g, scheme = _prepare(_read(args.file))
-    except (polygon.PolygonError, engine.SchemeBuildError) as exc:
-        return _fail(str(exc))
-    try:
-        report = engine.verify_all_pairs(scheme, g, pairs=args.pairs,
-                                         seed=args.seed,
-                                         report_path=args.report)
-    except engine.SampleSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g, scheme = _prepare(_read(args.file))
+    report = engine.verify_all_pairs(scheme, g, pairs=args.pairs,
+                                     seed=args.seed, report_path=args.report)
     for line in report.summary_lines():
         print(line)
     if not report.ok:
@@ -207,8 +193,9 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(str(exc))
+    except _ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, engine.SampleSizeError) else 1
 
 
 def main():

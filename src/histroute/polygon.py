@@ -187,8 +187,10 @@ def _check_x_monotone(xs, ys):
     if (dx[rightward] < 0).any() or (dx[leftward] > 0).any():
         return "a chain reverses x-direction"
     # each chain's horizontal edges now tile [xmin, xmax]: the one over
-    # a gap is the last to start at or left of the gap's left end
-    cuts = np.unique(xs)
+    # a gap is the last to start at or left of the gap's left end; the
+    # distinct x values come from a sort (a plain np.unique may hash)
+    cuts = np.sort(xs)
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     heights = [ys[e][np.searchsorted(left, cuts[:-1], "right") - 1]
                for e, left in ((rightward, xs[rightward]),
                                (leftward, xs[leftward] + dx[leftward]))]
@@ -370,37 +372,27 @@ def generate(kind: str, n: int, seed: int) -> Histogram:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"simple histograms need even n >= 4, got {n}")
         m = n // 2 - 1  # number of teeth
-        heights = rng.permutation(m)
-        base = m
-        pts = [(0, base), (0, int(heights[0]))]
-        for i in range(1, m):
-            pts.append((i, int(heights[i - 1])))
-            pts.append((i, int(heights[i])))
-        pts.append((m, int(heights[m - 1])))
-        pts.append((m, base))
-        return build_histogram(pts, "simple")
-    if kind == "double":
+        # tooth i spans [i, i + 1]; the base runs from (m, m) to (0, m)
+        xs = np.repeat(np.arange(m + 1), 2)
+        ys = np.concatenate(([m], np.repeat(rng.permutation(m), 2), [m]))
+    elif kind == "double":
         if n < 8 or n % 2 != 0:
             raise ValueError(f"double histograms need even n >= 8, got {n}")
         m = n // 2
         k_bot = int(rng.integers(2, m - 1))  # teeth below, at least 2 each side
-        k_top = m - k_bot
-        width = m - 1
-        inner = rng.permutation(np.arange(1, width))
-        bot_cuts = sorted(int(v) for v in inner[: k_bot - 1])
-        top_cuts = sorted(int(v) for v in inner[k_bot - 1:])
-        bot_x = [0] + bot_cuts + [width]
-        top_x = [0] + top_cuts + [width]
-        bot_h = [-(int(v) + 1) for v in rng.permutation(k_bot)]
-        top_h = [int(v) + 1 for v in rng.permutation(k_top)]
-        pts = [(0, top_h[0]), (0, bot_h[0])]
-        for i in range(1, k_bot):
-            pts.append((bot_x[i], bot_h[i - 1]))
-            pts.append((bot_x[i], bot_h[i]))
-        pts.append((width, bot_h[-1]))
-        pts.append((width, top_h[-1]))
-        for i in range(k_top - 1, 0, -1):
-            pts.append((top_x[i], top_h[i]))
-            pts.append((top_x[i], top_h[i - 1]))
-        return build_histogram(pts, "double")
-    raise ValueError(f"unknown kind {kind!r}")
+        inner = rng.permutation(np.arange(1, m - 1))
+        # each chain left to right, from x = 0 to x = m - 1: its k teeth
+        # meet at its cuts, at distances 1..k from y = 0 in random order
+        chains = []
+        for sign, cuts in ((-1, inner[:k_bot - 1]), (1, inner[k_bot - 1:])):
+            x = np.concatenate(([0], np.sort(cuts), [m - 1]))
+            y = sign * (rng.permutation(len(x) - 1) + 1)
+            chains.append((np.repeat(x, 2)[1:-1], np.repeat(y, 2)))
+        (bx, by), (tx, ty) = chains
+        # ccw from vertex 0, the top of the left edge: the bottom chain
+        # rightward, then the top chain leftward
+        xs = np.concatenate((tx[:1], bx, tx[:0:-1]))
+        ys = np.concatenate((ty[:1], by, ty[:0:-1]))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return Histogram(kind, *_checked(np.column_stack((xs, ys)).ravel(), kind))

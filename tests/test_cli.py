@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 
 import hypothesis
 import hypothesis.strategies as st
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import histroute
-from histroute import cli, engine, polygon, scheme_double, scheme_simple, \
-    visibility
+from histroute import cli, dump, engine, polygon, scheme_double, \
+    scheme_simple, visibility
 
 import oracles
 from conftest import DOUBLE2, H_DBL_TEXT, H_STEPS_TEXT, SIMPLE2, \
@@ -301,6 +302,61 @@ def test_verify_prints_its_first_ten_failures(monkeypatch, capsys,
         assert failing(s, t)
         assert line.endswith(f" reason=HopLimitExceeded: no arrival routing "
                              f"{s} -> {t}")
+
+
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+def _no_landmark(mp):
+    mp.setitem(cli._KINDS, "simple", (
+        _raise(engine.SchemeBuildError("no landmark")),
+        scheme_simple.SimpleScheme))
+
+
+def _edgeless(mp):
+    # the polygon's scheme, verified against a graph with no edges
+    prepare = cli._prepare
+
+    def edgeless(text):
+        _, scheme = prepare(text)
+        return types.SimpleNamespace(
+            indptr=np.zeros(scheme.n + 1, np.int64),
+            indices=np.zeros(0, np.int64)), scheme
+
+    mp.setattr(cli, "_prepare", edgeless)
+
+
+@pytest.mark.parametrize("cmd,dumped,patch,message", [
+    ("build", False, _no_landmark, "no landmark"),
+    ("route", False, _no_landmark, "no landmark"),
+    ("route", True,
+     lambda mp: mp.setattr(dump, "read",
+                           _raise(dump.DumpError("bad table"))), "bad table"),
+    ("route", True,
+     lambda mp: mp.setattr(engine, "run_route",
+                           _raise(engine.FirewallError("left the interval"))),
+     "left the interval"),
+    ("verify", False, _no_landmark, "no landmark"),
+    ("verify", False, _edgeless, "visibility graph is not connected"),
+], ids=["build-scheme", "route-scheme", "route-dump", "route-routing",
+        "verify-scheme", "verify-disconnected"])
+def test_library_errors_end_in_one_error_line(capsys, monkeypatch, tmp_path,
+                                              steps_file, cmd, dumped, patch,
+                                              message):
+    # cli_main's exit-code table: each error a library call raises ends
+    # the subcommand in exit code 1 and one "error:" line
+    path = steps_file
+    if dumped:
+        path = str(tmp_path / "steps.scheme")
+        assert run(capsys, "build", steps_file, "--out", path)[0] == 0
+    patch(monkeypatch)
+    extra = ["--from", "0", "--to", "3"] if cmd == "route" else []
+    code, out, err = run(capsys, cmd, path, *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_missing_file(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -250,6 +252,32 @@ def test_generate_deterministic():
     a = polygon.generate("double", 24, seed=9)
     b = polygon.generate("double", 24, seed=9)
     assert a.points() == b.points()
+
+
+GENERATE_GOLDEN = [
+    ("simple", 4, 0,
+     "59f92172e6bb535d9671a6a4ddd219cdf1264502b257a82007bc50d8204c8ed2"),
+    ("simple", 12, 3,
+     "c3ccb080bf3604b1c0b53c18b01cdc96440faa093b823ff5b325720926068a17"),
+    ("simple", 500, 1,
+     "c4a676a3534ca0c173c57bb409756b9925e1c59438dc5d40fe6c74deceb64ee5"),
+    ("double", 8, 0,
+     "18562ff10f53315a11513c13d8f2e938dc9590d82d8f370313fd9db5aadd846c"),
+    ("double", 24, 9,
+     "e73c5dde0c7d1a2df0e984518421c362685fecfc3619adbd01caa53a0635af61"),
+    ("double", 500, 1,
+     "5d97e71997c86bee7d81dc6f2ff7423f1de764e42c86dcbdf280cf5af32c578a"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,seed,digest", GENERATE_GOLDEN,
+    ids=[f"{k}-{n}-{s}" for k, n, s, _ in GENERATE_GOLDEN])
+def test_generate_matches_golden_text(kind, n, seed, digest):
+    # simple dumps hold no coordinates, so the golden dump hashes pin
+    # generate only up to order; these pin its text, vertex by vertex
+    text = polygon.to_text(polygon.generate(kind, n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_x_monotone_chain_reverses():
