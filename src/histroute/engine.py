@@ -58,12 +58,14 @@ def closed_rows(indptr, indices, order):
 
 def cut_rows(rows, *cols):
     """Link columns cut from the closed rows (ptr, ids): the ids, then
-    each int64 column taken at the ids, each as one tuple that one
-    slice per vertex cuts up: a port indexes every column of a link.
-    Taken from object arrays, the entries of one vertex share one int
-    object, not one per link; and tuples of ints leave the cyclic
-    garbage collector's lists once it has seen them, while lists are
-    scanned at every full collection."""
+    each column taken at the ids, each as one tuple that one slice per
+    vertex cuts up: a port indexes every column of a link. A column is
+    an int64 array, or an object array such as a scheme's label
+    records, which the links then share rather than copy. Taken through
+    object arrays, the entries of one vertex share one object, not one
+    per link; and tuples of ints (not those of records) leave the
+    cyclic garbage collector's lists once it has seen them, while lists
+    are scanned at every full collection."""
     ptr, ids = rows
     cuts = list(map(slice, ptr[:-1].tolist(), ptr[1:].tolist()))
     return [list(map(tuple(c.astype(object)[ids].tolist()).__getitem__,
@@ -82,8 +84,10 @@ class Scheme:
     and ``label_of`` and ``table_of`` read. The list ``links``
     holds links cut in one batch (``cut_rows``) from the closed rows
     that closed_rows gives in the order of ``link_order(n, cols)``, by
-    default the ids ascending. The adjacency is kept as the CSR pair
-    (indptr, indices) that visibility.VisibilityGraph built.
+    default the ids ascending; a link's columns are ids and values
+    taken from ``cols``, or the label records themselves. The
+    adjacency is kept as the CSR pair (indptr, indices) that
+    visibility.VisibilityGraph built.
 
     Subclasses set ``kind``, the ``max_*_bits`` bounds, the records and
     links in ``__init__``, the dump columns (``fields``, the names in

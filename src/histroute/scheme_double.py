@@ -46,26 +46,24 @@ _LABEL_FIELDS, _TABLE_FIELDS = ([f.name for f in dataclasses.fields(c)]
 
 class DoubleLink:
     """The closed neighborhood in link order (by x, distance to base,
-    y), as tuples cut by engine.cut_rows that a port indexes: ``ids``
-    and the coordinates ``xs``, ``ys`` and interval bounds ``ilo``,
-    ``ihi`` of their labels. ``own`` is the label of ``own_vid``, and
-    bd and td are the ports of the neighborhood's bottom and top
-    dominators (see _row_vertical_dominators). Every field is fixed at
-    build; routing reads a link and never writes to it. The step calls
-    ``find`` only to follow a header; its direct hit and case 1 bisect
-    ``xs`` inline."""
+    y), as tuples cut by engine.cut_rows that a port indexes: ``ids``,
+    the labels ``labs`` of those vertices (the scheme's own DoubleLabel
+    records, not copies) and their x-coordinates ``xs``, the key a step
+    bisects. ``own`` is the label of ``own_vid``, and bd and td are the
+    ports of the neighborhood's bottom and top dominators (see
+    _row_vertical_dominators). Every field is fixed at build; routing
+    reads a link and never writes to it. The step calls ``find`` only
+    to follow a header; its direct hit and case 1 bisect ``xs``
+    inline."""
 
-    __slots__ = ("own_vid", "own", "ids", "xs", "ys", "ilo", "ihi",
-                 "bd", "td")
+    __slots__ = ("own_vid", "own", "ids", "xs", "labs", "bd", "td")
 
-    def __init__(self, own_vid, own, ids, xs, ys, ilo, ihi, bd, td):
+    def __init__(self, own_vid, own, ids, xs, labs, bd, td):
         self.own_vid = own_vid
         self.own = own
         self.ids = ids
         self.xs = xs
-        self.ys = ys
-        self.ilo = ilo
-        self.ihi = ihi
+        self.labs = labs
         self.bd = bd
         self.td = td
 
@@ -74,10 +72,10 @@ class DoubleLink:
         a look back along its x-group, which holds at most two vertices
         in a valid histogram. Of repeated coordinates the last in link
         order wins."""
-        xs, ys = self.xs, self.ys
+        xs, labs = self.xs, self.labs
         i = bisect_right(xs, x) - 1
         while i >= 0 and xs[i] == x:
-            if ys[i] == y:
+            if labs[i].y == y:
                 return i
             i -= 1
         return None
@@ -114,9 +112,9 @@ def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
     xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
     j = bisect_right(xs, tx)
     i = j - 1
-    ys, ty = link.ys, target.y
+    labs, ty = link.labs, target.y
     while i >= 0 and xs[i] == tx:
-        if ys[i] == ty:
+        if labs[i].y == ty:
             return i, None
         i -= 1
     # xs[i + 1:j] is tx's x-group
@@ -153,19 +151,18 @@ def route_step_double(scheme, link: DoubleLink, table: DoubleTable,
     # and for one on the right with x-groups taken from the right, each
     # nearer the base first: the first vertex of the greedy extension
     # sequence toward tx whose interval reaches it
-    ilo, ihi = link.ilo, link.ihi
     if tx < own.ilo:
-        if tx >= ilo[link.bd] or tx >= ilo[link.td]:
+        if tx >= labs[link.bd].ilo or tx >= labs[link.td].ilo:
             port = 0
-            while ilo[port] > tx:
+            while labs[port].ilo > tx:
                 port += 1
             return port, None
-    elif tx <= ihi[link.bd] or tx <= ihi[link.td]:
-        port = len(ihi) - 1
-        while ihi[port] < tx:
+    elif tx <= labs[link.bd].ihi or tx <= labs[link.td].ihi:
+        port = len(labs) - 1
+        while labs[port].ihi < tx:
             port -= 1
         port = bisect_left(xs, xs[port])
-        while ihi[port] < tx:
+        while labs[port].ihi < tx:
             port += 1
         return port, None
 
@@ -200,7 +197,8 @@ class DoubleScheme(Scheme):
         self.tables = list(map(DoubleTable, *(
             cols[f].tolist() for f in _TABLE_FIELDS)))
         self.links = list(map(DoubleLink, range(n), self.labels,
-                              *cut_rows(rows, x, y, ilo, ihi),
+                              *cut_rows(rows, x, np.fromiter(
+                                  self.labels, object, n)),
                               *(a.tolist() for a in vdom)))
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign

@@ -7,11 +7,12 @@ breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
 vertex sets, hop distances by a plain queue walk, two-step progress
 by a walk along one trace, a pair sample by one-shot draws, the
-double step with its own dominator bisections, and polygon text read
-line by line. They are
-slow (O(n) or worse per vertex) and exist so the tests can check the
-library's sweeps, array-based preprocessing, bit-parallel BFS, array
-progress check, chunked sampling, local routing decisions and one-pass
+double step with its own dominator bisections, the dump reader's
+symmetry check as a sorted search of each listing's match, and polygon
+text read line by line. They are slow (O(n) or worse per vertex) and
+exist so the tests can check the library's sweeps, array-based
+preprocessing, bit-parallel BFS, array progress check, chunked
+sampling, local routing decisions, sorted symmetry test and one-pass
 text parsing against a second, independent derivation.
 """
 
@@ -287,7 +288,7 @@ def local_vertical_dominators(link):
     scan of its entries: the (distance to base, x)-minimal entries below
     and above the base line, an empty side copying the other, ties to
     the first entry in link order."""
-    entries = list(zip(link.ids, link.xs, link.ys))
+    entries = [(u, lab.x, lab.y) for u, lab in zip(link.ids, link.labs)]
     below = [e for e in entries if e[2] < 0]
     above = [e for e in entries if e[2] > 0]
     return (min(below or above, key=lambda e: (abs(e[2]), e[1])),
@@ -328,7 +329,7 @@ def reference_step_double(scheme, link: DoubleLink, table: DoubleTable,
     xs = link.xs    # a direct hit, found as link.find(tx, target.y) would
     i = bisect_right(xs, tx) - 1
     while i >= 0 and xs[i] == tx:
-        if link.ys[i] == target.y:
+        if link.labs[i].y == target.y:
             return i, None
         i -= 1
     own = link.own
@@ -354,19 +355,19 @@ def reference_step_double(scheme, link: DoubleLink, table: DoubleTable,
     # and for one on the right with x-groups taken from the right, each
     # nearer the base first: the first vertex of the greedy extension
     # sequence toward tx whose interval reaches it
-    ilo, ihi = link.ilo, link.ihi
+    labs = link.labs
     if tx < own.ilo:
-        if tx >= ilo[link.bd] or tx >= ilo[link.td]:
+        if tx >= labs[link.bd].ilo or tx >= labs[link.td].ilo:
             port = 0
-            while ilo[port] > tx:
+            while labs[port].ilo > tx:
                 port += 1
             return port, None
-    elif tx <= ihi[link.bd] or tx <= ihi[link.td]:
-        port = len(ihi) - 1
-        while ihi[port] < tx:
+    elif tx <= labs[link.bd].ihi or tx <= labs[link.td].ihi:
+        port = len(labs) - 1
+        while labs[port].ihi < tx:
             port -= 1
         port = bisect_left(xs, xs[port])
-        while ihi[port] < tx:
+        while labs[port].ihi < tx:
             port += 1
         return port, None
 
@@ -490,6 +491,22 @@ def ray_hits(h: Histogram):
             for key, value in zip(("vid", "x", "y"), (vid, *hit)):
                 out[f"{side}_{key}"].append(value)
     return {name: np.array(vals, dtype=np.int64) for name, vals in out.items()}
+
+
+def symmetry_fault(n: int, indptr, indices):
+    """The message of the dump reader's symmetry fault at the lowest
+    faulty row, or None, by one sorted search: each listing u -> v looks
+    for its match v -> u among the keys u * n + v, which ascend in a
+    dump whose rows are strictly ascending."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    keys, back = src * n + indices, indices * n + src
+    at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+    bad = np.flatnonzero(keys[at] != back)
+    if not bad.size:
+        return None
+    u, v = src[bad[0]], indices[bad[0]]
+    return f"row {u} lists {v} more often than row {v} lists {u}"
 
 
 def neighbor_lists(g: VisibilityGraph):

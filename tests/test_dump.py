@@ -2,12 +2,16 @@
 and damaged bytes."""
 
 import itertools
+import re
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from histroute import dump, engine, scheme_double, scheme_simple
 
+import oracles
 from conftest import DOUBLE2, SIMPLE2, pack
 
 MODULES = {"simple": scheme_simple, "double": scheme_double}
@@ -128,3 +132,56 @@ def test_every_flipped_byte_loads_or_is_rejected(request, fixture):
             except engine.RoutingError:
                 pass
     assert loaded > 0
+
+
+def edit_listings(lists, ops):
+    """lists, one list of neighbor ids per vertex, after the ops in
+    order, each (op, u, i, w): "drop" drops row u's i-th listing (i
+    taken modulo the row's length), "add" lists w in row u and "move"
+    retargets row u's i-th listing to w. An op that cannot apply (an
+    empty row, w already in row u or w = u) is skipped, so every row
+    stays strictly ascending without itself."""
+    lists = [set(row) for row in lists]
+    for op, u, i, w in ops:
+        row = sorted(lists[u])
+        fits = w != u and w not in lists[u]
+        if op == "add" and fits:
+            lists[u].add(w)
+        elif row and (op == "drop" or fits):
+            lists[u].discard(row[i % len(row)])
+            if op == "move":
+                lists[u].add(w)
+    return [sorted(row) for row in lists]
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_symmetry_check_matches_the_sorted_search(data):
+    # a symmetric graph with one to three listings dropped, added or
+    # retargeted: the reader accepts exactly when the oracle's sorted
+    # search finds every listing's match, and otherwise raises its
+    # message. The columns let no other check fire: no breakpoints,
+    # and double intervals that span every x
+    kind = data.draw(st.sampled_from(["simple", "double"]))
+    n = data.draw(st.integers(2, 8))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))))
+    lists = [[v for e in edges for v in e if u in e and v != u]
+             for u in range(n)]
+    vertex = st.integers(0, n - 1)
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["drop", "add", "move"]), vertex,
+        st.integers(0, n), vertex), min_size=1, max_size=3))
+    lists = edit_listings(lists, ops)
+    indptr = np.cumsum([0, *map(len, lists)])
+    indices = [v for row in lists for v in row]
+    cols = ({"br": [-1] * n, "bit": [0] * n} if kind == "simple" else {
+        "x": range(n), "y": [1] * n, "ilo": [0] * n, "ihi": [n] * n,
+        **dict.fromkeys(scheme_double.DoubleScheme.fields[4:], [0] * n)})
+    blob = pack(kind, n, {"indptr": indptr, "indices": indices, **cols})
+    fault = oracles.symmetry_fault(n, indptr, indices)
+    if fault is None:
+        assert MODULES[kind].parse_dump(blob).indices.tolist() == indices
+    else:
+        with pytest.raises(dump.DumpError, match=f"^{re.escape(fault)}$"):
+            MODULES[kind].parse_dump(blob)

@@ -138,9 +138,11 @@ def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
                                            int(h.ys[u])))
                 link = s.links[v]
                 assert list(link.ids) == closed
-                assert list(zip(link.xs, link.ys, link.ilo, link.ihi)) == \
-                    [(lab.x, lab.y, lab.ilo, lab.ihi)
-                     for lab in map(s.label_of, closed)]
+                # the links hold the scheme's own label records
+                assert len(link.labs) == len(link.ids)
+                assert all(lab is s.labels[u]
+                           for u, lab in zip(link.ids, link.labs))
+                assert link.xs == tuple(lab.x for lab in link.labs)
 
 
 def test_route_all_pairs_fixture(sch_dbl, dbl):
@@ -598,7 +600,7 @@ def drawn_links(two_doubles):
                 scheme_double.DoubleLabel(link.own.x, link.own.y, lo, hi),
                 *(getattr(link, f) for f in link.__slots__[2:]))
             xs, ys = st.integers(lo, hi), st.integers(-sch.n - 1, sch.n + 1)
-            on_link = st.sampled_from(list(zip(link.xs, link.ys)))
+            on_link = st.sampled_from([(lab.x, lab.y) for lab in link.labs])
             inputs = st.tuples(on_link | st.tuples(xs, ys),
                                st.none() | on_link | st.tuples(xs, ys))
             out += [(link, table, inputs), (wide, table, inputs)]

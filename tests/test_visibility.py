@@ -242,15 +242,16 @@ def test_graph_memory_is_linear(kind):
 
 
 # Tracemalloc peaks at n = 10^4, measured with numpy 2.4 on Python 3.11,
-# in this module alone and in the whole suite: 5.9 MiB simple and
-# 16.1-16.6 MiB double preprocessing, 13.6 MiB reading the double dump
-# (objects reused from free lists are not counted, so the peak moves
-# with what ran before). Each bound adds a fifth to the highest
-# peak seen, rounded up to whole MiB; the per-vertex links, their tuples
-# of shared ints, are most of each peak.
+# each test alone, in this module alone and in the whole suite: 5.7-5.9
+# MiB simple and 13.2-14.0 MiB double preprocessing, 11.1-13.3 MiB
+# reading the double dump (objects reused from free lists are not
+# counted, so the peak moves with what ran before). Each bound adds a
+# fifth to the highest peak seen, rounded up to whole MiB; the
+# per-vertex links, their tuples of shared ints and of the label
+# records, are most of each peak.
 @pytest.mark.parametrize("kind, preprocess, bound_mib", [
     ("simple", scheme_simple.preprocess_simple, 8),
-    ("double", scheme_double.preprocess_double, 20),
+    ("double", scheme_double.preprocess_double, 17),
 ], ids=["simple", "double"])
 def test_preprocess_memory(kind, preprocess, bound_mib):
     h = polygon.normalize(polygon.generate(kind, 10_000, seed=1))
@@ -276,4 +277,4 @@ def test_dump_read_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
+    assert peak < 16 * 2**20, f"dump.read peak {peak / 2**20:.1f} MiB"
