@@ -4,21 +4,24 @@ The engine moves a packet by repeatedly calling the scheme's step
 function, handing it nothing but the current vertex's link table and
 routing table, the target's label, and the packet header. The step
 answers with a port, a position in the link's ``ids``; a port outside
-the link, or naming the current vertex, is a firewall breach. Ground
-truth distances come from one bit-parallel BFS over the visibility
-graph's CSR, asked only the pairs a check reads, and verify_all_pairs
-compares every routed path against them; a one-source BFS that pushes
-from each level's frontier answers a single distance and the
-connectivity check. The bit-parallel BFS pulls its levels
-from the CSR with the vertices renumbered by degree, highest first,
-so that each vertex's c-th neighbours form one column over a prefix
-of the rows; a level gathers each of the first _CAP columns whole, and
-one reduceat the rest of the rows of higher degree.
+the link, or naming the current vertex, is a firewall breach. One hop
+loop does this, for run_route a route at a time and for
+verify_all_pairs, which reads the scheme's lists and step once, a
+chunk of pairs at a time. Ground truth distances come from one
+bit-parallel BFS over the visibility graph's CSR, asked only the pairs
+a check reads, and verify_all_pairs compares every routed path against
+them; a one-source BFS that pushes from each level's frontier answers
+a single distance and the connectivity check. The bit-parallel BFS
+pulls its levels from the CSR with the vertices renumbered by degree,
+highest first, so that each vertex's c-th neighbours form one column
+over a prefix of the rows; a level gathers each of the first _CAP
+columns whole, and one reduceat the rest of the rows of higher degree.
 """
 
 import csv
 import dataclasses
 import itertools
+import operator
 import typing
 
 import numpy as np
@@ -128,10 +131,9 @@ def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
     The trace includes both endpoints; s == t gives an empty trace. An
-    s or t outside [0, n) raises ValueError. A hop is one call of the
-    step, bound once a route, on the current vertex's link and table,
-    the target label and the header. A port outside [0, len(link.ids)),
-    or naming the current vertex, raises FirewallError; a packet still
+    s or t outside [0, n) raises ValueError. The hops are _walk's, with
+    the step bound once a route: a port outside [0, len(link.ids)), or
+    naming the current vertex, raises FirewallError; a packet still
     travelling after 2n hops, more than twice any shortest path, raises
     HopLimitExceeded.
     """
@@ -140,23 +142,37 @@ def run_route(scheme, s: int, t: int):
                          f"got {s} -> {t}")
     if s == t:
         return []
-    links, tables, step = scheme.links, scheme.tables, scheme.step
-    target = scheme.labels[t]
     trace = [s]
+    _walk(scheme.links, scheme.tables, scheme.step, scheme.labels[t], s, t,
+          range(2 * scheme.n), trace)
+    return trace
+
+
+def _walk(links, tables, step, target, s, t, hops, out):
+    """Move a packet from s to t != s, appending each hop's vertex to out.
+
+    A hop is one call of step on the current vertex's link and table,
+    the target label and the header. A port past the link's end, below
+    0, or naming the current vertex raises FirewallError; a packet
+    still travelling after len(hops) hops raises HopLimitExceeded.
+    """
     header, cur = None, s
-    for _ in range(2 * scheme.n):
+    for _ in hops:
         link = links[cur]
         port, header = step(link, tables[cur], target, header)
-        ids = link.ids
-        if not 0 <= port < len(ids) or (nxt := ids[port]) == cur:
+        try:
+            nxt = link.ids[port]
+        except IndexError:      # past the link's end: not a neighbor
+            nxt = cur
+        if port < 0 or nxt == cur:
             raise FirewallError(
                 f"step at {cur} returned port {port}, not a neighbor")
-        trace.append(nxt)
+        out.append(nxt)
         if nxt == t:
-            return trace
+            return
         cur = nxt
     raise HopLimitExceeded(
-        f"no arrival after {2 * scheme.n} hops routing {s} -> {t}")
+        f"no arrival after {len(hops)} hops routing {s} -> {t}")
 
 
 _BATCH = 512   # sources per kernel batch: 8 uint64 words
@@ -388,7 +404,7 @@ _CHUNK = 1 << 16    # pairs routed, then checked, at a time
 
 
 class SampleSizeError(ValueError):
-    """A pair sample larger than the number of ordered pairs."""
+    """A pair sample size that is not an integer in [0, n(n-1)]."""
 
 
 def _sample_pairs(n, k, seed):
@@ -412,21 +428,27 @@ def _sample_pairs(n, k, seed):
 
 
 def _route_flat(scheme, chunk):
-    """Route every pair of chunk into one flat list of vertex ids.
+    """Route every pair (s, t), s != t, of chunk into one flat list of
+    vertex ids, through _walk with the scheme's lists, step and hop
+    range read once.
 
     Returns (vs, lens, errors): pair i's trace is the next lens[i] ids
     of vs, and errors maps each pair i whose route raised a RoutingError
     to its failure reason, in which case its trace is held as [s] alone.
     """
+    links, tables, step, labels = (scheme.links, scheme.tables, scheme.step,
+                                   scheme.labels)
+    hops = range(2 * scheme.n)
     vs, lens, errors = [], [], {}
     for i, (s, t) in enumerate(chunk):
+        at = len(vs)
+        vs.append(s)
         try:
-            trace = run_route(scheme, s, t)
+            _walk(links, tables, step, labels[t], s, t, hops, vs)
         except RoutingError as exc:
-            trace = [s]
+            del vs[at + 1:]
             errors[i] = f"{type(exc).__name__}: {exc}"
-        vs.extend(trace)
-        lens.append(len(trace))
+        lens.append(len(vs) - at)
     return vs, lens, errors
 
 
@@ -435,8 +457,8 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     pairs is "all" for every ordered pair with s != t, or an integer
     sample size (drawn uniformly with the given seed) of at most
-    n(n-1); a negative or larger sample raises SampleSizeError, a
-    ValueError.
+    n(n-1); anything else, such as 2.5 or "7", and a negative or larger
+    sample raise SampleSizeError, a ValueError.
     Simple schemes must match BFS exactly; double schemes must have
     stretch at most 2 and make two-step progress along every trace.
 
@@ -456,7 +478,11 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     if pairs == "all":
         pair_iter = ((s, t) for s in range(n) for t in range(n) if s != t)
     else:
-        k = int(pairs)
+        try:
+            k = operator.index(pairs)
+        except TypeError:
+            raise SampleSizeError(f"cannot sample {pairs!r} pairs: a sample "
+                                  f"size is 'all' or an integer") from None
         if k < 0:
             raise SampleSizeError(f"cannot sample {k} pairs: a sample "
                                   f"size is not negative")

@@ -270,10 +270,10 @@ def test_verify_oversized_pairs(capsys, tmp_path):
 
 def test_verify_internal_value_error_is_not_a_usage_error(
         monkeypatch, steps_file):
-    def broken(scheme, s, t):
+    def broken(*args):
         raise ValueError("internal defect")
 
-    monkeypatch.setattr(engine, "run_route", broken)
+    monkeypatch.setattr(engine, "_walk", broken)
     with pytest.raises(ValueError, match="internal defect"):
         cli.cli_main(["verify", steps_file])
 
@@ -283,14 +283,14 @@ def test_verify_internal_value_error_is_not_a_usage_error(
                          ids=["7-failures", "21-failures"])
 def test_verify_prints_its_first_ten_failures(monkeypatch, capsys,
                                               steps_file, failing, k):
-    real = engine.run_route
+    real = engine._walk
 
-    def hop_limited(scheme, s, t):
+    def hop_limited(links, tables, step, target, s, t, hops, out):
         if failing(s, t):
             raise engine.HopLimitExceeded(f"no arrival routing {s} -> {t}")
-        return real(scheme, s, t)
+        return real(links, tables, step, target, s, t, hops, out)
 
-    monkeypatch.setattr(engine, "run_route", hop_limited)
+    monkeypatch.setattr(engine, "_walk", hop_limited)
     code, out, err = run(capsys, "verify", steps_file)
     assert code == 1
     assert f"failures={k}" in out.splitlines()

@@ -104,12 +104,18 @@ def test_header_violation_rejected(sch_dbl):
         engine.run_route(bad, 1, 6)
 
 
-def test_hop_limit(sch_steps):
-    class PingPong(HijackedScheme):
-        def step(self, link, table, target, header):
-            own = link.own_vid
-            return link.ids.index(0 if own != 0 else 1), None
+class PingPong(HijackedScheme):
+    """Bounces a packet between the neighbors 0 and 1 once it reaches
+    either."""
 
+    def step(self, link, table, target, header):
+        own = link.own_vid
+        if own in (0, 1):
+            return link.ids.index(1 - own), None
+        return self.inner.step(link, table, target, header)
+
+
+def test_hop_limit(sch_steps):
     with pytest.raises(engine.HopLimitExceeded, match="after 16 hops"):
         engine.run_route(PingPong(sch_steps, at=0), 2, 6)
 
@@ -518,23 +524,14 @@ class Detour(HijackedScheme):
         return self.inner.step(link, table, target, header)
 
 
-@pytest.mark.parametrize("make, preprocess", [
-    (make_simple, scheme_simple.preprocess_simple),
-    (make_double, scheme_double.preprocess_double),
-])
-def test_verify_rows_rederived(tmp_path, make, preprocess):
-    # every CSV row and failure record, rebuilt pair by pair from
-    # run_route and the queue BFS; the detours cause every failure kind
-    h, g = make(24, seed=3)
-    sch = Detour(preprocess(h, g), at=-1)
-    out = tmp_path / "report.csv"
-    rep = engine.verify_all_pairs(sch, g, report_path=str(out))
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+def rederived(sch, g):
+    """The CSV rows and failure records of verify_all_pairs(sch, g) on
+    all pairs, rebuilt pair by pair from run_route and the queue BFS."""
     neighbors = oracles.neighbor_lists(g)
-    dist = [oracles.bfs(neighbors, t) for t in range(h.n)]
+    dist = [oracles.bfs(neighbors, t) for t in range(sch.n)]
     want_rows, want_failures = [], []
-    for s, t in [(s, t) for s in range(h.n) for t in range(h.n) if s != t]:
+    for s, t in [(s, t) for s in range(sch.n) for t in range(sch.n)
+                 if s != t]:
         bfs = dist[t][s]
         try:
             trace = engine.run_route(sch, s, t)
@@ -543,7 +540,7 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
             reason = f"{type(exc).__name__}: {exc}"
         else:
             routed = len(trace) - 1
-            if h.kind == "simple":
+            if sch.kind == "simple":
                 reason = "not a shortest path" if routed != bfs else None
             elif routed > 2 * bfs:
                 reason = "stretch above 2"
@@ -559,11 +556,74 @@ def test_verify_rows_rederived(tmp_path, make, preprocess):
             want_failures.append({"s": s, "t": t, "bfs": bfs,
                                   "routed": routed, "trace": trace,
                                   "reason": reason})
+    return want_rows, want_failures
+
+
+def verified(sch, g, tmp_path):
+    """verify_all_pairs(sch, g) on all pairs: the report and its CSV
+    rows."""
+    out = tmp_path / "report.csv"
+    rep = engine.verify_all_pairs(sch, g, report_path=str(out))
+    with open(out, newline="") as fh:
+        return rep, list(csv.reader(fh))[1:]
+
+
+@pytest.mark.parametrize("make, preprocess", [
+    (make_simple, scheme_simple.preprocess_simple),
+    (make_double, scheme_double.preprocess_double),
+])
+def test_verify_rows_rederived(tmp_path, make, preprocess):
+    # every CSV row and failure record, rebuilt pair by pair from
+    # run_route and the queue BFS; the detours cause every failure kind
+    h, g = make(24, seed=3)
+    sch = Detour(preprocess(h, g), at=-1)
+    rep, rows = verified(sch, g, tmp_path)
+    want_rows, want_failures = rederived(sch, g)
     assert {f["reason"][:8] for f in want_failures} >= (
         {"HopLimit", "not a sh"} if h.kind == "simple"
         else {"HopLimit", "stretch ", "progress"})
     assert rows == want_rows
     assert rep.failures == want_failures
+
+
+def refuse(link):
+    raise engine.RoutingError(f"no way on from {link.own_vid}")
+
+
+@pytest.mark.parametrize("fixture, misroute, kind", [
+    ("steps", lambda sch: HijackedScheme(
+        sch, at=1, port=lambda link: len(link.ids)), "FirewallError"),
+    ("steps", lambda sch: HijackedScheme(sch, at=1, port=lambda link: -1),
+     "FirewallError"),
+    ("steps", lambda sch: HijackedScheme(sch, at=1, port=own_port),
+     "FirewallError"),
+    ("dbl", lambda sch: HijackedScheme(sch, at=1, port=port_of(3),
+                                       header=(999, 999)),
+     "HeaderProtocolError"),
+    ("steps", lambda sch: PingPong(sch, at=None), "HopLimitExceeded"),
+    ("dbl", lambda sch: PingPong(sch, at=None), "HopLimitExceeded"),
+    ("steps", lambda sch: HijackedScheme(sch, at=1, port=refuse),
+     "RoutingError"),
+], ids=["past-the-end", "negative", "self-hop", "unseen-header",
+        "hop-limit-simple", "hop-limit-double", "step-raises"])
+def test_verify_records_routing_errors_as_run_route_raises_them(
+        request, tmp_path, fixture, misroute, kind):
+    # pair by pair, a route that raises is recorded with run_route's
+    # exception as its reason, routed -1 and no trace, and its CSV row
+    # reads routed -1 and stretch inf
+    h, g = request.getfixturevalue(fixture)
+    sch = misroute(request.getfixturevalue(f"sch_{fixture}"))
+    rep, rows = verified(sch, g, tmp_path)
+    want_rows, want_failures = rederived(sch, g)
+    errors = [f for f in want_failures if f["trace"] is None]
+    assert errors
+    assert {f["reason"].split(":")[0] for f in errors} == {kind}
+    assert rows == want_rows
+    assert rep.failures == want_failures
+    row = {(int(r[0]), int(r[1])): r for r in rows}
+    for f in errors:
+        assert f["routed"] == -1
+        assert row[f["s"], f["t"]][3:] == ["-1", "inf"]
 
 
 @pytest.mark.parametrize("make, preprocess", [
@@ -604,10 +664,23 @@ def test_verify_is_the_same_in_small_chunks(tmp_path, monkeypatch, make,
 def test_verify_rejects_oversized_sample(sch_rect, rect):
     h, g = rect
     assert engine.verify_all_pairs(sch_rect, g, pairs=12, seed=0).pairs == 12
+    assert engine.verify_all_pairs(sch_rect, g, pairs=np.int64(12),
+                                   seed=0).pairs == 12
     with pytest.raises(ValueError, match="'all'"):
         engine.verify_all_pairs(sch_rect, g, pairs=13, seed=0)
     with pytest.raises(ValueError, match="'all'"):
         engine.verify_all_pairs(sch_rect, g, pairs=10**11, seed=0)
+
+
+@pytest.mark.parametrize("pairs", [0.9, 2.5, 3.0, "7", "all ", None])
+def test_verify_rejects_a_sample_size_that_is_not_an_integer(sch_rect, rect,
+                                                            pairs):
+    # int() once made 0.9 a sample of 0 pairs, 2.5 one of 2 and "7" one
+    # of 7
+    h, g = rect
+    with pytest.raises(engine.SampleSizeError) as ei:
+        engine.verify_all_pairs(sch_rect, g, pairs=pairs, seed=0)
+    assert repr(pairs) in str(ei.value)
 
 
 def test_verify_rejects_negative_sample(sch_rect, rect):
@@ -945,10 +1018,12 @@ def counted_steps():
 
 
 @pytest.mark.parametrize("make", [make_simple, make_double])
-def test_step_hooks_see_every_hop(make):
+def test_step_hooks_see_every_hop(monkeypatch, make):
     # the benchmark's probe and traced run replace step; either way the
     # routes stay the same, one step call is made a hop, and the header
-    # hops of a double scheme are counted
+    # hops of a double scheme are counted, by run_route and by verify,
+    # which reads step once a chunk
+    h, g = make(500, 1)
     sch = built(make, 500, 1)
     pairs = grid_pairs(sch.n)
     bare = [engine.run_route(sch, s, t) for s, t in pairs]
@@ -961,3 +1036,14 @@ def test_step_hooks_see_every_hop(make):
         assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
     assert counts == [hops, probe.header_hops]
     assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
+    # verify on the grid pairs with s != t, whose hops are the same
+    routed = [(s, t) for s, t in pairs if s != t]
+    monkeypatch.setattr(engine, "_sample_pairs",
+                        lambda n, k, seed: iter(routed[:k]))
+    verifier = StepProbe(sch)
+    rep = engine.verify_all_pairs(verifier, g, pairs=len(routed))
+    assert rep.ok and rep.pairs == len(routed)
+    assert (verifier.calls, verifier.header_hops) == (hops, probe.header_hops)
+    with counted_steps() as counts:
+        assert engine.verify_all_pairs(sch, g, pairs=len(routed)) == rep
+    assert counts == [hops, probe.header_hops]
