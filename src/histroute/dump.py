@@ -11,8 +11,8 @@ column as 0 and 1. Each array is stored as little-endian signed
 integers of the narrowest of 1, 2, 4 or 8 bytes that holds its values.
 
 The reader views each array in place (np.frombuffer), widens it to
-int64 and makes every check as an array test: the header and the table
-against the byte count, ``indptr`` rising from 0 to the length of
+int64 and makes every check as an array test: the header, each table
+line as it is read, the table against the byte count, ``indptr`` rising from 0 to the length of
 ``indices``, the class's value checks (``check_cols``) and the ids in
 [0, n), each row strictly ascending without itself, the listings
 symmetric, and last the class's ``check_links``. Each fault raises one
@@ -148,7 +148,7 @@ def _unpack(data, classes):
     if not data.startswith(MAGIC):
         raise DumpError(f"not a {' or '.join(kinds)} scheme dump: it does "
                         f"not start with {MAGIC.decode()!r}")
-    (head,), at = _lines(data, 0, 1)
+    head, at = _line(data, 0)
     n = _natural(head[3]) if len(head) == 4 else None
     if n is None or head[0] != MAGIC.decode():
         raise DumpError(f"malformed dump header {' '.join(head)!r}")
@@ -160,10 +160,9 @@ def _unpack(data, classes):
     if n < 1:
         raise DumpError(f"a scheme needs at least one vertex, got n={n}")
     cls = kinds[head[2]]
-    names = ("indptr", "indices", *cls.fields)
-    lines, at = _lines(data, at, len(names))
     table = []
-    for name, line in zip(names, lines):
+    for name in ("indptr", "indices", *cls.fields):
+        line, at = _line(data, at)    # checked before the next is read
         want = {"indptr": n + 1, "indices": None}.get(name, n)
         w, length = (_natural(word) for word in line[1:]) \
             if len(line) == 3 and line[0] == name else (None, None)
@@ -189,20 +188,16 @@ def _unpack(data, classes):
     return cls, n, arrays
 
 
-def _lines(data, at, k):
-    """The k lines of data from offset at, each split into its ASCII
-    words, and the offset just past them."""
-    lines = []
-    for _ in range(k):
-        end = data.find(b"\n", at)
-        if end < 0:
-            raise DumpError("dump truncated in its header or table")
-        try:
-            lines.append(data[at:end].decode("ascii").split())
-        except UnicodeDecodeError:
-            raise DumpError("dump header or table is not ASCII") from None
-        at = end + 1
-    return lines, at
+def _line(data, at):
+    """The line of data from offset at, split into its ASCII words, and
+    the offset just past it."""
+    end = data.find(b"\n", at)
+    if end < 0:
+        raise DumpError("dump truncated in its header or table")
+    try:
+        return data[at:end].decode("ascii").split(), end + 1
+    except UnicodeDecodeError:
+        raise DumpError("dump header or table is not ASCII") from None
 
 
 def _natural(word):

@@ -20,7 +20,6 @@ columns whole, and one reduceat the rest of the rows of higher degree.
 
 import csv
 import dataclasses
-import itertools
 import operator
 import typing
 
@@ -53,7 +52,8 @@ def closed_rows(indptr, indices, order):
     as a CSR pair (ptr, ids): row v holds v and the ids of v's row,
     in the order that the int64 permutation order lists the ids in."""
     n = len(indptr) - 1
-    vid, rank = np.arange(n), np.argsort(order)     # rank[order[i]] = i
+    vid, rank = np.arange(n), np.empty(n, dtype=np.int64)
+    rank[order] = vid       # rank[order[i]] = i
     keys = np.sort(np.append(np.repeat(vid, np.diff(indptr)) * n
                              + rank[indices], vid * n + rank))
     return indptr + np.arange(n + 1), order[keys % n]
@@ -84,13 +84,13 @@ class Scheme:
     array per field with one entry per vertex, in ``cols`` by field
     name; the lists ``labels`` and ``tables`` hold records built for
     all vertices at once from those columns, which run_route indexes
-    and ``label_of`` and ``table_of`` read. The list ``links``
-    holds links cut in one batch (``cut_rows``) from the closed rows
-    that closed_rows gives in the order of ``link_order(n, cols)``, by
-    default the ids ascending; a link's columns are ids and values
-    taken from ``cols``, or the label records themselves. The
-    adjacency is kept as the CSR pair (indptr, indices) that
-    visibility.VisibilityGraph built.
+    and ``label_of`` and ``table_of`` read; ``hops``, range(2n), bounds
+    every route's hops. The list ``links`` holds links cut in one batch
+    (``cut_rows``) from the closed rows that closed_rows gives in the
+    order of ``link_order(n, cols)``, by default the ids ascending; a
+    link's columns are ids and values taken from ``cols``, or the label
+    records themselves. The adjacency is kept as the CSR pair (indptr,
+    indices) that visibility.VisibilityGraph built.
 
     Subclasses set ``kind``, the ``max_*_bits`` bounds, the records and
     links in ``__init__``, the dump columns (``fields``, the names in
@@ -106,6 +106,7 @@ class Scheme:
 
     def __init__(self, n, cols, indptr, indices):
         self.n = n
+        self.hops = range(2 * n)
         self.cols = cols
         self.indptr = indptr
         self.indices = indices
@@ -130,13 +131,15 @@ class Scheme:
 def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
-    The trace includes both endpoints; s == t gives an empty trace. An
-    s or t outside [0, n) raises ValueError. The hops are _walk's, with
-    the step bound once a route: a port outside [0, len(link.ids)), or
-    naming the current vertex, raises FirewallError; a packet still
-    travelling after 2n hops, more than twice any shortest path, raises
-    HopLimitExceeded.
+    The trace includes both endpoints, as Python ints; s == t gives an
+    empty trace. s and t pass through operator.index, so an s or t that
+    is not an integer raises TypeError, and one outside [0, n)
+    ValueError. The hops are _walk's, with the step bound once a route:
+    a port outside [0, len(link.ids)), or naming the current vertex,
+    raises FirewallError; a packet still travelling after the scheme's
+    2n hops, more than twice any shortest path, raises HopLimitExceeded.
     """
+    s, t = operator.index(s), operator.index(t)
     if not (0 <= s < scheme.n and 0 <= t < scheme.n):
         raise ValueError(f"vertex ids must be in [0, {scheme.n}), "
                          f"got {s} -> {t}")
@@ -144,7 +147,7 @@ def run_route(scheme, s: int, t: int):
         return []
     trace = [s]
     _walk(scheme.links, scheme.tables, scheme.step, scheme.labels[t], s, t,
-          range(2 * scheme.n), trace)
+          scheme.hops, trace)
     return trace
 
 
@@ -408,7 +411,8 @@ class SampleSizeError(ValueError):
 
 
 def _sample_pairs(n, k, seed):
-    """k pairs (s, t) with s != t, drawn uniformly with the given seed.
+    """k pairs (s, t) with s != t, drawn uniformly with the given seed,
+    as rounds (ss, ts) of at most _CHUNK pairs, two int64 arrays each.
 
     Each round draws m = min(_CHUNK, left + 8) sources, then m targets,
     left being the pairs still wanted, and keeps the pairs with s != t.
@@ -420,27 +424,38 @@ def _sample_pairs(n, k, seed):
     while left > 0:
         m = min(_CHUNK, left + 8)
         ss = rng.integers(0, n, size=m)
-        tt = rng.integers(0, n, size=m)
-        keep = ss != tt
-        ss, tt = ss[keep][:left], tt[keep][:left]
-        yield from zip(ss.tolist(), tt.tolist())
+        ts = rng.integers(0, n, size=m)
+        keep = ss != ts
+        ss, ts = ss[keep][:left], ts[keep][:left]
+        if len(ss):
+            yield ss, ts
         left -= len(ss)
 
 
-def _route_flat(scheme, chunk):
-    """Route every pair (s, t), s != t, of chunk into one flat list of
-    vertex ids, through _walk with the scheme's lists, step and hop
-    range read once.
+def _all_pairs(n):
+    """Every pair (s, t) with s != t, s-major, as blocks (ss, ts) of at
+    most _CHUNK pairs, two int64 arrays each: pair p has s = p // (n - 1)
+    and t the (p % (n - 1))-th vertex other than s."""
+    total = n * (n - 1)
+    for lo in range(0, total, _CHUNK):
+        ss, j = np.divmod(np.arange(lo, min(lo + _CHUNK, total)), n - 1)
+        yield ss, j + (j >= ss)
+
+
+def _route_flat(scheme, ss, ts):
+    """Route every pair (ss[i], ts[i]), s != t, of two lists of ints into
+    one flat list of vertex ids, through _walk with the scheme's lists,
+    step and hop range read once.
 
     Returns (vs, lens, errors): pair i's trace is the next lens[i] ids
     of vs, and errors maps each pair i whose route raised a RoutingError
     to its failure reason, in which case its trace is held as [s] alone.
     """
-    links, tables, step, labels = (scheme.links, scheme.tables, scheme.step,
-                                   scheme.labels)
-    hops = range(2 * scheme.n)
+    links, tables, step, labels, hops = (scheme.links, scheme.tables,
+                                         scheme.step, scheme.labels,
+                                         scheme.hops)
     vs, lens, errors = [], [], {}
-    for i, (s, t) in enumerate(chunk):
+    for i, (s, t) in enumerate(zip(ss, ts)):
         at = len(vs)
         vs.append(s)
         try:
@@ -457,18 +472,19 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     pairs is "all" for every ordered pair with s != t, or an integer
     sample size (drawn uniformly with the given seed) of at most
-    n(n-1); anything else, such as 2.5 or "7", and a negative or larger
-    sample raise SampleSizeError, a ValueError.
+    n(n-1); anything else, such as 2.5, "7" or True, and a negative or
+    larger sample raise SampleSizeError, a ValueError.
     Simple schemes must match BFS exactly; double schemes must have
     stretch at most 2 and make two-step progress along every trace.
 
-    Pairs are taken in chunks of at most 65536, so memory does not
-    grow with the number of pairs: each chunk is routed, then one
-    query_distances call answers the distances its checks read, each
-    hinted by its pair's routed length (n for a route that raised):
-    for a simple scheme d(s, t) per pair, from whichever endpoint more
-    of the chunk's pairs share; for a double one d(v, t) for every v
-    on the trace, from the distinct targets. The checks run as array
+    Pairs come in chunks of at most 65536, two int64 arrays each, so
+    memory does not grow with the number of pairs: each chunk is routed
+    from the arrays' lists, then one query_distances call answers the
+    distances its checks read, each hinted by its pair's routed length
+    (n for a route that raised): for a simple scheme d(s, t) per pair,
+    from whichever endpoint more of the chunk's pairs share; for a
+    double one d(v, t) for every v on the trace, from the distinct
+    targets. The checks run as array
     tests over the chunk; only failing pairs get a record, built in
     pair order. A pair fails on the first of: a RoutingError, then for
     a simple scheme a route longer than the BFS distance, for a double
@@ -476,13 +492,15 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     """
     n = scheme.n
     if pairs == "all":
-        pair_iter = ((s, t) for s in range(n) for t in range(n) if s != t)
+        chunks = _all_pairs(n)
     else:
         try:
             k = operator.index(pairs)
         except TypeError:
+            k = None
+        if k is None or isinstance(pairs, (bool, np.bool_)):
             raise SampleSizeError(f"cannot sample {pairs!r} pairs: a sample "
-                                  f"size is 'all' or an integer") from None
+                                  f"size is 'all' or an integer")
         if k < 0:
             raise SampleSizeError(f"cannot sample {k} pairs: a sample "
                                   f"size is not negative")
@@ -490,7 +508,7 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             raise SampleSizeError(
                 f"cannot sample {k} pairs: there are only {n * (n - 1)} "
                 f"ordered pairs with s != t; use 'all'")
-        pair_iter = _sample_pairs(n, k, seed)
+        chunks = _sample_pairs(n, k, seed)
 
     if (bfs_distances(g.indptr, g.indices, 0) < 0).any():
         raise SchemeBuildError("visibility graph is not connected")
@@ -506,10 +524,10 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
         writer = csv.writer(fh)
         writer.writerow(["s", "t", "bfs", "routed", "stretch"])
     try:
-        while chunk := list(itertools.islice(pair_iter, _CHUNK)):
-            total_pairs += len(chunk)
-            ss, ts = zip(*chunk)
-            vs, lens, errors = _route_flat(scheme, chunk)
+        for ss, ts in chunks:
+            total_pairs += len(ss)
+            sl, tl = ss.tolist(), ts.tolist()
+            vs, lens, errors = _route_flat(scheme, sl, tl)
             lens = np.array(lens, dtype=np.int64)
             first = np.cumsum(lens) - lens      # each trace's offset in vs
             routed = lens - 1
@@ -517,11 +535,10 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             reach = np.where(routed < 0, n, routed)
             if simple:   # only d(s, t) = d(t, s) is read: the BFS starts
                 # from whichever endpoint more of the chunk's pairs share
-                sa, ta = np.array(ss), np.array(ts)
-                shared = np.bincount(np.append(sa, ta), minlength=n)
-                flip = shared[sa] > shared[ta]
-                bfs = _query(plan, np.where(flip, ta, sa),
-                             np.where(flip, sa, ta), reach)
+                shared = np.bincount(np.append(ss, ts), minlength=n)
+                flip = shared[ss] > shared[ts]
+                bfs = _query(plan, np.where(flip, ts, ss),
+                             np.where(flip, ss, ts), reach)
             else:        # d(v, t) for every v on a trace
                 dq = _query(plan, vs, np.repeat(ts, lens),
                             np.repeat(reach, lens))
@@ -550,11 +567,11 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                               "stretch above 2" if far[i] else
                               f"progress stalls after position {stall[i]}")
                     trace = vs[first[i]:first[i] + lens[i]]
-                failures.append(dict(s=ss[i], t=ts[i], bfs=bfs[i].item(),
+                failures.append(dict(s=sl[i], t=tl[i], bfs=bfs[i].item(),
                                      routed=routed[i].item(), trace=trace,
                                      reason=reason))
             if writer is not None:
-                writer.writerows(zip(ss, ts, bfs.tolist(), routed.tolist(),
+                writer.writerows(zip(sl, tl, bfs.tolist(), routed.tolist(),
                                      map("{:.3f}".format, stretch.tolist())))
     finally:
         if fh is not None:

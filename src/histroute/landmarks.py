@@ -6,7 +6,8 @@ vertex's interval at the highest horizontal edge fully visible below
 it; the level-k dominators are the vertices closest to the base line,
 one per side, within the level-k interval of a vertex. Dominators come
 for all vertices at once from range-minimum queries over sparse tables,
-and breakpoints from one pass over the visibility graph's CSR, so
+at positions in each side's x order found once for every level, and
+breakpoints from one pass over the visibility graph's CSR, so
 preprocessing costs O(n log n + E) for E edges. The per-vertex
 definitions these must agree with are kept as test oracles.
 """
@@ -73,8 +74,10 @@ def dominator_levels(g: VisibilityGraph, k: int):
     below-base vertex closest to the base line (ties by smaller x) whose
     x lies in I(bd[i][v]) or I(td[i][v]); the top dominator is the
     above-base mirror. An empty side copies the other side's pick. Each
-    side keeps one sparse table over its vertices in x order, so every
-    level costs four range-minimum queries per vertex.
+    side keeps one sparse table over its vertices in x order, and finds
+    once where every vertex's interval bounds fall in that order: a
+    level indexes those positions by its dominators and costs four
+    range-minimum queries per vertex.
     """
     h, lm = g.h, g.lm
     if h.kind != "double":
@@ -87,20 +90,21 @@ def dominator_levels(g: VisibilityGraph, k: int):
         rank = np.empty(n, dtype=np.int64)
         rank[by_rank] = np.arange(len(ids))
         # by_rank[len(ids)] = -1 stands for "no vertex on this side"
-        sides.append((h.xs[ids], RangeMin(rank[ids]), np.append(by_rank, -1)))
+        xs = h.xs[ids]
+        sides.append((np.searchsorted(xs, lm.l_x, "left"),
+                      np.searchsorted(xs, lm.r_x, "right"),
+                      RangeMin(rank[ids]), np.append(by_rank, -1)))
 
     bd = np.empty((k + 1, n), dtype=np.int64)
     td = np.empty((k + 1, n), dtype=np.int64)
     bd[0] = td[0] = np.arange(n)
     for i in range(k):
         picks = []
-        for xs, table, by_rank in sides:
+        for a, b, table, by_rank in sides:
             none = len(by_rank) - 1
             best = np.full(n, none, dtype=np.int64)
             for dom in (bd[i], td[i]):
-                a = np.searchsorted(xs, lm.l_x[dom], "left")
-                b = np.searchsorted(xs, lm.r_x[dom], "right")
-                best = np.minimum(best, table.query(a, b, none))
+                best = np.minimum(best, table.query(a[dom], b[dom], none))
             picks.append(by_rank[best])
         # I(dom) holds dom itself, so at most one side comes up empty
         low, high = picks

@@ -52,8 +52,8 @@ class Histogram:
 
     def _derive(self):
         n, xs, ys = self.n, self.xs, self.ys
-        nxt = np.roll(np.arange(n), -1)
-        prv = np.roll(np.arange(n), 1)
+        nxt, prv = np.arange(1, n + 1), np.arange(-1, n - 1)
+        nxt[-1], prv[0] = 0, n - 1      # the cycle's neighbours
         self.xmin = int(xs.min())
         self.xmax = int(xs.max())
         if self.kind == "simple":

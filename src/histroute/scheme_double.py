@@ -86,12 +86,15 @@ def _row_vertical_dominators(xs, ys, ptr, ids):
     bottom and top dominators: the entries below and above the base line
     least by (distance to base, x), an empty side copying the other.
     Ties fall to the smaller id, as in link order: least by (off side,
-    |y|, x, id)."""
+    |y|, x, id). Both sides' orders split one order by (|y|, x, id)."""
+    order = np.lexsort((xs, np.abs(ys)))
+    rank = np.empty(len(xs), dtype=np.int64)
     out = []
-    for off in (ys > 0, ys < 0):
-        rank = np.argsort(np.lexsort((xs, np.abs(ys), off)))[ids]
-        least = np.repeat(np.minimum.reduceat(rank, ptr[:-1]), np.diff(ptr))
-        out.append(np.flatnonzero(rank == least) - ptr[:-1])   # one a row
+    for off in (ys[order] > 0, ys[order] < 0):
+        rank[np.append(order[~off], order[off])] = np.arange(len(xs))
+        at = rank[ids]
+        least = np.repeat(np.minimum.reduceat(at, ptr[:-1]), np.diff(ptr))
+        out.append(np.flatnonzero(at == least) - ptr[:-1])     # one a row
     return out
 
 

@@ -15,6 +15,7 @@ import oracles
 from conftest import DOUBLE2, SIMPLE2, pack
 
 MODULES = {"simple": scheme_simple, "double": scheme_double}
+FIRST = {"simple": "br", "double": "x"}     # each kind's first field
 
 
 def double_table(data):
@@ -97,6 +98,24 @@ def test_table_names_each_array_in_order(kind, name):
             f"^dump table: expected '{list(arrays)[min(i, j)]} <width> "
             f"<length>', got '{first} 1 ")):
         MODULES[kind].parse_dump(swapped)
+
+
+@pytest.mark.parametrize("fixture, other", [("sch_steps", "double"),
+                                            ("sch_dbl", "simple")])
+def test_a_header_naming_the_other_kind_names_the_first_field(request,
+                                                              fixture, other):
+    # each table line is checked as it is read, so a simple dump read as
+    # a double one fails at br, not as truncated past the simple table
+    sch = request.getfixturevalue(fixture)
+    data = dump.write(sch)
+    swapped = data.replace(f" {sch.kind} ".encode(), f" {other} ".encode(), 1)
+    got = data.split(b"\n")[3].decode()
+    assert got.startswith(f"{sch.fields[0]} 1 ")
+    with pytest.raises(dump.DumpError, match=(
+            f"^dump table: expected '{FIRST[other]} <width> "
+            f"<length>', got '{got}'$")):
+        dump.read(swapped, scheme_simple.SimpleScheme,
+                  scheme_double.DoubleScheme)
 
 
 @pytest.mark.parametrize("fixture", ["sch_steps", "sch_dbl"])

@@ -23,9 +23,9 @@ from conftest import make_double, make_simple, pack, staircase_text
 
 
 class HijackedScheme:
-    """Wraps a real scheme, sharing its label, link and table lists, and
-    misbehaves at exactly one vertex: there its step returns the port
-    port(link) and the given header."""
+    """Wraps a real scheme, sharing its label, link and table lists and
+    its hop range, and misbehaves at exactly one vertex: there its step
+    returns the port port(link) and the given header."""
 
     def __init__(self, inner, at, port=None, header=None):
         self.inner = inner
@@ -34,6 +34,7 @@ class HijackedScheme:
         self.header = header
         self.kind = inner.kind
         self.n = inner.n
+        self.hops = inner.hops
         self.labels = inner.labels
         self.links = inner.links
         self.tables = inner.tables
@@ -59,6 +60,25 @@ def own_port(link):
 def test_run_route_trivial(sch_rect):
     assert engine.run_route(sch_rect, 2, 2) == []
     assert engine.run_route(sch_rect, 1, 3) == [1, 3]
+
+
+def test_run_route_traces_hold_python_ints(sch_steps):
+    # the source once came back as passed: [np.int64(2), 0, 4, 5]
+    want = engine.run_route(sch_steps, 2, 5)
+    for s, t in [(np.int64(2), np.int64(5)), (np.int32(2), 5),
+                 (2, np.uint8(5))]:
+        trace = engine.run_route(sch_steps, s, t)
+        assert trace == want and {type(v) for v in trace} == {int}
+
+
+@pytest.mark.parametrize("s, t", [(2.0, 5), (2, 5.0), ("2", 5),
+                                  (np.float64(2), 5)])
+def test_run_route_rejects_ids_that_are_not_integers(sch_steps, s, t):
+    # before the first hop: the step is never called
+    probe = StepProbe(sch_steps)
+    with pytest.raises(TypeError):
+        engine.run_route(probe, s, t)
+    assert probe.calls == 0
 
 
 @pytest.mark.parametrize("kind", ["simple", "double"])
@@ -177,6 +197,22 @@ def assert_closed_rows(neighbors, rng):
         for v, row in enumerate(neighbors):
             assert ids[ptr[v]:ptr[v + 1]].tolist() == \
                 sorted([v, *row], key=place.get)
+
+
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_closed_rows_match_a_per_row_oracle(data):
+    # any adjacency lists, not only symmetric ones, and any order
+    n = data.draw(st.integers(1, 12))
+    neighbors = [[u for u in data.draw(st.lists(st.integers(0, n - 1),
+                                                unique=True)) if u != v]
+                 for v in range(n)]
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    ptr, ids = engine.closed_rows(*oracles.csr_of(neighbors), order)
+    place = order.tolist().index
+    want = [sorted([v, *row], key=place) for v, row in enumerate(neighbors)]
+    assert ptr.tolist() == [0, *itertools.accumulate(map(len, want))]
+    assert ids.tolist() == [u for row in want for u in row]
 
 
 @pytest.mark.parametrize("neighbors", EMPTY_ROW_GRAPHS)
@@ -672,11 +708,12 @@ def test_verify_rejects_oversized_sample(sch_rect, rect):
         engine.verify_all_pairs(sch_rect, g, pairs=10**11, seed=0)
 
 
-@pytest.mark.parametrize("pairs", [0.9, 2.5, 3.0, "7", "all ", None])
+@pytest.mark.parametrize("pairs", [0.9, 2.5, 3.0, "7", "all ", None,
+                                   True, False, np.True_])
 def test_verify_rejects_a_sample_size_that_is_not_an_integer(sch_rect, rect,
                                                             pairs):
     # int() once made 0.9 a sample of 0 pairs, 2.5 one of 2 and "7" one
-    # of 7
+    # of 7; operator.index made True a sample of one pair
     h, g = rect
     with pytest.raises(engine.SampleSizeError) as ei:
         engine.verify_all_pairs(sch_rect, g, pairs=pairs, seed=0)
@@ -691,28 +728,59 @@ def test_verify_rejects_negative_sample(sch_rect, rect):
     assert list(engine._sample_pairs(10, -3, 1)) == []
 
 
+def joined(chunks, cap=None):
+    """The pairs of chunks of two int64 arrays each, as (s, t) tuples of
+    Python ints, after checking that no chunk holds more than cap."""
+    out = []
+    for ss, ts in chunks:
+        assert ss.dtype == ts.dtype == np.int64
+        assert len(ss) == len(ts) and 0 < len(ss) <= (cap or engine._CHUNK)
+        out.extend(zip(ss.tolist(), ts.tolist()))
+    return out
+
+
 @pytest.mark.parametrize("n, k", [(2, 50), (3, 40), (50, 300)])
 def test_sample_pairs_match_one_shot_draws(n, k):
     # n = 2 keeps about half the draws, so the sample takes several rounds
     for seed in (0, 1, 4, 9):
-        got = list(engine._sample_pairs(n, k, seed))
+        got = joined(engine._sample_pairs(n, k, seed))
         assert got == oracles.sample_pairs(n, k, seed)
 
 
 @pytest.mark.parametrize("k", [4000, 10000])
 def test_sample_pairs_of_benchmark_size_match_one_shot_draws(k):
-    assert list(engine._sample_pairs(1000, k, 7)) == \
+    assert joined(engine._sample_pairs(1000, k, 7)) == \
         oracles.sample_pairs(1000, k, 7)
 
 
 def test_sample_pairs_over_several_chunks(monkeypatch):
     # rounds of at most _CHUNK draws each still give k pairs, s != t,
-    # the same for the same seed
+    # the same for the same seed; while a round draws all the pairs still
+    # wanted, plus 8, the rounds concatenate to the one-shot sample
     monkeypatch.setattr(engine, "_CHUNK", 16)
-    got = list(engine._sample_pairs(3, 100, 2))
+    chunks = list(engine._sample_pairs(3, 100, 2))
+    assert len(chunks) > 6
+    got = joined(chunks, 16)
     assert len(got) == 100 and all(s != t for s, t in got)
     assert all(0 <= s < 3 and 0 <= t < 3 for s, t in got)
-    assert list(engine._sample_pairs(3, 100, 2)) == got
+    assert joined(engine._sample_pairs(3, 100, 2)) == got
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    for n, k, seed in [(2, 40, 0), (3, 50, 1), (50, 56, 4)]:
+        chunks = list(engine._sample_pairs(n, k, seed))
+        assert joined(chunks, 64) == oracles.sample_pairs(n, k, seed)
+    assert len(list(engine._sample_pairs(2, 40, 0))) > 1
+
+
+@pytest.mark.parametrize("n, chunk", [(1, 16), (2, 16), (5, 3), (5, 20),
+                                      (5, 64), (40, 7), (40, 39)])
+def test_all_pairs_are_s_major_blocks(monkeypatch, n, chunk):
+    # blocks of exactly _CHUNK pairs, the last one shorter, cut anywhere
+    # in a source's row
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    blocks = list(engine._all_pairs(n))
+    assert [len(ss) for ss, _ in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+    assert joined(blocks, chunk) == [(s, t) for s in range(n)
+                                     for t in range(n) if s != t]
 
 
 def test_verify_sampled_pairs_are_the_one_shot_sample(tmp_path):
@@ -731,11 +799,11 @@ def test_sample_pairs_memory_is_bounded():
     # a one-shot sample of 10^7 pairs holds ~10^7 tuples, over 1 GiB
     tracemalloc.start()
     try:
-        first = next(engine._sample_pairs(1000, 10**7, 3))
+        ss, ts = next(engine._sample_pairs(1000, 10**7, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first[0] != first[1]
+    assert len(ss) == len(ts) <= engine._CHUNK and (ss != ts).all()
     assert peak < 16 * 2**20, f"sampler peak {peak / 2**20:.1f} MiB"
 
 
@@ -946,6 +1014,48 @@ def test_dump_matches_golden_hash(make, arg, seed, digest, traces):
     assert trace_digest(again) == traces
 
 
+def verify_digest(sch, g, pairs, path):
+    """sha256 of verify_all_pairs' report fields and its CSV."""
+    rep = engine.verify_all_pairs(sch, g, pairs=pairs, seed=5,
+                                  report_path=str(path))
+    fields = (rep.kind, rep.n, rep.pairs, rep.max_stretch.hex(),
+              rep.mean_stretch.hex(), rep.lab_bits, rep.tab_bits,
+              rep.hdr_bits, rep.failed, repr(rep.failures))
+    text = repr(fields) + "\n" + path.read_text()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+VERIFY_GOLDEN = [
+    (make_simple, 4000, False,
+     "2960cf2e01caa5e54d3cd90f31e041910d04eeefbfce908af2d086595404fbb4"),
+    (make_simple, "all", False,
+     "9f6450f2f09b35639c0326392947a16207a8c0a8def187bc5344c67ce09dec43"),
+    (make_simple, 4000, True,
+     "02482b5ebc0c563a5cf034648003bd00d4e288bdd54bb0b845e1edf727bcb329"),
+    (make_double, 4000, False,
+     "70558ecc61ac0a913a1bff4347ea799c5b97286b528eb0960067f5029c86828a"),
+    (make_double, "all", False,
+     "426b77a416f68892068e4ec3a7218c7810150e5a2c17730569b9051af8cfc8e1"),
+    (make_double, 4000, True,
+     "463a398a17de3166daafb96b2f6e8eba69bce74c3c926437dcc4d70152f1ae96"),
+]
+
+
+@pytest.mark.parametrize("make, pairs, detour, digest", VERIFY_GOLDEN,
+                         ids=["simple-4000", "simple-all", "simple-detour",
+                              "double-4000", "double-all", "double-detour"])
+def test_verify_matches_golden_hash(tmp_path, make, pairs, detour, digest):
+    # the sampled pairs, the pair blocks of "all", the CSV rows, the
+    # failure records and every report field, stretch sums to the last
+    # bit, stay as they were
+    h, g = make(300, 4)
+    module = scheme_simple if h.kind == "simple" else scheme_double
+    sch = getattr(module, f"preprocess_{h.kind}")(h, g)
+    if detour:
+        sch = Detour(sch, at=-1)
+    assert verify_digest(sch, g, pairs, tmp_path / "r.csv") == digest
+
+
 def built(make, arg, seed):
     h, g = make(arg, seed)
     module = scheme_simple if h.kind == "simple" else scheme_double
@@ -1038,8 +1148,8 @@ def test_step_hooks_see_every_hop(monkeypatch, make):
     assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
     # verify on the grid pairs with s != t, whose hops are the same
     routed = [(s, t) for s, t in pairs if s != t]
-    monkeypatch.setattr(engine, "_sample_pairs",
-                        lambda n, k, seed: iter(routed[:k]))
+    monkeypatch.setattr(engine, "_sample_pairs", lambda n, k, seed: iter(
+        [tuple(np.array(routed[:k], dtype=np.int64).T)]))
     verifier = StepProbe(sch)
     rep = engine.verify_all_pairs(verifier, g, pairs=len(routed))
     assert rep.ok and rep.pairs == len(routed)

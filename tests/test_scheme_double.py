@@ -500,6 +500,29 @@ def test_preprocess_rejects_inconsistent_landmarks(dbl, monkeypatch, shifts,
         scheme_double.preprocess_double(h, _tampered(g, shifts, drop))
 
 
+@hypothesis.given(data=st.data())
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_row_vertical_dominators_match_a_per_row_oracle(data):
+    # rows of any entries in any order; repeated coordinates, and rows,
+    # or whole inputs, with vertices on one side of the base line only
+    n = data.draw(st.integers(1, 14))
+    sign = data.draw(st.sampled_from([-1, 1, None]))
+    xs = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                     max_size=n)), dtype=np.int64)
+    ys = np.array([data.draw(st.integers(1, 3)) * (
+        sign or data.draw(st.sampled_from([-1, 1]))) for _ in range(n)],
+        dtype=np.int64)
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                       unique=True), min_size=1, max_size=6))
+    ptr = np.array([0, *itertools.accumulate(map(len, rows))])
+    ids = np.array([u for row in rows for u in row], dtype=np.int64)
+    bd, td = scheme_double._row_vertical_dominators(xs, ys, ptr, ids)
+    for r, row in enumerate(rows):
+        for port, off in ((bd[r], ys > 0), (td[r], ys < 0)):
+            want = min(row, key=lambda u: (off[u], abs(ys[u]), xs[u], u))
+            assert row[port] == want, (r, row)
+
+
 def test_row_dominators_match_links(small_doubles, random_doubles):
     # the reduction over the closed rows, which the links route by,
     # picks what a scan of each link's entries picks, also on graphs
