@@ -5,13 +5,21 @@ function, handing it nothing but the current vertex's link table and
 routing table, the target's label, and the packet header. The step
 answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. One hop
-loop does this, for run_route a route at a time and for
-verify_all_pairs, which reads the scheme's lists and step once, a
-chunk of pairs at a time. Ground truth distances come from one
-bit-parallel BFS over the visibility graph's CSR, asked only the pairs
-a check reads, and verify_all_pairs compares every routed path against
-them; a one-source BFS that pushes from each level's frontier answers
-a single distance and the connectivity check. The bit-parallel BFS
+loop, _walk, does this for run_route, a route at a time.
+verify_all_pairs reads the scheme's lists and step once a chunk of
+pairs. A chunk with several pairs per target steps each routing state,
+a vertex and the header carried into it, once per target: a step reads
+only local inputs, so the routes to one target merge where they meet
+a state, and a walk stops at the first state it has met before, with
+the same firewall test and hop bound. Each state's hops to go and its
+two-step progress then follow from its next states by array work. A
+chunk with fewer pairs per target walks each pair through _walk, and a
+pair that fails is routed again through run_route for its record.
+Ground truth distances come from one bit-parallel BFS over the
+visibility graph's CSR, asked only the distances a check reads, and
+verify_all_pairs compares every route against them; a one-source BFS
+that pushes from each level's frontier answers a single distance and
+the connectivity check. The bit-parallel BFS
 pulls its levels from the CSR with the vertices renumbered by degree,
 highest first, so that each vertex's c-th neighbours form one column
 over a prefix of the rows; a level gathers each of the first _CAP
@@ -442,29 +450,221 @@ def _all_pairs(n):
         yield ss, j + (j >= ss)
 
 
+def _joined(rounds):
+    """The pairs of rounds (ss, ts), two int64 arrays each, in order,
+    cut again into chunks of _CHUNK pairs, the last one shorter, so a
+    sample's short last round shares a chunk. At most two chunks' worth
+    of pairs are held at once."""
+    ss = ts = np.empty(0, dtype=np.int64)
+    for more_s, more_t in rounds:
+        ss, ts = np.append(ss, more_s), np.append(ts, more_t)
+        while len(ss) >= _CHUNK:
+            yield ss[:_CHUNK], ts[:_CHUNK]
+            ss, ts = ss[_CHUNK:], ts[_CHUNK:]
+    if len(ss):
+        yield ss, ts
+
+
 def _route_flat(scheme, ss, ts):
     """Route every pair (ss[i], ts[i]), s != t, of two lists of ints into
     one flat list of vertex ids, through _walk with the scheme's lists,
     step and hop range read once.
 
-    Returns (vs, lens, errors): pair i's trace is the next lens[i] ids
-    of vs, and errors maps each pair i whose route raised a RoutingError
-    to its failure reason, in which case its trace is held as [s] alone.
+    Returns (vs, lens, failed): pair i's trace is the next lens[i] ids
+    of vs, and failed lists the pairs whose route raised a RoutingError,
+    each of whose traces is held as [s] alone.
     """
     links, tables, step, labels, hops = (scheme.links, scheme.tables,
                                          scheme.step, scheme.labels,
                                          scheme.hops)
-    vs, lens, errors = [], [], {}
+    vs, lens, failed = [], [], []
     for i, (s, t) in enumerate(zip(ss, ts)):
         at = len(vs)
         vs.append(s)
         try:
             _walk(links, tables, step, labels[t], s, t, hops, vs)
-        except RoutingError as exc:
+        except RoutingError:
             del vs[at + 1:]
-            errors[i] = f"{type(exc).__name__}: {exc}"
+            failed.append(i)
         lens.append(len(vs) - at)
-    return vs, lens, errors
+    return vs, lens, failed
+
+
+def _step_states(scheme, ss, ts):
+    """Route the pairs (ss[i], ts[i]), s != t, of a chunk, stepping each
+    routing state once per target.
+
+    A state is a vertex and the header a packet carries into it, keyed
+    by the vertex id alone while no header is carried, else by the pair
+    (vertex, header), so headers must be hashable. A step reads nothing
+    but the state and the target, so the routes to one target merge
+    where they meet a state. The pairs are taken target by target;
+    target t's memo maps the states met so far to their indices, t's
+    own first. A source not in the memo is walked with _walk's firewall
+    test until it steps into a memoized state, each new state taking
+    the next index: the walk's states lead one to the next, and the last
+    to the state it met. A walk ends failing, its last state leading to
+    no state, when a step raises a RoutingError or fails the firewall
+    test, or when it meets one of its own states, a loop; a walk that
+    meets nothing in len(scheme.hops) hops keeps its source alone, whose
+    route is longer than the bound, and fails.
+
+    Returns (order, starts, verts, lasts, hits, firsts, targets): the
+    sorted pair order[k] starts at state starts[k]; state j lies at
+    vertex verts[j]; the walks end at the states lasts, leading to hits
+    (-1 for none); targets[k]'s own state is firsts[k], and its other
+    states follow it, up to the next target's.
+    """
+    links, tables, step, labels = (scheme.links, scheme.tables,
+                                   scheme.step, scheme.labels)
+    limit = len(scheme.hops)
+    order = np.argsort(ts, kind="stable")
+    verts, lasts, hits, firsts, targets, starts = [], [], [], [], [], []
+    t, nk = None, 0     # nk: the states so far
+    for s, u in zip(ss[order].tolist(), ts[order].tolist()):
+        if u != t:
+            t = u
+            target, memo = labels[t], {t: nk}
+            known = memo.setdefault
+            firsts.append(nk)
+            targets.append(t)
+            verts.append(t)
+            nk += 1
+        at = known(s, nk)
+        starts.append(at)
+        if at < nk:
+            continue
+        verts.append(s)
+        cur, header = s, None
+        for j in range(at + 1, at + 1 + limit):
+            link = links[cur]
+            try:
+                port, header = step(link, tables[cur], target, header)
+            except RoutingError:
+                hit = -1
+                break
+            try:
+                nxt = link.ids[port]
+            except IndexError:      # past the link's end: not a neighbor
+                nxt = cur
+            if port < 0 or nxt == cur:
+                hit = -1
+                break
+            hit = known(nxt if header is None or nxt == t else (nxt, header),
+                        j)
+            if hit != j:
+                break
+            verts.append(nxt)
+            cur = nxt
+        else:       # no known state in reach: forget all but the source
+            for key in [key for key, i in memo.items() if i > at]:
+                del memo[key]
+            del verts[at + 1:]
+            j, hit = at + 1, -1
+        nk = j
+        lasts.append(j - 1)
+        hits.append(hit if hit < at else -1)
+    return order, starts, verts, lasts, hits, firsts, targets
+
+
+def _state_lengths(nk, lasts, hits, firsts):
+    """Each state's hops to its target, -1 for a state that fails, and
+    its next state (nk for none, itself for a target), from
+    _step_states' walks, as int64 arrays. A walk's states lead one to
+    the next and the last to an older walk's state, a target or none, so
+    the links form a forest, and pointer jumping (Wyllie's list ranking)
+    sums the hops in O(log) rounds of array work."""
+    nexts = np.arange(1, nk + 2)
+    nexts[firsts] = firsts
+    nexts[lasts] = hits
+    nexts[nexts < 0] = nk
+    nexts[nk] = nk
+    hops = (nexts != np.arange(nk + 1)).astype(np.int64)
+    up = nexts
+    while True:
+        upper = up[up]
+        if (upper == up).all():
+            break
+        hops += hops[up]
+        up = upper
+    return np.where(up == nk, -1, hops)[:nk], nexts[:nk]
+
+
+_SHARE = 3  # pairs per distinct target from which a chunk steps states
+
+
+def _route_chunk(scheme, ss, ts, sl, tl):
+    """Route a chunk's pairs (ss[i], ts[i]), s != t, into routing states;
+    sl and tl are the two int64 arrays' lists.
+
+    A chunk with at least _SHARE pairs per distinct target steps each
+    state once per target (_step_states); with fewer, routes merge too
+    seldom to pay for the memo, and each pair walks alone
+    (_route_flat), every trace position a state of its own, or for a
+    simple scheme, whose checks read the routes' lengths alone, only
+    its source. Either way, returns (src, verts, owners, left, nexts):
+    pair i starts at state src[i]; state j lies at vertex verts[j], on
+    a route to owners[j], left[j] hops from it (-1 for a route that
+    raised or loops), and leads to state nexts[j] (itself at the
+    target; any value where left is -1). All but verts are int64
+    arrays.
+    """
+    if len(sl) >= _SHARE * np.count_nonzero(np.bincount(ts)):
+        order, starts, verts, lasts, hits, firsts, targets = _step_states(
+            scheme, ss, ts)
+        left, nexts = _state_lengths(len(verts), lasts, hits, firsts)
+        src = np.empty_like(order)
+        src[order] = starts
+        owners = np.repeat(targets, np.diff(firsts, append=len(verts)))
+        return src, verts, owners, left, nexts
+    verts, lens, failed = _route_flat(scheme, sl, tl)
+    lens = np.array(lens, dtype=np.int64)
+    left = lens - 1
+    left[failed] = -1
+    if scheme.kind == "simple":
+        return np.arange(len(lens)), None, None, left, None
+    src = np.cumsum(lens) - lens
+    last = src + lens - 1
+    nexts = np.arange(1, len(verts) + 1)
+    nexts[last] = last
+    return (src, verts, np.repeat(ts, lens),
+            np.repeat(left + src, lens) - np.arange(len(verts)), nexts)
+
+
+def _progress(d, nexts, left):
+    """Two-step progress per routing state, by dynamic programming along
+    the next-state links: a state is good when it is its target (left 0),
+    or its next state, or the one after, is nearer the target and good.
+    A route is good exactly when check_two_step_progress finds some
+    segmentation that reaches its end, for the segments are the edges of
+    the same graph walked backwards. d, nexts and left are int64 arrays
+    over the states, d the distance of each state's vertex to its
+    target; the states are taken in levels of equal left, nearest first,
+    so each level reads only decided states. A state of left -1 is not
+    good."""
+    good = left == 0
+    order = np.argsort(left, kind="stable")
+    cuts = np.searchsorted(left[order], np.arange(1, left.max() + 2))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        j = order[lo:hi]
+        a = nexts[j]
+        b = nexts[a]
+        good[j] = (d[a] < d[j]) & good[a] | (d[b] < d[j]) & good[b]
+    return good
+
+
+def _chain_distances(d, nexts, left, starts):
+    """The distances d along the routes from the states starts, each to
+    its target, end to end, and the routes' lengths in states: the
+    input check_two_step_progress takes."""
+    chains = []
+    for j in starts.tolist():
+        chain = [j]
+        for _ in range(left[j]):
+            chain.append(nexts[chain[-1]])
+        chains.append(chain)
+    flat = np.array([j for chain in chains for j in chain], dtype=np.int64)
+    return d[flat], [len(chain) for chain in chains]
 
 
 def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
@@ -477,18 +677,20 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     Simple schemes must match BFS exactly; double schemes must have
     stretch at most 2 and make two-step progress along every trace.
 
-    Pairs come in chunks of at most 65536, two int64 arrays each, so
-    memory does not grow with the number of pairs: each chunk is routed
-    from the arrays' lists, then one query_distances call answers the
-    distances its checks read, each hinted by its pair's routed length
-    (n for a route that raised): for a simple scheme d(s, t) per pair,
-    from whichever endpoint more of the chunk's pairs share; for a
-    double one d(v, t) for every v on the trace, from the distinct
-    targets. The checks run as array
-    tests over the chunk; only failing pairs get a record, built in
-    pair order. A pair fails on the first of: a RoutingError, then for
-    a simple scheme a route longer than the BFS distance, for a double
-    one a stretch above 2, then a trace without two-step progress.
+    Pairs come in chunks of at most 65536, two int64 arrays each (a
+    sample's rounds joined), so memory does not grow with the number of
+    pairs: each chunk is routed into routing states (_route_chunk),
+    then one query_distances call answers the distances its checks
+    read, each hinted by the hops left (n for a route that raised): for
+    a simple scheme d(s, t) per pair, from whichever endpoint more of
+    the chunk's pairs share; for a double one d(v, t) once for every
+    state, from the distinct targets, and two-step progress per state
+    (_progress). The checks run as array tests over the chunk; only
+    failing pairs get a record, built in pair order from run_route's
+    trace or exception. A pair fails on the first of: a RoutingError,
+    or a route of more than 2n hops in all, then for a simple scheme a
+    route longer than the BFS distance, for a double one a stretch
+    above 2, then a trace without two-step progress.
     """
     n = scheme.n
     if pairs == "all":
@@ -508,13 +710,13 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             raise SampleSizeError(
                 f"cannot sample {k} pairs: there are only {n * (n - 1)} "
                 f"ordered pairs with s != t; use 'all'")
-        chunks = _sample_pairs(n, k, seed)
+        chunks = _joined(_sample_pairs(n, k, seed))
 
     if (bfs_distances(g.indptr, g.indices, 0) < 0).any():
         raise SchemeBuildError("visibility graph is not connected")
     plan = _bfs_plan(g.indptr, g.indices)
 
-    simple = scheme.kind == "simple"
+    simple, limit = scheme.kind == "simple", len(scheme.hops)
     failures = []
     total_failures = total_pairs = 0
     max_stretch = stretch_sum = 0.0
@@ -527,11 +729,10 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
         for ss, ts in chunks:
             total_pairs += len(ss)
             sl, tl = ss.tolist(), ts.tolist()
-            vs, lens, errors = _route_flat(scheme, sl, tl)
-            lens = np.array(lens, dtype=np.int64)
-            first = np.cumsum(lens) - lens      # each trace's offset in vs
-            routed = lens - 1
-            routed[list(errors)] = -1
+            src, verts, owners, left, nexts = _route_chunk(scheme, ss, ts,
+                                                           sl, tl)
+            routed = left[src]
+            routed[routed > limit] = -1     # the bound counts the whole route
             reach = np.where(routed < 0, n, routed)
             if simple:   # only d(s, t) = d(t, s) is read: the BFS starts
                 # from whichever endpoint more of the chunk's pairs share
@@ -539,10 +740,12 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 flip = shared[ss] > shared[ts]
                 bfs = _query(plan, np.where(flip, ts, ss),
                              np.where(flip, ss, ts), reach)
-            else:        # d(v, t) for every v on a trace
-                dq = _query(plan, vs, np.repeat(ts, lens),
-                            np.repeat(reach, lens))
-                bfs = dq[first]
+                bad = routed != bfs
+            else:        # d(v, t) once for every state, and its progress
+                d = _query(plan, verts, owners, np.where(left < 0, n, left))
+                bfs = d[src]
+                far = routed > 2 * bfs
+                bad = (routed < 0) | far | ~_progress(d, nexts, left)[src]
             stretch = np.where(routed < 0, np.inf, routed / bfs)
             good = stretch[routed >= 0]
             if good.size:
@@ -551,25 +754,27 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                 # cannot round the sum differently
                 sums = np.cumsum(np.append(stretch_sum, good))
                 stretch_sum = sums[-1].item()
-            if simple:
-                bad = routed != bfs
-            else:
-                far = routed > 2 * bfs
-                stall = check_two_step_progress(dq, lens)
-                bad = (routed < 0) | far | (stall >= 0)
             fail = np.flatnonzero(bad).tolist()
             total_failures += len(fail)
-            for i in fail[:_FAILURE_CAP - len(failures)]:
-                if i in errors:
-                    reason, trace = errors[i], None
-                else:
-                    reason = ("not a shortest path" if simple else
-                              "stretch above 2" if far[i] else
-                              f"progress stalls after position {stall[i]}")
-                    trace = vs[first[i]:first[i] + lens[i]]
-                failures.append(dict(s=sl[i], t=tl[i], bfs=bfs[i].item(),
-                                     routed=routed[i].item(), trace=trace,
-                                     reason=reason))
+            record = fail[:_FAILURE_CAP - len(failures)]
+            stalls = [] if simple else [
+                i for i in record if routed[i] >= 0 and not far[i]]
+            if stalls:          # where the routes that end too slowly stall
+                stall = dict(zip(stalls, check_two_step_progress(
+                    *_chain_distances(d, nexts, left, src[stalls])).tolist()))
+            for i in record:
+                # failing pairs are routed again, one hop loop for all
+                try:
+                    trace, reason = run_route(scheme, sl[i], tl[i]), None
+                except RoutingError as exc:
+                    trace, reason = None, f"{type(exc).__name__}: {exc}"
+                failures.append(dict(
+                    s=sl[i], t=tl[i], bfs=bfs[i].item(),
+                    routed=routed[i].item(), trace=trace,
+                    reason=reason or (
+                        "not a shortest path" if simple else
+                        "stretch above 2" if far[i] else
+                        f"progress stalls after position {stall[i]}")))
             if writer is not None:
                 writer.writerows(zip(sl, tl, bfs.tolist(), routed.tolist(),
                                      map("{:.3f}".format, stretch.tolist())))

@@ -6,14 +6,16 @@ hits on a grid of the closed region built from the boundary alone,
 breakpoints over every horizontal edge, dominators and extension chains
 over the closed neighborhood, level-k dominators over explicit interval
 vertex sets, hop distances by a plain queue walk, two-step progress
-by a walk along one trace, a pair sample by one-shot draws, the
+by a walk along one trace, the routing states of a set of routes
+read off their traces, a pair sample by one-shot draws, the
 double step with its own dominator bisections, the dump reader's
 symmetry check as a sorted search of each listing's match, and polygon
 text read line by line. They are slow (O(n) or worse per vertex) and
 exist so the tests can check the library's sweeps, array-based
-preprocessing, bit-parallel BFS, array progress check, chunked
-sampling, local routing decisions, sorted symmetry test and one-pass
-text parsing against a second, independent derivation.
+preprocessing, bit-parallel BFS, array progress check, per-target
+state stepping, chunked sampling, local routing decisions, sorted
+symmetry test and one-pass text parsing against a second, independent
+derivation.
 """
 
 from bisect import bisect_left, bisect_right
@@ -574,6 +576,25 @@ def two_step_progress(d):
                     reach[j] = True
                     frontier = max(frontier, j)
     return -1 if reach[-1] else frontier
+
+
+def routing_states(scheme, pairs):
+    """The distinct routing states of the routes of pairs, per target:
+    (states, those whose step emits a header). A state is (target,
+    vertex, header carried in); each route's states are read off its
+    run_route trace, the headers by replaying the scheme's step along
+    it, every trace position but the target."""
+    states, emitting = set(), set()
+    for s, t in pairs:
+        trace, header = engine.run_route(scheme, s, t), None
+        for v in trace[:-1]:
+            state = (t, v, header)
+            _, header = scheme.step(scheme.links[v], scheme.tables[v],
+                                    scheme.labels[t], header)
+            states.add(state)
+            if header is not None:
+                emitting.add(state)
+    return len(states), len(emitting)
 
 
 def sample_pairs(n: int, k: int, seed):

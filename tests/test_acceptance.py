@@ -6,6 +6,7 @@ deterministic; sizes span small to n=400 with the bulk kept small so
 the whole file stays inside its time budgets.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from histroute import engine, polygon, scheme_double, scheme_simple, \
 import invariants
 import oracles
 from conftest import H_RECT_TEXT, H_STEPS_TEXT, make_double, make_simple
-from test_engine import HijackedScheme, own_port, port_of
+from test_engine import HijackedScheme, own_port, port_of, rederived
 
 BUDGET = {1: 120.0, 2: 180.0, 4: 60.0, 5: 180.0, 6: 120.0}
 
@@ -216,3 +217,30 @@ def test_criterion_7_locality_firewall(capsys, sch_steps, sch_dbl):
     report(capsys, 7, ok,
            f"firewall non-neighbor={caught_firewall}, "
            f"self-hop={caught_self}, bogus header={caught_header}")
+
+
+def test_verify_matches_run_route_on_the_corpora(tmp_path, monkeypatch,
+                                                 corpus_simple, corpus_double):
+    # every CSV row and failure record of verify, stepping each routing
+    # state once per target or walking each pair alone, equals the one
+    # rebuilt from run_route: on all pairs of the instances up to
+    # n = 30, and on a sample of up to 100 pairs of every instance
+    built = (_cache.get("simple") or [
+        (h, g, scheme_simple.preprocess_simple(h, g))
+        for h, g in corpus_simple]) + (_cache.get("double") or [
+            (h, g, scheme_double.preprocess_double(h, g))
+            for h, g in corpus_double])
+    out = tmp_path / "report.csv"
+    for h, g, sch in built:
+        for pairs in ["all"] * (h.n <= 30) + [min(100, h.n * (h.n - 1))]:
+            want_rows, want_failures = rederived(
+                sch, g, None if pairs == "all"
+                else oracles.sample_pairs(h.n, pairs, h.n))
+            assert want_failures == []
+            for share in (0, 10**9):
+                monkeypatch.setattr(engine, "_SHARE", share)
+                rep = engine.verify_all_pairs(sch, g, pairs=pairs, seed=h.n,
+                                              report_path=str(out))
+                with open(out, newline="") as fh:
+                    assert list(csv.reader(fh))[1:] == want_rows
+                assert rep.ok

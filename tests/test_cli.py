@@ -273,24 +273,32 @@ def test_verify_internal_value_error_is_not_a_usage_error(
     def broken(*args):
         raise ValueError("internal defect")
 
-    monkeypatch.setattr(engine, "_walk", broken)
+    monkeypatch.setattr(scheme_simple.SimpleScheme, "step", broken)
     with pytest.raises(ValueError, match="internal defect"):
         cli.cli_main(["verify", steps_file])
 
 
 @pytest.mark.parametrize("failing,k", [(lambda s, t: s == 1, 7),
-                                       (lambda s, t: s < 3, 21)],
+                                       (lambda s, t: s in (1, 2, 5), 21)],
                          ids=["7-failures", "21-failures"])
 def test_verify_prints_its_first_ten_failures(monkeypatch, capsys,
                                               steps_file, failing, k):
-    real = engine._walk
+    # the step refuses at the failing sources; the steps polygon routes
+    # no pair through vertex 1, 2 or 5, so exactly the pairs from them
+    # fail
+    real = scheme_simple.SimpleScheme.step
 
-    def hop_limited(links, tables, step, target, s, t, hops, out):
+    def hop_limited(scheme, link, table, target, header):
+        s, t = link.own_vid, target.vid
         if failing(s, t):
             raise engine.HopLimitExceeded(f"no arrival routing {s} -> {t}")
-        return real(links, tables, step, target, s, t, hops, out)
+        return real(scheme, link, table, target, header)
 
-    monkeypatch.setattr(engine, "_walk", hop_limited)
+    h = polygon.parse_polygon(H_STEPS_TEXT)
+    sch = scheme_simple.preprocess_simple(h, visibility.build_graph(h))
+    assert not {1, 2, 5} & {v for s in range(8) for t in range(8) if s != t
+                            for v in engine.run_route(sch, s, t)[1:-1]}
+    monkeypatch.setattr(scheme_simple.SimpleScheme, "step", hop_limited)
     code, out, err = run(capsys, "verify", steps_file)
     assert code == 1
     assert f"failures={k}" in out.splitlines()

@@ -501,7 +501,18 @@ def test_two_step_progress_matches_oracle(batch):
     # traces of mixed lengths in one call, each against the walk along it
     got = engine.check_two_step_progress(np.concatenate(batch),
                                          [len(d) for d in batch])
-    assert got.tolist() == [oracles.two_step_progress(d) for d in batch]
+    want = [oracles.two_step_progress(d) for d in batch]
+    assert got.tolist() == want
+    # the traces as chains of routing states, each ending in a target
+    # state of its own: the per-state DP decides each at its first state
+    lens = np.array([len(d) for d in batch])
+    first = np.cumsum(lens) - lens
+    last = first + lens - 1
+    nexts = np.arange(1, lens.sum() + 1)
+    nexts[last] = last
+    left = np.repeat(last, lens) - np.arange(lens.sum())
+    good = engine._progress(np.concatenate(batch), nexts, left)
+    assert good[first].tolist() == [stall < 0 for stall in want]
 
 
 def test_verify_all_pairs_counts(sch_rect, rect):
@@ -560,14 +571,17 @@ class Detour(HijackedScheme):
         return self.inner.step(link, table, target, header)
 
 
-def rederived(sch, g):
+def rederived(sch, g, pairs=None):
     """The CSV rows and failure records of verify_all_pairs(sch, g) on
-    all pairs, rebuilt pair by pair from run_route and the queue BFS."""
+    pairs, by default all of them, rebuilt pair by pair from run_route
+    and the queue BFS."""
+    if pairs is None:
+        pairs = [(s, t) for s in range(sch.n) for t in range(sch.n)
+                 if s != t]
     neighbors = oracles.neighbor_lists(g)
-    dist = [oracles.bfs(neighbors, t) for t in range(sch.n)]
+    dist = {t: oracles.bfs(neighbors, t) for t in {t for _, t in pairs}}
     want_rows, want_failures = [], []
-    for s, t in [(s, t) for s in range(sch.n) for t in range(sch.n)
-                 if s != t]:
+    for s, t in pairs:
         bfs = dist[t][s]
         try:
             trace = engine.run_route(sch, s, t)
@@ -626,7 +640,7 @@ def refuse(link):
     raise engine.RoutingError(f"no way on from {link.own_vid}")
 
 
-@pytest.mark.parametrize("fixture, misroute, kind", [
+MISROUTES = [
     ("steps", lambda sch: HijackedScheme(
         sch, at=1, port=lambda link: len(link.ids)), "FirewallError"),
     ("steps", lambda sch: HijackedScheme(sch, at=1, port=lambda link: -1),
@@ -640,8 +654,13 @@ def refuse(link):
     ("dbl", lambda sch: PingPong(sch, at=None), "HopLimitExceeded"),
     ("steps", lambda sch: HijackedScheme(sch, at=1, port=refuse),
      "RoutingError"),
-], ids=["past-the-end", "negative", "self-hop", "unseen-header",
-        "hop-limit-simple", "hop-limit-double", "step-raises"])
+]
+MISROUTE_IDS = ["past-the-end", "negative", "self-hop", "unseen-header",
+                "hop-limit-simple", "hop-limit-double", "step-raises"]
+
+
+@pytest.mark.parametrize("fixture, misroute, kind", MISROUTES,
+                         ids=MISROUTE_IDS)
 def test_verify_records_routing_errors_as_run_route_raises_them(
         request, tmp_path, fixture, misroute, kind):
     # pair by pair, a route that raises is recorded with run_route's
@@ -660,6 +679,74 @@ def test_verify_records_routing_errors_as_run_route_raises_them(
     for f in errors:
         assert f["routed"] == -1
         assert row[f["s"], f["t"]][3:] == ["-1", "inf"]
+
+
+class Laps(HijackedScheme):
+    """Bounces a packet between the neighbours 0 and 1, counting the
+    bounces left in its header, before it routes on: n + 2 from vertex 0
+    and 2n + 5 from vertex 1, when either holds no header. A route from
+    0 arrives within 2n hops when the rest is short; one from 1 meets
+    0's route in n + 4 hops, then has n + 2 and more to go."""
+
+    def step(self, link, table, target, header):
+        own = link.own_vid
+        if own in (0, 1) and header != 0:
+            left = header or (self.n + 2, 2 * self.n + 5)[own]
+            return link.ids.index(1 - own), left - 1
+        return self.inner.step(link, table, target, None)
+
+
+@pytest.mark.parametrize("share", [0, 10**9], ids=["states", "alone"])
+@pytest.mark.parametrize("pairs", ["all", 30])
+@pytest.mark.parametrize("fixture, misroute", [
+    *[case[:2] for case in MISROUTES],
+    ("steps", lambda sch: Detour(sch, at=-1)),
+    ("dbl", lambda sch: Detour(sch, at=-1)),
+    ("steps", lambda sch: Stubborn(sch, at=0)),
+    ("dbl", lambda sch: Stubborn(sch, at=0)),
+    ("steps", lambda sch: Laps(sch, at=None)),
+    ("dbl", lambda sch: Laps(sch, at=None)),
+], ids=[*MISROUTE_IDS, "detour-simple", "detour-double", "stubborn-simple",
+        "stubborn-double", "laps-simple", "laps-double"])
+def test_verify_matches_run_route_pair_by_pair(request, tmp_path, monkeypatch,
+                                              fixture, misroute, pairs, share):
+    # every CSV row and failure record, on all pairs and on a sample,
+    # whether the chunk steps each routing state once per target or
+    # walks each pair alone, equals the one rebuilt from run_route
+    h, g = request.getfixturevalue(fixture)
+    sch = misroute(request.getfixturevalue(f"sch_{fixture}"))
+    monkeypatch.setattr(engine, "_SHARE", share)
+    out = tmp_path / "report.csv"
+    rep = engine.verify_all_pairs(sch, g, pairs=pairs, seed=4,
+                                  report_path=str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    want_rows, want_failures = rederived(
+        sch, g, None if pairs == "all" else oracles.sample_pairs(g.n, 30, 4))
+    assert rows == want_rows
+    assert rep.failures == want_failures
+    assert rep.failed == len(want_failures)
+
+
+@pytest.mark.parametrize("fixture", ["steps", "dbl"])
+def test_verify_bounds_a_route_that_joins_a_known_one_late(tmp_path, request,
+                                                           fixture):
+    # the route from 1 meets the one from 0, stepped before it, after
+    # n + 4 hops, each part within 2n hops; together they pass 2n, so
+    # the pair fails as run_route raises, with routed -1
+    h, g = request.getfixturevalue(fixture)
+    sch = Laps(request.getfixturevalue(f"sch_{fixture}"), at=None)
+    joined = [t for t in range(2, sch.n)
+              if len(engine.run_route(sch, 0, t)) <= 2 * sch.n + 1]
+    assert joined
+    rep, rows = verified(sch, g, tmp_path)
+    row = {(int(r[0]), int(r[1])): r for r in rows}
+    failure = {(f["s"], f["t"]): f for f in rep.failures}
+    for t in joined:
+        with pytest.raises(engine.HopLimitExceeded) as ei:
+            engine.run_route(sch, 1, t)
+        assert row[1, t][3] == "-1"
+        assert failure[1, t]["reason"] == f"HopLimitExceeded: {ei.value}"
 
 
 @pytest.mark.parametrize("make, preprocess", [
@@ -1130,9 +1217,10 @@ def counted_steps():
 @pytest.mark.parametrize("make", [make_simple, make_double])
 def test_step_hooks_see_every_hop(monkeypatch, make):
     # the benchmark's probe and traced run replace step; either way the
-    # routes stay the same, one step call is made a hop, and the header
-    # hops of a double scheme are counted, by run_route and by verify,
-    # which reads step once a chunk
+    # routes stay the same, run_route makes one step call a hop, and the
+    # header hops of a double scheme are counted; verify, which reads
+    # step once a chunk, makes one call a distinct routing state per
+    # target, exactly, and counts those that emit a header
     h, g = make(500, 1)
     sch = built(make, 500, 1)
     pairs = grid_pairs(sch.n)
@@ -1146,14 +1234,17 @@ def test_step_hooks_see_every_hop(monkeypatch, make):
         assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
     assert counts == [hops, probe.header_hops]
     assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
-    # verify on the grid pairs with s != t, whose hops are the same
+    # verify on the grid pairs with s != t, about 30 a target, in one
+    # chunk, so each target's routes share one memo
     routed = [(s, t) for s, t in pairs if s != t]
+    states = oracles.routing_states(sch, routed)
+    assert states[0] < hops and (states[1] > 0) == (sch.kind == "double")
     monkeypatch.setattr(engine, "_sample_pairs", lambda n, k, seed: iter(
         [tuple(np.array(routed[:k], dtype=np.int64).T)]))
     verifier = StepProbe(sch)
     rep = engine.verify_all_pairs(verifier, g, pairs=len(routed))
     assert rep.ok and rep.pairs == len(routed)
-    assert (verifier.calls, verifier.header_hops) == (hops, probe.header_hops)
+    assert (verifier.calls, verifier.header_hops) == states
     with counted_steps() as counts:
         assert engine.verify_all_pairs(sch, g, pairs=len(routed)) == rep
-    assert counts == [hops, probe.header_hops]
+    assert counts == list(states)
