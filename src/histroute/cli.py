@@ -28,11 +28,11 @@ _KINDS = {
 
 # The exit-code table of cli_main: these errors end a subcommand in one
 # "error:" line, a sample that cannot be drawn (bad usage) with exit code
-# 2, the rest with 1. Any other exception, a plain ValueError too, is a
-# defect and propagates.
+# 2, the rest, a size too large to allocate too, with 1. Any other
+# exception, a plain ValueError too, is a defect and propagates.
 _ERRORS = (engine.SampleSizeError, OSError, UnicodeDecodeError,
            polygon.PolygonError, dump.DumpError, engine.SchemeBuildError,
-           engine.RoutingError)
+           engine.RoutingError, MemoryError)
 
 
 def _seed(text: str) -> int:
@@ -194,7 +194,7 @@ def cli_main(argv=None) -> int:
     try:
         return args.fn(args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, engine.SampleSizeError) else 1
 
 

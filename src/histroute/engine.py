@@ -7,14 +7,15 @@ answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. One hop
 loop, _walk, does this for run_route, a route at a time.
 verify_all_pairs reads the scheme's lists and step once a chunk of
-pairs. A chunk with several pairs per target steps each routing state,
-a vertex and the header carried into it, once per target: a step reads
-only local inputs, so the routes to one target merge where they meet
-a state, and a walk stops at the first state it has met before, with
-the same firewall test and hop bound. Each state's hops to go and its
-two-step progress then follow from its next states by array work. A
-chunk with fewer pairs per target walks each pair through _walk, and a
-pair that fails is routed again through run_route for its record.
+pairs. A double chunk, and a simple one with several pairs per target,
+steps each routing state, a vertex and the header carried into it, once
+per target: a step reads only local inputs, so the routes to one target
+merge where they meet a state, and a walk stops at the first state it
+has met before, with the same firewall test and hop bound. Each state's
+hops to go and its two-step progress then follow from its next states
+by array work. A simple chunk with fewer pairs per target walks each
+pair through _walk and keeps only its length. A pair that fails is
+routed again through run_route for its record.
 Ground truth distances come from one bit-parallel BFS over the
 visibility graph's CSR, asked only the distances a check reads, and
 verify_all_pairs compares every route against them; a one-source BFS
@@ -140,14 +141,19 @@ def run_route(scheme, s: int, t: int):
     """Route a packet from s to t, returning the full vertex trace.
 
     The trace includes both endpoints, as Python ints; s == t gives an
-    empty trace. s and t pass through operator.index, so an s or t that
-    is not an integer raises TypeError, and one outside [0, n)
-    ValueError. The hops are _walk's, with the step bound once a route:
-    a port outside [0, len(link.ids)), or naming the current vertex,
-    raises FirewallError; a packet still travelling after the scheme's
-    2n hops, more than twice any shortest path, raises HopLimitExceeded.
+    empty trace. s and t pass through operator.index, a Python int
+    as it is, so an s or t that is not an integer, or is a bool, raises
+    TypeError, and one outside [0, n) ValueError. The hops are _walk's,
+    with the step bound once a route: a port outside [0, len(link.ids)),
+    or naming the current vertex, raises FirewallError; a packet still
+    travelling after the scheme's 2n hops, more than twice any shortest
+    path, raises HopLimitExceeded.
     """
-    s, t = operator.index(s), operator.index(t)
+    if type(s) is not int or type(t) is not int:
+        if isinstance(s, bool) or isinstance(t, bool):
+            raise TypeError(f"vertex ids must be integers, got {s!r} -> "
+                            f"{t!r}")
+        s, t = operator.index(s), operator.index(t)
     if not (0 <= s < scheme.n and 0 <= t < scheme.n):
         raise ValueError(f"vertex ids must be in [0, {scheme.n}), "
                          f"got {s} -> {t}")
@@ -465,29 +471,23 @@ def _joined(rounds):
         yield ss, ts
 
 
-def _route_flat(scheme, ss, ts):
-    """Route every pair (ss[i], ts[i]), s != t, of two lists of ints into
-    one flat list of vertex ids, through _walk with the scheme's lists,
-    step and hop range read once.
-
-    Returns (vs, lens, failed): pair i's trace is the next lens[i] ids
-    of vs, and failed lists the pairs whose route raised a RoutingError,
-    each of whose traces is held as [s] alone.
-    """
+def _route_lengths(scheme, ss, ts):
+    """The hops of each pair's route, (ss[i], ts[i]) with s != t from two
+    lists of ints, as an int64 array, -1 where the route raised a
+    RoutingError: each pair walks through _walk, with the scheme's
+    lists, step and hop range read once."""
     links, tables, step, labels, hops = (scheme.links, scheme.tables,
                                          scheme.step, scheme.labels,
                                          scheme.hops)
-    vs, lens, failed = [], [], []
-    for i, (s, t) in enumerate(zip(ss, ts)):
-        at = len(vs)
-        vs.append(s)
+    lens = []
+    for s, t in zip(ss, ts):
+        trace = []
         try:
-            _walk(links, tables, step, labels[t], s, t, hops, vs)
+            _walk(links, tables, step, labels[t], s, t, hops, trace)
+            lens.append(len(trace))
         except RoutingError:
-            del vs[at + 1:]
-            failed.append(i)
-        lens.append(len(vs) - at)
-    return vs, lens, failed
+            lens.append(-1)
+    return np.array(lens, dtype=np.int64)
 
 
 def _step_states(scheme, ss, ts):
@@ -590,45 +590,36 @@ def _state_lengths(nk, lasts, hits, firsts):
     return np.where(up == nk, -1, hops)[:nk], nexts[:nk]
 
 
-_SHARE = 3  # pairs per distinct target from which a chunk steps states
+_SHARE = 3  # pairs per target from which a simple chunk steps states
 
 
 def _route_chunk(scheme, ss, ts, sl, tl):
     """Route a chunk's pairs (ss[i], ts[i]), s != t, into routing states;
     sl and tl are the two int64 arrays' lists.
 
-    A chunk with at least _SHARE pairs per distinct target steps each
-    state once per target (_step_states); with fewer, routes merge too
-    seldom to pay for the memo, and each pair walks alone
-    (_route_flat), every trace position a state of its own, or for a
-    simple scheme, whose checks read the routes' lengths alone, only
-    its source. Either way, returns (src, verts, owners, left, nexts):
-    pair i starts at state src[i]; state j lies at vertex verts[j], on
-    a route to owners[j], left[j] hops from it (-1 for a route that
-    raised or loops), and leads to state nexts[j] (itself at the
-    target; any value where left is -1). All but verts are int64
-    arrays.
+    A double chunk, and a simple one with at least _SHARE pairs per
+    distinct target, steps each state once per target (_step_states).
+    A simple chunk with fewer pairs per target, whose routes merge too
+    seldom to pay for the memo, walks each pair alone (_route_lengths):
+    a simple scheme's checks read the routes' lengths alone, so each
+    pair's state is its source. Either way, returns (src, verts, owners,
+    left, nexts): pair i starts at state src[i]; state j lies at vertex
+    verts[j], on a route to owners[j], left[j] hops from it (-1 for a
+    route that raised or loops), and leads to state nexts[j] (itself at
+    the target; any value where left is -1). All but verts are int64
+    arrays; the walk alone gives no verts, owners or nexts (None).
     """
-    if len(sl) >= _SHARE * np.count_nonzero(np.bincount(ts)):
-        order, starts, verts, lasts, hits, firsts, targets = _step_states(
-            scheme, ss, ts)
-        left, nexts = _state_lengths(len(verts), lasts, hits, firsts)
-        src = np.empty_like(order)
-        src[order] = starts
-        owners = np.repeat(targets, np.diff(firsts, append=len(verts)))
-        return src, verts, owners, left, nexts
-    verts, lens, failed = _route_flat(scheme, sl, tl)
-    lens = np.array(lens, dtype=np.int64)
-    left = lens - 1
-    left[failed] = -1
-    if scheme.kind == "simple":
-        return np.arange(len(lens)), None, None, left, None
-    src = np.cumsum(lens) - lens
-    last = src + lens - 1
-    nexts = np.arange(1, len(verts) + 1)
-    nexts[last] = last
-    return (src, verts, np.repeat(ts, lens),
-            np.repeat(left + src, lens) - np.arange(len(verts)), nexts)
+    if scheme.kind == "simple" and (
+            len(sl) < _SHARE * np.count_nonzero(np.bincount(ts))):
+        left = _route_lengths(scheme, sl, tl)
+        return np.arange(len(left)), None, None, left, None
+    order, starts, verts, lasts, hits, firsts, targets = _step_states(
+        scheme, ss, ts)
+    left, nexts = _state_lengths(len(verts), lasts, hits, firsts)
+    src = np.empty_like(order)
+    src[order] = starts
+    owners = np.repeat(targets, np.diff(firsts, append=len(verts)))
+    return src, verts, owners, left, nexts
 
 
 def _progress(d, nexts, left):
@@ -679,8 +670,10 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
 
     Pairs come in chunks of at most 65536, two int64 arrays each (a
     sample's rounds joined), so memory does not grow with the number of
-    pairs: each chunk is routed into routing states (_route_chunk),
-    then one query_distances call answers the distances its checks
+    pairs: each chunk is routed (_route_chunk), a double chunk into
+    routing states, a simple one into states when its routes share
+    targets and into each pair's route length when they do not, then
+    one query_distances call answers the distances its checks
     read, each hinted by the hops left (n for a route that raised): for
     a simple scheme d(s, t) per pair, from whichever endpoint more of
     the chunk's pairs share; for a double one d(v, t) once for every

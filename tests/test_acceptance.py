@@ -222,9 +222,10 @@ def test_criterion_7_locality_firewall(capsys, sch_steps, sch_dbl):
 def test_verify_matches_run_route_on_the_corpora(tmp_path, monkeypatch,
                                                  corpus_simple, corpus_double):
     # every CSV row and failure record of verify, stepping each routing
-    # state once per target or walking each pair alone, equals the one
-    # rebuilt from run_route: on all pairs of the instances up to
-    # n = 30, and on a sample of up to 100 pairs of every instance
+    # state once per target or (a simple scheme) walking each pair
+    # alone, equals the one rebuilt from run_route: on all pairs of the
+    # instances up to n = 30, and on a sample of up to 100 pairs of
+    # every instance
     built = (_cache.get("simple") or [
         (h, g, scheme_simple.preprocess_simple(h, g))
         for h, g in corpus_simple]) + (_cache.get("double") or [

@@ -349,20 +349,32 @@ def _edgeless(mp):
      "left the interval"),
     ("verify", False, _no_landmark, "no landmark"),
     ("verify", False, _edgeless, "visibility graph is not connected"),
+    ("verify", False,
+     lambda mp: mp.setattr(engine, "verify_all_pairs", _raise(MemoryError(
+         "Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type int64"))),
+     "Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type int64"),
+    ("gen", False,
+     lambda mp: mp.setattr(polygon, "generate", _raise(MemoryError())),
+     "MemoryError"),
 ], ids=["build-scheme", "route-scheme", "route-dump", "route-routing",
-        "verify-scheme", "verify-disconnected"])
+        "verify-scheme", "verify-disconnected", "verify-memory",
+        "gen-memory"])
 def test_library_errors_end_in_one_error_line(capsys, monkeypatch, tmp_path,
                                               steps_file, cmd, dumped, patch,
                                               message):
     # cli_main's exit-code table: each error a library call raises ends
-    # the subcommand in exit code 1 and one "error:" line
+    # the subcommand in exit code 1 and one "error:" line; a size too
+    # large to allocate, as gen --n 10^12 once raised from numpy, too
     path = steps_file
     if dumped:
         path = str(tmp_path / "steps.scheme")
         assert run(capsys, "build", steps_file, "--out", path)[0] == 0
     patch(monkeypatch)
-    extra = ["--from", "0", "--to", "3"] if cmd == "route" else []
-    code, out, err = run(capsys, cmd, path, *extra)
+    args = {"route": [path, "--from", "0", "--to", "3"],
+            "gen": ["--kind", "simple", "--n", "1000000000000"]}
+    code, out, err = run(capsys, cmd, *args.get(cmd, [path]))
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 

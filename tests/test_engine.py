@@ -72,9 +72,10 @@ def test_run_route_traces_hold_python_ints(sch_steps):
 
 
 @pytest.mark.parametrize("s, t", [(2.0, 5), (2, 5.0), ("2", 5),
-                                  (np.float64(2), 5)])
+                                  (np.float64(2), 5), (True, 5), (2, False)])
 def test_run_route_rejects_ids_that_are_not_integers(sch_steps, s, t):
-    # before the first hop: the step is never called
+    # before the first hop: the step is never called; True once routed
+    # from vertex 1, as operator.index(True) == 1
     probe = StepProbe(sch_steps)
     with pytest.raises(TypeError):
         engine.run_route(probe, s, t)
@@ -711,8 +712,9 @@ class Laps(HijackedScheme):
 def test_verify_matches_run_route_pair_by_pair(request, tmp_path, monkeypatch,
                                               fixture, misroute, pairs, share):
     # every CSV row and failure record, on all pairs and on a sample,
-    # whether the chunk steps each routing state once per target or
-    # walks each pair alone, equals the one rebuilt from run_route
+    # whether the chunk steps each routing state once per target or (a
+    # simple one) walks each pair alone, equals the one rebuilt from
+    # run_route; a double chunk steps states at either share
     h, g = request.getfixturevalue(fixture)
     sch = misroute(request.getfixturevalue(f"sch_{fixture}"))
     monkeypatch.setattr(engine, "_SHARE", share)
@@ -1235,16 +1237,27 @@ def test_step_hooks_see_every_hop(monkeypatch, make):
     assert counts == [hops, probe.header_hops]
     assert [engine.run_route(sch, s, t) for s, t in pairs] == bare
     # verify on the grid pairs with s != t, about 30 a target, in one
-    # chunk, so each target's routes share one memo
-    routed = [(s, t) for s, t in pairs if s != t]
-    states = oracles.routing_states(sch, routed)
-    assert states[0] < hops and (states[1] > 0) == (sch.kind == "double")
-    monkeypatch.setattr(engine, "_sample_pairs", lambda n, k, seed: iter(
-        [tuple(np.array(routed[:k], dtype=np.int64).T)]))
-    verifier = StepProbe(sch)
-    rep = engine.verify_all_pairs(verifier, g, pairs=len(routed))
-    assert rep.ok and rep.pairs == len(routed)
-    assert (verifier.calls, verifier.header_hops) == states
-    with counted_steps() as counts:
-        assert engine.verify_all_pairs(sch, g, pairs=len(routed)) == rep
-    assert counts == list(states)
+    # chunk, so each target's routes share one memo; then on a chunk of
+    # about one pair a target, every target's but one, whose routes from
+    # ten sources merge: a double chunk still steps each state once, a
+    # simple one walks each pair alone, one call a hop
+    n, t = sch.n, sch.n // 2
+    sparse = [((7 * u + 3) % n, u) for u in range(n)
+              if (7 * u + 3) % n != u] + [(s, t) for s in range(1, n, 50)]
+    for chunk in ([(s, t) for s, t in pairs if s != t], sparse):
+        hops = sum(len(engine.run_route(sch, s, t)) - 1 for s, t in chunk)
+        states = oracles.routing_states(sch, chunk)
+        assert states[0] < hops and (states[1] > 0) == (sch.kind == "double")
+        shared = len(chunk) >= engine._SHARE * len({t for _, t in chunk})
+        assert shared == (chunk is not sparse)
+        if not shared and sch.kind == "simple":
+            states = (hops, 0)
+        monkeypatch.setattr(engine, "_sample_pairs", lambda n, k, seed: iter(
+            [tuple(np.array(chunk[:k], dtype=np.int64).T)]))
+        verifier = StepProbe(sch)
+        rep = engine.verify_all_pairs(verifier, g, pairs=len(chunk))
+        assert rep.ok and rep.pairs == len(chunk)
+        assert (verifier.calls, verifier.header_hops) == states
+        with counted_steps() as counts:
+            assert engine.verify_all_pairs(sch, g, pairs=len(chunk)) == rep
+        assert counts == list(states)
