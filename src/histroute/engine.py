@@ -15,7 +15,8 @@ has met before, with the same firewall test and hop bound. Each state's
 hops to go and its two-step progress then follow from its next states
 by array work. A simple chunk with fewer pairs per target walks each
 pair through _walk and keeps only its length. A pair that fails is
-routed again through run_route for its record.
+routed again through run_route for its record; a stalled route's
+reason names its stall position, found by one walk along its states.
 Ground truth distances come from one bit-parallel BFS over the
 visibility graph's CSR, asked only the distances a check reads, and
 verify_all_pairs compares every route against them; a one-source BFS
@@ -345,8 +346,27 @@ def query_distances(indptr, indices, qv, qt, reach=None):
     far it lies: the sources are batched in ascending order of the
     largest hint among their queries, so near queries share batches
     that stop early. A hint only orders the sources; a wrong one costs
-    time, never a distance.
+    time, never a distance. ValueError names the first bad query when
+    qv, qt and reach differ in length, when a non-empty qv or qt is not
+    of an integer dtype (bool is not one), or when an id lies outside
+    [0, n).
     """
+    n = len(indptr) - 1
+    qv, qt = np.asarray(qv), np.asarray(qt)
+    sizes = [len(qv), len(qt)] + ([] if reach is None else [len(reach)])
+    if min(sizes) != max(sizes):
+        names = "qv and qt" if reach is None else "qv, qt and reach"
+        raise ValueError(f"query {min(sizes)}: {names} differ in length, "
+                         f"{' against '.join(map(str, sizes))}")
+    for name, q in (("qv", qv), ("qt", qt)):
+        if len(q) and q.dtype.kind not in "iu":
+            raise ValueError(f"query 0: {name} has dtype {q.dtype}, not an "
+                             f"integer dtype")
+    bad = np.flatnonzero((qv < 0) | (qv >= n) | (qt < 0) | (qt >= n))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"query {i}: vertex ids must be in [0, {n}), got "
+                         f"{qv[i]} -> {qt[i]}")
     return _query(_bfs_plan(indptr, indices), qv, qt, reach)
 
 
@@ -377,43 +397,6 @@ class VerifyReport:
             f"hdrBits={self.hdr_bits}",
             f"failures={self.failed}",
         ]
-
-
-def check_two_step_progress(d, lens):
-    """Check that routed traces make progress in at most two hops.
-
-    A trace must decompose into consecutive segments of one or two
-    hops, each ending at least one unit closer to the target; the
-    stretch-2 argument chains exactly these segments. Positions in the
-    middle of a segment carry no guarantee of their own, so the check
-    asks whether some segmentation reaches the end of the trace:
-    position p is reached from a reached p - 1 or p - 2 farther away.
-
-    d holds the int64 BFS distances to the target of the vertices of
-    consecutive traces, trace i being the next lens[i] >= 1 of them.
-    Returns an int64 array with, per trace, -1 when some segmentation
-    reaches its end, else the last position one reaches. The traces are
-    walked a position at a time, longest first, so those still alive at
-    p are a prefix: O(sum(lens) + max(lens)) work.
-    """
-    d = np.asarray(d, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    order = np.argsort(-lens, kind="stable")
-    first = (np.cumsum(lens) - lens)[order]
-    alive = len(lens) - np.cumsum(np.bincount(lens))  # traces longer than p
-    last = np.zeros(len(lens), dtype=np.int64)
-    back2 = np.zeros(len(lens), dtype=bool)     # reached p - 2
-    back1 = np.ones(len(lens), dtype=bool)      # reached p - 1
-    for p, k in enumerate(alive[1:-1].tolist(), 1):
-        at = first[:k] + p
-        now = back1[:k] & (d[at] < d[at - 1])
-        # at p = 1, back2 is all False: d[at - 2] may be any entry
-        now |= back2[:k] & (d[at] < d[at - 2])
-        last[:k][now] = p
-        back2, back1 = back1[:k], now
-    out = np.empty_like(last)
-    out[order] = np.where(last == lens[order] - 1, -1, last)
-    return out
 
 
 _FAILURE_CAP = 1000
@@ -626,13 +609,13 @@ def _progress(d, nexts, left):
     """Two-step progress per routing state, by dynamic programming along
     the next-state links: a state is good when it is its target (left 0),
     or its next state, or the one after, is nearer the target and good.
-    A route is good exactly when check_two_step_progress finds some
-    segmentation that reaches its end, for the segments are the edges of
-    the same graph walked backwards. d, nexts and left are int64 arrays
-    over the states, d the distance of each state's vertex to its
-    target; the states are taken in levels of equal left, nearest first,
-    so each level reads only decided states. A state of left -1 is not
-    good."""
+    A route is good exactly when the forward walk of the tests' oracle,
+    oracles.two_step_progress, finds some segmentation that reaches its
+    end, for the segments are the edges of the same graph walked
+    backwards. d, nexts and left are int64 arrays over the states, d the
+    distance of each state's vertex to its target; the states are taken
+    in levels of equal left, nearest first, so each level reads only
+    decided states. A state of left -1 is not good."""
     good = left == 0
     order = np.argsort(left, kind="stable")
     cuts = np.searchsorted(left[order], np.arange(1, left.max() + 2))
@@ -644,18 +627,22 @@ def _progress(d, nexts, left):
     return good
 
 
-def _chain_distances(d, nexts, left, starts):
-    """The distances d along the routes from the states starts, each to
-    its target, end to end, and the routes' lengths in states: the
-    input check_two_step_progress takes."""
-    chains = []
-    for j in starts.tolist():
-        chain = [j]
-        for _ in range(left[j]):
-            chain.append(nexts[chain[-1]])
-        chains.append(chain)
-    flat = np.array([j for chain in chains for j in chain], dtype=np.int64)
-    return d[flat], [len(chain) for chain in chains]
+def _stall(d, nexts, j):
+    """The last position of the route from state j, followed along nexts
+    to its target, that a segmentation into segments of one or two hops,
+    each ending nearer the target, reaches: position p is reached from a
+    reached p - 1 or p - 2 farther away. That is the route's end exactly
+    when _progress finds j good; d and nexts are _progress's."""
+    ds = [d[j]]
+    while nexts[j] != j:
+        j = nexts[j]
+        ds.append(d[j])
+    reached, last = [True], 0
+    for p in range(1, len(ds)):
+        reached.append(reached[p - 1] and ds[p] < ds[p - 1]
+                       or p > 1 and reached[p - 2] and ds[p] < ds[p - 2])
+        last = p if reached[p] else last
+    return last
 
 
 def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
@@ -750,11 +737,6 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             fail = np.flatnonzero(bad).tolist()
             total_failures += len(fail)
             record = fail[:_FAILURE_CAP - len(failures)]
-            stalls = [] if simple else [
-                i for i in record if routed[i] >= 0 and not far[i]]
-            if stalls:          # where the routes that end too slowly stall
-                stall = dict(zip(stalls, check_two_step_progress(
-                    *_chain_distances(d, nexts, left, src[stalls])).tolist()))
             for i in record:
                 # failing pairs are routed again, one hop loop for all
                 try:
@@ -767,7 +749,8 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
                     reason=reason or (
                         "not a shortest path" if simple else
                         "stretch above 2" if far[i] else
-                        f"progress stalls after position {stall[i]}")))
+                        "progress stalls after position "
+                        f"{_stall(d, nexts, src[i])}")))
             if writer is not None:
                 writer.writerows(zip(sl, tl, bfs.tolist(), routed.tolist(),
                                      map("{:.3f}".format, stretch.tolist())))

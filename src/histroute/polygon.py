@@ -17,6 +17,7 @@ counterclockwise orientation, and general position: every x value and
 every y value is shared by exactly two vertices.
 """
 
+import operator
 import re
 
 import numpy as np
@@ -150,12 +151,12 @@ def _check_closed_cycle(xs, ys):
         return "duplicate vertices"
     # edge i runs from vertex i to i+1; with no duplicates it is
     # axis-parallel when dx or dy is 0
-    dx, dy = np.roll(xs, -1) - xs, np.roll(ys, -1) - ys
+    dx, dy = np.diff(xs, append=xs[0]), np.diff(ys, append=ys[0])
     bad = np.flatnonzero((dx != 0) & (dy != 0))
     if len(bad):
         return f"edge {bad[0]} is not axis-parallel"
     vertical = dx == 0
-    bad = np.flatnonzero(vertical == np.roll(vertical, -1))
+    bad = np.flatnonzero(vertical == np.append(vertical[1:], vertical[0]))
     if len(bad):
         return f"edges {bad[0]} and {(bad[0] + 1) % n} do not alternate"
     return None
@@ -178,9 +179,9 @@ def _check_x_monotone(xs, ys):
     lo, hi = ends
     # edges lo+1 .. hi-1 (mod n) lead from xmin to xmax, edges
     # hi+1 .. lo-1 back; each is put in left-to-right order
-    edges = np.roll(np.arange(n), -lo - 1)
+    edges = (np.arange(n) + lo + 1) % n
     k = (hi - lo) % n
-    dx = np.roll(xs, -1) - xs
+    dx = np.diff(xs, append=xs[0])
     rightward, leftward = edges[:k - 1], edges[k:n - 1][::-1]
     rightward = rightward[dx[rightward] != 0]
     leftward = leftward[dx[leftward] != 0]
@@ -365,8 +366,10 @@ def normalize(h: Histogram) -> Histogram:
 def generate(kind: str, n: int, seed: int) -> Histogram:
     """Generate a random valid histogram with n vertices, deterministically.
 
-    Simple needs even n >= 4, double even n >= 8.
+    Simple needs even n >= 4, double even n >= 8; n passes through
+    operator.index, so an n that is not an integer raises TypeError.
     """
+    n = operator.index(n)
     rng = np.random.default_rng(seed)
     if kind == "simple":
         if n < 4 or n % 2 != 0:

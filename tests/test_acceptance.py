@@ -225,7 +225,9 @@ def test_verify_matches_run_route_on_the_corpora(tmp_path, monkeypatch,
     # state once per target or (a simple scheme) walking each pair
     # alone, equals the one rebuilt from run_route: on all pairs of the
     # instances up to n = 30, and on a sample of up to 100 pairs of
-    # every instance
+    # every instance. A double route is at most 2d - 1 hops: a vertex at
+    # distance 1 sees the target, and two-step progress bounds the rest
+    # to 2(d - 1) hops
     built = (_cache.get("simple") or [
         (h, g, scheme_simple.preprocess_simple(h, g))
         for h, g in corpus_simple]) + (_cache.get("double") or [
@@ -238,7 +240,11 @@ def test_verify_matches_run_route_on_the_corpora(tmp_path, monkeypatch,
                 sch, g, None if pairs == "all"
                 else oracles.sample_pairs(h.n, pairs, h.n))
             assert want_failures == []
-            for share in (0, 10**9):
+            if h.kind == "double":
+                assert all(int(routed) <= 2 * int(bfs) - 1
+                           for _, _, bfs, routed, _ in want_rows)
+            # only simple chunks read _SHARE; a double one steps states
+            for share in (0, 10**9) if h.kind == "simple" else (0,):
                 monkeypatch.setattr(engine, "_SHARE", share)
                 rep = engine.verify_all_pairs(sch, g, pairs=pairs, seed=h.n,
                                               report_path=str(out))

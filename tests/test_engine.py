@@ -434,6 +434,22 @@ def test_bfs_distances_match_query_distances(name):
             assert stopped[near].tolist() == want[s, near].tolist()
 
 
+@pytest.mark.parametrize("qv, qt, reach, match", [
+    ([-1], [0], None, r"query 0: vertex ids must be in \[0, 3\), got -1"),
+    ([0, 1], [2, 3], None, r"query 1: .* got 1 -> 3"),
+    ([0.5], [0], None, "query 0: qv has dtype float64"),
+    ([0], [True], None, "query 0: qt has dtype bool"),
+    ([0, 1], [2], None, "query 1: qv and qt differ in length, 2 against 1"),
+    ([0], [2], [1, 1], "query 1: qv, qt and reach differ in length"),
+], ids=["negative", "past-n", "fractional", "bool", "lengths", "reach"])
+def test_query_distances_rejects_bad_queries(qv, qt, reach, match):
+    # a path 0-1-2: a wrapped or truncated id would answer silently
+    indptr, indices = oracles.csr_of(graph_of(3, [(0, 1), (1, 2)]))
+    with pytest.raises(ValueError, match=match):
+        engine.query_distances(indptr, indices, qv, qt, reach)
+    assert engine.query_distances(indptr, indices, [], []).tolist() == []
+
+
 def test_bfs_distances_on_a_long_path():
     # one level per vertex, each a frontier of one; stopped at the
     # middle vertex, the levels past it stay unreached
@@ -447,9 +463,11 @@ def test_bfs_distances_on_a_long_path():
 
 
 def progress_check(profile):
-    # one trace whose vertices lie at the given distances to t
-    [got] = engine.check_two_step_progress(np.array(profile), [len(profile)])
-    return got
+    # one route of states whose vertices lie at the given distances to
+    # t, the last one t's own; -1 when a segmentation reaches the end
+    m = len(profile)
+    got = engine._stall(np.array(profile), list(range(1, m)) + [m - 1], 0)
+    return -1 if got == m - 1 else got
 
 
 def test_two_step_progress_accepts_segmentation():
@@ -472,7 +490,6 @@ def test_two_step_progress_rejects_stall():
 def test_two_step_progress_trivial():
     assert progress_check([0]) == -1
     assert progress_check([1, 0]) == -1
-    assert engine.check_two_step_progress([], []).tolist() == []
 
 
 @st.composite
@@ -499,20 +516,21 @@ def distance_profiles(draw):
 @hypothesis.given(batch=st.lists(distance_profiles(), min_size=1, max_size=8))
 @hypothesis.settings(max_examples=200, deadline=None)
 def test_two_step_progress_matches_oracle(batch):
-    # traces of mixed lengths in one call, each against the walk along it
-    got = engine.check_two_step_progress(np.concatenate(batch),
-                                         [len(d) for d in batch])
-    want = [oracles.two_step_progress(d) for d in batch]
-    assert got.tolist() == want
     # the traces as chains of routing states, each ending in a target
-    # state of its own: the per-state DP decides each at its first state
+    # state of its own: the stall walk names each one's stall from its
+    # first state, and the per-state DP decides each there
+    want = [oracles.two_step_progress(d) for d in batch]
     lens = np.array([len(d) for d in batch])
     first = np.cumsum(lens) - lens
     last = first + lens - 1
     nexts = np.arange(1, lens.sum() + 1)
     nexts[last] = last
     left = np.repeat(last, lens) - np.arange(lens.sum())
-    good = engine._progress(np.concatenate(batch), nexts, left)
+    d = np.concatenate(batch)
+    stalls = [engine._stall(d, nexts, j) for j in first.tolist()]
+    assert [-1 if stall == m - 1 else stall
+            for stall, m in zip(stalls, lens.tolist())] == want
+    good = engine._progress(d, nexts, left)
     assert good[first].tolist() == [stall < 0 for stall in want]
 
 

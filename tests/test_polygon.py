@@ -226,6 +226,13 @@ def test_generate_rejects_bad_n(kind, n):
         polygon.generate(kind, n, seed=0)
 
 
+@pytest.mark.parametrize("kind, n", [("simple", 6.0), ("double", 8.0)])
+def test_generate_rejects_n_not_an_integer(kind, n):
+    # not numpy's AxisError, nor a fault blamed on the generated polygon
+    with pytest.raises(TypeError, match="cannot be interpreted"):
+        polygon.generate(kind, n, seed=1)
+
+
 @hypothesis.given(n=st.integers(2, 40).map(lambda k: 2 * k),
                   seed=st.integers(0, 10_000))
 @hypothesis.settings(max_examples=60, deadline=None)

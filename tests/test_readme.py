@@ -1,14 +1,15 @@
 """The examples of README.md: its commands run through the CLI, and its
 library block run as Python, as shown."""
 
+import builtins
 import pathlib
 import re
 import shlex
 
 from histroute import cli
 
-README = (pathlib.Path(__file__).resolve().parents[1]
-          / "README.md").read_text(encoding="utf-8")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```\w*\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
 
 
@@ -40,3 +41,16 @@ def test_readme_library_block_runs_as_shown():
     exec(block("from histroute import"), names)
     assert names["trace"][0] == 0 and names["trace"][-1] == 27
     assert names["report"].ok
+
+
+def test_readme_names_only_callables_that_exist():
+    # every `name( and `mod.name( of README.md is a builtin, or a def or
+    # class of the package
+    source = "".join(p.read_text(encoding="utf-8")
+                     for p in (ROOT / "src" / "histroute").glob("*.py"))
+    defined = set(re.findall(r"^\s*(?:def|class) (\w+)", source,
+                             re.MULTILINE))
+    shown = {name.rpartition(".")[2]
+             for name in re.findall(r"`((?:\w+\.)*\w+)\(", README)}
+    assert len(shown) >= 10
+    assert sorted(shown - defined - set(dir(builtins))) == []
