@@ -52,8 +52,14 @@ def _pairs(text: str):
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """A polygon file's text, decoded as UTF-8; a scheme dump, a file
+    that starts with dump.MAGIC, is a PolygonError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(dump.MAGIC):
+        raise polygon.PolygonError(
+            "syntax", f"{path} is a scheme dump, not a polygon file")
+    return data.decode("utf-8")
 
 
 def _prepare(text: str):

@@ -6,15 +6,18 @@ routing table, the target's label, and the packet header. The step
 answers with a port, a position in the link's ``ids``; a port outside
 the link, or naming the current vertex, is a firewall breach. One hop
 loop, _walk, does this for run_route, a route at a time.
-verify_all_pairs reads the scheme's lists and step once a chunk of
-pairs. A double chunk, and a simple one with several pairs per target,
-steps each routing state, a vertex and the header carried into it, once
-per target: a step reads only local inputs, so the routes to one target
-merge where they meet a state, and a walk stops at the first state it
-has met before, with the same firewall test and hop bound. Each state's
-hops to go and its two-step progress then follow from its next states
-by array work. A simple chunk with fewer pairs per target walks each
-pair through _walk and keeps only its length. A pair that fails is
+verify_all_pairs takes its pairs in chunks (a sample's rounds joined)
+and picks one of two routers a chunk, each reading the scheme's lists
+and step once. A double chunk, and a simple one with several pairs per
+target, goes to _step_states, which steps each routing state, a vertex
+and the header carried into it, once per target: a step reads only
+local inputs, so the routes to one target merge where they meet a
+state, and a walk stops at the first state it has met before, with the
+same firewall test and hop bound. It returns each state's hops to go
+and next state, found by pointer jumping, and two-step progress then
+follows by array work. A simple chunk with fewer pairs per target goes
+to _route_lengths, which walks each pair through _walk and keeps only
+its length. A pair that fails is
 routed again through run_route for its record; a stalled route's
 reason names its stall position, found by one walk along its states.
 Ground truth distances come from one bit-parallel BFS over the
@@ -314,9 +317,17 @@ def bfs_distances(indptr, indices, s, stop=None):
     where unreached, as an int64 array. Each level pushes from its
     frontier along the frontier's rows, in a fixed number of numpy
     calls and O(frontier edges) work. Given a vertex stop, the search
-    ends with the level that reaches it, and later levels stay -1.
+    ends with the level that reaches it, and later levels stay -1. An s
+    or stop that is not an integer, or is a bool, raises TypeError, and
+    one outside [0, n) ValueError.
     """
     n = len(indptr) - 1
+    for name, v in [("s", s)] + ([] if stop is None else [("stop", stop)]):
+        if isinstance(v, (bool, np.bool_)) or not hasattr(v, "__index__"):
+            raise TypeError(f"vertex id {name} must be an integer, got "
+                            f"{v!r}")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {name} must be in [0, {n}), got {v}")
     dist = np.full(n, -1, dtype=np.int64)
     dist[s] = 0
     slot = np.empty(n, dtype=np.int64)
@@ -401,6 +412,7 @@ class VerifyReport:
 
 _FAILURE_CAP = 1000
 _CHUNK = 1 << 16    # pairs routed, then checked, at a time
+_SHARE = 3          # pairs per target from which a simple chunk steps states
 
 
 class SampleSizeError(ValueError):
@@ -409,24 +421,30 @@ class SampleSizeError(ValueError):
 
 def _sample_pairs(n, k, seed):
     """k pairs (s, t) with s != t, drawn uniformly with the given seed,
-    as rounds (ss, ts) of at most _CHUNK pairs, two int64 arrays each.
+    as chunks (ss, ts) of _CHUNK pairs, the last one shorter, two int64
+    arrays each.
 
     Each round draws m = min(_CHUNK, left + 8) sources, then m targets,
     left being the pairs still wanted, and keeps the pairs with s != t.
-    Memory stays O(_CHUNK), and a sample of at most _CHUNK - 8 pairs
-    draws all of a round's sources, then all its targets, in one call.
+    The rounds' pairs are joined in order and cut into chunks, so a short
+    last round shares a chunk. Memory stays O(_CHUNK), and a sample of
+    at most _CHUNK - 8 pairs draws all of a round's sources, then all its
+    targets, in one call.
     """
     rng = np.random.default_rng(seed)
+    ss = ts = np.empty(0, dtype=np.int64)
     left = k
     while left > 0:
         m = min(_CHUNK, left + 8)
-        ss = rng.integers(0, n, size=m)
-        ts = rng.integers(0, n, size=m)
-        keep = ss != ts
-        ss, ts = ss[keep][:left], ts[keep][:left]
-        if len(ss):
-            yield ss, ts
-        left -= len(ss)
+        more_s = rng.integers(0, n, size=m)
+        more_t = rng.integers(0, n, size=m)
+        keep = more_s != more_t
+        more_s, more_t = more_s[keep][:left], more_t[keep][:left]
+        left -= len(more_s)
+        ss, ts = np.append(ss, more_s), np.append(ts, more_t)
+        while len(ss) >= _CHUNK or len(ss) and left <= 0:
+            yield ss[:_CHUNK], ts[:_CHUNK]
+            ss, ts = ss[_CHUNK:], ts[_CHUNK:]
 
 
 def _all_pairs(n):
@@ -437,21 +455,6 @@ def _all_pairs(n):
     for lo in range(0, total, _CHUNK):
         ss, j = np.divmod(np.arange(lo, min(lo + _CHUNK, total)), n - 1)
         yield ss, j + (j >= ss)
-
-
-def _joined(rounds):
-    """The pairs of rounds (ss, ts), two int64 arrays each, in order,
-    cut again into chunks of _CHUNK pairs, the last one shorter, so a
-    sample's short last round shares a chunk. At most two chunks' worth
-    of pairs are held at once."""
-    ss = ts = np.empty(0, dtype=np.int64)
-    for more_s, more_t in rounds:
-        ss, ts = np.append(ss, more_s), np.append(ts, more_t)
-        while len(ss) >= _CHUNK:
-            yield ss[:_CHUNK], ts[:_CHUNK]
-            ss, ts = ss[_CHUNK:], ts[_CHUNK:]
-    if len(ss):
-        yield ss, ts
 
 
 def _route_lengths(scheme, ss, ts):
@@ -492,11 +495,13 @@ def _step_states(scheme, ss, ts):
     meets nothing in len(scheme.hops) hops keeps its source alone, whose
     route is longer than the bound, and fails.
 
-    Returns (order, starts, verts, lasts, hits, firsts, targets): the
-    sorted pair order[k] starts at state starts[k]; state j lies at
-    vertex verts[j]; the walks end at the states lasts, leading to hits
-    (-1 for none); targets[k]'s own state is firsts[k], and its other
-    states follow it, up to the next target's.
+    The links from each state to its next form a forest, so pointer
+    jumping (Wyllie's list ranking) sums every state's hops to go in
+    O(log) rounds of array work. Returns (src, verts, owners, left,
+    nexts): pair i starts at state src[i]; state j lies at vertex
+    verts[j], on a route to owners[j], left[j] hops from it (-1 for a
+    state that fails), and leads to state nexts[j] (itself at the
+    target; any value where left is -1). All but verts are int64 arrays.
     """
     links, tables, step, labels = (scheme.links, scheme.tables,
                                    scheme.step, scheme.labels)
@@ -547,62 +552,23 @@ def _step_states(scheme, ss, ts):
         nk = j
         lasts.append(j - 1)
         hits.append(hit if hit < at else -1)
-    return order, starts, verts, lasts, hits, firsts, targets
-
-
-def _state_lengths(nk, lasts, hits, firsts):
-    """Each state's hops to its target, -1 for a state that fails, and
-    its next state (nk for none, itself for a target), from
-    _step_states' walks, as int64 arrays. A walk's states lead one to
-    the next and the last to an older walk's state, a target or none, so
-    the links form a forest, and pointer jumping (Wyllie's list ranking)
-    sums the hops in O(log) rounds of array work."""
-    nexts = np.arange(1, nk + 2)
+    src = np.empty_like(order)
+    src[order] = starts
+    owners = np.repeat(targets, np.diff(firsts, append=nk))
+    nexts = np.arange(1, nk + 2)    # state nk stands for none
     nexts[firsts] = firsts
     nexts[lasts] = hits
     nexts[nexts < 0] = nk
     nexts[nk] = nk
-    hops = (nexts != np.arange(nk + 1)).astype(np.int64)
+    left = (nexts != np.arange(nk + 1)).astype(np.int64)
     up = nexts
     while True:
         upper = up[up]
         if (upper == up).all():
             break
-        hops += hops[up]
+        left += left[up]
         up = upper
-    return np.where(up == nk, -1, hops)[:nk], nexts[:nk]
-
-
-_SHARE = 3  # pairs per target from which a simple chunk steps states
-
-
-def _route_chunk(scheme, ss, ts, sl, tl):
-    """Route a chunk's pairs (ss[i], ts[i]), s != t, into routing states;
-    sl and tl are the two int64 arrays' lists.
-
-    A double chunk, and a simple one with at least _SHARE pairs per
-    distinct target, steps each state once per target (_step_states).
-    A simple chunk with fewer pairs per target, whose routes merge too
-    seldom to pay for the memo, walks each pair alone (_route_lengths):
-    a simple scheme's checks read the routes' lengths alone, so each
-    pair's state is its source. Either way, returns (src, verts, owners,
-    left, nexts): pair i starts at state src[i]; state j lies at vertex
-    verts[j], on a route to owners[j], left[j] hops from it (-1 for a
-    route that raised or loops), and leads to state nexts[j] (itself at
-    the target; any value where left is -1). All but verts are int64
-    arrays; the walk alone gives no verts, owners or nexts (None).
-    """
-    if scheme.kind == "simple" and (
-            len(sl) < _SHARE * np.count_nonzero(np.bincount(ts))):
-        left = _route_lengths(scheme, sl, tl)
-        return np.arange(len(left)), None, None, left, None
-    order, starts, verts, lasts, hits, firsts, targets = _step_states(
-        scheme, ss, ts)
-    left, nexts = _state_lengths(len(verts), lasts, hits, firsts)
-    src = np.empty_like(order)
-    src[order] = starts
-    owners = np.repeat(targets, np.diff(firsts, append=len(verts)))
-    return src, verts, owners, left, nexts
+    return src, verts, owners, np.where(up == nk, -1, left)[:nk], nexts[:nk]
 
 
 def _progress(d, nexts, left):
@@ -655,22 +621,23 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     Simple schemes must match BFS exactly; double schemes must have
     stretch at most 2 and make two-step progress along every trace.
 
-    Pairs come in chunks of at most 65536, two int64 arrays each (a
-    sample's rounds joined), so memory does not grow with the number of
-    pairs: each chunk is routed (_route_chunk), a double chunk into
-    routing states, a simple one into states when its routes share
-    targets and into each pair's route length when they do not, then
-    one query_distances call answers the distances its checks
-    read, each hinted by the hops left (n for a route that raised): for
-    a simple scheme d(s, t) per pair, from whichever endpoint more of
-    the chunk's pairs share; for a double one d(v, t) once for every
-    state, from the distinct targets, and two-step progress per state
-    (_progress). The checks run as array tests over the chunk; only
-    failing pairs get a record, built in pair order from run_route's
-    trace or exception. A pair fails on the first of: a RoutingError,
-    or a route of more than 2n hops in all, then for a simple scheme a
-    route longer than the BFS distance, for a double one a stretch
-    above 2, then a trace without two-step progress.
+    Pairs come in chunks of at most 65536, two int64 arrays each, so
+    memory does not grow with the number of pairs. A double chunk, and
+    a simple one with at least _SHARE pairs per distinct target, is
+    routed into routing states (_step_states); a simple chunk with fewer
+    pairs per target, whose routes merge too seldom to pay for the memo,
+    walks each pair alone (_route_lengths), for a simple scheme's checks
+    read only the routes' lengths. Then one query_distances call
+    answers the distances its checks read, each hinted by the hops left
+    (n for a route that raised): for a simple scheme d(s, t) per pair,
+    from whichever endpoint more of the chunk's pairs share; for a
+    double one d(v, t) once for every state, from the distinct targets,
+    and two-step progress per state (_progress). The checks run as array
+    tests over the chunk; only failing pairs get a record, built in pair
+    order from run_route's trace or exception. A pair fails on the first
+    of: a RoutingError, or a route of more than 2n hops in all, then for
+    a simple scheme a route longer than the BFS distance, for a double
+    one a stretch above 2, then a trace without two-step progress.
     """
     n = scheme.n
     if pairs == "all":
@@ -690,7 +657,7 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
             raise SampleSizeError(
                 f"cannot sample {k} pairs: there are only {n * (n - 1)} "
                 f"ordered pairs with s != t; use 'all'")
-        chunks = _joined(_sample_pairs(n, k, seed))
+        chunks = _sample_pairs(n, k, seed)
 
     if (bfs_distances(g.indptr, g.indices, 0) < 0).any():
         raise SchemeBuildError("visibility graph is not connected")
@@ -709,9 +676,12 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
         for ss, ts in chunks:
             total_pairs += len(ss)
             sl, tl = ss.tolist(), ts.tolist()
-            src, verts, owners, left, nexts = _route_chunk(scheme, ss, ts,
-                                                           sl, tl)
-            routed = left[src]
+            if simple and len(sl) < _SHARE * np.count_nonzero(
+                    np.bincount(ts)):
+                routed = _route_lengths(scheme, sl, tl)
+            else:
+                src, verts, owners, left, nexts = _step_states(scheme, ss, ts)
+                routed = left[src]
             routed[routed > limit] = -1     # the bound counts the whole route
             reach = np.where(routed < 0, n, routed)
             if simple:   # only d(s, t) = d(t, s) is read: the BFS starts

@@ -219,6 +219,19 @@ def test_criterion_7_locality_firewall(capsys, sch_steps, sch_dbl):
            f"self-hop={caught_self}, bogus header={caught_header}")
 
 
+def test_stretch_witness_routes_in_2d_minus_1_hops():
+    # the worst pair of all pairs of generate("double", 3000, 2): BFS
+    # distance 8, routed in 15 = 2 * 8 - 1 hops, the most two-step
+    # progress and a direct hit at distance 1 allow, with stretch 15/8
+    h = polygon.generate("double", 3000, 2)
+    g = visibility.build_graph(h)
+    trace = engine.run_route(scheme_double.preprocess_double(h, g), 875, 1472)
+    d = engine.bfs_distances(g.indptr, g.indices, 1472)
+    assert (len(trace) - 1, d[875]) == (15, 8)
+    assert (len(trace) - 1) / d[875] == 15 / 8 < 2
+    assert oracles.two_step_progress(d[trace].tolist()) == -1
+
+
 def test_verify_matches_run_route_on_the_corpora(tmp_path, monkeypatch,
                                                  corpus_simple, corpus_double):
     # every CSV row and failure record of verify, stepping each routing

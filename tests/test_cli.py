@@ -400,6 +400,18 @@ def test_non_utf8_file(capsys, tmp_path, cmd, args):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("cmd", ["validate", "build", "verify"])
+def test_dump_given_as_a_polygon_file(capsys, dbl_file, tmp_path, cmd):
+    # these used to end in "error: 'utf-8' codec can't decode byte ..."
+    dumped = tmp_path / "dbl.scheme"
+    assert run(capsys, "build", dbl_file, "--out", str(dumped))[0] == 0
+    code, out, err = run(capsys, cmd, str(dumped))
+    line = f"syntax: {dumped} is a scheme dump, not a polygon file\n"
+    assert code == 1
+    assert (out, err) == (("invalid: " + line, "") if cmd == "validate"
+                          else ("", "error: " + line))
+
+
 def test_gen_validate_build_route_pipeline(capsys, tmp_path):
     poly = tmp_path / "g.poly"
     dump = tmp_path / "g.scheme"
@@ -658,7 +670,7 @@ def test_console_script_commands_run(tmp_path):
     step = re.search(r"name: Run the installed console script\n"
                      r"(?:\s+#.*\n)*\s+run: \|\n((?: {10}.*\n)+)", workflow)
     script = "".join(line[10:] + "\n" for line in step[1].splitlines())
-    assert len(re.findall(r"^histroute ", script, re.MULTILINE)) == 7
+    assert len(re.findall(r"^histroute ", script, re.MULTILINE)) == 8
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     wrapper = bin_dir / "histroute"

@@ -450,6 +450,28 @@ def test_query_distances_rejects_bad_queries(qv, qt, reach, match):
     assert engine.query_distances(indptr, indices, [], []).tolist() == []
 
 
+@pytest.mark.parametrize("s, stop, error, match", [
+    (True, None, TypeError, "vertex id s must be an integer, got True"),
+    (np.True_, None, TypeError, "vertex id s must be an integer"),
+    (1.0, None, TypeError, "vertex id s must be an integer, got 1.0"),
+    (0, True, TypeError, "vertex id stop must be an integer, got True"),
+    (0, 2.0, TypeError, "vertex id stop must be an integer, got 2.0"),
+    (-1, None, ValueError, r"vertex id s must be in \[0, 3\), got -1"),
+    (3, None, ValueError, r"vertex id s must be in \[0, 3\), got 3"),
+    (0, -1, ValueError, r"vertex id stop must be in \[0, 3\), got -1"),
+    (0, 3, ValueError, r"vertex id stop must be in \[0, 3\), got 3"),
+], ids=["bool", "numpy-bool", "float", "stop-bool", "stop-float", "negative",
+        "past-n", "stop-negative", "stop-past-n"])
+def test_bfs_distances_rejects_bad_ids(s, stop, error, match):
+    # a path 0-1-2: a bool once masked every entry, a stop of -1 ended
+    # at the level reaching vertex 2, and an s of -1 or 3 met numpy errors
+    indptr, indices = oracles.csr_of(graph_of(3, [(0, 1), (1, 2)]))
+    with pytest.raises(error, match=match):
+        engine.bfs_distances(indptr, indices, s, stop)
+    assert engine.bfs_distances(indptr, indices, np.int64(2),
+                                np.int64(0)).tolist() == [2, 1, 0]
+
+
 def test_bfs_distances_on_a_long_path():
     # one level per vertex, each a frontier of one; stopped at the
     # middle vertex, the levels past it stay unreached
@@ -862,11 +884,12 @@ def test_sample_pairs_of_benchmark_size_match_one_shot_draws(k):
 
 def test_sample_pairs_over_several_chunks(monkeypatch):
     # rounds of at most _CHUNK draws each still give k pairs, s != t,
-    # the same for the same seed; while a round draws all the pairs still
-    # wanted, plus 8, the rounds concatenate to the one-shot sample
+    # the same for the same seed, in chunks of exactly _CHUNK but the
+    # last; while a round draws all the pairs still wanted, plus 8, the
+    # rounds concatenate to the one-shot sample
     monkeypatch.setattr(engine, "_CHUNK", 16)
     chunks = list(engine._sample_pairs(3, 100, 2))
-    assert len(chunks) > 6
+    assert [len(ss) for ss, _ in chunks] == [16] * 6 + [4]
     got = joined(chunks, 16)
     assert len(got) == 100 and all(s != t for s, t in got)
     assert all(0 <= s < 3 and 0 <= t < 3 for s, t in got)
@@ -875,7 +898,21 @@ def test_sample_pairs_over_several_chunks(monkeypatch):
     for n, k, seed in [(2, 40, 0), (3, 50, 1), (50, 56, 4)]:
         chunks = list(engine._sample_pairs(n, k, seed))
         assert joined(chunks, 64) == oracles.sample_pairs(n, k, seed)
-    assert len(list(engine._sample_pairs(2, 40, 0))) > 1
+    # at n = 2 about half the draws are kept, so the 40 pairs take more
+    # than one round, sources then targets each, and arrive as one chunk
+    sizes, make = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def integers(self, low, high, size):
+            sizes.append(size)
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    assert len(list(engine._sample_pairs(2, 40, 0))) == 1
+    assert len(sizes) > 2 and sizes[::2] == sizes[1::2]
 
 
 @pytest.mark.parametrize("n, chunk", [(1, 16), (2, 16), (5, 3), (5, 20),

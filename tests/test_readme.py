@@ -54,3 +54,17 @@ def test_readme_names_only_callables_that_exist():
              for name in re.findall(r"`((?:\w+\.)*\w+)\(", README)}
     assert len(shown) >= 10
     assert sorted(shown - defined - set(dir(builtins))) == []
+
+
+def test_readme_names_only_private_names_that_exist():
+    # every `_name` of README.md is a def, a class or a module-level
+    # assignment of the package, so no mention outlives its helper
+    source = "".join(p.read_text(encoding="utf-8")
+                     for p in (ROOT / "src" / "histroute").glob("*.py"))
+    defined = set(re.findall(r"^\s*(?:def|class) (_\w+)", source,
+                             re.MULTILINE))
+    defined |= set(re.findall(r"^(_\w+)\s*(?::[^=\n]*)?=", source,
+                              re.MULTILINE))
+    shown = set(re.findall(r"`(_\w+)`", README))
+    assert len(shown) >= 4
+    assert sorted(shown - defined) == []
