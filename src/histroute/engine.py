@@ -154,7 +154,7 @@ def run_route(scheme, s: int, t: int):
     path, raises HopLimitExceeded.
     """
     if type(s) is not int or type(t) is not int:
-        if isinstance(s, bool) or isinstance(t, bool):
+        if any(isinstance(v, (bool, np.bool_)) for v in (s, t)):
             raise TypeError(f"vertex ids must be integers, got {s!r} -> "
                             f"{t!r}")
         s, t = operator.index(s), operator.index(t)
@@ -275,17 +275,23 @@ def _bfs_levels(plan, sources):
 
 
 def _query(plan, qv, qt, reach):
-    """query_distances on the rows of a _bfs_plan."""
+    """d(qv[i], qt[i]) for every i, -1 where unreachable, by BFS on the
+    rows of a _bfs_plan from the distinct qt, ids unchecked, in batches
+    of _BATCH that each stop once their queries are answered. reach is
+    a hint per query of how far it lies: the sources are batched in
+    ascending order of the largest hint among their queries, so near
+    queries share batches that stop early. A hint only orders the
+    sources; a wrong one costs time, never a distance.
+    """
     qv = np.asarray(qv, dtype=np.int64)
     qt = np.asarray(qt, dtype=np.int64)
     n = len(plan.rank)
     wanted = np.zeros(n, dtype=bool)
     wanted[qt] = True
     targets = np.flatnonzero(wanted)
-    if reach is not None:
-        far = np.full(n, np.iinfo(np.int64).min)
-        np.maximum.at(far, qt, np.asarray(reach, dtype=np.int64))
-        targets = targets[np.argsort(far[targets], kind="stable")]
+    far = np.full(n, np.iinfo(np.int64).min)
+    np.maximum.at(far, qt, np.asarray(reach, dtype=np.int64))
+    targets = targets[np.argsort(far[targets], kind="stable")]
     place = np.empty(n, dtype=np.int64)
     place[targets] = np.arange(len(targets))
     j = place[qt]                           # index of qt[i] in targets
@@ -346,39 +352,6 @@ def bfs_distances(indptr, indices, s, stop=None):
         level += 1
         dist[front] = level
     return dist
-
-
-def query_distances(indptr, indices, qv, qt, reach=None):
-    """d(qv[i], qt[i]) for every i, -1 where unreachable, by BFS on the
-    symmetric CSR adjacency (indptr, indices) from the distinct qt.
-
-    The sources run in batches of _BATCH, each only until all of its
-    queries are answered. reach, when given, is a hint per query of how
-    far it lies: the sources are batched in ascending order of the
-    largest hint among their queries, so near queries share batches
-    that stop early. A hint only orders the sources; a wrong one costs
-    time, never a distance. ValueError names the first bad query when
-    qv, qt and reach differ in length, when a non-empty qv or qt is not
-    of an integer dtype (bool is not one), or when an id lies outside
-    [0, n).
-    """
-    n = len(indptr) - 1
-    qv, qt = np.asarray(qv), np.asarray(qt)
-    sizes = [len(qv), len(qt)] + ([] if reach is None else [len(reach)])
-    if min(sizes) != max(sizes):
-        names = "qv and qt" if reach is None else "qv, qt and reach"
-        raise ValueError(f"query {min(sizes)}: {names} differ in length, "
-                         f"{' against '.join(map(str, sizes))}")
-    for name, q in (("qv", qv), ("qt", qt)):
-        if len(q) and q.dtype.kind not in "iu":
-            raise ValueError(f"query 0: {name} has dtype {q.dtype}, not an "
-                             f"integer dtype")
-    bad = np.flatnonzero((qv < 0) | (qv >= n) | (qt < 0) | (qt >= n))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"query {i}: vertex ids must be in [0, {n}), got "
-                         f"{qv[i]} -> {qt[i]}")
-    return _query(_bfs_plan(indptr, indices), qv, qt, reach)
 
 
 @dataclasses.dataclass
@@ -627,8 +600,8 @@ def verify_all_pairs(scheme, g, pairs="all", seed=None, report_path=None):
     routed into routing states (_step_states); a simple chunk with fewer
     pairs per target, whose routes merge too seldom to pay for the memo,
     walks each pair alone (_route_lengths), for a simple scheme's checks
-    read only the routes' lengths. Then one query_distances call
-    answers the distances its checks read, each hinted by the hops left
+    read only the routes' lengths. Then one pair query (_query) answers
+    the distances its checks read, each hinted by the hops left
     (n for a route that raised): for a simple scheme d(s, t) per pair,
     from whichever endpoint more of the chunk's pairs share; for a
     double one d(v, t) once for every state, from the distinct targets,

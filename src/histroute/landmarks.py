@@ -84,7 +84,7 @@ def dominator_levels(g: VisibilityGraph, k: int):
         raise ValueError("dominator levels exist on double histograms only")
     n = h.n
     sides = []
-    for ids in (np.flatnonzero(h.side < 0), np.flatnonzero(h.side > 0)):
+    for ids in (np.flatnonzero(h.ys < 0), np.flatnonzero(h.ys > 0)):
         ids = ids[np.argsort(h.xs[ids], kind="stable")]
         by_rank = ids[np.lexsort((ids, h.xs[ids], np.abs(h.ys[ids])))]
         rank = np.empty(n, dtype=np.int64)

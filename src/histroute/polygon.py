@@ -75,13 +75,6 @@ class Histogram:
         sx_out, sy_out = np.sign(xs[nxt] - xs), np.sign(ys[nxt] - ys)
         self.convex = sx_in * sy_out - sy_in * sx_out > 0
 
-        side = np.empty(n, dtype=np.int64)
-        if self.kind == "simple":
-            side[:] = np.where(ys < self.base_y, -1, 0)
-        else:
-            side[:] = np.where(ys > 0, 1, -1)
-        self.side = side
-
         # Horizontal edge table: the teeth whose heights decide where
         # the horizontal rays stop.
         h_from = np.nonzero(horiz_next)[0]

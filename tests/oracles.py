@@ -204,8 +204,8 @@ def k_dominators(g: VisibilityGraph, s: int, k: int):
     for _ in range(k):
         members = np.union1d(interval_vertices(g, bds[-1]),
                              interval_vertices(g, tds[-1]))
-        below = [int(u) for u in members if h.side[u] < 0]
-        above = [int(u) for u in members if h.side[u] > 0]
+        below = [int(u) for u in members if h.ys[u] < 0]
+        above = [int(u) for u in members if h.ys[u] > 0]
         bd = min(below, key=lambda u: (abs(int(h.ys[u])), int(h.xs[u]))) \
             if below else None
         td = min(above, key=lambda u: (abs(int(h.ys[u])), int(h.xs[u]))) \
@@ -555,9 +555,9 @@ def distances(indptr, indices, sources):
     rows: row i holds the distance from sources[i] to every vertex, -1
     where unreachable, one pair query per vertex and source."""
     n = len(indptr) - 1
-    d = engine.query_distances(indptr, indices,
-                               np.tile(np.arange(n), len(sources)),
-                               np.repeat(sources, n))
+    d = engine._query(engine._bfs_plan(indptr, indices),
+                      np.tile(np.arange(n), len(sources)),
+                      np.repeat(sources, n), np.zeros(n * len(sources), int))
     return d.reshape(len(sources), n)
 
 

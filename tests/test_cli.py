@@ -664,11 +664,13 @@ def test_console_script_names_main():
 
 def test_console_script_commands_run(tmp_path):
     # the workflow's console-script step, run by bash as the runner runs
-    # it, with histroute going through __main__ and main() in fresh
-    # processes: every command must succeed
+    # it and with its warnings setting, with histroute going through
+    # __main__ and main() in fresh processes: every command must succeed
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     step = re.search(r"name: Run the installed console script\n"
-                     r"(?:\s+#.*\n)*\s+run: \|\n((?: {10}.*\n)+)", workflow)
+                     r"(?:\s+#.*\n)*\s+run: \|\n((?: {10}.*\n)+)"
+                     r" {8}env:\n {10}PYTHONWARNINGS: (\S+)\n", workflow)
+    assert step[2] == "error"
     script = "".join(line[10:] + "\n" for line in step[1].splitlines())
     assert len(re.findall(r"^histroute ", script, re.MULTILINE)) == 8
     bin_dir = tmp_path / "bin"
@@ -682,6 +684,7 @@ def test_console_script_commands_run(tmp_path):
         ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src, "RUNNER_TEMP": str(tmp_path),
+             "PYTHONWARNINGS": step[2],
              "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}"})
     assert done.returncode == 0, (done.stdout, done.stderr)
     assert (tmp_path / "cut.err").read_text().startswith("error: ")

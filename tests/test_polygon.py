@@ -233,6 +233,16 @@ def test_generate_rejects_n_not_an_integer(kind, n):
         polygon.generate(kind, n, seed=1)
 
 
+def test_generate_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'triangle'"):
+        polygon.generate("triangle", 8, 1)
+
+
+def test_histogram_repr():
+    assert repr(polygon.generate("double", 12, 1)) == \
+        "Histogram(kind='double', n=12)"
+
+
 @hypothesis.given(n=st.integers(2, 40).map(lambda k: 2 * k),
                   seed=st.integers(0, 10_000))
 @hypothesis.settings(max_examples=60, deadline=None)
