@@ -12,21 +12,24 @@ integers of the narrowest of 1, 2, 4 or 8 bytes that holds its values.
 
 The reader views each array in place (np.frombuffer), widens it to
 int64 and makes every check as an array test: the header, each table
-line as it is read, the table against the byte count, ``indptr`` rising from 0 to the length of
-``indices``, the class's value checks (``check_cols``) and the ids in
-[0, n), each row strictly ascending without itself, the listings
-symmetric, and last the class's ``check_links``. Each fault raises one
-DumpError; a fault in the entries of vertices names the lowest faulty
-vertex. The scheme gets its columns as int64
-(or bool) arrays in vertex order and cuts its links from the CSR in one
-batch (engine.cut_rows). Reading costs O(n + E) array work, plus one
-sort of the E listings for symmetry; a sorted search of them runs only
-when that finds a fault, to name its lowest vertex.
+line as it is read, the table against the byte count, ``indptr``
+rising from 0 to the length of ``indices``, the class's value checks
+(``check_cols``) and the ids in [0, n), each row strictly ascending
+without itself, the listings symmetric, and last the class's
+``check_links``. Each fault raises one DumpError; a fault in the
+entries of vertices names the lowest faulty vertex, through
+engine.first_fault, which the build checks use too. The scheme gets
+its columns as int64 (or bool) arrays in vertex order and its closed
+rows from the class's ``link_rows``, as preprocess_* does, and cuts
+its links from them in one batch (engine.cut_rows). Reading costs
+O(n + E) array work, plus one sort of the E listings for symmetry; a
+sorted search of them runs only when that finds a fault, to name its
+lowest vertex.
 """
 
 import numpy as np
 
-from .engine import closed_rows
+from .engine import first_fault
 from .polygon import out_of_range
 
 MAGIC = b"histroute-dump"
@@ -65,7 +68,7 @@ def read(data: bytes, *classes):
     among classes whose kind its header names. Raises DumpError."""
     cls, n, (indptr, indices, *cols) = _unpack(data, classes)
     cols = _check(cls, n, indptr, indices, dict(zip(cls.fields, cols)))
-    rows = closed_rows(indptr, indices, cls.link_order(n, cols))
+    rows = cls.link_rows(n, cols, indptr, indices)
     return cls(n, cols, indptr, indices, rows)
 
 
@@ -84,12 +87,13 @@ def _check(cls, n, indptr, indices, cols):
                         f"{len(indices)}, the length of indices")
     src = np.repeat(np.arange(n), np.diff(indptr))
     cols, checks = cls.check_cols(n, cols)
-    _first_fault(*((bad, None, msg) for bad, msg in checks), (
+    first_fault(DumpError, *((bad, None, msg) for bad, msg in checks), (
         (indices < 0) | (indices >= n), src,
         lambda i: f"row {src[i]}: neighbor id outside [0, {n})"))
     same = src[1:] == src[:-1]      # listings i and i + 1 share a row
     step = indices[1:] - indices[:-1]
-    _first_fault(
+    first_fault(
+        DumpError,
         (src == indices, src, lambda i: f"row {src[i]} lists itself"),
         (same & (step == 0), src,
          lambda i: f"row {src[i]} lists {indices[i]} twice"),
@@ -102,27 +106,11 @@ def _check(cls, n, indptr, indices, cols):
     keys, back = src * n + indices, indices * n + src
     if not np.array_equal(np.sort(back), keys):
         at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-        _first_fault((keys[at] != back, src, lambda i: (
+        first_fault(DumpError, (keys[at] != back, src, lambda i: (
             f"row {src[i]} lists {indices[i]} more often than row "
             f"{indices[i]} lists {src[i]}")))
-    cls.check_links(cols, src, indices)
+    first_fault(DumpError, *cls.check_links(cols, src, indices))
     return cols
-
-
-def _first_fault(*checks):
-    """Raise DumpError at the lowest faulty vertex, if any check finds
-    one. A check is (bad, row, message): bad a bool mask over positions,
-    row the vertex of each position, ascending (None: the positions are
-    the vertices), and message(i) the error for position i. Of faults at
-    the same vertex, the earlier check's wins."""
-    found = []
-    for k, (bad, row, message) in enumerate(checks):
-        if bad.any():
-            i = int(bad.argmax())
-            found.append((i if row is None else row[i], k, i, message))
-    if found:
-        *_, i, message = min(found)     # k differs: no message compared
-        raise DumpError(message(i))
 
 
 def range_checks(what, cols):

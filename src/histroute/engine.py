@@ -89,6 +89,22 @@ def cut_rows(rows, *cols):
             for c in (np.arange(len(ptr) - 1), *cols)]
 
 
+def first_fault(error, *checks):
+    """Raise error at the lowest faulty vertex, if any check finds one.
+    A check is (bad, row, message): bad a bool mask over positions, row
+    the vertex of each position, ascending (None: the positions are the
+    vertices), and message(i) the error for position i. Of faults at
+    the same vertex, the earlier check's wins."""
+    found = []
+    for k, (bad, row, message) in enumerate(checks):
+        if bad.any():
+            i = int(bad.argmax())
+            found.append((i if row is None else row[i], k, i, message))
+    if found:
+        *_, i, message = min(found)     # k differs: no message compared
+        raise error(message(i))
+
+
 class Scheme:
     """A built routing scheme: per-vertex labels, routing tables and
     link tables, the contract both histogram kinds share.
@@ -99,22 +115,24 @@ class Scheme:
     all vertices at once from those columns, which run_route indexes
     and ``label_of`` and ``table_of`` read; ``hops``, range(2n), bounds
     every route's hops. The list ``links`` holds links cut in one batch
-    (``cut_rows``) from the closed rows that closed_rows gives in the
-    order of ``link_order(n, cols)``, by default the ids ascending; a
-    link's columns are ids and values taken from ``cols``, or the label
-    records themselves. The adjacency is kept as the CSR pair (indptr,
-    indices) that visibility.VisibilityGraph built.
+    (``cut_rows``) from the rows that ``link_rows(n, cols, indptr,
+    indices)`` returns, the one place link layout is decided, by
+    default closed_rows with the ids ascending; a link's columns are
+    ids and values taken from ``cols``, or the label records
+    themselves. The adjacency is kept as the CSR pair (indptr, indices)
+    that visibility.VisibilityGraph built.
 
     Subclasses set ``kind``, the ``max_*_bits`` bounds, the records and
-    links in ``__init__``, the dump columns (``fields``, the names in
-    ``cols`` in dump order, whose values a dump reader hands as int64
-    arrays to ``check_cols(n, cols)``: it returns the columns as
-    ``__init__`` takes them and a list of (bad, message) checks, a
-    mask over the vertices and the error at a vertex) and
+    links in ``__init__(n, cols, indptr, indices, rows)``, the dump
+    columns ``fields`` (the names in ``cols`` in dump order) and
     ``step``, the kind's routing function itself as a plain function,
     bound when read off a scheme: it returns the next hop's port, its
-    position in ``link.ids``, and the header. The dump reader calls
-    ``check_links``, which a kind may override.
+    position in ``link.ids``, and the header. The hooks: ``link_rows``;
+    the dump reader's ``check_cols(n, cols)``, which returns the int64
+    columns as ``__init__`` takes them and a list of (bad, message)
+    checks, a mask over the vertices and the error at a vertex; and
+    ``check_links(cols, src, dst)``, which returns the first_fault
+    checks over the listings src -> dst (none by default).
     """
 
     def __init__(self, n, cols, indptr, indices):
@@ -125,14 +143,12 @@ class Scheme:
         self.indices = indices
 
     @staticmethod
-    def link_order(n, cols=None):
-        return np.arange(n)
+    def link_rows(n, cols, indptr, indices):
+        return closed_rows(indptr, indices, np.arange(n))
 
     @staticmethod
     def check_links(cols, src, dst):
-        """Raise dump.DumpError at the first listing src[i] -> dst[i] of
-        a dump, in CSR order, that the columns rule out; the base rules
-        out none."""
+        return []
 
     def label_of(self, v: int):
         return self.labels[v]

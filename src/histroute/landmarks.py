@@ -14,14 +14,8 @@ definitions these must agree with are kept as test oracles.
 
 import numpy as np
 
-from .engine import SchemeBuildError
+from .engine import SchemeBuildError, first_fault
 from .visibility import RangeMin, VisibilityGraph
-
-
-def first_vertex(mask):
-    """The smallest vertex id where a per-vertex mask holds, or None."""
-    hit = np.flatnonzero(mask)
-    return int(hit[0]) if len(hit) else None
 
 
 def breakpoints(g: VisibilityGraph):
@@ -60,9 +54,8 @@ def breakpoints(g: VisibilityGraph):
     best = ye == top[v]
     br = np.full(n, -1, dtype=np.int64)
     br[v[best]] = u[best]
-    missing = first_vertex(has_br & (br < 0))
-    if missing is not None:
-        raise SchemeBuildError(f"no breakpoint for vertex {missing}")
+    first_fault(SchemeBuildError, (has_br & (br < 0), None,
+                                   lambda v: f"no breakpoint for vertex {v}"))
     return br
 
 

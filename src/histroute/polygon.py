@@ -75,16 +75,6 @@ class Histogram:
         sx_out, sy_out = np.sign(xs[nxt] - xs), np.sign(ys[nxt] - ys)
         self.convex = sx_in * sy_out - sy_in * sx_out > 0
 
-        # Horizontal edge table: the teeth whose heights decide where
-        # the horizontal rays stop.
-        h_from = np.nonzero(horiz_next)[0]
-        h_to = nxt[h_from]
-        self.he_y = ys[h_from]
-        self.he_xlo = np.minimum(xs[h_from], xs[h_to])
-        self.he_xhi = np.maximum(xs[h_from], xs[h_to])
-        self.he_vleft = np.where(xs[h_from] < xs[h_to], h_from, h_to)
-        self.he_vright = np.where(xs[h_from] < xs[h_to], h_to, h_from)
-
     def points(self):
         return list(zip(self.xs.tolist(), self.ys.tolist()))
 

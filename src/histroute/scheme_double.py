@@ -17,7 +17,7 @@ import numpy as np
 from . import dump, polygon
 from . import landmarks as lmk
 from .engine import (HeaderProtocolError, RoutingError, Scheme,
-                     SchemeBuildError, closed_rows, cut_rows)
+                     SchemeBuildError, closed_rows, cut_rows, first_fault)
 from .visibility import co_visible_fast
 
 
@@ -188,21 +188,19 @@ class DoubleScheme(Scheme):
     kind = "double"
     fields = (*_LABEL_FIELDS, *_TABLE_FIELDS)
 
-    def __init__(self, n, cols, indptr, indices, rows, vdom=None):
-        """vdom is the (bottom, top) port pair _row_vertical_dominators
-        gives for rows; it is computed here when not given."""
+    def __init__(self, n, cols, indptr, indices, rows):
         super().__init__(n, cols, indptr, indices)
-        x, y, ilo, ihi = (cols[f] for f in _LABEL_FIELDS)
-        if vdom is None:
-            vdom = _row_vertical_dominators(x, y, *rows)
-        self.labels = list(map(DoubleLabel, x.tolist(), y.tolist(),
-                               ilo.tolist(), ihi.tolist()))
+        ptr, ids, bd, td = rows
+        # one int object per x value, shared by the labels and the links
+        x = cols["x"].astype(object)
+        self.labels = list(map(DoubleLabel, x.tolist(), *(
+            cols[f].tolist() for f in _LABEL_FIELDS[1:])))
         self.tables = list(map(DoubleTable, *(
             cols[f].tolist() for f in _TABLE_FIELDS)))
         self.links = list(map(DoubleLink, range(n), self.labels,
-                              *cut_rows(rows, x, np.fromiter(
+                              *cut_rows((ptr, ids), x, np.fromiter(
                                   self.labels, object, n)),
-                              *(a.tolist() for a in vdom)))
+                              bd.tolist(), td.tolist()))
         w = (n - 1).bit_length()
         # fixed-width fields: w+1 bits fit any coordinate rank plus sign
         self.max_label_bits = 4 * (w + 1)
@@ -210,19 +208,22 @@ class DoubleScheme(Scheme):
         self.max_header_bits = 2 * (w + 1)
 
     @staticmethod
-    def link_order(n, cols):
-        y = cols["y"]
-        return np.lexsort((y, np.abs(y), cols["x"]))
+    def link_rows(n, cols, indptr, indices):
+        """The closed rows (ptr, ids) in link order, then the ports of
+        each row's bottom and top dominators."""
+        x, y = cols["x"], cols["y"]
+        ptr, ids = closed_rows(indptr, indices,
+                               np.lexsort((y, np.abs(y), x)))
+        return ptr, ids, *_row_vertical_dominators(x, y, ptr, ids)
 
     step = route_step_double
 
     @staticmethod
     def check_links(cols, src, dst):
         x = cols["x"][dst]      # a row lists only vertices in its I(v)
-        bad = np.flatnonzero((x < cols["ilo"][src]) | (x > cols["ihi"][src]))
-        if bad.size:
-            raise dump.DumpError(f"row {src[bad[0]]} lists {dst[bad[0]]}, "
-                                 f"outside its interval")
+        return [((x < cols["ilo"][src]) | (x > cols["ihi"][src]), src,
+                 lambda i: f"row {src[i]} lists {dst[i]}, outside its "
+                 f"interval")]
 
     @staticmethod
     def check_cols(n, cols):
@@ -256,36 +257,31 @@ def preprocess_double(h, g) -> DoubleScheme:
     lm = g.lm
     x_values, x, y = polygon.ranks(h)
     cols = {"x": x, "y": y}
-    ptr, ids = closed_rows(g.indptr, g.indices,
-                           DoubleScheme.link_order(n, cols))
+    ptr, ids, *ports = rows = DoubleScheme.link_rows(n, cols, g.indptr,
+                                                     g.indices)
 
     bd, td = lmk.dominator_levels(g, 2)
     bd1, td1, bd2 = bd[1], td[1], bd[2]
-    vdom = _row_vertical_dominators(x, y, ptr, ids)
-    lbd, ltd = (ids[ptr[:-1] + port] for port in vdom)
-    v = lmk.first_vertex((lbd != bd1) | (ltd != td1))
-    if v is not None:
-        raise SchemeBuildError(
-            f"local bottom/top dominators at {v} diverge from the global "
-            f"ones ({lbd[v]},{ltd[v]}) vs ({bd1[v]},{td1[v]})")
+    lbd, ltd = (ids[ptr[:-1] + port] for port in ports)
+    first_fault(SchemeBuildError, ((lbd != bd1) | (ltd != td1), None, (
+        lambda v: f"local bottom/top dominators at {v} diverge from the "
+        f"global ones ({lbd[v]},{ltd[v]}) vs ({bd1[v]},{td1[v]})")))
 
     # I^k(v) spans the intervals of the level-(k-1) dominators
     lo2 = np.minimum(lm.l_x[bd1], lm.l_x[td1])
     hi2 = np.maximum(lm.r_x[bd1], lm.r_x[td1])
     lo3 = np.minimum(lm.l_x[bd2], lm.l_x[td[2]])
     hi3 = np.maximum(lm.r_x[bd2], lm.r_x[td[2]])
-    v = lmk.first_vertex((np.minimum.reduceat(lm.l_x[ids], ptr[:-1]) != lo2)
-                         | (np.maximum.reduceat(lm.r_x[ids], ptr[:-1]) != hi2))
-    if v is not None:
-        raise SchemeBuildError(
-            f"level-2 interval of {v} is not the neighborhood extreme")
+    first_fault(SchemeBuildError, (
+        (np.minimum.reduceat(lm.l_x[ids], ptr[:-1]) != lo2)
+        | (np.maximum.reduceat(lm.r_x[ids], ptr[:-1]) != hi2), None,
+        lambda v: f"level-2 interval of {v} is not the neighborhood extreme"))
     i2bd_lo, i2bd_hi, i2td_lo, i2td_hi = lo2[bd1], hi2[bd1], lo2[td1], hi2[td1]
-    v = lmk.first_vertex((np.minimum(i2bd_lo, i2td_lo) != lo3)
-                         | (np.maximum(i2bd_hi, i2td_hi) != hi3))
-    if v is not None:
-        raise SchemeBuildError(
-            f"level-3 interval of {v} is not the union of the "
-            f"dominators' level-2 intervals")
+    first_fault(SchemeBuildError, (
+        (np.minimum(i2bd_lo, i2td_lo) != lo3)
+        | (np.maximum(i2bd_hi, i2td_hi) != hi3), None,
+        lambda v: f"level-3 interval of {v} is not the union of the "
+        f"dominators' level-2 intervals"))
 
     vid = np.arange(n)
 
@@ -296,13 +292,11 @@ def preprocess_double(h, g) -> DoubleScheme:
         p1 = np.where(stay, last, np.where(
             co_visible_fast(g, bd1, last), bd1,
             np.where(co_visible_fast(g, td1, last), td1, -1)))
-        v = lmk.first_vertex(p1 < 0)
-        if v is not None:
-            raise SchemeBuildError(
-                f"level-1 dominators of {v} both miss {int(last[v])}")
-        v = lmk.first_vertex(~co_visible_fast(g, vid, p1))
-        if v is not None:
-            raise SchemeBuildError(f"{v} does not see {int(p1[v])}")
+        first_fault(SchemeBuildError, (p1 < 0, None, lambda v: (
+            f"level-1 dominators of {v} both miss {int(last[v])}")))
+        first_fault(SchemeBuildError, (~co_visible_fast(g, vid, p1), None,
+                                       lambda v: f"{v} does not see "
+                                       f"{int(p1[v])}"))
         return p1
 
     p1 = level1_hop(bd2)
@@ -311,14 +305,12 @@ def preprocess_double(h, g) -> DoubleScheme:
     # the path never leaves v)
     first = np.where(p1 != vid, p1, bd2)
     bit = (first == vid) | (first == bd1)
-    v = lmk.first_vertex(~bit & (first != td1))
-    if v is not None:
-        raise SchemeBuildError(
-            f"canonical bottom path at {v} starts off the dominators")
+    first_fault(SchemeBuildError, (~bit & (first != td1), None, lambda v: (
+        f"canonical bottom path at {v} starts off the dominators")))
     bounds = np.searchsorted(x_values, (
         lm.l_x, lm.r_x, i2bd_lo, i2bd_hi, i2td_lo, i2td_hi))   # as x ranks
     cols.update(zip(DoubleScheme.fields[2:], (*bounds, x[bd2], y[bd2], bit)))
-    return DoubleScheme(n, cols, g.indptr, g.indices, (ptr, ids), vdom)
+    return DoubleScheme(n, cols, g.indptr, g.indices, rows)
 
 
 def dump_scheme(scheme: DoubleScheme) -> bytes:
@@ -328,6 +320,6 @@ def dump_scheme(scheme: DoubleScheme) -> bytes:
 
 
 def parse_dump(data: bytes) -> DoubleScheme:
-    """Inverse of dump_scheme. Raises dump.DumpError, a ValueError, on
-    a malformed dump."""
+    """Inverse of dump_scheme. Raises dump.read's error, a ValueError,
+    on a malformed dump."""
     return dump.read(data, DoubleScheme)

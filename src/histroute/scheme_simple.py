@@ -15,8 +15,8 @@ import numpy as np
 
 from . import dump
 from . import landmarks as lmk
-from .engine import (RoutingError, Scheme, SchemeBuildError, closed_rows,
-                     cut_rows)
+from .engine import (RoutingError, Scheme, SchemeBuildError, cut_rows,
+                     first_fault)
 
 
 @dataclasses.dataclass(slots=True)
@@ -109,28 +109,25 @@ def preprocess_simple(h, g) -> SimpleScheme:
     n = h.n
     lm = g.lm
     lvid, rvid = lm.l_vid, lm.r_vid
-    v = lmk.first_vertex((lvid < 0) | (rvid < 0))
-    if v is not None:
-        raise SchemeBuildError(f"non-vertex landmark at {v}")
+    first_fault(SchemeBuildError, ((lvid < 0) | (rvid < 0), None,
+                                   lambda v: f"non-vertex landmark at {v}"))
     # validation numbers a simple histogram's vertices in x order, so
     # the vertices inside I(v) are the ids a..b-1 below, and I(v) holds
     # exactly lvid..rvid when that range starts and ends there
     xs = h.xs
     a = np.searchsorted(xs, lm.l_x, "left")
     b = np.searchsorted(xs, lm.r_x, "right")
-    v = lmk.first_vertex((a != lvid) | (b != rvid + 1))
-    if v is not None:
-        raise SchemeBuildError(
-            f"I({v}) is not the id range [{int(lvid[v])},{int(rvid[v])}]")
+    first_fault(SchemeBuildError, ((a != lvid) | (b != rvid + 1), None,
+                                   lambda v: f"I({v}) is not the id range "
+                                   f"[{int(lvid[v])},{int(rvid[v])}]"))
     # ids ascending, the simple link order: a row's ends are its extremes
-    ptr, ids = closed_rows(g.indptr, g.indices, SimpleScheme.link_order(n))
-    v = lmk.first_vertex((ids[ptr[:-1]] != lvid) | (ids[ptr[1:] - 1] != rvid))
-    if v is not None:
-        raise SchemeBuildError(
-            f"closed neighborhood of {v} does not end at the landmarks")
+    ptr, ids = rows = SimpleScheme.link_rows(n, None, g.indptr, g.indices)
+    first_fault(SchemeBuildError, (
+        (ids[ptr[:-1]] != lvid) | (ids[ptr[1:] - 1] != rvid), None,
+        lambda v: f"closed neighborhood of {v} does not end at the landmarks"))
 
     cols = {"br": lmk.breakpoints(g), "bit": lm.l_y > lm.r_y}
-    return SimpleScheme(n, cols, g.indptr, g.indices, (ptr, ids))
+    return SimpleScheme(n, cols, g.indptr, g.indices, rows)
 
 
 def dump_scheme(scheme: SimpleScheme) -> bytes:
@@ -140,6 +137,6 @@ def dump_scheme(scheme: SimpleScheme) -> bytes:
 
 
 def parse_dump(data: bytes) -> SimpleScheme:
-    """Inverse of dump_scheme. Raises dump.DumpError, a ValueError, on
-    a malformed dump."""
+    """Inverse of dump_scheme. Raises dump.read's error, a ValueError,
+    on a malformed dump."""
     return dump.read(data, SimpleScheme)

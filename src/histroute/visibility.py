@@ -109,22 +109,23 @@ def compute_landmarks(h: Histogram) -> Landmarks:
     n, xs, ys = h.n, h.xs, h.ys
     l_vid = np.full(n, -1, dtype=np.int64)
     r_vid = np.full(n, -1, dtype=np.int64)
+    left = np.flatnonzero(h.is_left)     # each tooth by its left end
+    left = left[np.argsort(xs[left])]
     if h.kind == "simple":
-        dist = h.base_y - h.he_y
-        chains = [np.flatnonzero(dist > 0)]        # all but the base edge
+        dist = h.base_y - ys
+        chains = [left[dist[left] > 0]]        # all but the base edge
     else:
-        dist = np.abs(h.he_y)
-        chains = [np.flatnonzero(h.he_y < 0), np.flatnonzero(h.he_y > 0)]
-    for teeth in chains:
-        teeth = teeth[np.argsort(h.he_xlo[teeth])]
-        vleft, vright = h.he_vleft[teeth], h.he_vright[teeth]
-        prev, nxt = _nearer_neighbours(dist[teeth].tolist())
+        dist = np.abs(ys)
+        chains = [left[ys[left] < 0], left[ys[left] > 0]]
+    for vleft in chains:
+        vright = h.cv[vleft]
+        prev, nxt = _nearer_neighbours(dist[vleft].tolist())
         if h.kind == "simple":
             l_open, r_open = 0, n - 1
         else:
             # the boundary edges' own vertices, else a point between them
-            l_open = np.where(h.he_xlo[teeth] == h.xmin, vleft, -1)
-            r_open = np.where(h.he_xhi[teeth] == h.xmax, vright, -1)
+            l_open = np.where(xs[vleft] == h.xmin, vleft, -1)
+            r_open = np.where(xs[vright] == h.xmax, vright, -1)
         l_hit = np.where(prev >= 0, vright[prev], l_open)
         r_hit = np.where(nxt >= 0, vleft[nxt], r_open)
         for ends in (vleft, vright):

@@ -61,20 +61,23 @@ def breakpoint_of(g: VisibilityGraph, v: int):
     if h.convex[v] and not is_base:
         return None
     rightward = (not h.is_left[v]) if not is_base else (v == 0)
-    xv, yv = int(h.xs[v]), int(h.ys[v])
+    xs, ys = h.xs.tolist(), h.ys.tolist()
+    xv, yv = xs[v], ys[v]
     best = None
     best_y = None
-    for e in range(len(h.he_y)):
-        ye = int(h.he_y[e])
-        if ye >= yv:
+    # the horizontal edges: consecutive boundary vertices of equal y
+    for a in range(n):
+        b = (a + 1) % n
+        ye = ys[a]
+        if ys[b] != ye or ye >= yv:
             continue
-        vl, vr = int(h.he_vleft[e]), int(h.he_vright[e])
+        vl, vr = (a, b) if xs[a] < xs[b] else (b, a)
         if rightward:
-            if int(h.he_xlo[e]) < xv:
+            if xs[vl] < xv:
                 continue
             pick = vl
         else:
-            if int(h.he_xhi[e]) > xv:
+            if xs[vr] > xv:
                 continue
             pick = vr
         # both endpoints visible means the whole edge is

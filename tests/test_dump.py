@@ -39,9 +39,8 @@ def test_column_takes_the_narrowest_width(sch_dbl, value, width):
         sch_dbl.n, {**sch_dbl.cols, "bd2x": np.where(
             np.arange(sch_dbl.n) == 3, value, sch_dbl.cols["bd2x"])},
         sch_dbl.indptr, sch_dbl.indices,
-        engine.closed_rows(sch_dbl.indptr, sch_dbl.indices,
-                           scheme_double.DoubleScheme.link_order(
-                               sch_dbl.n, sch_dbl.cols)))
+        scheme_double.DoubleScheme.link_rows(
+            sch_dbl.n, sch_dbl.cols, sch_dbl.indptr, sch_dbl.indices))
     data = dump.write(sch)
     widths = {name: w for name, (w, _) in double_table(data).items()}
     assert widths == {**dict.fromkeys(widths, 1), "bd2x": width}

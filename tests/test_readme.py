@@ -2,11 +2,16 @@
 library block run as Python, as shown."""
 
 import builtins
+import functools
+import importlib
 import pathlib
 import re
 import shlex
 
 from histroute import cli
+
+import conftest
+import oracles
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -68,3 +73,28 @@ def test_readme_names_only_private_names_that_exist():
     shown = set(re.findall(r"`(_\w+)`", README))
     assert len(shown) >= 4
     assert sorted(shown - defined) == []
+
+
+def test_readme_dotted_names_resolve():
+    # every `A.b of README.md whose head is a module or class of the
+    # package, or the test helpers oracles and conftest, resolves by
+    # getattr, so no renamed hook or helper stays named
+    heads = {"oracles": oracles, "conftest": conftest}
+    for path in (ROOT / "src" / "histroute").glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            module = importlib.import_module(f"histroute.{path.stem}")
+            heads[path.stem] = module
+            heads.update((name, obj) for name, obj in vars(module).items()
+                         if isinstance(obj, type)
+                         and obj.__module__ == module.__name__)
+    shown = {name for name in re.findall(r"`(\w+(?:\.\w+)+)", README)
+             if name.split(".")[0] in heads}
+    assert len(shown) >= 10
+    missing = []
+    for name in sorted(shown):
+        head, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, heads[head])
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

@@ -126,12 +126,16 @@ def test_case1_hops_to_far_dominator(small_doubles):
 
 def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
     # link order: by x, then distance to the base line, then y; the
-    # reloaded scheme orders its links alike
+    # reloaded scheme orders its links alike, and holds the same
+    # dominator ports and table records
     for h, g in small_doubles:
         sch = scheme_double.preprocess_double(h, g)
         again = scheme_double.parse_dump(scheme_double.dump_scheme(sch))
         nbrs = oracles.neighbor_lists(g)
+        ports_and_tables = []
         for s in (sch, again):
+            ports_and_tables.append(
+                ([(link.bd, link.td) for link in s.links], s.tables))
             for v in range(h.n):
                 closed = [v, *nbrs[v]]
                 closed.sort(key=lambda u: (int(h.xs[u]), abs(int(h.ys[u])),
@@ -143,6 +147,7 @@ def test_links_hold_closed_neighborhood_in_link_order(small_doubles):
                 assert all(lab is s.labels[u]
                            for u, lab in zip(link.ids, link.labs))
                 assert link.xs == tuple(lab.x for lab in link.labs)
+        assert ports_and_tables[0] == ports_and_tables[1]
 
 
 def test_route_all_pairs_fixture(sch_dbl, dbl):
@@ -537,12 +542,12 @@ def test_row_dominators_match_links(small_doubles, random_doubles):
         zero = np.zeros(h.n, dtype=np.int64)
         cols = {"x": h.xs, "y": h.ys, "ilo": g.lm.l_x, "ihi": g.lm.r_x,
                 **dict.fromkeys(scheme_double._TABLE_FIELDS, zero)}
-        rows = engine.closed_rows(
-            g.indptr, g.indices,
-            scheme_double.DoubleScheme.link_order(h.n, cols))
+        rows = scheme_double.DoubleScheme.link_rows(h.n, cols, g.indptr,
+                                                    g.indices)
         sch = scheme_double.DoubleScheme(h.n, cols, g.indptr, g.indices,
                                          rows)
-        bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys, *rows)
+        bd, td = scheme_double._row_vertical_dominators(h.xs, h.ys,
+                                                        *rows[:2])
         for v in range(h.n):
             link = sch.links[v]
             lbd, ltd = oracles.local_vertical_dominators(link)
